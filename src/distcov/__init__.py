@@ -13,7 +13,6 @@ from .covariance import (
     CovBlock,
     GlobalCovariance,
     centralized_covariance,
-    covariance_pair,
     cross_covariance,
     local_covariance,
     merge_blocks,
@@ -51,7 +50,6 @@ __all__ = [
     "ColumnBlock",
     "CovBlock",
     "GlobalCovariance",
-    "covariance_pair",
     "local_covariance",
     "cross_covariance",
     "centralized_covariance",

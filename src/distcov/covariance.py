@@ -1,11 +1,22 @@
 """Covariance kernels and the block algebra that assembles the global matrix.
 
-Every entry of every block, local or cross, centralized or merged, funnels
-through one kernel: center the two columns on their means, multiply, reduce
-with a unit-stride dot product, divide by n-1. Because the kernel sees the
-same contiguous column values on every path, a merged matrix is bit-identical
-to the matrix a single-machine computation produces. That exactness is the
-whole point, so nothing here is allowed to reorder a reduction.
+Every block, local or cross, centralized or merged, comes from one kernel,
+`_cov_block`, built on error-free splitting (Ozaki, Ogita, Oishi & Rump,
+Numer. Algorithms 59, 2012). The determinism contract:
+
+- A column's mean, its power-of-two scale and its slices depend only on
+  that column's values and the row count n, never on the block around it.
+- Each centered, scaled column is split into s integer slices of b bits,
+  b = floor((53 - ceil(log2 n)) / 2). A slice dot product is then an
+  integer of at most 53 bits, so BLAS computes it exactly in whatever order
+  it sums: block shape, tiling and thread count cannot change a bit.
+- The slice products are combined in one fixed order that is symmetric in
+  the two operands, so cov(a, b) and cov(b, a) are the same float.
+
+Hence a merged matrix is bit-identical to the matrix a single-machine
+computation produces. Entries are accurate to about one rounding of the
+centered data: products below 2**-53 of the column peaks are dropped, and
+the final sum is rounded once.
 """
 
 from __future__ import annotations
@@ -18,20 +29,18 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidCovariance,
-    LengthMismatch,
     MissingPair,
     OverlappingPair,
     RowCountMismatch,
     SameSite,
     TooFewRows,
 )
-from .matrix import DenseMatrix, vector_mean
+from .matrix import DenseMatrix
 
 __all__ = [
     "ColumnBlock",
     "CovBlock",
     "GlobalCovariance",
-    "covariance_pair",
     "local_covariance",
     "cross_covariance",
     "centralized_covariance",
@@ -150,70 +159,139 @@ class GlobalCovariance:
         return f"GlobalCovariance(dim={self.dim})"
 
 
-def covariance_pair(x, y, mean_x: float, mean_y: float) -> float:
-    """Sample covariance of two columns given their means.
+# Rows split per pass: bounds the kernel's working set whatever the row count.
+_CHUNK_ROWS = 512
 
-    Centered products are reduced by a unit-stride dot product over the rows
-    and divided by n-1. This exact sequence of operations is what every block
-    computation replays, entry for entry.
 
-    Raises:
-        LengthMismatch: if the columns differ in length.
-        TooFewRows: if fewer than two rows (the denominator would be zero).
+def _slicing(n: int) -> tuple[int, int]:
+    """(b, s): bits per slice and slice count for columns of n rows.
+
+    A dot product of two b-bit integer vectors of length n is bounded by
+    n * 2**(2b) <= 2**53, so every partial sum is an exact float64 integer.
+    s slices hold at least 53 bits, one full significand of the column peak.
     """
-    xa = np.ascontiguousarray(x, dtype=np.float64)
-    ya = np.ascontiguousarray(y, dtype=np.float64)
-    if xa.ndim != 1 or ya.ndim != 1:
-        raise LengthMismatch("covariance_pair expects 1-D columns")
-    if xa.shape[0] != ya.shape[0]:
-        raise LengthMismatch(f"column lengths differ: {xa.shape[0]} vs {ya.shape[0]}")
-    n = xa.shape[0]
-    if n < 2:
-        raise TooFewRows("sample covariance needs at least 2 rows")
-    return float(np.dot(xa - mean_x, ya - mean_y)) / (n - 1)
+    b = (53 - (n - 1).bit_length()) // 2
+    return b, -(-53 // b)
 
 
-def _centered_columns(data: DenseMatrix) -> np.ndarray:
-    """Stack of centered columns, one contiguous row per column.
+class _Operand:
+    """One block's columns, prepared for splitting: column means and the
+    power-of-two scale that brings each centered column's peak below 2**b.
 
-    Row u of the result is column u minus its mean. The transposed layout
-    keeps each column unit-stride for the dot-product kernel; a strided
-    reduction would not be bit-comparable with `covariance_pair`.
+    Each column's mean sums its rows one chunk at a time: a pairwise sum
+    over the chunk, taken on a contiguous copy of the column's rows, then
+    added to the running total in chunk order. Neither step depends on the
+    other columns of the block, so a column gets the same mean, peak and
+    slices whichever block it sits in.
     """
-    rows, cols = data.rows, data.cols
-    out = np.empty((cols, rows), dtype=np.float64)
-    for j in range(cols):
-        col = data.column(j)
-        out[j] = col - vector_mean(col)
+
+    __slots__ = ("values", "mean", "exps", "scale")
+
+    def __init__(self, values: np.ndarray, b: int):
+        n, w = values.shape
+        rows_t = np.empty((w, min(n, _CHUNK_ROWS)), dtype=np.float64)
+        total = np.zeros(w, dtype=np.float64)
+        for r0 in range(0, n, _CHUNK_ROWS):
+            part = rows_t[:, : min(_CHUNK_ROWS, n - r0)]
+            np.copyto(part, values[r0 : r0 + _CHUNK_ROWS].T)
+            total += np.add.reduce(part, axis=1)
+        self.values = values
+        self.mean = total / n
+        # Rounding is monotonic, so the centered peak is the rounded
+        # distance from the mean to the column's max or min.
+        peak = np.maximum(values.max(axis=0) - self.mean, self.mean - values.min(axis=0))
+        _, self.exps = np.frexp(peak)  # peak < 2**exps
+        self.scale = np.ldexp(1.0, b - self.exps)
+
+    def split(self, r0: int, out: np.ndarray, b: int) -> None:
+        """Write the s integer slices of rows r0 .. r0 + len(out[0]) into out.
+
+        Row p of column u equals 2**(exps[u] - b) * sum_k out[k, p, u] *
+        2**(-k b), down to 2**-54 of the column peak; every slice entry is an
+        integer below 2**b in magnitude.
+        """
+        work = out[-1]
+        np.subtract(self.values[r0 : r0 + len(work)], self.mean, out=work)
+        work *= self.scale  # exact: |work| < 2**b
+        lift = float(2**b)
+        for k in range(len(out) - 1):
+            np.rint(work, out=out[k])
+            work -= out[k]  # exact: the rounding residue, at most 1/2
+            work *= lift
+        np.rint(work, out=work)  # the last slice, in place
+
+
+def _cov_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Covariance block between the columns of two (n, w) arrays: entry
+    (u, v) is the covariance of x's column u with y's column v. Pass the
+    same array twice for a block's own covariance.
+
+    Columns are centered and split into s integer slices (`_Operand`), a
+    chunk of rows at a time. Every slice product X_i^T Y_j is an exact
+    integer in any BLAS summation order, so summing it over the chunks is
+    exact too. The products are then added level by level (i + j = s-1 down
+    to 0, dropping levels >= s, which lie below 2**-53 of the peaks), each
+    level scaled exactly by 2**-b, and inside a level X_i^T Y_j is always
+    paired with X_j^T Y_i before it is accumulated. The pair sum commutes,
+    so the block for (y, x) is the exact transpose of the block for (x, y).
+    For x is y only the products with i <= j are computed; the pair is
+    T + T^T.
+    """
+    n = x.shape[0]
+    b, s = _slicing(n)
+    same = x is y
+    xo = _Operand(x, b)
+    yo = xo if same else _Operand(y, b)
+    wx, wy = x.shape[1], y.shape[1]
+    chunk = min(n, _CHUNK_ROWS)
+    xs = np.empty((s, chunk, wx), dtype=np.float64)
+    ys = xs if same else np.empty((s, chunk, wy), dtype=np.float64)
+    products = {
+        (i, j): np.empty((wx, wy), dtype=np.float64)
+        for i in range(s)
+        for j in range(s - i)
+        if i <= j or not same
+    }
+    term = np.empty((wx, wy), dtype=np.float64)
+    for r0 in range(0, n, chunk):
+        rows = min(chunk, n - r0)
+        xo.split(r0, xs[:, :rows], b)
+        if not same:
+            yo.split(r0, ys[:, :rows], b)
+        for (i, j), total in products.items():
+            if r0 == 0:
+                np.matmul(xs[i, :rows].T, ys[j, :rows], out=total)
+            else:
+                np.matmul(xs[i, :rows].T, ys[j, :rows], out=term)
+                total += term
+
+    out = np.zeros((wx, wy), dtype=np.float64)
+    for level in range(s - 1, -1, -1):
+        if level < s - 1:
+            out *= 2.0**-b
+        for i in range(level // 2 + 1):
+            j = level - i
+            if i == j:
+                out += products[i, i]
+                continue
+            mirror = products[i, j].T if same else products[j, i]
+            np.add(products[i, j], mirror, out=term)
+            out += term
+    np.ldexp(out, np.add.outer(xo.exps - b, yo.exps - b), out=out)
+    out /= n - 1
     return out
 
 
-def _pair_dot(cx: np.ndarray, cy: np.ndarray, n: int) -> float:
-    # Same reduction as covariance_pair, on pre-centered contiguous columns.
-    return float(np.dot(cx, cy)) / (n - 1)
-
-
 def local_covariance(b: ColumnBlock) -> CovBlock:
-    """Covariance block of one site's own columns.
-
-    Only the upper triangle is computed; the lower is mirrored, so the block
-    is exactly symmetric.
-    """
+    """Covariance block of one site's own columns, exactly symmetric."""
     n = b.data.rows
     if n < 2:
         raise TooFewRows("sample covariance needs at least 2 rows")
-    centered = _centered_columns(b.data)
-    m = b.data.cols
-    block = np.empty((m, m), dtype=np.float64)
-    for p in range(m):
-        for q in range(p, m):
-            block[p, q] = _pair_dot(centered[p], centered[q], n)
-    iu, ju = np.triu_indices(m, 1)
-    block[ju, iu] = block[iu, ju]
+    values = b.data.values
     return CovBlock(
         site_a=b.site,
         site_b=b.site,
-        block=DenseMatrix._wrap(block, b.data.labels),
+        block=DenseMatrix._wrap(_cov_block(values, values), b.data.labels),
         rows_global_cols=b.global_cols,
         cols_global_cols=b.global_cols,
     )
@@ -224,8 +302,8 @@ def cross_covariance(receiver: ColumnBlock, sender: ColumnBlock) -> CovBlock:
 
     Computed at the receiver after the sender's raw columns arrive; entry
     (u, v) pairs sender column u with receiver column v. The receiver
-    recomputes the sender's means from the raw data, which the two-pass
-    kernel makes identical to sender-side means.
+    recomputes the sender's means from the raw data, which the kernel makes
+    identical to sender-side means.
     """
     if receiver.site == sender.site:
         raise SameSite(f"cross covariance needs two distinct sites, both are {receiver.site}")
@@ -236,12 +314,7 @@ def cross_covariance(receiver: ColumnBlock, sender: ColumnBlock) -> CovBlock:
         )
     if n < 2:
         raise TooFewRows("sample covariance needs at least 2 rows")
-    cs = _centered_columns(sender.data)
-    cr = _centered_columns(receiver.data)
-    block = np.empty((sender.data.cols, receiver.data.cols), dtype=np.float64)
-    for u in range(sender.data.cols):
-        for v in range(receiver.data.cols):
-            block[u, v] = _pair_dot(cs[u], cr[v], n)
+    block = _cov_block(sender.data.values, receiver.data.values)
     return CovBlock(
         site_a=sender.site,
         site_b=receiver.site,
@@ -254,23 +327,15 @@ def cross_covariance(receiver: ColumnBlock, sender: ColumnBlock) -> CovBlock:
 def centralized_covariance(m: DenseMatrix) -> GlobalCovariance:
     """Full covariance matrix computed directly on the unpartitioned data.
 
-    This is the oracle every distributed result is checked against: same
-    kernel, same column order, upper triangle mirrored.
+    This is the oracle every distributed result is checked against: the same
+    kernel, run on all columns at once.
     """
     n = m.rows
     if n < 2:
         raise TooFewRows("sample covariance needs at least 2 rows")
     if m.cols < 1:
         raise DimensionMismatch("covariance needs at least one column")
-    centered = _centered_columns(m)
-    dim = m.cols
-    out = np.empty((dim, dim), dtype=np.float64)
-    for p in range(dim):
-        for q in range(p, dim):
-            out[p, q] = _pair_dot(centered[p], centered[q], n)
-    iu, ju = np.triu_indices(dim, 1)
-    out[ju, iu] = out[iu, ju]
-    return GlobalCovariance(out, m.labels)
+    return GlobalCovariance(_cov_block(m.values, m.values), m.labels)
 
 
 def merge_blocks(

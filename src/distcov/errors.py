@@ -43,7 +43,7 @@ class TooFewRows(DistCovError):
     """Sample covariance needs at least two rows (denominator n-1)."""
 
 
-class RowCountMismatch(DistCovError):
+class RowCountMismatch(LengthMismatch):
     """All blocks or tables of one dataset must share the row count."""
 
 

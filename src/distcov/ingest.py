@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -155,6 +156,20 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
     if format not in ("whitespace", "csv"):
         raise ParseError(f"unknown format {format!r}, expected 'whitespace' or 'csv'")
     p = Path(path)
+    if format == "whitespace":
+        # Fast path for well-formed files; anything numpy rejects is parsed
+        # again field by field below, which names the offending row and field.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty file is reported below
+                data = np.loadtxt(p, dtype=np.float64, comments=None, ndmin=2)
+        except OSError as exc:
+            raise IoError(f"cannot read {p}: {exc}") from None
+        except ValueError:
+            data = None
+        if data is not None and data.size:
+            # _wrap skips the constructor's copy; the constructor reports NaN/Inf.
+            return DenseMatrix._wrap(data) if np.isfinite(data).all() else DenseMatrix(data)
     try:
         text = p.read_text()
     except OSError as exc:

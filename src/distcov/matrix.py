@@ -130,9 +130,8 @@ def new_matrix(
 def vector_mean(col: np.ndarray) -> float:
     """Mean of a C-contiguous float64 vector.
 
-    This is the single accumulation point for every mean in the package;
     np.sum over a contiguous vector reduces in a fixed, input-independent
-    order, which keeps centralized and distributed paths bit-identical.
+    order, so equal columns always give bit-identical means.
     """
     return float(np.sum(col)) / col.shape[0]
 

@@ -44,7 +44,14 @@ from .errors import (
 )
 from .matrix import DenseMatrix
 from .schedule import Schedule
-from .wire import HEADER, MessageKind, ProtocolMessage, decode_message, encode_message
+from .wire import (
+    HEADER,
+    MessageKind,
+    ProtocolMessage,
+    decode_message,
+    encode_message,
+    largest_frame,
+)
 
 __all__ = [
     "TransferStat",
@@ -58,6 +65,7 @@ __all__ = [
 ]
 
 DEFAULT_DEADLINE_MS = 60_000.0
+_LENGTH = struct.Struct("<Q")
 _POLL_S = 0.025  # error-sink polling granularity while gathering
 
 
@@ -181,19 +189,22 @@ class TcpTransport:
 
     Readers never block senders — every complete frame is parked in an
     unbounded inbox queue, so the protocol cannot deadlock on socket
-    buffers.
+    buffers. Each frame is received straight into one buffer of its declared
+    size; a declared size above `max_frame` bytes is refused before anything
+    is allocated, and the endpoint's next `recv` raises TransportError.
     """
 
-    def __init__(self, endpoints, log: list | None = None):
+    def __init__(self, endpoints, log: list | None = None, max_frame: int | None = None):
         self._inbox: dict[int, queue.Queue] = {e: queue.Queue() for e in endpoints}
         self._log = log
         self._log_lock = threading.Lock()
+        self._max_frame = max_frame
         self._conn_lock = threading.Lock()
         self._conns: dict[tuple[int, int], socket.socket] = {}
         self._listeners: dict[int, socket.socket] = {}
         self._ports: dict[int, int] = {}
-        self._threads: list[threading.Thread] = []
-        self._closing = False
+        self._acceptors: list[threading.Thread] = []
+        self._readers: list[tuple[threading.Thread, socket.socket]] = []
         for e in endpoints:
             srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -205,44 +216,51 @@ class TcpTransport:
                 target=self._accept_loop, args=(e, srv), daemon=True
             )
             th.start()
-            self._threads.append(th)
+            self._acceptors.append(th)
 
     def _accept_loop(self, endpoint: int, srv: socket.socket) -> None:
         while True:
             try:
                 conn, _ = srv.accept()
             except OSError:
-                return  # listener closed
+                return  # listener shut down
             th = threading.Thread(
                 target=self._read_loop, args=(endpoint, conn), daemon=True
             )
             th.start()
-            self._threads.append(th)
+            self._readers.append((th, conn))
 
     def _read_loop(self, endpoint: int, conn: socket.socket) -> None:
-        # Length field sits after magic(4) + kind(1) + sender(4) + receiver(4).
+        header = bytearray(HEADER.size)
         try:
-            while True:
-                header = self._read_exact(conn, HEADER.size)
-                if header is None:
+            while self._recv_into(conn, memoryview(header)):
+                # Length field sits after magic(4) + kind(1) + sender(4) + receiver(4).
+                size = HEADER.size + _LENGTH.unpack_from(header, 13)[0]
+                if self._max_frame is not None and size > self._max_frame:
+                    self._inbox[endpoint].put(TransportError(
+                        f"endpoint {endpoint}: frame of {size} bytes exceeds the "
+                        f"largest legal frame of {self._max_frame} bytes"
+                    ))
                     return
-                (length,) = struct.unpack_from("<Q", header, 13)
-                payload = self._read_exact(conn, length) if length else b""
-                if length and payload is None:
+                frame = bytearray(size)
+                frame[: HEADER.size] = header
+                if not self._recv_into(conn, memoryview(frame)[HEADER.size :]):
                     return
-                self._inbox[endpoint].put(header + (payload or b""))
+                self._inbox[endpoint].put(frame)
+        except OSError:
+            return  # connection shut down by close()
         finally:
             conn.close()
 
     @staticmethod
-    def _read_exact(conn: socket.socket, n: int) -> bytes | None:
-        buf = bytearray()
-        while len(buf) < n:
-            chunk = conn.recv(n - len(buf))
-            if not chunk:
-                return None  # peer closed
-            buf.extend(chunk)
-        return bytes(buf)
+    def _recv_into(conn: socket.socket, view: memoryview) -> bool:
+        """Fill `view` from the socket; False if the peer closed first."""
+        while len(view):
+            got = conn.recv_into(view)
+            if not got:
+                return False
+            view = view[got:]
+        return True
 
     def _connection(self, sender: int, receiver: int) -> socket.socket:
         key = (sender, receiver)
@@ -279,16 +297,32 @@ class TcpTransport:
             raise TimeoutError(
                 f"endpoint {endpoint}: no message within {timeout_s:.3f}s"
             ) from None
+        if isinstance(frame, TransportError):
+            raise frame
         return decode_message(frame)
 
     def close(self) -> None:
-        self._closing = True
+        """Shut every socket down and join every thread this transport started."""
+        # shutdown() wakes a thread blocked in accept() or recv(); close() alone does not.
         for srv in self._listeners.values():
+            _shutdown(srv)
             srv.close()
+        for th in self._acceptors:
+            th.join()
         with self._conn_lock:
             for sock in self._conns.values():
                 sock.close()
             self._conns.clear()
+        for th, conn in self._readers:
+            _shutdown(conn)
+            th.join()
+
+
+def _shutdown(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed or never connected
 
 
 class _Draft:
@@ -402,7 +436,7 @@ def run_distributed(
     propagates the first worker error otherwise.
     """
     blocks = sorted(blocks, key=lambda b: b.site)
-    _, total_cols = _check_blocks(blocks)
+    rows, total_cols = _check_blocks(blocks)
     t = len(blocks)
     if schedule.t != t:
         raise DimensionMismatch(f"schedule is for {schedule.t} sites, got {t} blocks")
@@ -412,7 +446,8 @@ def run_distributed(
     if transport == "in-process":
         net = InProcessTransport(endpoints, log=message_log)
     elif transport == "tcp":
-        net = TcpTransport(endpoints, log=message_log)
+        max_frame = largest_frame(rows, [b.width for b in blocks])
+        net = TcpTransport(endpoints, log=message_log, max_frame=max_frame)
     else:
         raise TransportError(f"unknown transport {transport!r}")
 

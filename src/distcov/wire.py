@@ -32,13 +32,13 @@ __all__ = [
     "ProtocolMessage",
     "encode_message",
     "decode_message",
+    "largest_frame",
     "HEADER",
     "MAGIC",
 ]
 
 MAGIC = b"DCM1"
 HEADER = struct.Struct("<4sBIIQ")  # magic, kind, sender, receiver, payload length
-_U32 = struct.Struct("<I")
 
 
 class MessageKind(IntEnum):
@@ -69,97 +69,112 @@ class ProtocolMessage:
             )
 
 
-def _u32s(*values: int) -> bytes:
-    return b"".join(_U32.pack(v) for v in values)
+_U32_LE = np.dtype("<u4")
+_F64_LE = np.dtype("<f8")
 
 
-def _f64s(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype=np.float64).astype("<f8", copy=False).tobytes()
+def largest_frame(rows: int, widths) -> int:
+    """Byte size of the largest frame a run over blocks of `rows` rows and
+    these column widths can send: a DataBlock of the widest block, or the
+    widest block's local CovBlock."""
+    w = max(widths)
+    data = 4 * (3 + w) + 8 * rows * w
+    cov = 4 * (4 + 2 * w) + 8 * w * w
+    return HEADER.size + max(data, cov)
 
 
-def encode_message(msg: ProtocolMessage) -> bytes:
+def _frame(msg: ProtocolMessage, fields: tuple[int, ...], values: np.ndarray | None) -> bytearray:
+    # Header, u32 fields and values go straight into one buffer: one copy.
+    nvalues = 0 if values is None else values.size
+    length = 4 * len(fields) + 8 * nvalues
+    frame = bytearray(HEADER.size + length)
+    HEADER.pack_into(frame, 0, MAGIC, int(msg.kind), msg.sender, msg.receiver, length)
+    np.frombuffer(frame, _U32_LE, len(fields), HEADER.size)[:] = fields
+    if nvalues:
+        out = np.frombuffer(frame, _F64_LE, nvalues, HEADER.size + 4 * len(fields))
+        out.reshape(values.shape)[...] = values
+    return frame
+
+
+def encode_message(msg: ProtocolMessage) -> bytearray:
     """Serialize a message into one self-delimiting frame."""
     if msg.kind is MessageKind.DATA_BLOCK:
         b = msg.payload
         assert isinstance(b, ColumnBlock)
-        payload = (
-            _u32s(b.site, b.data.rows, b.data.cols)
-            + _u32s(*b.global_cols)
-            + _f64s(b.data.values)
-        )
-    elif msg.kind is MessageKind.COV_BLOCK:
+        fields = (b.site, b.data.rows, b.data.cols, *b.global_cols)
+        return _frame(msg, fields, b.data.values)
+    if msg.kind is MessageKind.COV_BLOCK:
         c = msg.payload
         assert isinstance(c, CovBlock)
-        payload = (
-            _u32s(c.site_a, c.site_b, c.block.rows, c.block.cols)
-            + _u32s(*c.rows_global_cols)
-            + _u32s(*c.cols_global_cols)
-            + _f64s(c.block.values)
-        )
-    else:
-        payload = b""
-    header = HEADER.pack(MAGIC, int(msg.kind), msg.sender, msg.receiver, len(payload))
-    return header + payload
+        fields = (c.site_a, c.site_b, c.block.rows, c.block.cols,
+                  *c.rows_global_cols, *c.cols_global_cols)
+        return _frame(msg, fields, c.block.values)
+    return _frame(msg, (), None)
 
 
 class _Reader:
-    """Sequential cursor over a payload; running past the end is a frame error."""
+    """Sequential cursor over a frame's payload; running past the end is a
+    frame error. Reads are views into the frame, never copies."""
 
     __slots__ = ("buf", "pos")
 
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: memoryview, pos: int):
         self.buf = buf
-        self.pos = 0
+        self.pos = pos
 
-    def u32(self) -> int:
-        if self.pos + 4 > len(self.buf):
-            raise MalformedFrame("payload truncated inside a u32 field")
-        v = _U32.unpack_from(self.buf, self.pos)[0]
-        self.pos += 4
-        return v
-
-    def u32_list(self, n: int) -> tuple[int, ...]:
-        return tuple(self.u32() for _ in range(n))
-
-    def f64_matrix(self, rows: int, cols: int) -> np.ndarray:
-        need = rows * cols * 8
+    def _take(self, dtype: np.dtype, count: int, what: str) -> np.ndarray:
+        need = count * dtype.itemsize
         if self.pos + need > len(self.buf):
             raise MalformedFrame(
-                f"payload truncated: {rows}x{cols} values need {need} bytes, "
+                f"payload truncated: {what} need {need} bytes, "
                 f"{len(self.buf) - self.pos} remain"
             )
-        flat = np.frombuffer(self.buf, dtype="<f8", count=rows * cols, offset=self.pos)
+        out = np.frombuffer(self.buf, dtype, count, self.pos)
         self.pos += need
-        return np.ascontiguousarray(flat.astype(np.float64).reshape(rows, cols))
+        return out
+
+    def u32(self) -> int:
+        return int(self._take(_U32_LE, 1, "a u32 field")[0])
+
+    def u32_list(self, n: int) -> tuple[int, ...]:
+        return tuple(self._take(_U32_LE, n, f"{n} u32 indices").tolist())
+
+    def f64_matrix(self, rows: int, cols: int) -> np.ndarray:
+        flat = self._take(_F64_LE, rows * cols, f"{rows}x{cols} values")
+        return flat.reshape(rows, cols)
 
     def done(self) -> None:
         if self.pos != len(self.buf):
             raise MalformedFrame(f"{len(self.buf) - self.pos} trailing payload bytes")
 
 
-def decode_message(frame: bytes) -> ProtocolMessage:
-    """Parse one complete frame back into a message.
+def decode_message(frame) -> ProtocolMessage:
+    """Parse one complete frame (any bytes-like object) back into a message.
+
+    The payload is read through a view of the frame; the only copy is the
+    one `DenseMatrix` makes of the values.
 
     Raises:
         MalformedFrame: bad magic, truncated header or payload, trailing bytes.
         UnknownKind: kind byte outside the defined set.
         LengthMismatch: frame size disagrees with the declared payload length.
     """
-    if len(frame) < HEADER.size:
-        raise MalformedFrame(f"frame of {len(frame)} bytes is shorter than the header")
-    magic, kind_byte, sender, receiver, length = HEADER.unpack_from(frame)
+    view = memoryview(frame).cast("B")
+    if len(view) < HEADER.size:
+        raise MalformedFrame(f"frame of {len(view)} bytes is shorter than the header")
+    magic, kind_byte, sender, receiver, length = HEADER.unpack_from(view)
     if magic != MAGIC:
         raise MalformedFrame(f"bad magic {magic!r}")
     try:
         kind = MessageKind(kind_byte)
     except ValueError:
         raise UnknownKind(f"unknown message kind {kind_byte:#x}") from None
-    if len(frame) != HEADER.size + length:
+    if len(view) != HEADER.size + length:
         raise LengthMismatch(
             f"header declares {length} payload bytes, frame carries "
-            f"{len(frame) - HEADER.size}"
+            f"{len(view) - HEADER.size}"
         )
-    r = _Reader(frame[HEADER.size :])
+    r = _Reader(view, HEADER.size)
 
     if kind is MessageKind.DONE:
         r.done()

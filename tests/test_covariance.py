@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,11 @@ from distcov import (
     DenseMatrix,
     GlobalCovariance,
     centralized_covariance,
-    covariance_pair,
     cross_covariance,
     local_covariance,
     merge_blocks,
     new_matrix,
+    run_distributed,
 )
 from distcov.errors import (
     DimensionMismatch,
@@ -31,29 +33,38 @@ from conftest import blocks_for, schedule_blocks
 from distcov.schedule import build_schedule
 
 
-# --- covariance_pair -------------------------------------------------------
+# --- one-column blocks: known values and argument errors ------------------
 
-def test_pair_identical_columns():
+def _col(site: int, values, col: int = 0) -> ColumnBlock:
+    return ColumnBlock(site=site, data=new_matrix(len(values), 1, values), global_cols=(col,))
+
+
+def test_one_column_identical_columns():
     # Sum of squared deviations 2, divided by n-1 = 2.
-    assert covariance_pair([1, 2, 3], [1, 2, 3], 2.0, 2.0) == 1.0
+    blk = cross_covariance(receiver=_col(1, [1, 2, 3], 1), sender=_col(0, [1, 2, 3]))
+    assert blk.block.values.tolist() == [[1.0]]
 
 
-def test_pair_reversed_columns():
-    assert covariance_pair([1, 2, 3], [3, 2, 1], 2.0, 2.0) == -1.0
+def test_one_column_reversed_columns():
+    blk = cross_covariance(receiver=_col(1, [3, 2, 1], 1), sender=_col(0, [1, 2, 3]))
+    assert blk.block.values.tolist() == [[-1.0]]
 
 
-def test_pair_constant_column_is_zero():
-    assert covariance_pair([5, 5, 5], [1, 7, 4], 5.0, 4.0) == 0.0
+def test_one_column_constant_column_is_zero():
+    blk = cross_covariance(receiver=_col(1, [1, 7, 4], 1), sender=_col(0, [5, 5, 5]))
+    assert blk.block.values.tolist() == [[0.0]]
 
 
-def test_pair_length_mismatch():
+def test_one_column_length_mismatch():
     with pytest.raises(LengthMismatch):
-        covariance_pair([1, 2], [1, 2, 3], 1.5, 2.0)
+        cross_covariance(receiver=_col(1, [1, 2, 3], 1), sender=_col(0, [1, 2]))
 
 
-def test_pair_too_few_rows():
+def test_one_column_too_few_rows():
     with pytest.raises(TooFewRows):
-        covariance_pair([1], [2], 1.0, 2.0)
+        local_covariance(_col(0, [1]))
+    with pytest.raises(TooFewRows):
+        cross_covariance(receiver=_col(1, [2], 1), sender=_col(0, [1]))
 
 
 # --- block types -----------------------------------------------------------
@@ -286,3 +297,92 @@ def test_scale_equivariance(s):
     expect[2, :] *= s
     expect[:, 2] *= s  # diagonal picks up s twice
     assert np.allclose(b, expect, rtol=1e-12, atol=0.0)
+
+
+# --- the split kernel: accuracy and bit-identity at the edges ---------------
+
+def _exact_covariance(data: np.ndarray) -> list[list[Fraction]]:
+    n, m = data.shape
+    cols = [[Fraction(float(v)) for v in data[:, j]] for j in range(m)]
+    centered = [[v - sum(c) / n for v in c] for c in cols]
+    return [
+        [sum(a * b for a, b in zip(centered[i], centered[j])) / (n - 1) for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def test_kernel_matches_exact_rational_reference():
+    rng = np.random.default_rng(7)
+    data = rng.standard_normal((120, 6)) * [1.0, 3.0, 1e-3, 250.0, 1.0, 7.0]
+    data += [0.0, -5.0, 2.0, 1e4, 0.5, -40.0]
+    data[:, 4] = 0.25 * data[:, 0] + 1e-6 * data[:, 4]  # a near-collinear pair
+    got = centralized_covariance(DenseMatrix(data)).matrix.values
+    exact = _exact_covariance(data)
+    worst = max(
+        abs(Fraction(float(got[i, j])) - exact[i][j]) / np.sqrt(float(exact[i][i] * exact[j][j]))
+        for i in range(6) for j in range(6)
+    )
+    assert worst <= 2.0**-52
+
+
+def _assert_partitions_match_oracle(data: np.ndarray, widths: list[int]) -> None:
+    oracle = centralized_covariance(DenseMatrix(data)).matrix.tobytes()
+    blocks = blocks_for(data, widths)
+    locals_, crosses = schedule_blocks(blocks, build_schedule(len(widths)))
+    assert merge_blocks(locals_, crosses, data.shape[1]).matrix.tobytes() == oracle
+    cov, _, _ = run_distributed(blocks, build_schedule(len(widths)))
+    assert cov.matrix.tobytes() == oracle
+
+
+def test_bit_identity_with_width_one_blocks():
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((40, 5)) * 2.0 + 3.0
+    _assert_partitions_match_oracle(data, [1, 3, 1])
+    _assert_partitions_match_oracle(data, [1, 1, 1, 1, 1])
+
+
+def test_bit_identity_with_two_rows():
+    rng = np.random.default_rng(12)
+    _assert_partitions_match_oracle(rng.standard_normal((2, 6)) * 5.0, [2, 1, 3])
+
+
+def test_bit_identity_with_many_rows():
+    # 5000 rows take a narrower slice than 2000 rows do.
+    rng = np.random.default_rng(13)
+    _assert_partitions_match_oracle(rng.standard_normal((5000, 10)) * 3.0 + 1.0, [3, 3, 4])
+
+
+def test_bit_identity_with_extreme_column_scales():
+    rng = np.random.default_rng(14)
+    base = rng.standard_normal((50, 8)) + 0.5
+    powers = np.array([500, -500, 0, 500, -500, 3, -500, 500])
+    data = np.ldexp(base, powers)
+    _assert_partitions_match_oracle(data, [3, 2, 3])
+    # A power-of-two column scale moves only the exponent of its entries.
+    got = centralized_covariance(DenseMatrix(data)).matrix.values
+    ref = centralized_covariance(DenseMatrix(base)).matrix.values
+    assert np.array_equal(got, np.ldexp(ref, np.add.outer(powers, powers)))
+
+
+def _zero_mean_column(rng: np.random.Generator, tiny_first: bool) -> np.ndarray:
+    # Pairs +u, -u sum to exactly zero, so the mean is 0 and the large half
+    # and the tiny half (2**-26 of it) fall into different slices.
+    u, v = rng.uniform(1.0, 2.0, 16), rng.uniform(1.0, 2.0, 16)
+    big = np.ravel(np.column_stack([u, -u])) * 2.0**10
+    tiny = np.ravel(np.column_stack([v, -v])) * 2.0**-16
+    return np.concatenate([tiny, big] if tiny_first else [big, tiny])
+
+
+def test_cross_block_is_exact_transpose_of_swapped_block():
+    # a's and b's large halves sit in different rows, so the leading slice
+    # product X_0 Y_0 vanishes and the mixed products X_i Y_j and X_j Y_i
+    # decide each entry; added one at a time instead of as a pair, they
+    # round differently for (a, b) than for (b, a).
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        a = np.column_stack([_zero_mean_column(rng, False) for _ in range(4)])
+        b = np.column_stack([_zero_mean_column(rng, True) for _ in range(4)])
+        ba = blocks_for(np.hstack([a, b]), [4, 4])
+        ab = cross_covariance(receiver=ba[1], sender=ba[0]).block.values
+        swapped = cross_covariance(receiver=ba[0], sender=ba[1]).block.values
+        assert ab.T.tobytes() == swapped.tobytes(), seed

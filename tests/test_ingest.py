@@ -3,7 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from distcov import hjoin, load_table, mfeat_preset, partition_vertical, synthetic_table
+from distcov import (
+    DenseMatrix,
+    hjoin,
+    load_table,
+    mfeat_preset,
+    partition_vertical,
+    synthetic_table,
+)
+from distcov.cli import main as cli_main
 from distcov.errors import (
     IoError,
     NonFiniteValue,
@@ -60,6 +68,31 @@ def test_load_non_finite(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 2\n3 nan\n")
     with pytest.raises(NonFiniteValue):
+        load_table(p)
+
+
+def test_load_whitespace_matches_per_field_parse_on_gen_file(tmp_path, capsys):
+    out = tmp_path / "gen.txt"
+    assert cli_main(["gen", "--rows", "40", "--cols", "9", "--seed", "5", "--out", str(out)]) == 0
+    per_field = [[float(f) for f in line.split()] for line in out.read_text().splitlines()]
+    loaded = load_table(out)
+    assert loaded.tobytes() == DenseMatrix(per_field).tobytes()
+    assert loaded.tobytes() == synthetic_table(40, 9, seed=5).tobytes()
+
+
+def test_load_whitespace_falls_back_to_per_field_parse(tmp_path):
+    p = tmp_path / "d.txt"
+    p.write_text("1_0 2\n3 4\n")  # Python float() reads 1_0; numpy does not
+    assert load_table(p).values.tolist() == [[10, 2], [3, 4]]
+
+
+def test_load_errors_name_row_and_field(tmp_path):
+    p = tmp_path / "d.txt"
+    p.write_text("1 2\n3\n")
+    with pytest.raises(RaggedRows, match="row 2 has 1 fields, expected 2"):
+        load_table(p)
+    p.write_text("1 2\n3 oops\n")
+    with pytest.raises(ParseError, match="row 2 field 2: 'oops' is not a number"):
         load_table(p)
 
 

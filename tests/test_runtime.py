@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import socket
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -23,7 +27,14 @@ from distcov.errors import (
     TooFewRows,
     TransportError,
 )
-from distcov.runtime import DEFAULT_DEADLINE_MS, RunMetrics, TransferStat, _deadline_ms
+from distcov.runtime import (
+    DEFAULT_DEADLINE_MS,
+    RunMetrics,
+    TcpTransport,
+    TransferStat,
+    _deadline_ms,
+)
+from distcov.wire import HEADER, MAGIC, largest_frame
 from conftest import blocks_for
 
 
@@ -93,6 +104,37 @@ def test_tcp_matches_in_process():
     cov_q, _, _ = run_distributed(blocks, sched, transport="in-process")
     cov_t, _, _ = run_distributed(blocks, sched, transport="tcp")
     assert cov_q.matrix.tobytes() == cov_t.matrix.tobytes()
+
+
+def test_tcp_refuses_oversized_frame_before_allocating():
+    net = TcpTransport([0, 1], max_frame=largest_frame(10, [3, 2]))
+    try:
+        with socket.create_connection(("127.0.0.1", net._ports[0])) as sock:
+            sock.sendall(HEADER.pack(MAGIC, int(MessageKind.DATA_BLOCK), 1, 0, 2**60))
+            started = time.perf_counter()
+            with pytest.raises(TransportError, match="largest legal frame"):
+                net.recv(0, 5.0)
+            assert time.perf_counter() - started < 1.0
+    finally:
+        net.close()
+
+
+def test_largest_frame_is_the_largest_frame_a_run_sends():
+    rng = np.random.default_rng(35)
+    blocks = blocks_for(rng.standard_normal((20, 9)), [2, 5, 2])
+    log: list = []
+    run_distributed(blocks, build_schedule(3), transport="tcp", message_log=log)
+    assert max(size for *_, size in log) == largest_frame(20, [2, 5, 2])
+
+
+def test_tcp_runs_leave_no_threads_behind():
+    rng = np.random.default_rng(34)
+    blocks = blocks_for(rng.standard_normal((30, 7)), [2, 3, 2])
+    sched = build_schedule(3)
+    before = threading.active_count()
+    for _ in range(5):
+        run_distributed(blocks, sched, transport="tcp")
+    assert threading.active_count() == before
 
 
 def test_distributed_matches_centralized_runner():
