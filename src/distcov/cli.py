@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -55,6 +57,16 @@ def _positive_int(text: str) -> int:
     return v
 
 
+def _deadline(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return v
+
+
 def _width_list(text: str) -> list[int]:
     try:
         widths = [int(w) for w in text.split(",") if w.strip()]
@@ -82,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _data_args(rp)
     rp.add_argument("--mode", choices=("centralized", "distributed"), required=True)
     rp.add_argument("--transport", choices=("in-process", "tcp"), default="in-process")
-    rp.add_argument("--deadline-ms", type=float, default=None)
+    rp.add_argument("--deadline-ms", type=_deadline, default=None)
     rp.add_argument("--out", type=Path, default=None, help="write the JSON report here")
     rp.add_argument("--dump-matrix", type=Path, default=None,
                     help="also write the full matrix (binary dump)")
@@ -91,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("compare", help="run both modes and assert bit-exact equality")
     _data_args(cp, repeatable_preset=True)
     cp.add_argument("--transport", choices=("in-process", "tcp"), default="in-process")
-    cp.add_argument("--deadline-ms", type=float, default=None)
+    cp.add_argument("--deadline-ms", type=_deadline, default=None)
     cp.add_argument("--out", type=Path, default=None)
     cp.add_argument("--plot-data", type=Path, default=None,
                     help="write partitions/centralized-ms/distributed-ms rows here")
@@ -122,14 +134,15 @@ def _data_args(sp: argparse.ArgumentParser, repeatable_preset: bool = False) -> 
     sp.add_argument("--inputs", nargs="+", type=Path, required=True,
                     help="data files, joined column-wise in the given order")
     sp.add_argument("--format", choices=("whitespace", "csv"), default="whitespace")
+    g = sp.add_mutually_exclusive_group()
     if repeatable_preset:
-        sp.add_argument("--preset", action="append", choices=_PRESETS, default=None,
-                        help="benchmark partitioning; repeat for several rows")
+        g.add_argument("--preset", action="append", choices=_PRESETS, default=None,
+                       help="benchmark partitioning; repeat for several rows")
     else:
-        sp.add_argument("--preset", choices=_PRESETS, default=None,
-                        help="benchmark partitioning of the 649 feature columns")
-    sp.add_argument("--spec", type=Path, default=None,
-                    help="partition spec JSON; default is one site per input file")
+        g.add_argument("--preset", choices=_PRESETS, default=None,
+                       help="benchmark partitioning of the 649 feature columns")
+    g.add_argument("--spec", type=Path, default=None,
+                   help="partition spec JSON; default is one site per input file")
 
 
 def _load_inputs(args) -> tuple:
@@ -271,6 +284,14 @@ def _cmd_gen(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Only run and compare take a deadline; an explicit --deadline-ms wins.
+    env = os.environ.get("DCM_DEADLINE_MS")
+    if env and "deadline_ms" in vars(args) and args.deadline_ms is None:
+        try:
+            args.deadline_ms = _deadline(env)
+        except argparse.ArgumentTypeError as exc:
+            print(f"usage error: DCM_DEADLINE_MS: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except MismatchError as exc:

@@ -6,16 +6,23 @@ cross block for each predecessor's columns as they arrive, and sends every
 block to the coordinator (reserved endpoint id = t). The coordinator gathers
 t local + C(t,2) cross blocks, merges them, and runs the eigen-decomposition.
 
+A run has one compute gate: a site holds it only while its local or cross
+kernel runs, never while it sends, receives or waits. The kernels' BLAS
+calls already use every core, so kernels from several sites at once only
+make their threads spin against each other; with the gate they run one at a
+time while transfers and decoding overlap them.
+
 Both transports move the same encoded frames, so byte counts are real and
 the merged matrix is bit-identical either way: in-process uses one FIFO
 queue per endpoint, TCP uses loopback sockets with one connection per
-directed edge.
+directed edge, all read by a single I/O thread.
 """
 
 from __future__ import annotations
 
 import os
 import queue
+import selectors
 import socket
 import struct
 import threading
@@ -91,11 +98,13 @@ class RunMetrics:
     """Timing breakdown of one run, all values in milliseconds.
 
     Per-site phases carry two readings: wall time (`*_ms`) and per-thread
-    CPU time (`*_cpu_ms`). On a host with fewer cores than sites the worker
-    threads time-slice, so each site's wall reading is inflated by its
-    neighbours; the CPU reading is what the site would spend on a processor
-    of its own. `transfers` is keyed by directed edge (sender, receiver) and
-    covers raw column shipments only.
+    CPU time (`*_cpu_ms`). Both start once the site holds the run's compute
+    gate, so neither counts the wait for another site's kernel. The wall
+    reading still includes time the site's thread spends waiting for the
+    interpreter lock while other threads move frames; the CPU reading is
+    what the site would spend on a processor of its own. `transfers` is
+    keyed by directed edge (sender, receiver) and covers raw column
+    shipments only.
     """
 
     local_cov_ms: tuple[float, ...]
@@ -132,8 +141,8 @@ def critical_path_ms(metrics: RunMetrics, schedule: Schedule) -> float:
     Sites compute local blocks concurrently, then work through received
     blocks concurrently, so the protocol takes the slowest local phase plus
     the slowest cross phase (cross compute + inbound transfer cost). Phase
-    costs are the per-thread CPU readings, which stay honest when the host
-    has fewer cores than sites and the wall clocks overlap.
+    costs are the per-thread CPU readings, which stay honest when one host
+    runs every site and the sites' kernels take turns at its compute gate.
     """
     local = metrics.local_cov_cpu_ms or metrics.local_cov_ms
     cross = metrics.cross_cov_cpu_ms or metrics.cross_cov_ms
@@ -183,15 +192,30 @@ class InProcessTransport:
         pass
 
 
+class _Inbound:
+    """Read state of one accepted connection: a header buffer until the
+    header is complete, then one buffer of the declared frame size."""
+
+    __slots__ = ("endpoint", "buf", "got")
+
+    def __init__(self, endpoint: int):
+        self.endpoint = endpoint
+        self.buf = bytearray(HEADER.size)
+        self.got = 0
+
+
 class TcpTransport:
     """Loopback sockets: one listener per endpoint, one connection per
-    directed edge, reader threads draining frames into per-endpoint inboxes.
+    directed edge, and one I/O thread that accepts and reads them all.
 
-    Readers never block senders — every complete frame is parked in an
-    unbounded inbox queue, so the protocol cannot deadlock on socket
-    buffers. Each frame is received straight into one buffer of its declared
-    size; a declared size above `max_frame` bytes is refused before anything
-    is allocated, and the endpoint's next `recv` raises TransportError.
+    The I/O thread waits on every socket with one selector and never
+    blocks on a single connection, so `send` can stay a blocking `sendall`
+    on the caller's thread: whatever is sent is drained into an unbounded
+    per-endpoint inbox, and the protocol cannot deadlock on socket buffers.
+    Each frame is received into one buffer of its declared size, filled
+    across wake-ups; a declared size above `max_frame` bytes is refused
+    before anything is allocated, and the endpoint's next `recv` raises
+    TransportError.
     """
 
     def __init__(self, endpoints, log: list | None = None, max_frame: int | None = None):
@@ -201,66 +225,76 @@ class TcpTransport:
         self._max_frame = max_frame
         self._conn_lock = threading.Lock()
         self._conns: dict[tuple[int, int], socket.socket] = {}
-        self._listeners: dict[int, socket.socket] = {}
         self._ports: dict[int, int] = {}
-        self._acceptors: list[threading.Thread] = []
-        self._readers: list[tuple[threading.Thread, socket.socket]] = []
+        self._selector = selectors.DefaultSelector()
+        # close() closes the write end; the read end then selects as readable.
+        self._wake, self._wake_writer = socket.socketpair()
+        self._selector.register(self._wake, selectors.EVENT_READ, None)
         for e in endpoints:
             srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             srv.bind(("127.0.0.1", 0))
             srv.listen()
-            self._listeners[e] = srv
+            srv.setblocking(False)
+            self._selector.register(srv, selectors.EVENT_READ, e)
             self._ports[e] = srv.getsockname()[1]
-            th = threading.Thread(
-                target=self._accept_loop, args=(e, srv), daemon=True
-            )
-            th.start()
-            self._acceptors.append(th)
+        self._io = threading.Thread(target=self._io_loop, daemon=True)
+        self._io.start()
 
-    def _accept_loop(self, endpoint: int, srv: socket.socket) -> None:
+    def _io_loop(self) -> None:
+        while True:
+            for key, _ in self._selector.select():
+                if key.data is None:
+                    return  # woken by close()
+                if isinstance(key.data, _Inbound):
+                    self._read(key.fileobj, key.data)
+                else:
+                    self._accept(key.fileobj, key.data)
+
+    def _accept(self, srv: socket.socket, endpoint: int) -> None:
+        try:
+            conn, _ = srv.accept()
+        except BlockingIOError:
+            return  # the peer gave up before we got to it
+        conn.setblocking(False)
+        self._selector.register(conn, selectors.EVENT_READ, _Inbound(endpoint))
+
+    def _read(self, conn: socket.socket, st: _Inbound) -> None:
+        """Take what the socket holds now; deliver every frame it completes."""
         while True:
             try:
-                conn, _ = srv.accept()
+                got = conn.recv_into(memoryview(st.buf)[st.got :])
+            except BlockingIOError:
+                return
             except OSError:
-                return  # listener shut down
-            th = threading.Thread(
-                target=self._read_loop, args=(endpoint, conn), daemon=True
-            )
-            th.start()
-            self._readers.append((th, conn))
-
-    def _read_loop(self, endpoint: int, conn: socket.socket) -> None:
-        header = bytearray(HEADER.size)
-        try:
-            while self._recv_into(conn, memoryview(header)):
+                got = 0
+            if not got:  # peer closed, mid-frame or not
+                self._drop(conn)
+                return
+            st.got += got
+            if st.got < len(st.buf):
+                continue
+            if st.got == HEADER.size:  # a full header; frame buffers are always longer
                 # Length field sits after magic(4) + kind(1) + sender(4) + receiver(4).
-                size = HEADER.size + _LENGTH.unpack_from(header, 13)[0]
+                size = HEADER.size + _LENGTH.unpack_from(st.buf, 13)[0]
                 if self._max_frame is not None and size > self._max_frame:
-                    self._inbox[endpoint].put(TransportError(
-                        f"endpoint {endpoint}: frame of {size} bytes exceeds the "
+                    self._inbox[st.endpoint].put(TransportError(
+                        f"endpoint {st.endpoint}: frame of {size} bytes exceeds the "
                         f"largest legal frame of {self._max_frame} bytes"
                     ))
+                    self._drop(conn)
                     return
-                frame = bytearray(size)
-                frame[: HEADER.size] = header
-                if not self._recv_into(conn, memoryview(frame)[HEADER.size :]):
-                    return
-                self._inbox[endpoint].put(frame)
-        except OSError:
-            return  # connection shut down by close()
-        finally:
-            conn.close()
+                if size > HEADER.size:
+                    frame = bytearray(size)
+                    frame[: HEADER.size] = st.buf
+                    st.buf = frame
+                    continue
+            self._inbox[st.endpoint].put(st.buf)
+            st.buf, st.got = bytearray(HEADER.size), 0
 
-    @staticmethod
-    def _recv_into(conn: socket.socket, view: memoryview) -> bool:
-        """Fill `view` from the socket; False if the peer closed first."""
-        while len(view):
-            got = conn.recv_into(view)
-            if not got:
-                return False
-            view = view[got:]
-        return True
+    def _drop(self, conn: socket.socket) -> None:
+        self._selector.unregister(conn)
+        conn.close()
 
     def _connection(self, sender: int, receiver: int) -> socket.socket:
         key = (sender, receiver)
@@ -302,27 +336,16 @@ class TcpTransport:
         return decode_message(frame)
 
     def close(self) -> None:
-        """Shut every socket down and join every thread this transport started."""
-        # shutdown() wakes a thread blocked in accept() or recv(); close() alone does not.
-        for srv in self._listeners.values():
-            _shutdown(srv)
-            srv.close()
-        for th in self._acceptors:
-            th.join()
+        """Stop the I/O thread, then close every socket this transport opened."""
+        self._wake_writer.close()
+        self._io.join()
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
         with self._conn_lock:
             for sock in self._conns.values():
                 sock.close()
             self._conns.clear()
-        for th, conn in self._readers:
-            _shutdown(conn)
-            th.join()
-
-
-def _shutdown(sock: socket.socket) -> None:
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass  # already closed or never connected
 
 
 class _Draft:
@@ -355,12 +378,14 @@ def _site_worker(
     errors: list,
     errors_lock: threading.Lock,
     deadline: float,
+    gate: threading.Lock,
 ) -> None:
     try:
-        t0, c0 = time.perf_counter(), time.thread_time()
-        local = local_covariance(block)
-        draft.local_ms[site] = (time.perf_counter() - t0) * 1e3
-        draft.local_cpu_ms[site] = (time.thread_time() - c0) * 1e3
+        with gate:
+            t0, c0 = time.perf_counter(), time.thread_time()
+            local = local_covariance(block)
+            draft.local_ms[site] = (time.perf_counter() - t0) * 1e3
+            draft.local_cpu_ms[site] = (time.thread_time() - c0) * 1e3
         transport.send(
             ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, local)
         )
@@ -387,10 +412,11 @@ def _site_worker(
                     f"site {site} received data from non-predecessor {received.site}"
                 )
             pending.discard(received.site)
-            t0, c0 = time.perf_counter(), time.thread_time()
-            cross = cross_covariance(receiver=block, sender=received)
-            cross_ms += (time.perf_counter() - t0) * 1e3
-            cross_cpu_ms += (time.thread_time() - c0) * 1e3
+            with gate:
+                t0, c0 = time.perf_counter(), time.thread_time()
+                cross = cross_covariance(receiver=block, sender=received)
+                cross_ms += (time.perf_counter() - t0) * 1e3
+                cross_cpu_ms += (time.thread_time() - c0) * 1e3
             transport.send(
                 ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, cross)
             )
@@ -457,11 +483,13 @@ def run_distributed(
     draft = _Draft(t)
     errors: list[tuple[int, BaseException]] = []
     errors_lock = threading.Lock()
+    gate = threading.Lock()  # one kernel in flight per run
 
     workers = [
         threading.Thread(
             target=_site_worker,
-            args=(b.site, b, schedule, net, coordinator, draft, errors, errors_lock, deadline),
+            args=(b.site, b, schedule, net, coordinator, draft, errors, errors_lock,
+                  deadline, gate),
             daemon=True,
         )
         for b in blocks
@@ -473,24 +501,22 @@ def run_distributed(
         expected_blocks = t + t * (t - 1) // 2
         local_blocks: list[CovBlock] = []
         cross_blocks: list[CovBlock] = []
-        done = 0
-        while len(local_blocks) + len(cross_blocks) < expected_blocks or done < t:
+        done: list[int] = []
+        while len(local_blocks) + len(cross_blocks) < expected_blocks or len(done) < t:
             with errors_lock:
                 if errors:
                     raise _first_error(errors)
             remaining = deadline - time.perf_counter()
             if remaining <= 0:
-                raise TimeoutError(
-                    f"coordinator: {len(local_blocks) + len(cross_blocks)}/"
-                    f"{expected_blocks} blocks and {done}/{t} completions "
-                    f"within {deadline_s:.3f}s"
+                raise _gather_timeout(
+                    schedule, local_blocks + cross_blocks, done, deadline_s
                 )
             try:
                 msg = net.recv(coordinator, min(remaining, _POLL_S))
             except TimeoutError:
                 continue  # poll slice elapsed; re-check errors and deadline
             if msg.kind is MessageKind.DONE:
-                done += 1
+                done.append(msg.sender)
             elif msg.kind is MessageKind.COV_BLOCK:
                 blk = msg.payload
                 assert isinstance(blk, CovBlock)
@@ -524,6 +550,25 @@ def run_distributed(
         net.close()
         for w in workers:
             w.join(timeout=1.0)
+
+
+def _gather_timeout(
+    schedule: Schedule, received: list[CovBlock], done: list[int], deadline_s: float
+) -> TimeoutError:
+    """Name the (site_a, site_b) blocks and the DONE markers that never came."""
+    t = schedule.t
+    expected = [(k, k) for k in range(t)] + [
+        (j, k) for k in range(t) for j in schedule.senders_to(k)
+    ]
+    got = {(b.site_a, b.site_b) for b in received}
+    missing = sorted(pair for pair in expected if pair not in got)
+    silent = sorted(set(range(t)) - set(done))
+    return TimeoutError(
+        f"coordinator: {len(received)}/{len(expected)} blocks and {len(done)}/{t} "
+        f"completions within {deadline_s:.3f}s; missing blocks (site_a, site_b): "
+        f"{', '.join(map(str, missing)) or 'none'}; no DONE from sites: "
+        f"{', '.join(map(str, silent)) or 'none'}"
+    )
 
 
 def _first_error(errors: list[tuple[int, BaseException]]) -> BaseException:

@@ -136,6 +136,36 @@ def test_run_ragged_file_is_data_error(tmp_path, capsys):
     assert main(["run", "--inputs", str(p), "--mode", "centralized"]) == 3
 
 
+@pytest.mark.parametrize("value", ["-5", "nan"])
+def test_run_rejects_bad_deadline_at_parse_time(dataset, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--inputs", str(dataset), "--mode", "distributed",
+              "--deadline-ms", value])
+    assert exc.value.code == 2
+    assert "--deadline-ms: must be a finite number > 0" in capsys.readouterr().err
+
+
+def test_run_rejects_bad_deadline_env(dataset, capsys, monkeypatch):
+    monkeypatch.setenv("DCM_DEADLINE_MS", "abc")
+    code = main(["run", "--inputs", str(dataset), "--mode", "distributed"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: DCM_DEADLINE_MS: 'abc' is not a number\n"
+
+
+@pytest.mark.parametrize("command", [["run", "--mode", "centralized"], ["compare"]])
+def test_preset_and_spec_are_mutually_exclusive(dataset, tmp_path, capsys, command):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"total_cols": 9, "groups": [{"site": 0, "cols": list(range(9))}]}
+    ))
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--inputs", str(dataset), "--preset", "mfeat-2",
+              "--spec", str(spec_path)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 # --- compare --------------------------------------------------------------------
 
 def test_compare_reports_equality(tmp_path, capsys):

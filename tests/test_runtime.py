@@ -27,6 +27,7 @@ from distcov.errors import (
     TooFewRows,
     TransportError,
 )
+import distcov.runtime as runtime
 from distcov.runtime import (
     DEFAULT_DEADLINE_MS,
     RunMetrics,
@@ -137,6 +138,69 @@ def test_tcp_runs_leave_no_threads_behind():
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_one_kernel_in_flight_per_run(monkeypatch, transport):
+    lock = threading.Lock()
+    in_flight = [0]
+    most = [0]
+
+    def counted(kernel):
+        def wrapper(*args, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                most[0] = max(most[0], in_flight[0])
+            try:
+                time.sleep(0.002)  # widen the window in which a second call could start
+                return kernel(*args, **kwargs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(runtime, "local_covariance", counted(runtime.local_covariance))
+    monkeypatch.setattr(runtime, "cross_covariance", counted(runtime.cross_covariance))
+    rng = np.random.default_rng(36)
+    blocks = blocks_for(rng.standard_normal((40, 14)), [3, 2, 2, 3, 2, 2])
+    cov_d, _, _ = run_distributed(blocks, build_schedule(6), transport=transport)
+    cov_c, _, _ = run_centralized(blocks)
+    assert most[0] == 1
+    assert cov_d.matrix.tobytes() == cov_c.matrix.tobytes()
+
+
+def test_tcp_transport_runs_one_io_thread():
+    before = threading.active_count()
+    net = TcpTransport([0, 1, 2])
+    try:
+        assert threading.active_count() == before + 1
+        for sender, receiver in [(0, 1), (1, 2), (2, 0), (0, 2)]:
+            net.send(ProtocolMessage(MessageKind.DONE, sender, receiver))
+        for receiver in [1, 2, 0, 2]:
+            assert net.recv(receiver, 5.0).kind is MessageKind.DONE
+        assert threading.active_count() == before + 1
+    finally:
+        net.close()
+    assert threading.active_count() == before
+
+
+def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time():
+    block = ColumnBlock(site=1, data=new_matrix(3, 2, [1, 2, 3, 4, 5, 6]), global_cols=(4, 7))
+    frame = encode_message(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
+    net = TcpTransport([0, 1], max_frame=len(frame))
+    try:
+        with socket.create_connection(("127.0.0.1", net._ports[0])) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(frame)):
+                sock.sendall(frame[i : i + 1])
+                if i < HEADER.size:
+                    time.sleep(0.002)  # let the I/O thread wake inside the header
+            msg = net.recv(0, 5.0)
+    finally:
+        net.close()
+    assert (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 1, 0)
+    assert msg.payload.global_cols == (4, 7)
+    assert msg.payload.data.tobytes() == block.data.tobytes()
+
+
 def test_distributed_matches_centralized_runner():
     rng = np.random.default_rng(32)
     blocks = blocks_for(rng.standard_normal((25, 7)), [2, 2, 3])
@@ -207,6 +271,26 @@ def test_deadline_zero_times_out():
     blocks = blocks_for(rng.standard_normal((10, 4)), [2, 2])
     with pytest.raises(TimeoutError):
         run_distributed(blocks, build_schedule(2), deadline_ms=0.0)
+
+
+def test_timeout_names_the_missing_blocks(monkeypatch):
+    kernel = runtime.cross_covariance
+
+    def stalled(receiver, sender):
+        if (sender.site, receiver.site) == (2, 0):
+            time.sleep(0.6)
+        return kernel(receiver=receiver, sender=sender)
+
+    monkeypatch.setattr(runtime, "cross_covariance", stalled)
+    rng = np.random.default_rng(37)
+    blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
+    with pytest.raises(TimeoutError) as exc:
+        run_distributed(blocks, build_schedule(3), deadline_ms=200.0)
+    text = str(exc.value)
+    missing = text.split("missing blocks (site_a, site_b): ")[1].split(";")[0]
+    silent = text.split("no DONE from sites: ")[1]
+    assert "(2, 0)" in missing
+    assert "0" in silent.split(", ")
 
 
 def test_deadline_resolution(monkeypatch):
