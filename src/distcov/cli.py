@@ -107,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--out", type=Path, default=None)
     cp.add_argument("--plot-data", type=Path, default=None,
                     help="write partitions/centralized-ms/distributed-ms rows here")
-    cp.add_argument("--selftest-corrupt", action="store_true", help=argparse.SUPPRESS)
     cp.set_defaults(func=_cmd_compare)
 
     mp = sub.add_parser("cost-model", help="analytical operation counts and speed-up")
@@ -242,7 +241,6 @@ def _cmd_compare(args) -> int:
                 blocks,
                 transport=args.transport,
                 deadline_ms=args.deadline_ms,
-                _corrupt=args.selftest_corrupt,
             )
         )
     doc = {"report_version": 1, "comparisons": rows}

@@ -103,13 +103,10 @@ def compare_partitions(
     blocks,
     transport: str = "in-process",
     deadline_ms: float | None = None,
-    _corrupt: bool = False,
 ) -> dict:
     """Run both modes on one partitioning and assert bit-exact equality.
 
-    Returns one comparison row. `_corrupt` is a test hook that perturbs the
-    distributed matrix before the equality check; it exists so the mismatch
-    path stays exercised.
+    Returns one comparison row.
 
     Raises:
         MismatchError: the two matrices differ (never expected in real use).
@@ -122,11 +119,6 @@ def compare_partitions(
     cen_cov, cen_eig, cen_metrics = run_centralized(blocks)
 
     dist_bytes = dist_cov.matrix.tobytes()
-    if _corrupt:
-        tampered = np.array(dist_cov.matrix.values)
-        tampered[0, 0] += 1.0
-        dist_bytes = DenseMatrix(tampered).tobytes()
-
     if dist_cov.dim != cen_cov.dim:
         raise DimensionMismatch(
             f"distributed dim {dist_cov.dim} vs centralized {cen_cov.dim}"

@@ -13,13 +13,21 @@ make their threads spin against each other; with the gate they run one at a
 time while transfers and decoding overlap them.
 
 Both transports move the same encoded frames, so byte counts are real and
-the merged matrix is bit-identical either way: in-process uses one FIFO
-queue per endpoint, TCP uses loopback sockets with one connection per
-directed edge, all read by a single I/O thread.
+the merged matrix is bit-identical either way: in-process puts frames
+straight into the receiver's inbox, TCP uses loopback sockets with one
+connection per directed edge, all read by a single I/O thread.
+
+Each endpoint has one FIFO inbox, and it is the only way anything reaches
+the endpoint: frames, failures and shutdown. A failing site puts its
+exception into the coordinator's inbox, so the coordinator's one blocking
+`recv` raises it at once; the coordinator then closes the transport, which
+puts a "transport closed" TransportError into every inbox, so no site stays
+parked in `recv` behind the failure.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import selectors
@@ -73,16 +81,22 @@ __all__ = [
 
 DEFAULT_DEADLINE_MS = 60_000.0
 _LENGTH = struct.Struct("<Q")
-_POLL_S = 0.025  # error-sink polling granularity while gathering
 
 
 def _deadline_ms(override: float | None) -> float:
-    if override is not None:
-        return float(override)
-    env = os.environ.get("DCM_DEADLINE_MS")
-    if env:
-        return float(env)
-    return DEFAULT_DEADLINE_MS
+    """The argument, else DCM_DEADLINE_MS, else 60 s; ValueError unless it
+    is a finite number >= 0."""
+    source, value = "deadline_ms", override
+    if value is None:
+        source = "DCM_DEADLINE_MS"
+        value = os.environ.get(source) or DEFAULT_DEADLINE_MS
+    try:
+        ms = float(value)
+    except ValueError:
+        ms = math.nan
+    if not (math.isfinite(ms) and ms >= 0):
+        raise ValueError(f"{source} must be a finite number >= 0, got {value!r}")
+    return ms
 
 
 @dataclass(frozen=True)
@@ -158,21 +172,29 @@ def critical_path_ms(metrics: RunMetrics, schedule: Schedule) -> float:
     return slowest_local + slowest_cross
 
 
-class InProcessTransport:
-    """FIFO queue per endpoint; frames are encoded/decoded exactly as on TCP."""
+class _Inboxes:
+    """One FIFO inbox per endpoint, the only way anything reaches an endpoint.
+
+    An inbox holds encoded frames and exceptions. `recv` decodes a frame and
+    raises an exception; `fail` queues one, and `close` fails every endpoint,
+    so no receiver stays parked behind a closed transport. Subclasses supply
+    `_deliver`, which moves one encoded frame towards its receiver's inbox.
+    """
 
     def __init__(self, endpoints, log: list | None = None):
-        self._queues: dict[int, queue.Queue] = {e: queue.Queue() for e in endpoints}
+        self._inbox: dict[int, queue.Queue] = {e: queue.Queue() for e in endpoints}
         self._log = log
         self._log_lock = threading.Lock()
+
+    def _deliver(self, msg: ProtocolMessage, frame) -> None:
+        raise NotImplementedError
 
     def send(self, msg: ProtocolMessage) -> TransferStat:
         t0 = time.perf_counter()
         frame = encode_message(msg)
-        try:
-            self._queues[msg.receiver].put(frame)
-        except KeyError:
-            raise TransportError(f"no endpoint {msg.receiver}") from None
+        if msg.receiver not in self._inbox:
+            raise TransportError(f"no endpoint {msg.receiver}")
+        self._deliver(msg, frame)
         ms = (time.perf_counter() - t0) * 1e3
         if self._log is not None:
             with self._log_lock:
@@ -181,15 +203,32 @@ class InProcessTransport:
 
     def recv(self, endpoint: int, timeout_s: float) -> ProtocolMessage:
         try:
-            frame = self._queues[endpoint].get(timeout=max(timeout_s, 0.0))
+            if timeout_s <= 0:  # the deadline has passed (Queue.get refuses < 0)
+                raise queue.Empty
+            item = self._inbox[endpoint].get(timeout=timeout_s)
         except queue.Empty:
             raise TimeoutError(
                 f"endpoint {endpoint}: no message within {timeout_s:.3f}s"
             ) from None
-        return decode_message(frame)
+        if isinstance(item, BaseException):
+            raise item
+        return decode_message(item)
+
+    def fail(self, endpoint: int, exc: BaseException) -> None:
+        """Make the endpoint's next `recv` raise `exc`."""
+        self._inbox[endpoint].put(exc)
 
     def close(self) -> None:
-        pass
+        for e in self._inbox:
+            self.fail(e, TransportError(f"endpoint {e}: transport closed"))
+
+
+class InProcessTransport(_Inboxes):
+    """Frames are encoded/decoded exactly as on TCP and put straight into
+    the receiver's inbox."""
+
+    def _deliver(self, msg: ProtocolMessage, frame) -> None:
+        self._inbox[msg.receiver].put(frame)
 
 
 class _Inbound:
@@ -204,7 +243,7 @@ class _Inbound:
         self.got = 0
 
 
-class TcpTransport:
+class TcpTransport(_Inboxes):
     """Loopback sockets: one listener per endpoint, one connection per
     directed edge, and one I/O thread that accepts and reads them all.
 
@@ -219,9 +258,7 @@ class TcpTransport:
     """
 
     def __init__(self, endpoints, log: list | None = None, max_frame: int | None = None):
-        self._inbox: dict[int, queue.Queue] = {e: queue.Queue() for e in endpoints}
-        self._log = log
-        self._log_lock = threading.Lock()
+        super().__init__(endpoints, log)
         self._max_frame = max_frame
         self._conn_lock = threading.Lock()
         self._conns: dict[tuple[int, int], socket.socket] = {}
@@ -278,7 +315,7 @@ class TcpTransport:
                 # Length field sits after magic(4) + kind(1) + sender(4) + receiver(4).
                 size = HEADER.size + _LENGTH.unpack_from(st.buf, 13)[0]
                 if self._max_frame is not None and size > self._max_frame:
-                    self._inbox[st.endpoint].put(TransportError(
+                    self.fail(st.endpoint, TransportError(
                         f"endpoint {st.endpoint}: frame of {size} bytes exceeds the "
                         f"largest legal frame of {self._max_frame} bytes"
                     ))
@@ -301,42 +338,22 @@ class TcpTransport:
         with self._conn_lock:
             sock = self._conns.get(key)
             if sock is None:
-                if receiver not in self._ports:
-                    raise TransportError(f"no endpoint {receiver}")
                 sock = socket.create_connection(("127.0.0.1", self._ports[receiver]))
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self._conns[key] = sock
         return sock
 
-    def send(self, msg: ProtocolMessage) -> TransferStat:
-        t0 = time.perf_counter()
-        frame = encode_message(msg)
-        sock = self._connection(msg.sender, msg.receiver)
+    def _deliver(self, msg: ProtocolMessage, frame) -> None:
         try:
-            sock.sendall(frame)
+            self._connection(msg.sender, msg.receiver).sendall(frame)
         except OSError as exc:
             raise TransportError(
                 f"send {msg.sender}->{msg.receiver} failed: {exc}"
             ) from None
-        ms = (time.perf_counter() - t0) * 1e3
-        if self._log is not None:
-            with self._log_lock:
-                self._log.append((msg.kind, msg.sender, msg.receiver, len(frame)))
-        return TransferStat(bytes=len(frame), ms=ms)
-
-    def recv(self, endpoint: int, timeout_s: float) -> ProtocolMessage:
-        try:
-            frame = self._inbox[endpoint].get(timeout=max(timeout_s, 0.0))
-        except queue.Empty:
-            raise TimeoutError(
-                f"endpoint {endpoint}: no message within {timeout_s:.3f}s"
-            ) from None
-        if isinstance(frame, TransportError):
-            raise frame
-        return decode_message(frame)
 
     def close(self) -> None:
-        """Stop the I/O thread, then close every socket this transport opened."""
+        """Stop the I/O thread, close every socket this transport opened,
+        then fail every endpoint."""
         self._wake_writer.close()
         self._io.join()
         for key in list(self._selector.get_map().values()):
@@ -346,6 +363,7 @@ class TcpTransport:
             for sock in self._conns.values():
                 sock.close()
             self._conns.clear()
+        super().close()
 
 
 class _Draft:
@@ -375,8 +393,6 @@ def _site_worker(
     transport,
     coordinator: int,
     draft: _Draft,
-    errors: list,
-    errors_lock: threading.Lock,
     deadline: float,
     gate: threading.Lock,
 ) -> None:
@@ -423,28 +439,38 @@ def _site_worker(
         draft.cross_ms[site] = cross_ms
         draft.cross_cpu_ms[site] = cross_cpu_ms
         transport.send(ProtocolMessage(MessageKind.DONE, site, coordinator))
-    except BaseException as exc:  # surfaced by the coordinator's poll loop
-        with errors_lock:
-            errors.append((site, exc))
+    except BaseException as exc:  # the coordinator's recv raises it
+        if not isinstance(exc, DistCovError):
+            exc = TransportError(f"site {site} worker failed: {exc!r}")
+        transport.fail(coordinator, exc)
 
 
 def _check_blocks(blocks) -> tuple[int, int]:
-    """Validate the common preconditions; returns (row count, total columns)."""
+    """Validate blocks sorted by site, including that every column is held
+    by exactly one site; returns (row count, total columns)."""
     if not blocks:
         raise DimensionMismatch("need at least one column block")
-    sites = sorted(b.site for b in blocks)
+    sites = [b.site for b in blocks]
     if sites != list(range(len(blocks))):
         raise DimensionMismatch(f"block sites must be 0..{len(blocks) - 1}, got {sites}")
-    by_site = sorted(blocks, key=lambda b: b.site)
-    rows = by_site[0].data.rows
-    for b in by_site:
+    rows = blocks[0].data.rows
+    for b in blocks:
         if b.data.rows != rows:
             raise RowCountMismatch(
-                f"site {b.site} has {b.data.rows} rows, site {by_site[0].site} has {rows}"
+                f"site {b.site} has {b.data.rows} rows, site {blocks[0].site} has {rows}"
             )
     if rows < 2:
         raise TooFewRows("sample covariance needs at least 2 rows")
     total = max(c for b in blocks for c in b.global_cols) + 1
+    seen: set[int] = set()
+    for b in blocks:
+        overlap = seen.intersection(b.global_cols)
+        if overlap:
+            raise DimensionMismatch(f"column {min(overlap)} held by two sites")
+        seen.update(b.global_cols)
+    if len(seen) != total:
+        missing = next(c for c in range(total) if c not in seen)
+        raise DimensionMismatch(f"column {missing} held by no site")
     return rows, total
 
 
@@ -466,6 +492,7 @@ def run_distributed(
     t = len(blocks)
     if schedule.t != t:
         raise DimensionMismatch(f"schedule is for {schedule.t} sites, got {t} blocks")
+    deadline_s = _deadline_ms(deadline_ms) / 1e3
     coordinator = t  # reserved endpoint id
     endpoints = list(range(t)) + [coordinator]
 
@@ -477,19 +504,15 @@ def run_distributed(
     else:
         raise TransportError(f"unknown transport {transport!r}")
 
-    deadline_s = _deadline_ms(deadline_ms) / 1e3
     start = time.perf_counter()
     deadline = start + deadline_s
     draft = _Draft(t)
-    errors: list[tuple[int, BaseException]] = []
-    errors_lock = threading.Lock()
     gate = threading.Lock()  # one kernel in flight per run
 
     workers = [
         threading.Thread(
             target=_site_worker,
-            args=(b.site, b, schedule, net, coordinator, draft, errors, errors_lock,
-                  deadline, gate),
+            args=(b.site, b, schedule, net, coordinator, draft, deadline, gate),
             daemon=True,
         )
         for b in blocks
@@ -503,18 +526,12 @@ def run_distributed(
         cross_blocks: list[CovBlock] = []
         done: list[int] = []
         while len(local_blocks) + len(cross_blocks) < expected_blocks or len(done) < t:
-            with errors_lock:
-                if errors:
-                    raise _first_error(errors)
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
+            try:
+                msg = net.recv(coordinator, deadline - time.perf_counter())
+            except TimeoutError:  # the coordinator's own, or one a site forwarded
                 raise _gather_timeout(
                     schedule, local_blocks + cross_blocks, done, deadline_s
-                )
-            try:
-                msg = net.recv(coordinator, min(remaining, _POLL_S))
-            except TimeoutError:
-                continue  # poll slice elapsed; re-check errors and deadline
+                ) from None
             if msg.kind is MessageKind.DONE:
                 done.append(msg.sender)
             elif msg.kind is MessageKind.COV_BLOCK:
@@ -547,9 +564,9 @@ def run_distributed(
         )
         return merged, decomp, metrics
     finally:
-        net.close()
+        net.close()  # wakes every worker still parked in recv
         for w in workers:
-            w.join(timeout=1.0)
+            w.join()
 
 
 def _gather_timeout(
@@ -571,13 +588,6 @@ def _gather_timeout(
     )
 
 
-def _first_error(errors: list[tuple[int, BaseException]]) -> BaseException:
-    site, exc = errors[0]
-    if isinstance(exc, DistCovError):
-        return exc
-    return TransportError(f"site {site} worker failed: {exc!r}")
-
-
 def run_centralized(
     blocks,
 ) -> tuple[GlobalCovariance, EigenDecomposition, RunMetrics]:
@@ -589,16 +599,6 @@ def run_centralized(
     """
     blocks = sorted(blocks, key=lambda b: b.site)
     rows, total_cols = _check_blocks(blocks)
-
-    seen: set[int] = set()
-    for b in blocks:
-        overlap = seen.intersection(b.global_cols)
-        if overlap:
-            raise DimensionMismatch(f"column {min(overlap)} held by two sites")
-        seen.update(b.global_cols)
-    if len(seen) != total_cols:
-        missing = next(c for c in range(total_cols) if c not in seen)
-        raise DimensionMismatch(f"column {missing} held by no site")
 
     full = np.empty((rows, total_cols), dtype=np.float64)
     labels: list[str] | None = [""] * total_cols

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from distcov import load_matrix_dump, load_table, matrix_checksum
+import distcov.report as report
+from distcov import GlobalCovariance, load_matrix_dump, load_table, matrix_checksum
 from distcov.cli import main
 
 
@@ -186,12 +187,22 @@ def test_compare_reports_equality(tmp_path, capsys):
     assert lines[1].split()[0] == "2"
 
 
-def test_compare_corruption_hook_yields_mismatch_exit(tmp_path, capsys):
+def test_compare_corruption_hook_yields_mismatch_exit(tmp_path, capsys, monkeypatch):
+    real = report.run_centralized
+
+    def off_by_one_entry(blocks):
+        cov, decomp, metrics = real(blocks)
+        values = np.array(cov.matrix.values)
+        values[0, 0] += 1.0
+        return GlobalCovariance(values), decomp, metrics
+
+    monkeypatch.setattr(report, "run_centralized", off_by_one_entry)
     a = tmp_path / "a.txt"
     main(["gen", "--rows", "20", "--cols", "4", "--seed", "5", "--out", str(a)])
     capsys.readouterr()
-    code = main(["compare", "--inputs", str(a), "--selftest-corrupt"])
+    code = main(["compare", "--inputs", str(a)])
     assert code == 5
+    assert capsys.readouterr().err.startswith("mismatch: distributed and centralized")
 
 
 # --- cost-model -------------------------------------------------------------------

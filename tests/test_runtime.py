@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import socket
 import threading
 import time
@@ -31,6 +32,7 @@ import distcov.runtime as runtime
 from distcov.runtime import (
     DEFAULT_DEADLINE_MS,
     RunMetrics,
+    InProcessTransport,
     TcpTransport,
     TransferStat,
     _deadline_ms,
@@ -300,6 +302,114 @@ def test_deadline_resolution(monkeypatch):
     assert _deadline_ms(90.0) == 90.0  # explicit argument wins
     monkeypatch.delenv("DCM_DEADLINE_MS")
     assert _deadline_ms(None) == DEFAULT_DEADLINE_MS
+
+
+@pytest.mark.parametrize("override, env, expected", [
+    (float("nan"), None, "deadline_ms must be a finite number >= 0, got nan"),
+    (float("inf"), None, "deadline_ms must be a finite number >= 0, got inf"),
+    (-5.0, None, "deadline_ms must be a finite number >= 0, got -5.0"),
+    (None, "abc", "DCM_DEADLINE_MS must be a finite number >= 0, got 'abc'"),
+    (None, "nan", "DCM_DEADLINE_MS must be a finite number >= 0, got 'nan'"),
+    (None, "-1", "DCM_DEADLINE_MS must be a finite number >= 0, got '-1'"),
+])
+def test_bad_deadline_is_refused_before_any_thread(monkeypatch, override, env, expected):
+    if env is None:
+        monkeypatch.delenv("DCM_DEADLINE_MS", raising=False)
+    else:
+        monkeypatch.setenv("DCM_DEADLINE_MS", env)
+    rng = np.random.default_rng(38)
+    blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
+    before = threading.active_count()
+    with pytest.raises(ValueError) as exc:
+        run_distributed(blocks, build_schedule(3), transport="tcp", deadline_ms=override)
+    assert str(exc.value) == expected
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_failing_site_ends_the_run_at_once(monkeypatch, transport):
+    t = 6
+    kernel = runtime.local_covariance
+    calls = itertools.count(1)
+    failed: list[int] = []
+
+    def last_one_fails(block):
+        # The last site to compute fails, once its peers are parked waiting for it.
+        if next(calls) == t:
+            failed.append(block.site)
+            raise RuntimeError("disk gone")
+        return kernel(block)
+
+    monkeypatch.setattr(runtime, "local_covariance", last_one_fails)
+    rng = np.random.default_rng(39)
+    blocks = blocks_for(rng.standard_normal((20, 12)), [2] * t)
+    before = threading.active_count()
+    started = time.perf_counter()
+    with pytest.raises(TransportError, match="worker failed: RuntimeError") as exc:
+        run_distributed(blocks, build_schedule(t), transport=transport)
+    assert time.perf_counter() - started < 1.0
+    assert str(exc.value).startswith(f"site {failed[0]} worker failed")
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("make", [InProcessTransport, TcpTransport])
+def test_close_wakes_a_parked_receiver(make):
+    net = make([0, 1])
+    raised: list[BaseException] = []
+
+    def park():
+        try:
+            net.recv(0, 60.0)
+        except BaseException as exc:
+            raised.append(exc)
+
+    receiver = threading.Thread(target=park)
+    receiver.start()
+    time.sleep(0.05)  # let it park
+    started = time.perf_counter()
+    net.close()
+    receiver.join(timeout=5.0)
+    assert not receiver.is_alive()
+    assert time.perf_counter() - started < 1.0
+    assert len(raised) == 1 and isinstance(raised[0], TransportError)
+    assert "transport closed" in str(raised[0])
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_expired_deadline_names_the_missing_blocks(transport):
+    # At deadline 0 every site times out in recv too; the coordinator's
+    # report of what never arrived must still be the error the caller sees.
+    rng = np.random.default_rng(40)
+    blocks = blocks_for(rng.standard_normal((10, 12)), [2] * 6)
+    with pytest.raises(TimeoutError, match=r"missing blocks \(site_a, site_b\): \(0, 0\)"):
+        run_distributed(blocks, build_schedule(6), transport=transport, deadline_ms=0.0)
+
+
+@pytest.mark.parametrize("cols, message", [
+    ([(0, 1), (1, 2)], "column 1 held by two sites"),
+    ([(0, 1), (2, 4)], "column 3 held by no site"),
+])
+def test_column_ownership_is_checked_before_any_kernel(monkeypatch, cols, message):
+    calls = [0]
+
+    def counted(kernel):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in ("local_covariance", "cross_covariance", "centralized_covariance"):
+        monkeypatch.setattr(runtime, name, counted(getattr(runtime, name)))
+    rng = np.random.default_rng(41)
+    blocks = [
+        ColumnBlock(site=k, data=DenseMatrix(rng.standard_normal((6, len(c)))), global_cols=c)
+        for k, c in enumerate(cols)
+    ]
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        run_distributed(blocks, build_schedule(2))
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        run_centralized(blocks)
+    assert calls[0] == 0
 
 
 def test_critical_path_aggregation():
