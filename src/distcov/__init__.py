@@ -16,6 +16,7 @@ from .covariance import (
     cross_covariance,
     local_covariance,
     merge_blocks,
+    site_covariance,
 )
 from .eigen import EigenDecomposition, symmetric_eigen
 from .errors import DistCovError
@@ -28,7 +29,7 @@ from .ingest import (
     partition_vertical,
     synthetic_table,
 )
-from .matrix import DenseMatrix, column_mean, column_slice, new_matrix
+from .matrix import DenseMatrix, column_slice, new_matrix
 from .report import compare_partitions, dump_matrix, load_matrix_dump, matrix_checksum
 from .runtime import (
     RunMetrics,
@@ -45,13 +46,13 @@ __version__ = "0.1.0"
 __all__ = [
     "DenseMatrix",
     "new_matrix",
-    "column_mean",
     "column_slice",
     "ColumnBlock",
     "CovBlock",
     "GlobalCovariance",
     "local_covariance",
     "cross_covariance",
+    "site_covariance",
     "centralized_covariance",
     "merge_blocks",
     "EigenDecomposition",

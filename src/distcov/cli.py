@@ -36,7 +36,7 @@ from .ingest import (
     partition_vertical,
     synthetic_table,
 )
-from .report import dump_matrix, run_report
+from .report import REPORT_VERSION, dump_matrix, run_report
 from .report import compare_partitions as _compare_partitions
 from .runtime import run_centralized, run_distributed
 from .schedule import build_schedule, validate_schedule
@@ -243,7 +243,7 @@ def _cmd_compare(args) -> int:
                 deadline_ms=args.deadline_ms,
             )
         )
-    doc = {"report_version": 1, "comparisons": rows}
+    doc = {"report_version": REPORT_VERSION, "comparisons": rows}
     _emit(doc, args.out)
     if args.plot_data is not None:
         lines = ["# partitions centralized_ms distributed_ms"]
@@ -265,7 +265,7 @@ def _cmd_cost_model(args) -> int:
         widths = [args.gamma] * args.sites
     schedule = build_schedule(len(widths))
     report = distributed_cost(widths, schedule)
-    doc = {"report_version": 1, "widths": widths, **report.to_dict()}
+    doc = {"report_version": REPORT_VERSION, "widths": widths, **report.to_dict()}
     _emit(doc, args.out)
     return 0
 

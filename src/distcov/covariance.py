@@ -1,8 +1,10 @@
 """Covariance kernels and the block algebra that assembles the global matrix.
 
 Every block, local or cross, centralized or merged, comes from one kernel,
-`_cov_block`, built on error-free splitting (Ozaki, Ogita, Oishi & Rump,
-Numer. Algorithms 59, 2012). The determinism contract:
+`_cov_blocks`, built on error-free splitting (Ozaki, Ogita, Oishi & Rump,
+Numer. Algorithms 59, 2012); it splits each input once and reuses it across
+every product (Mukunoki, Ozaki, Ogita & Imamura, ISC 2020). The determinism
+contract:
 
 - A column's mean, its power-of-two scale and its slices depend only on
   that column's values and the row count n, never on the block around it.
@@ -43,6 +45,7 @@ __all__ = [
     "GlobalCovariance",
     "local_covariance",
     "cross_covariance",
+    "site_covariance",
     "centralized_covariance",
     "merge_blocks",
 ]
@@ -136,6 +139,19 @@ class GlobalCovariance:
             raise InvalidCovariance("diagonal entries (variances) must be non-negative")
         self._matrix = DenseMatrix(sym, labels)
 
+    @classmethod
+    def _assembled(cls, arr: np.ndarray, labels: Sequence[str] | None) -> "GlobalCovariance":
+        """What `__init__` makes of an arr whose triangles hold equal values,
+        without copying arr. Equal values are equal bits but for the sign of
+        zero; + 0.0 makes -0.0 into +0.0, as the mirror sum in `__init__` does.
+        """
+        arr += 0.0
+        if np.any(np.diag(arr) < 0.0):
+            raise InvalidCovariance("diagonal entries (variances) must be non-negative")
+        cov = cls.__new__(cls)
+        cov._matrix = DenseMatrix(arr, labels)
+        return cov
+
     @property
     def dim(self) -> int:
         return self._matrix.rows
@@ -221,11 +237,12 @@ class _Operand:
         np.rint(work, out=work)  # the last slice, in place
 
 
-def _cov_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Covariance block between the columns of two (n, w) arrays: entry
-    (u, v) is the covariance of x's column u with y's column v. Pass the
-    same array twice for a block's own covariance.
+def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Covariance blocks of several (n, w) arrays against one (n, wy) array:
+    entry (u, v) of block k is the covariance of xs[k]'s column u with y's
+    column v. An entry of xs that is y itself gives y's own covariance.
 
+    y is prepared once and split once per chunk of rows, for every block.
     Columns are centered and split into s integer slices (`_Operand`), a
     chunk of rows at a time. Every slice product X_i^T Y_j is an exact
     integer in any BLAS summation order, so summing it over the chunks is
@@ -237,63 +254,84 @@ def _cov_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     For x is y only the products with i <= j are computed; the pair is
     T + T^T.
     """
-    n = x.shape[0]
+    n, wy = y.shape
     b, s = _slicing(n)
-    same = x is y
-    xo = _Operand(x, b)
-    yo = xo if same else _Operand(y, b)
-    wx, wy = x.shape[1], y.shape[1]
     chunk = min(n, _CHUNK_ROWS)
-    xs = np.empty((s, chunk, wx), dtype=np.float64)
-    ys = xs if same else np.empty((s, chunk, wy), dtype=np.float64)
-    products = {
-        (i, j): np.empty((wx, wy), dtype=np.float64)
-        for i in range(s)
-        for j in range(s - i)
-        if i <= j or not same
-    }
-    term = np.empty((wx, wy), dtype=np.float64)
+    yo = _Operand(y, b)
+    y_slices = np.empty((s, chunk, wy), dtype=np.float64)
+    parts = []
+    for x in xs:
+        same = x is y
+        wx = x.shape[1]
+        parts.append((
+            same,
+            yo if same else _Operand(x, b),
+            y_slices if same else np.empty((s, chunk, wx), dtype=np.float64),
+            {
+                (i, j): np.empty((wx, wy), dtype=np.float64)
+                for i in range(s)
+                for j in range(s - i)
+                if i <= j or not same
+            },
+            np.empty((wx, wy), dtype=np.float64),
+        ))
     for r0 in range(0, n, chunk):
         rows = min(chunk, n - r0)
-        xo.split(r0, xs[:, :rows], b)
-        if not same:
-            yo.split(r0, ys[:, :rows], b)
-        for (i, j), total in products.items():
-            if r0 == 0:
-                np.matmul(xs[i, :rows].T, ys[j, :rows], out=total)
-            else:
-                np.matmul(xs[i, :rows].T, ys[j, :rows], out=term)
-                total += term
+        yo.split(r0, y_slices[:, :rows], b)
+        for same, xo, x_slices, products, term in parts:
+            if not same:
+                xo.split(r0, x_slices[:, :rows], b)
+            for (i, j), total in products.items():
+                if r0 == 0:
+                    np.matmul(x_slices[i, :rows].T, y_slices[j, :rows], out=total)
+                else:
+                    np.matmul(x_slices[i, :rows].T, y_slices[j, :rows], out=term)
+                    total += term
 
-    out = np.zeros((wx, wy), dtype=np.float64)
-    for level in range(s - 1, -1, -1):
-        if level < s - 1:
-            out *= 2.0**-b
-        for i in range(level // 2 + 1):
-            j = level - i
-            if i == j:
-                out += products[i, i]
-                continue
-            mirror = products[i, j].T if same else products[j, i]
-            np.add(products[i, j], mirror, out=term)
-            out += term
-    np.ldexp(out, np.add.outer(xo.exps - b, yo.exps - b), out=out)
-    out /= n - 1
-    return out
+    blocks = []
+    for same, xo, _, products, term in parts:
+        out = np.zeros(term.shape, dtype=np.float64)
+        for level in range(s - 1, -1, -1):
+            if level < s - 1:
+                out *= 2.0**-b
+            for i in range(level // 2 + 1):
+                j = level - i
+                if i == j:
+                    out += products[i, i]
+                    continue
+                mirror = products[i, j].T if same else products[j, i]
+                np.add(products[i, j], mirror, out=term)
+                out += term
+        np.ldexp(out, np.add.outer(xo.exps - b, yo.exps - b), out=out)
+        out /= n - 1
+        blocks.append(out)
+    return blocks
 
 
 def local_covariance(b: ColumnBlock) -> CovBlock:
     """Covariance block of one site's own columns, exactly symmetric."""
-    n = b.data.rows
+    return site_covariance(b, [])[0]
+
+
+def _check_senders(receiver: ColumnBlock, senders: Sequence[ColumnBlock]) -> None:
+    n = receiver.data.rows
+    for sender in senders:
+        if receiver.site == sender.site:
+            raise SameSite(
+                f"cross covariance needs two distinct sites, both are {receiver.site}"
+            )
+        if n != sender.data.rows:
+            raise RowCountMismatch(
+                f"row counts differ: sender {sender.data.rows}, receiver {n}"
+            )
     if n < 2:
         raise TooFewRows("sample covariance needs at least 2 rows")
-    values = b.data.values
+
+
+def _cross_block(receiver: ColumnBlock, sender: ColumnBlock, values: np.ndarray) -> CovBlock:
     return CovBlock(
-        site_a=b.site,
-        site_b=b.site,
-        block=DenseMatrix._wrap(_cov_block(values, values), b.data.labels),
-        rows_global_cols=b.global_cols,
-        cols_global_cols=b.global_cols,
+        sender.site, receiver.site, DenseMatrix._wrap(values),
+        sender.global_cols, receiver.global_cols,
     )
 
 
@@ -305,23 +343,31 @@ def cross_covariance(receiver: ColumnBlock, sender: ColumnBlock) -> CovBlock:
     recomputes the sender's means from the raw data, which the kernel makes
     identical to sender-side means.
     """
-    if receiver.site == sender.site:
-        raise SameSite(f"cross covariance needs two distinct sites, both are {receiver.site}")
-    n = receiver.data.rows
-    if n != sender.data.rows:
-        raise RowCountMismatch(
-            f"row counts differ: sender {sender.data.rows}, receiver {receiver.data.rows}"
-        )
-    if n < 2:
-        raise TooFewRows("sample covariance needs at least 2 rows")
-    block = _cov_block(sender.data.values, receiver.data.values)
-    return CovBlock(
-        site_a=sender.site,
-        site_b=receiver.site,
-        block=DenseMatrix._wrap(block),
-        rows_global_cols=sender.global_cols,
-        cols_global_cols=receiver.global_cols,
+    _check_senders(receiver, [sender])
+    (block,) = _cov_blocks(receiver.data.values, [sender.data.values])
+    return _cross_block(receiver, sender, block)
+
+
+def site_covariance(
+    own: ColumnBlock, senders: Sequence[ColumnBlock]
+) -> tuple[CovBlock, list[CovBlock]]:
+    """A site's local block and one cross block per sender, from one kernel
+    call that prepares the site's own columns once and splits them once per
+    chunk of rows for every block.
+
+    Each cross block is oriented as `cross_covariance` orients it. Every
+    column's mean, scale and slices depend only on that column, so each
+    block bit-equals the block `local_covariance` or `cross_covariance`
+    computes.
+    """
+    _check_senders(own, senders)
+    values = own.data.values
+    local, *cross = _cov_blocks(values, [values, *(s.data.values for s in senders)])
+    local_block = CovBlock(
+        own.site, own.site, DenseMatrix._wrap(local, own.data.labels),
+        own.global_cols, own.global_cols,
     )
+    return local_block, [_cross_block(own, s, c) for s, c in zip(senders, cross)]
 
 
 def centralized_covariance(m: DenseMatrix) -> GlobalCovariance:
@@ -335,7 +381,55 @@ def centralized_covariance(m: DenseMatrix) -> GlobalCovariance:
         raise TooFewRows("sample covariance needs at least 2 rows")
     if m.cols < 1:
         raise DimensionMismatch("covariance needs at least one column")
-    return GlobalCovariance(_cov_block(m.values, m.values), m.labels)
+    (block,) = _cov_blocks(m.values, [m.values])
+    return GlobalCovariance(block, m.labels)
+
+
+class _Assembler:
+    """The m x m matrix, written one block (and its mirror) at a time.
+
+    `owners[k]` is site k's global columns, which must partition 0 .. m-1.
+    A block is refused when its (unordered) site pair came before, or when
+    its row and column indices are not its two sites' columns; so once
+    every pair of sites has arrived, every pair of columns is covered
+    exactly once.
+    """
+
+    def __init__(self, owners: dict[int, tuple[int, ...]], total_cols: int):
+        self._owners = owners
+        self._out = np.empty((total_cols, total_cols), dtype=np.float64)
+        self._pairs: set[tuple[int, int]] = set()
+        self._labels: list[str | None] = [None] * total_cols
+
+    def add(self, blk: CovBlock) -> None:
+        a, b = blk.site_a, blk.site_b
+        if (a, b) in self._pairs or (b, a) in self._pairs:
+            raise OverlappingPair(f"block ({a},{b}) covers site pair ({a},{b}) again")
+        if (
+            blk.rows_global_cols != self._owners.get(a)
+            or blk.cols_global_cols != self._owners.get(b)
+        ):
+            raise DimensionMismatch(
+                f"block ({a},{b}) indices are not the columns of sites {a} and {b}"
+            )
+        rg, cg = list(blk.rows_global_cols), list(blk.cols_global_cols)
+        self._out[np.ix_(rg, cg)] = blk.block.values
+        if a != b:
+            self._out[np.ix_(cg, rg)] = blk.block.values.T
+        elif blk.block.labels is not None:
+            for pos, name in zip(rg, blk.block.labels):
+                self._labels[pos] = name
+        self._pairs.add((a, b))
+
+    def result(self) -> GlobalCovariance:
+        """The matrix; MissingPair unless every pair of sites has arrived.
+        Labels survive only if every local block carries them."""
+        for a in self._owners:
+            for b in self._owners:
+                if a <= b and (a, b) not in self._pairs and (b, a) not in self._pairs:
+                    raise MissingPair(f"site pair ({a},{b}) not covered by any block")
+        labels = None if None in self._labels else tuple(self._labels)
+        return GlobalCovariance._assembled(self._out, labels)
 
 
 def merge_blocks(
@@ -345,83 +439,43 @@ def merge_blocks(
 ) -> GlobalCovariance:
     """Assemble the global covariance matrix from local and cross blocks.
 
-    Coverage is validated before any entry is written: every unordered pair
-    of global columns must be covered exactly once, with every column owned
-    by exactly one local block. A partial merge would silently produce a
-    wrong matrix, so gaps and overlaps are hard errors.
+    The local blocks' columns must partition 0 .. total_cols-1, each cross
+    block must span exactly the columns of its two sites, and every pair of
+    sites must be covered exactly once. A partial merge would silently
+    produce a wrong matrix, so gaps and overlaps are hard errors.
 
     Raises:
         MissingPair: some column pair is not covered.
         OverlappingPair: some column pair is covered twice.
-        DimensionMismatch: a block references columns outside the matrix.
+        DimensionMismatch: a block references columns outside the matrix,
+            or a cross block's columns are not its sites' columns.
     """
     if total_cols < 1:
         raise DimensionMismatch("total_cols must be >= 1")
+    for blk in cross_blocks:
+        if blk.site_a == blk.site_b:
+            raise DimensionMismatch(f"local block of site {blk.site_a} passed as a cross block")
 
+    covered = [False] * total_cols
     for blk in local_blocks:
         if blk.site_a != blk.site_b:
             raise DimensionMismatch(
                 f"cross block ({blk.site_a},{blk.site_b}) passed as a local block"
             )
-    for blk in cross_blocks:
-        if blk.site_a == blk.site_b:
-            raise DimensionMismatch(f"local block of site {blk.site_a} passed as a cross block")
-
-    all_blocks = list(local_blocks) + list(cross_blocks)
-    for blk in all_blocks:
-        for c in (*blk.rows_global_cols, *blk.cols_global_cols):
+        for c in blk.rows_global_cols:
             if not 0 <= c < total_cols:
                 raise DimensionMismatch(
                     f"block ({blk.site_a},{blk.site_b}) references column {c}, "
                     f"matrix has {total_cols}"
                 )
+            if covered[c]:
+                raise OverlappingPair(f"column pair ({c},{c}) covered more than once")
+            covered[c] = True
+    if not all(covered):
+        c = covered.index(False)
+        raise MissingPair(f"column pair ({c},{c}) not covered by any block")
 
-    # Count coverage of ordered cells; exact symmetry of the count matrix
-    # makes "each unordered pair exactly once" the same as "every cell == 1".
-    count = np.zeros((total_cols, total_cols), dtype=np.int32)
-    for blk in local_blocks:
-        g = list(blk.rows_global_cols)
-        count[np.ix_(g, g)] += 1
-    for blk in cross_blocks:
-        rg = list(blk.rows_global_cols)
-        cg = list(blk.cols_global_cols)
-        count[np.ix_(rg, cg)] += 1
-        count[np.ix_(cg, rg)] += 1
-
-    over = np.argwhere(count > 1)
-    if over.size:
-        i, j = over[0]
-        raise OverlappingPair(f"column pair ({i},{j}) covered more than once")
-    gaps = np.argwhere(count == 0)
-    if gaps.size:
-        i, j = gaps[0]
-        raise MissingPair(f"column pair ({i},{j}) not covered by any block")
-
-    out = np.empty((total_cols, total_cols), dtype=np.float64)
-    for blk in local_blocks:
-        g = list(blk.rows_global_cols)
-        out[np.ix_(g, g)] = blk.block.values
-    for blk in cross_blocks:
-        rg = list(blk.rows_global_cols)
-        cg = list(blk.cols_global_cols)
-        out[np.ix_(rg, cg)] = blk.block.values
-        out[np.ix_(cg, rg)] = blk.block.values.T
-
-    labels = _merged_labels(local_blocks, total_cols)
-    return GlobalCovariance(out, labels)
-
-
-def _merged_labels(
-    local_blocks: Sequence[CovBlock], total_cols: int
-) -> tuple[str, ...] | None:
-    # Labels survive the merge only if every local block carries them.
-    slots: list[str | None] = [None] * total_cols
-    for blk in local_blocks:
-        names = blk.block.labels
-        if names is None:
-            return None
-        for pos, name in zip(blk.rows_global_cols, names):
-            slots[pos] = name
-    if any(s is None for s in slots):
-        return None
-    return tuple(slots)  # type: ignore[arg-type]
+    assembler = _Assembler({b.site_a: b.rows_global_cols for b in local_blocks}, total_cols)
+    for blk in (*local_blocks, *cross_blocks):
+        assembler.add(blk)
+    return assembler.result()

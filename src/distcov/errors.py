@@ -25,10 +25,6 @@ class IndexOutOfRange(DistCovError):
     """A row, column, or site index lies outside the valid range."""
 
 
-class EmptyMatrix(DistCovError):
-    """Operation requires at least one row."""
-
-
 class DuplicateIndex(DistCovError):
     """A column selection names the same index twice."""
 

@@ -1,10 +1,5 @@
-"""Dense row-major matrix storage and the column statistics every other module consumes.
-
-Determinism contract: all reductions over a column run in a fixed order on a
-C-contiguous float64 vector, so two matrices holding bit-identical column
-values always produce bit-identical statistics, no matter which code path
-built them.
-"""
+"""Dense row-major matrix storage: the immutable, finite float64 matrix every
+other module passes around, and column selection."""
 
 from __future__ import annotations
 
@@ -16,7 +11,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateIndex,
     DuplicateLabel,
-    EmptyMatrix,
     IndexOutOfRange,
     NonFiniteValue,
 )
@@ -24,9 +18,7 @@ from .errors import (
 __all__ = [
     "DenseMatrix",
     "new_matrix",
-    "column_mean",
     "column_slice",
-    "vector_mean",
 ]
 
 
@@ -76,12 +68,6 @@ class DenseMatrix:
     def labels(self) -> tuple[str, ...] | None:
         return self._labels
 
-    def column(self, col: int) -> np.ndarray:
-        """A C-contiguous copy of one column."""
-        if not 0 <= col < self.cols:
-            raise IndexOutOfRange(f"column {col} out of range for {self.cols} columns")
-        return np.ascontiguousarray(self._values[:, col])
-
     def tobytes(self) -> bytes:
         """Canonical encoding: row-major IEEE-754 binary64, little-endian."""
         return self._values.astype("<f8", copy=False).tobytes()
@@ -125,22 +111,6 @@ def new_matrix(
             f"got {flat.size} values for a {rows}x{cols} matrix ({rows * cols} expected)"
         )
     return DenseMatrix(flat.reshape(rows, cols), labels)
-
-
-def vector_mean(col: np.ndarray) -> float:
-    """Mean of a C-contiguous float64 vector.
-
-    np.sum over a contiguous vector reduces in a fixed, input-independent
-    order, so equal columns always give bit-identical means.
-    """
-    return float(np.sum(col)) / col.shape[0]
-
-
-def column_mean(m: DenseMatrix, col: int) -> float:
-    """Arithmetic mean of one column, accumulated in fixed row order."""
-    if m.rows == 0:
-        raise EmptyMatrix("cannot take the mean of a matrix with no rows")
-    return vector_mean(m.column(col))
 
 
 def column_slice(m: DenseMatrix, cols: Sequence[int]) -> DenseMatrix:

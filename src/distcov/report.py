@@ -31,7 +31,7 @@ __all__ = [
     "DUMP_MAGIC",
 ]
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 DUMP_MAGIC = b"DCMM"
 _DUMP_HEADER = struct.Struct("<4sIQ")  # magic, dim, reserved
 
@@ -134,7 +134,7 @@ def compare_partitions(
     widths = [b.data.cols for b in sorted(blocks, key=lambda b: b.site)]
     # CPU reading on both sides: the centralized run is single-threaded, the
     # distributed aggregate assumes one processor per site.
-    centralized_ms = cen_metrics.local_cov_cpu_ms[0]
+    centralized_ms = cen_metrics.site_cov_cpu_ms[0]
     distributed_ms = critical_path_ms(dist_metrics, schedule)
     return {
         "partitions": t,

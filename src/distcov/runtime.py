@@ -1,16 +1,20 @@
 """Protocol runtime: per-site workers, a coordinator, and two transports.
 
-One worker thread per site computes the site's local covariance block, ships
-its raw columns to every site that lists it as a predecessor, computes a
-cross block for each predecessor's columns as they arrive, and sends every
-block to the coordinator (reserved endpoint id = t). The coordinator gathers
-t local + C(t,2) cross blocks, merges them, and runs the eigen-decomposition.
+One worker thread per site ships its raw columns to every site that lists
+it as a predecessor, waits for every predecessor's columns, then makes one
+kernel call (`site_covariance`) for its local block and all its cross
+blocks, and sends every block to the coordinator (reserved endpoint id =
+t). The coordinator writes each block into the m x m matrix as it arrives,
+so once the last of the t local + C(t,2) cross blocks is in, only the
+eigen-decomposition is left.
 
-A run has one compute gate: a site holds it only while its local or cross
-kernel runs, never while it sends, receives or waits. The kernels' BLAS
-calls already use every core, so kernels from several sites at once only
-make their threads spin against each other; with the gate they run one at a
-time while transfers and decoding overlap them.
+A run has one compute gate: a site holds it only while its kernel runs,
+never while it sends, receives or waits. The kernels' BLAS calls already
+use every core, so kernels from several sites at once only make their
+threads spin against each other; with the gate they run one at a time,
+back to back, since every site's data is shipped before any kernel runs.
+The first failure in a run sets its stop event, and a site that sees the
+event once it holds the gate returns without computing.
 
 Both transports move the same encoded frames, so byte counts are real and
 the merged matrix is bit-identical either way: in-process puts frames
@@ -43,10 +47,9 @@ from .covariance import (
     ColumnBlock,
     CovBlock,
     GlobalCovariance,
+    _Assembler,
     centralized_covariance,
-    cross_covariance,
-    local_covariance,
-    merge_blocks,
+    site_covariance,
 )
 from .eigen import EigenDecomposition, symmetric_eigen
 from .errors import (
@@ -111,20 +114,20 @@ class TransferStat:
 class RunMetrics:
     """Timing breakdown of one run, all values in milliseconds.
 
-    Per-site phases carry two readings: wall time (`*_ms`) and per-thread
-    CPU time (`*_cpu_ms`). Both start once the site holds the run's compute
+    Each site's one kernel call (its local block and all its cross blocks)
+    carries two readings: wall time (`site_cov_ms`) and per-thread CPU time
+    (`site_cov_cpu_ms`). Both start once the site holds the run's compute
     gate, so neither counts the wait for another site's kernel. The wall
     reading still includes time the site's thread spends waiting for the
     interpreter lock while other threads move frames; the CPU reading is
     what the site would spend on a processor of its own. `transfers` is
     keyed by directed edge (sender, receiver) and covers raw column
-    shipments only.
+    shipments only. `merge_ms` is what assembly leaves after the last
+    message: the coverage proof and the matrix's final checks.
     """
 
-    local_cov_ms: tuple[float, ...]
-    cross_cov_ms: tuple[float, ...]
-    local_cov_cpu_ms: tuple[float, ...] = ()
-    cross_cov_cpu_ms: tuple[float, ...] = ()
+    site_cov_ms: tuple[float, ...]
+    site_cov_cpu_ms: tuple[float, ...]
     transfers: dict[tuple[int, int], TransferStat] = field(default_factory=dict)
     merge_ms: float = 0.0
     eigen_ms: float = 0.0
@@ -133,10 +136,8 @@ class RunMetrics:
 
     def to_dict(self) -> dict:
         return {
-            "local_cov_ms": list(self.local_cov_ms),
-            "cross_cov_ms": list(self.cross_cov_ms),
-            "local_cov_cpu_ms": list(self.local_cov_cpu_ms),
-            "cross_cov_cpu_ms": list(self.cross_cov_cpu_ms),
+            "site_cov_ms": list(self.site_cov_ms),
+            "site_cov_cpu_ms": list(self.site_cov_cpu_ms),
             "transfers": [
                 {"from": j, "to": k, "bytes": s.bytes, "ms": s.ms}
                 for (j, k), s in sorted(self.transfers.items())
@@ -152,24 +153,21 @@ def critical_path_ms(metrics: RunMetrics, schedule: Schedule) -> float:
     """Distributed time with one processor per site, derived from the
     measured per-site phases.
 
-    Sites compute local blocks concurrently, then work through received
-    blocks concurrently, so the protocol takes the slowest local phase plus
-    the slowest cross phase (cross compute + inbound transfer cost). Phase
-    costs are the per-thread CPU readings, which stay honest when one host
-    runs every site and the sites' kernels take turns at its compute gate.
+    Each site receives its predecessors' columns, then makes its one kernel
+    call, and the sites do so concurrently, so the protocol takes the
+    slowest site's inbound transfers plus kernel. Kernel costs are the
+    per-thread CPU readings, which stay honest when one host runs every site
+    and the sites' kernels take turns at its compute gate.
     """
-    local = metrics.local_cov_cpu_ms or metrics.local_cov_ms
-    cross = metrics.cross_cov_cpu_ms or metrics.cross_cov_ms
-    slowest_local = max(local, default=0.0)
-    slowest_cross = 0.0
-    for k in range(schedule.t):
-        inbound = sum(
+    return max(
+        metrics.site_cov_cpu_ms[k]
+        + sum(
             metrics.transfers[(j, k)].ms
             for j in schedule.predecessors[k]
             if (j, k) in metrics.transfers
         )
-        slowest_cross = max(slowest_cross, cross[k] + inbound)
-    return slowest_local + slowest_cross
+        for k in range(schedule.t)
+    )
 
 
 class _Inboxes:
@@ -366,83 +364,64 @@ class TcpTransport(_Inboxes):
         super().close()
 
 
-class _Draft:
-    """Mutable metrics scratchpad shared by the worker threads.
+class _Run:
+    """What the site workers of one run share. Each site writes only its own
+    metrics slots, before it sends DONE; the coordinator reads them once
+    every DONE is in."""
 
-    Each site writes only its own slots; the transfers dict takes one write
-    per directed edge, guarded by a lock.
-    """
-
-    def __init__(self, t: int):
-        self.local_ms = [0.0] * t
-        self.cross_ms = [0.0] * t
-        self.local_cpu_ms = [0.0] * t
-        self.cross_cpu_ms = [0.0] * t
-        self.transfers: dict[tuple[int, int], TransferStat] = {}
-        self._lock = threading.Lock()
-
-    def add_transfer(self, edge: tuple[int, int], stat: TransferStat) -> None:
-        with self._lock:
-            self.transfers[edge] = stat
+    def __init__(self, schedule: Schedule, net, deadline: float):
+        self.schedule, self.net, self.deadline = schedule, net, deadline
+        self.coordinator = schedule.t  # reserved endpoint id
+        self.gate = threading.Lock()  # one kernel in flight per run
+        self.stop = threading.Event()  # set by the run's first failure
+        self.site_ms = [0.0] * schedule.t
+        self.site_cpu_ms = [0.0] * schedule.t
+        self.sent: list[dict[int, TransferStat]] = [{} for _ in range(schedule.t)]
 
 
-def _site_worker(
-    site: int,
-    block: ColumnBlock,
-    schedule: Schedule,
-    transport,
-    coordinator: int,
-    draft: _Draft,
-    deadline: float,
-    gate: threading.Lock,
-) -> None:
+def _site_worker(run: _Run, block: ColumnBlock) -> None:
+    site, net = block.site, run.net
     try:
-        with gate:
-            t0, c0 = time.perf_counter(), time.thread_time()
-            local = local_covariance(block)
-            draft.local_ms[site] = (time.perf_counter() - t0) * 1e3
-            draft.local_cpu_ms[site] = (time.thread_time() - c0) * 1e3
-        transport.send(
-            ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, local)
-        )
-
-        for receiver in schedule.receivers_from(site):
-            stat = transport.send(
+        for receiver in run.schedule.receivers_from(site):
+            run.sent[site][receiver] = net.send(
                 ProtocolMessage(MessageKind.DATA_BLOCK, site, receiver, block)
             )
-            draft.add_transfer((site, receiver), stat)
 
-        pending = set(schedule.senders_to(site))
-        cross_ms = 0.0
-        cross_cpu_ms = 0.0
-        while pending:
-            msg = transport.recv(site, deadline - time.perf_counter())
+        received: dict[int, ColumnBlock] = {}
+        expected = run.schedule.senders_to(site)
+        while len(received) < len(expected):
+            msg = net.recv(site, run.deadline - time.perf_counter())
             if msg.kind is not MessageKind.DATA_BLOCK:
                 raise TransportError(
                     f"site {site} received unexpected {msg.kind.name} from {msg.sender}"
                 )
-            received = msg.payload
-            assert isinstance(received, ColumnBlock)
-            if received.site not in pending:
+            got = msg.payload
+            assert isinstance(got, ColumnBlock)
+            if got.site not in expected or got.site in received:
                 raise TransportError(
-                    f"site {site} received data from non-predecessor {received.site}"
+                    f"site {site} received data from non-predecessor {got.site}"
                 )
-            pending.discard(received.site)
-            with gate:
-                t0, c0 = time.perf_counter(), time.thread_time()
-                cross = cross_covariance(receiver=block, sender=received)
-                cross_ms += (time.perf_counter() - t0) * 1e3
-                cross_cpu_ms += (time.thread_time() - c0) * 1e3
-            transport.send(
-                ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, cross)
-            )
-        draft.cross_ms[site] = cross_ms
-        draft.cross_cpu_ms[site] = cross_cpu_ms
-        transport.send(ProtocolMessage(MessageKind.DONE, site, coordinator))
+            received[got.site] = got
+
+        with run.gate:
+            if run.stop.is_set():
+                return  # another site failed; the coordinator already knows
+            t0, c0 = time.perf_counter(), time.thread_time()
+            try:
+                local, crosses = site_covariance(block, [received[j] for j in expected])
+            except BaseException:
+                run.stop.set()  # before the gate opens, so no other kernel starts
+                raise
+            run.site_ms[site] = (time.perf_counter() - t0) * 1e3
+            run.site_cpu_ms[site] = (time.thread_time() - c0) * 1e3
+        for blk in (local, *crosses):
+            net.send(ProtocolMessage(MessageKind.COV_BLOCK, site, run.coordinator, blk))
+        net.send(ProtocolMessage(MessageKind.DONE, site, run.coordinator))
     except BaseException as exc:  # the coordinator's recv raises it
+        run.stop.set()
         if not isinstance(exc, DistCovError):
             exc = TransportError(f"site {site} worker failed: {exc!r}")
-        transport.fail(coordinator, exc)
+        net.fail(run.coordinator, exc)
 
 
 def _check_blocks(blocks) -> tuple[int, int]:
@@ -506,45 +485,40 @@ def run_distributed(
 
     start = time.perf_counter()
     deadline = start + deadline_s
-    draft = _Draft(t)
-    gate = threading.Lock()  # one kernel in flight per run
+    run = _Run(schedule, net, deadline)
+    assembler = _Assembler({b.site: b.global_cols for b in blocks}, total_cols)
 
     workers = [
-        threading.Thread(
-            target=_site_worker,
-            args=(b.site, b, schedule, net, coordinator, draft, deadline, gate),
-            daemon=True,
-        )
-        for b in blocks
+        threading.Thread(target=_site_worker, args=(run, b), daemon=True) for b in blocks
     ]
     try:
         for w in workers:
             w.start()
 
         expected_blocks = t + t * (t - 1) // 2
-        local_blocks: list[CovBlock] = []
-        cross_blocks: list[CovBlock] = []
+        received: list[tuple[int, int]] = []
         done: list[int] = []
-        while len(local_blocks) + len(cross_blocks) < expected_blocks or len(done) < t:
+        while len(received) < expected_blocks or len(done) < t:
             try:
                 msg = net.recv(coordinator, deadline - time.perf_counter())
             except TimeoutError:  # the coordinator's own, or one a site forwarded
-                raise _gather_timeout(
-                    schedule, local_blocks + cross_blocks, done, deadline_s
-                ) from None
+                raise _gather_timeout(schedule, received, done, deadline_s) from None
             if msg.kind is MessageKind.DONE:
                 done.append(msg.sender)
             elif msg.kind is MessageKind.COV_BLOCK:
                 blk = msg.payload
                 assert isinstance(blk, CovBlock)
-                (local_blocks if blk.site_a == blk.site_b else cross_blocks).append(blk)
+                assembler.add(blk)
+                received.append((blk.site_a, blk.site_b))
             else:
                 raise TransportError(
                     f"coordinator received unexpected {msg.kind.name} from {msg.sender}"
                 )
 
+        # _check_blocks proved the sites' columns partition the matrix and the
+        # assembler took t + C(t,2) distinct site pairs: every pair is covered.
         t0 = time.perf_counter()
-        merged = merge_blocks(local_blocks, cross_blocks, total_cols)
+        merged = assembler.result()
         t1 = time.perf_counter()
         protocol_ms = (t1 - start) * 1e3
         merge_ms = (t1 - t0) * 1e3
@@ -552,11 +526,11 @@ def run_distributed(
         t2 = time.perf_counter()
 
         metrics = RunMetrics(
-            local_cov_ms=tuple(draft.local_ms),
-            cross_cov_ms=tuple(draft.cross_ms),
-            local_cov_cpu_ms=tuple(draft.local_cpu_ms),
-            cross_cov_cpu_ms=tuple(draft.cross_cpu_ms),
-            transfers=dict(draft.transfers),
+            site_cov_ms=tuple(run.site_ms),
+            site_cov_cpu_ms=tuple(run.site_cpu_ms),
+            transfers={
+                (j, k): stat for j, sent in enumerate(run.sent) for k, stat in sent.items()
+            },
             merge_ms=merge_ms,
             eigen_ms=(t2 - t1) * 1e3,
             protocol_ms=protocol_ms,
@@ -564,21 +538,21 @@ def run_distributed(
         )
         return merged, decomp, metrics
     finally:
+        run.stop.set()  # a site still waiting for the gate returns without computing
         net.close()  # wakes every worker still parked in recv
         for w in workers:
             w.join()
 
 
 def _gather_timeout(
-    schedule: Schedule, received: list[CovBlock], done: list[int], deadline_s: float
+    schedule: Schedule, received: list[tuple[int, int]], done: list[int], deadline_s: float
 ) -> TimeoutError:
     """Name the (site_a, site_b) blocks and the DONE markers that never came."""
     t = schedule.t
     expected = [(k, k) for k in range(t)] + [
         (j, k) for k in range(t) for j in schedule.senders_to(k)
     ]
-    got = {(b.site_a, b.site_b) for b in received}
-    missing = sorted(pair for pair in expected if pair not in got)
+    missing = sorted(pair for pair in expected if pair not in received)
     silent = sorted(set(range(t)) - set(done))
     return TimeoutError(
         f"coordinator: {len(received)}/{len(expected)} blocks and {len(done)}/{t} "
@@ -621,10 +595,8 @@ def run_centralized(
 
     cov_ms = (t1 - start) * 1e3
     metrics = RunMetrics(
-        local_cov_ms=(cov_ms,),
-        cross_cov_ms=(),
-        local_cov_cpu_ms=((c1 - c0) * 1e3,),
-        cross_cov_cpu_ms=(),
+        site_cov_ms=(cov_ms,),
+        site_cov_cpu_ms=((c1 - c0) * 1e3,),
         transfers={},
         merge_ms=0.0,
         eigen_ms=(t2 - t1) * 1e3,

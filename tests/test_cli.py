@@ -71,7 +71,7 @@ def test_gen_csv(tmp_path, capsys):
 def test_run_both_modes_same_checksum(dataset, tmp_path, capsys):
     d = _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "distributed"])
     c = _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "centralized"])
-    assert d["report_version"] == 1 and c["report_version"] == 1
+    assert d["report_version"] == 2 and c["report_version"] == 2
     assert d["partitions"] == 1 and d["mode"] == "distributed"
     assert d["matrix_checksum"] == c["matrix_checksum"]
     assert len(d["top_eigenvalues"]) == 9

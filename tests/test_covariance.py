@@ -18,6 +18,7 @@ from distcov import (
     merge_blocks,
     new_matrix,
     run_distributed,
+    site_covariance,
 )
 from distcov.errors import (
     DimensionMismatch,
@@ -29,7 +30,7 @@ from distcov.errors import (
     SameSite,
     TooFewRows,
 )
-from conftest import blocks_for, schedule_blocks
+from conftest import blocks_for, random_widths, schedule_blocks
 from distcov.schedule import build_schedule
 
 
@@ -386,3 +387,59 @@ def test_cross_block_is_exact_transpose_of_swapped_block():
         ab = cross_covariance(receiver=ba[1], sender=ba[0]).block.values
         swapped = cross_covariance(receiver=ba[0], sender=ba[1]).block.values
         assert ab.T.tobytes() == swapped.tobytes(), seed
+
+
+# --- one kernel call per site ----------------------------------------------
+
+def _site_covariance_cases(rng: np.random.Generator, t: int):
+    m = 2 * t + 1
+    yield rng.standard_normal((513, m)) * 3.0 + 1.0, [1] * (t - 1) + [m - t + 1]
+    yield rng.standard_normal((2, m)) * 5.0, random_widths(rng, m, t)
+    powers = rng.choice([500, -500, 0], size=m)
+    yield np.ldexp(rng.standard_normal((50, m)) + 0.5, powers), random_widths(rng, m, t)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_site_covariance_bit_equals_oracle_blocks(t):
+    # Every other site is a sender, so one call makes up to t-1 cross blocks.
+    rng = np.random.default_rng(200 + t)
+    for data, widths in _site_covariance_cases(rng, t):
+        oracle = centralized_covariance(DenseMatrix(data)).matrix.values
+        blocks = blocks_for(data, widths)
+        for own in blocks:
+            senders = [b for b in blocks if b is not own]
+            local, crosses = site_covariance(own, senders)
+            g = list(own.global_cols)
+            assert local.block.values.tobytes() == oracle[np.ix_(g, g)].tobytes()
+            assert (local.site_a, local.site_b) == (own.site, own.site)
+            assert len(crosses) == len(senders)
+            for sender, cross in zip(senders, crosses):
+                assert (cross.site_a, cross.site_b) == (sender.site, own.site)
+                assert cross.rows_global_cols == sender.global_cols
+                assert cross.cols_global_cols == own.global_cols
+                rows = oracle[np.ix_(list(sender.global_cols), g)]
+                assert cross.block.values.tobytes() == rows.tobytes()
+
+
+def test_site_covariance_checks_its_senders():
+    a, b = _col(0, [1, 2, 3]), _col(1, [3, 1, 2], 1)
+    local, crosses = site_covariance(a, [])
+    assert local.block.values.tolist() == [[1.0]] and crosses == []
+    with pytest.raises(SameSite):
+        site_covariance(a, [b, a])
+    with pytest.raises(RowCountMismatch):
+        site_covariance(a, [_col(1, [1, 2], 1)])
+    with pytest.raises(TooFewRows):
+        site_covariance(_col(0, [1]), [_col(1, [2], 1)])
+
+
+def test_merge_matches_the_mirrored_constructor_on_signed_zeros():
+    # A local block may hold -0.0 above its diagonal and +0.0 below it (equal
+    # values); the merged matrix must still be the one GlobalCovariance's
+    # upper-triangle mirror makes of it, bit for bit.
+    local_a = CovBlock(0, 0, DenseMatrix([[2.0, -0.0], [0.0, 3.0]]), (0, 1), (0, 1))
+    local_b = CovBlock(1, 1, DenseMatrix([[-0.0]]), (2,), (2,))
+    cross = CovBlock(1, 0, DenseMatrix([[-0.0, 1.5]]), (2,), (0, 1))
+    merged = merge_blocks([local_a, local_b], [cross], 3)
+    dense = np.array([[2.0, -0.0, -0.0], [0.0, 3.0, 1.5], [-0.0, 1.5, -0.0]])
+    assert merged.matrix.tobytes() == GlobalCovariance(dense).matrix.tobytes()

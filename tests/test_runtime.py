@@ -10,6 +10,7 @@ import pytest
 
 from distcov import (
     ColumnBlock,
+    CovBlock,
     DenseMatrix,
     MessageKind,
     ProtocolMessage,
@@ -17,17 +18,22 @@ from distcov import (
     centralized_covariance,
     critical_path_ms,
     encode_message,
+    mfeat_preset,
     new_matrix,
+    partition_vertical,
     run_centralized,
     run_distributed,
+    synthetic_table,
 )
 from distcov.errors import (
     DimensionMismatch,
+    OverlappingPair,
     RowCountMismatch,
     TimeoutError,
     TooFewRows,
     TransportError,
 )
+import distcov.covariance as covariance
 import distcov.runtime as runtime
 from distcov.runtime import (
     DEFAULT_DEADLINE_MS,
@@ -159,14 +165,68 @@ def test_one_kernel_in_flight_per_run(monkeypatch, transport):
                     in_flight[0] -= 1
         return wrapper
 
-    monkeypatch.setattr(runtime, "local_covariance", counted(runtime.local_covariance))
-    monkeypatch.setattr(runtime, "cross_covariance", counted(runtime.cross_covariance))
+    monkeypatch.setattr(runtime, "site_covariance", counted(runtime.site_covariance))
     rng = np.random.default_rng(36)
     blocks = blocks_for(rng.standard_normal((40, 14)), [3, 2, 2, 3, 2, 2])
     cov_d, _, _ = run_distributed(blocks, build_schedule(6), transport=transport)
     cov_c, _, _ = run_centralized(blocks)
     assert most[0] == 1
     assert cov_d.matrix.tobytes() == cov_c.matrix.tobytes()
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_one_kernel_call_per_site(monkeypatch, transport):
+    kernel = covariance._cov_blocks
+    calls = [0]
+
+    def counted(y, xs):
+        calls[0] += 1
+        return kernel(y, xs)
+
+    monkeypatch.setattr(covariance, "_cov_blocks", counted)
+    rng = np.random.default_rng(42)
+    blocks = blocks_for(rng.standard_normal((30, 14)), [3, 2, 2, 3, 2, 2])
+    run_distributed(blocks, build_schedule(6), transport=transport)
+    assert calls[0] == 6
+
+
+def _run_with_site_0_blocks(monkeypatch, tamper, **kwargs):
+    """A t=3 run in which site 0's cross blocks, (2, 0) only, go through tamper."""
+    kernel = runtime.site_covariance
+
+    def tampered(own, senders):
+        local, crosses = kernel(own, senders)
+        return local, tamper(crosses) if own.site == 0 else crosses
+
+    monkeypatch.setattr(runtime, "site_covariance", tampered)
+    rng = np.random.default_rng(43)
+    blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
+    return run_distributed(blocks, build_schedule(3), **kwargs)
+
+
+def test_coordinator_refuses_a_duplicated_block(monkeypatch):
+    with pytest.raises(OverlappingPair, match=r"block \(2,0\)"):
+        _run_with_site_0_blocks(monkeypatch, lambda crosses: crosses + crosses)
+
+
+def test_coordinator_refuses_a_relabelled_block(monkeypatch):
+    def relabel(crosses):
+        # Site 2 holds columns 4 and 5; claim they are site 1's 2 and 3.
+        return [
+            CovBlock(c.site_a, c.site_b, c.block, (2, 3), c.cols_global_cols)
+            for c in crosses
+        ]
+
+    with pytest.raises(DimensionMismatch, match="not the columns of sites 2 and 0"):
+        _run_with_site_0_blocks(monkeypatch, relabel)
+
+
+def test_coordinator_names_a_missing_block(monkeypatch):
+    with pytest.raises(TimeoutError) as exc:
+        _run_with_site_0_blocks(monkeypatch, lambda crosses: [], deadline_ms=300.0)
+    text = str(exc.value)
+    assert text.split("missing blocks (site_a, site_b): ")[1].split(";")[0] == "(2, 0)"
+    assert text.split("no DONE from sites: ")[1] == "none"
 
 
 def test_tcp_transport_runs_one_io_thread():
@@ -276,14 +336,14 @@ def test_deadline_zero_times_out():
 
 
 def test_timeout_names_the_missing_blocks(monkeypatch):
-    kernel = runtime.cross_covariance
+    kernel = runtime.site_covariance
 
-    def stalled(receiver, sender):
-        if (sender.site, receiver.site) == (2, 0):
+    def stalled(own, senders):
+        if own.site == 0:  # site 0 computes the (2, 0) block
             time.sleep(0.6)
-        return kernel(receiver=receiver, sender=sender)
+        return kernel(own, senders)
 
-    monkeypatch.setattr(runtime, "cross_covariance", stalled)
+    monkeypatch.setattr(runtime, "site_covariance", stalled)
     rng = np.random.default_rng(37)
     blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
     with pytest.raises(TimeoutError) as exc:
@@ -329,18 +389,18 @@ def test_bad_deadline_is_refused_before_any_thread(monkeypatch, override, env, e
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
 def test_failing_site_ends_the_run_at_once(monkeypatch, transport):
     t = 6
-    kernel = runtime.local_covariance
+    kernel = runtime.site_covariance
     calls = itertools.count(1)
     failed: list[int] = []
 
-    def last_one_fails(block):
+    def last_one_fails(own, senders):
         # The last site to compute fails, once its peers are parked waiting for it.
         if next(calls) == t:
-            failed.append(block.site)
+            failed.append(own.site)
             raise RuntimeError("disk gone")
-        return kernel(block)
+        return kernel(own, senders)
 
-    monkeypatch.setattr(runtime, "local_covariance", last_one_fails)
+    monkeypatch.setattr(runtime, "site_covariance", last_one_fails)
     rng = np.random.default_rng(39)
     blocks = blocks_for(rng.standard_normal((20, 12)), [2] * t)
     before = threading.active_count()
@@ -349,6 +409,29 @@ def test_failing_site_ends_the_run_at_once(monkeypatch, transport):
         run_distributed(blocks, build_schedule(t), transport=transport)
     assert time.perf_counter() - started < 1.0
     assert str(exc.value).startswith(f"site {failed[0]} worker failed")
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_first_failure_stops_the_other_kernels(monkeypatch, transport):
+    blocks = partition_vertical(synthetic_table(2000, 649, seed=5), mfeat_preset(6))
+    kernel = runtime.site_covariance
+    calls: list[int] = []
+
+    def first_fails(own, senders):
+        calls.append(own.site)
+        if len(calls) == 1:
+            raise RuntimeError("disk gone")
+        return kernel(own, senders)
+
+    monkeypatch.setattr(runtime, "site_covariance", first_fails)
+    before = threading.active_count()
+    started = time.perf_counter()
+    with pytest.raises(TransportError, match="worker failed: RuntimeError") as exc:
+        run_distributed(blocks, build_schedule(6), transport=transport)
+    assert time.perf_counter() - started < 1.0
+    assert len(calls) == 1
+    assert str(exc.value).startswith(f"site {calls[0]} worker failed")
     assert threading.active_count() == before
 
 
@@ -398,7 +481,7 @@ def test_column_ownership_is_checked_before_any_kernel(monkeypatch, cols, messag
             return kernel(*args, **kwargs)
         return wrapper
 
-    for name in ("local_covariance", "cross_covariance", "centralized_covariance"):
+    for name in ("site_covariance", "centralized_covariance"):
         monkeypatch.setattr(runtime, name, counted(getattr(runtime, name)))
     rng = np.random.default_rng(41)
     blocks = [
@@ -415,22 +498,22 @@ def test_column_ownership_is_checked_before_any_kernel(monkeypatch, cols, messag
 def test_critical_path_aggregation():
     sched = build_schedule(3)  # preds: [[2], [0], [1]]  (t=3, r=1)
     metrics = RunMetrics(
-        local_cov_ms=(5.0, 9.0, 7.0),
-        cross_cov_ms=(4.0, 2.0, 6.0),
+        site_cov_ms=(50.0, 50.0, 50.0),  # wall readings are not used
+        site_cov_cpu_ms=(9.0, 7.0, 12.0),
         transfers={
             (2, 0): TransferStat(bytes=10, ms=1.0),
-            (0, 1): TransferStat(bytes=10, ms=3.0),
+            (0, 1): TransferStat(bytes=10, ms=5.0),
             (1, 2): TransferStat(bytes=10, ms=2.0),
         },
     )
-    # slowest local = 9; per-site cross+inbound = 5, 5, 8 -> 9 + 8
-    assert critical_path_ms(metrics, sched) == pytest.approx(17.0)
+    # per-site inbound + kernel = 10, 12, 14 -> 14
+    assert critical_path_ms(metrics, sched) == pytest.approx(14.0)
 
 
 def test_metrics_serialization():
     metrics = RunMetrics(
-        local_cov_ms=(1.0,),
-        cross_cov_ms=(0.0,),
+        site_cov_ms=(1.0, 2.0),
+        site_cov_cpu_ms=(0.9, 1.8),
         transfers={(0, 1): TransferStat(bytes=5, ms=0.5)},
         merge_ms=0.1,
         eigen_ms=0.2,
@@ -438,5 +521,7 @@ def test_metrics_serialization():
         total_ms=1.7,
     )
     doc = metrics.to_dict()
+    assert doc["site_cov_ms"] == [1.0, 2.0]
+    assert doc["site_cov_cpu_ms"] == [0.9, 1.8]
     assert doc["transfers"] == [{"from": 0, "to": 1, "bytes": 5, "ms": 0.5}]
     assert doc["total_ms"] == 1.7
