@@ -24,7 +24,7 @@ the final sum is rounded once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .errors import (
     TooFewRows,
 )
 from .matrix import DenseMatrix
+from .schedule import pair_coverage
 
 __all__ = [
     "ColumnBlock",
@@ -385,29 +386,48 @@ def centralized_covariance(m: DenseMatrix) -> GlobalCovariance:
     return GlobalCovariance(block, m.labels)
 
 
+def _column_count(owners: Iterable[Sequence[int]]) -> int:
+    """m, once the sites' global columns are shown to partition 0 .. m-1."""
+    seen: set[int] = set()
+    for cols in owners:
+        for c in cols:
+            if c in seen:
+                raise DimensionMismatch(f"column {c} held by two sites")
+            seen.add(c)
+    missing = set(range(len(seen) or 1)) - seen  # no columns at all misses column 0
+    if missing:
+        raise DimensionMismatch(f"column {min(missing)} held by no site")
+    return len(seen)
+
+
 class _Assembler:
     """The m x m matrix, written one block (and its mirror) at a time.
 
-    `owners[k]` is site k's global columns, which must partition 0 .. m-1.
-    A block is refused when its (unordered) site pair came before, or when
-    its row and column indices are not its two sites' columns; so once
-    every pair of sites has arrived, every pair of columns is covered
-    exactly once.
+    Built from `owners[k]`, site k's global columns, and the (site_a,
+    site_b) of every block to come, it first proves that the columns
+    partition 0 .. m-1 and that the blocks cover every unordered pair of
+    sites exactly once. It then takes only the blocks still `missing`.
     """
 
-    def __init__(self, owners: dict[int, tuple[int, ...]], total_cols: int):
+    def __init__(self, owners: dict[int, tuple[int, ...]], pairs: Sequence[tuple[int, int]]):
+        self.dim = _column_count(owners.values())
+        surplus, gaps = pair_coverage(owners, pairs)
+        if gaps:
+            raise MissingPair(f"site pair {gaps[0]} not covered by any block")
+        if surplus:
+            raise OverlappingPair(f"site pair {surplus[0]} covered twice or by an unknown site")
+        self.expected, self.missing = len(pairs), set(pairs)
         self._owners = owners
-        self._out = np.empty((total_cols, total_cols), dtype=np.float64)
-        self._pairs: set[tuple[int, int]] = set()
-        self._labels: list[str | None] = [None] * total_cols
+        self._out = np.empty((self.dim, self.dim), dtype=np.float64)
+        self._labels: list[str | None] = [None] * self.dim
 
     def add(self, blk: CovBlock) -> None:
         a, b = blk.site_a, blk.site_b
-        if (a, b) in self._pairs or (b, a) in self._pairs:
-            raise OverlappingPair(f"block ({a},{b}) covers site pair ({a},{b}) again")
+        if (a, b) not in self.missing:
+            raise OverlappingPair(f"block ({a},{b}) came before or was never expected")
         if (
-            blk.rows_global_cols != self._owners.get(a)
-            or blk.cols_global_cols != self._owners.get(b)
+            blk.rows_global_cols != self._owners[a]
+            or blk.cols_global_cols != self._owners[b]
         ):
             raise DimensionMismatch(
                 f"block ({a},{b}) indices are not the columns of sites {a} and {b}"
@@ -419,15 +439,11 @@ class _Assembler:
         elif blk.block.labels is not None:
             for pos, name in zip(rg, blk.block.labels):
                 self._labels[pos] = name
-        self._pairs.add((a, b))
+        self.missing.remove((a, b))
 
     def result(self) -> GlobalCovariance:
-        """The matrix; MissingPair unless every pair of sites has arrived.
-        Labels survive only if every local block carries them."""
-        for a in self._owners:
-            for b in self._owners:
-                if a <= b and (a, b) not in self._pairs and (b, a) not in self._pairs:
-                    raise MissingPair(f"site pair ({a},{b}) not covered by any block")
+        """The matrix, once `missing` is empty. Labels survive only if every
+        local block carries them."""
         labels = None if None in self._labels else tuple(self._labels)
         return GlobalCovariance._assembled(self._out, labels)
 
@@ -445,37 +461,30 @@ def merge_blocks(
     produce a wrong matrix, so gaps and overlaps are hard errors.
 
     Raises:
-        MissingPair: some column pair is not covered.
-        OverlappingPair: some column pair is covered twice.
-        DimensionMismatch: a block references columns outside the matrix,
-            or a cross block's columns are not its sites' columns.
+        MissingPair: some pair of sites has no block.
+        OverlappingPair: some pair of sites has two blocks, or a cross
+            block names a site with no local block.
+        DimensionMismatch: the local blocks' columns do not partition
+            0 .. total_cols-1, a cross block's columns are not its sites'
+            columns, or a block is filed as the other kind.
     """
-    if total_cols < 1:
-        raise DimensionMismatch("total_cols must be >= 1")
     for blk in cross_blocks:
         if blk.site_a == blk.site_b:
             raise DimensionMismatch(f"local block of site {blk.site_a} passed as a cross block")
-
-    covered = [False] * total_cols
     for blk in local_blocks:
         if blk.site_a != blk.site_b:
             raise DimensionMismatch(
                 f"cross block ({blk.site_a},{blk.site_b}) passed as a local block"
             )
-        for c in blk.rows_global_cols:
-            if not 0 <= c < total_cols:
-                raise DimensionMismatch(
-                    f"block ({blk.site_a},{blk.site_b}) references column {c}, "
-                    f"matrix has {total_cols}"
-                )
-            if covered[c]:
-                raise OverlappingPair(f"column pair ({c},{c}) covered more than once")
-            covered[c] = True
-    if not all(covered):
-        c = covered.index(False)
-        raise MissingPair(f"column pair ({c},{c}) not covered by any block")
-
-    assembler = _Assembler({b.site_a: b.rows_global_cols for b in local_blocks}, total_cols)
-    for blk in (*local_blocks, *cross_blocks):
+    blocks = (*local_blocks, *cross_blocks)
+    assembler = _Assembler(
+        {b.site_a: b.rows_global_cols for b in local_blocks},
+        [(b.site_a, b.site_b) for b in blocks],
+    )
+    if assembler.dim != total_cols:
+        raise DimensionMismatch(
+            f"the blocks hold {assembler.dim} columns, total_cols is {total_cols}"
+        )
+    for blk in blocks:
         assembler.add(blk)
     return assembler.result()

@@ -4,8 +4,10 @@ One worker thread per site ships its raw columns to every site that lists
 it as a predecessor, waits for every predecessor's columns, then makes one
 kernel call (`site_covariance`) for its local block and all its cross
 blocks, and sends every block to the coordinator (reserved endpoint id =
-t). The coordinator writes each block into the m x m matrix as it arrives,
-so once the last of the t local + C(t,2) cross blocks is in, only the
+t). Before any socket or thread exists, the coordinator's `_Assembler`
+proves that the sites' columns partition the table and that the schedule's
+blocks cover every pair of sites exactly once. It then writes each block
+into the m x m matrix as it arrives, so once the last block is in, only the
 eigen-decomposition is left.
 
 A run has one compute gate: a site holds it only while its kernel runs,
@@ -48,6 +50,7 @@ from .covariance import (
     CovBlock,
     GlobalCovariance,
     _Assembler,
+    _column_count,
     centralized_covariance,
     site_covariance,
 )
@@ -123,7 +126,7 @@ class RunMetrics:
     what the site would spend on a processor of its own. `transfers` is
     keyed by directed edge (sender, receiver) and covers raw column
     shipments only. `merge_ms` is what assembly leaves after the last
-    message: the coverage proof and the matrix's final checks.
+    message: the matrix's final checks.
     """
 
     site_cov_ms: tuple[float, ...]
@@ -424,9 +427,8 @@ def _site_worker(run: _Run, block: ColumnBlock) -> None:
         net.fail(run.coordinator, exc)
 
 
-def _check_blocks(blocks) -> tuple[int, int]:
-    """Validate blocks sorted by site, including that every column is held
-    by exactly one site; returns (row count, total columns)."""
+def _check_blocks(blocks) -> int:
+    """Validate blocks sorted by site, but for their columns; returns the row count."""
     if not blocks:
         raise DimensionMismatch("need at least one column block")
     sites = [b.site for b in blocks]
@@ -440,17 +442,7 @@ def _check_blocks(blocks) -> tuple[int, int]:
             )
     if rows < 2:
         raise TooFewRows("sample covariance needs at least 2 rows")
-    total = max(c for b in blocks for c in b.global_cols) + 1
-    seen: set[int] = set()
-    for b in blocks:
-        overlap = seen.intersection(b.global_cols)
-        if overlap:
-            raise DimensionMismatch(f"column {min(overlap)} held by two sites")
-        seen.update(b.global_cols)
-    if len(seen) != total:
-        missing = next(c for c in range(total) if c not in seen)
-        raise DimensionMismatch(f"column {missing} held by no site")
-    return rows, total
+    return rows
 
 
 def run_distributed(
@@ -467,10 +459,11 @@ def run_distributed(
     propagates the first worker error otherwise.
     """
     blocks = sorted(blocks, key=lambda b: b.site)
-    rows, total_cols = _check_blocks(blocks)
+    rows = _check_blocks(blocks)
     t = len(blocks)
     if schedule.t != t:
         raise DimensionMismatch(f"schedule is for {schedule.t} sites, got {t} blocks")
+    assembler = _Assembler({b.site: b.global_cols for b in blocks}, schedule.blocks())
     deadline_s = _deadline_ms(deadline_ms) / 1e3
     coordinator = t  # reserved endpoint id
     endpoints = list(range(t)) + [coordinator]
@@ -486,7 +479,6 @@ def run_distributed(
     start = time.perf_counter()
     deadline = start + deadline_s
     run = _Run(schedule, net, deadline)
-    assembler = _Assembler({b.site: b.global_cols for b in blocks}, total_cols)
 
     workers = [
         threading.Thread(target=_site_worker, args=(run, b), daemon=True) for b in blocks
@@ -495,28 +487,22 @@ def run_distributed(
         for w in workers:
             w.start()
 
-        expected_blocks = t + t * (t - 1) // 2
-        received: list[tuple[int, int]] = []
         done: list[int] = []
-        while len(received) < expected_blocks or len(done) < t:
+        while assembler.missing or len(done) < t:
             try:
                 msg = net.recv(coordinator, deadline - time.perf_counter())
             except TimeoutError:  # the coordinator's own, or one a site forwarded
-                raise _gather_timeout(schedule, received, done, deadline_s) from None
+                raise _gather_timeout(assembler, done, t, deadline_s) from None
             if msg.kind is MessageKind.DONE:
                 done.append(msg.sender)
             elif msg.kind is MessageKind.COV_BLOCK:
-                blk = msg.payload
-                assert isinstance(blk, CovBlock)
-                assembler.add(blk)
-                received.append((blk.site_a, blk.site_b))
+                assert isinstance(msg.payload, CovBlock)
+                assembler.add(msg.payload)
             else:
                 raise TransportError(
                     f"coordinator received unexpected {msg.kind.name} from {msg.sender}"
                 )
 
-        # _check_blocks proved the sites' columns partition the matrix and the
-        # assembler took t + C(t,2) distinct site pairs: every pair is covered.
         t0 = time.perf_counter()
         merged = assembler.result()
         t1 = time.perf_counter()
@@ -545,20 +531,16 @@ def run_distributed(
 
 
 def _gather_timeout(
-    schedule: Schedule, received: list[tuple[int, int]], done: list[int], deadline_s: float
+    assembler: _Assembler, done: list[int], t: int, deadline_s: float
 ) -> TimeoutError:
     """Name the (site_a, site_b) blocks and the DONE markers that never came."""
-    t = schedule.t
-    expected = [(k, k) for k in range(t)] + [
-        (j, k) for k in range(t) for j in schedule.senders_to(k)
-    ]
-    missing = sorted(pair for pair in expected if pair not in received)
+    missing = sorted(assembler.missing)
     silent = sorted(set(range(t)) - set(done))
     return TimeoutError(
-        f"coordinator: {len(received)}/{len(expected)} blocks and {len(done)}/{t} "
-        f"completions within {deadline_s:.3f}s; missing blocks (site_a, site_b): "
-        f"{', '.join(map(str, missing)) or 'none'}; no DONE from sites: "
-        f"{', '.join(map(str, silent)) or 'none'}"
+        f"coordinator: {assembler.expected - len(missing)}/{assembler.expected} blocks "
+        f"and {len(done)}/{t} completions within {deadline_s:.3f}s; missing blocks "
+        f"(site_a, site_b): {', '.join(map(str, missing)) or 'none'}; no DONE from "
+        f"sites: {', '.join(map(str, silent)) or 'none'}"
     )
 
 
@@ -572,7 +554,8 @@ def run_centralized(
     distributed output.
     """
     blocks = sorted(blocks, key=lambda b: b.site)
-    rows, total_cols = _check_blocks(blocks)
+    rows = _check_blocks(blocks)
+    total_cols = _column_count(b.global_cols for b in blocks)
 
     full = np.empty((rows, total_cols), dtype=np.float64)
     labels: list[str] | None = [""] * total_cols

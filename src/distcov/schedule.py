@@ -9,7 +9,9 @@ r(r-1) + r*r = t(t-1)/2); with t = 2r+1 every site takes r.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import IndexOutOfRange
 
@@ -35,6 +37,13 @@ class Schedule:
         if not 0 <= j < self.t:
             raise IndexOutOfRange(f"site {j} out of range for t={self.t}")
         return tuple(k for k in range(self.t) if j in self.predecessors[k])
+
+    def blocks(self) -> list[tuple[int, int]]:
+        """(site_a, site_b) of every block a run computes: (k, k) for each
+        site, then (j, k) for each predecessor j of site k."""
+        return [(k, k) for k in range(len(self.predecessors))] + [
+            (j, k) for k, preds in enumerate(self.predecessors) for j in preds
+        ]
 
 
 @dataclass(frozen=True)
@@ -82,31 +91,29 @@ def build_schedule(t: int) -> Schedule:
     return Schedule(t=t, r=r, predecessors=tuple(lists))
 
 
+def pair_coverage(sites: Iterable[int], pairs: Iterable[tuple[int, int]]):
+    """(surplus, gaps): the sorted unordered pairs, self pairs included, that
+    `pairs` covers twice or that name a site outside `sites`, and those of
+    `sites` it misses."""
+    inside, seen = set(sites), Counter((min(a, b), max(a, b)) for a, b in pairs)
+    surplus = sorted(p for p, n in seen.items() if n > 1 or not inside.issuperset(p))
+    order = sorted(inside)
+    gaps = [(a, b) for i, a in enumerate(order) for b in order[i:] if (a, b) not in seen]
+    return tuple(surplus), tuple(gaps)
+
+
 def validate_schedule(s: Schedule) -> CoverageReport:
     """Check exact-once coverage of all unordered site pairs.
 
-    Valid iff every pair of distinct sites appears exactly once across the
-    predecessor lists and no list is longer than r.
+    Valid iff the schedule's blocks cover every pair of sites exactly once,
+    a site with itself only by its local block, and no list is longer than r.
     """
-    seen: dict[tuple[int, int], int] = {}
-    max_len = 0
-    for k, preds in enumerate(s.predecessors):
-        max_len = max(max_len, len(preds))
-        for p in preds:
-            pair = (min(p, k), max(p, k))
-            seen[pair] = seen.get(pair, 0) + 1
-
-    duplicates = tuple(sorted(pair for pair, n in seen.items() if n > 1))
-    all_pairs = ((a, b) for a in range(s.t) for b in range(a + 1, s.t))
-    gaps = tuple(pair for pair in all_pairs if pair not in seen)
-    self_pairs = tuple(
-        (k, k) for k, preds in enumerate(s.predecessors) if k in preds
-    )
-    valid = not duplicates and not gaps and not self_pairs and max_len <= s.r
+    surplus, gaps = pair_coverage(range(s.t), s.blocks())
+    max_len = max(map(len, s.predecessors), default=0)
     return CoverageReport(
-        pairs_covered=len(seen),
-        duplicates=duplicates + self_pairs,
+        pairs_covered=s.t * (s.t - 1) // 2 - sum(a != b for a, b in gaps),
+        duplicates=surplus,
         gaps=gaps,
         max_list_len=max_len,
-        valid=valid,
+        valid=not surplus and not gaps and max_len <= s.r,
     )

@@ -233,6 +233,10 @@ def test_merge_rejects_out_of_range_indices(three_site_blocks):
     locals_, crosses = schedule_blocks(three_site_blocks, sched)
     with pytest.raises(DimensionMismatch):
         merge_blocks(locals_, crosses, 4)
+    first = locals_[0]  # site 0 claims column -1 in place of column 0
+    negative = CovBlock(0, 0, first.block, (-1, 1), (-1, 1))
+    with pytest.raises(DimensionMismatch, match="^column 0 held by no site$"):
+        merge_blocks([negative, *locals_[1:]], crosses, 5)
 
 
 def test_merge_rejects_misfiled_blocks(three_site_blocks):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import socket
 import threading
 import time
@@ -14,19 +15,25 @@ from distcov import (
     DenseMatrix,
     MessageKind,
     ProtocolMessage,
+    Schedule,
     build_schedule,
     centralized_covariance,
     critical_path_ms,
     encode_message,
+    local_covariance,
+    merge_blocks,
     mfeat_preset,
     new_matrix,
     partition_vertical,
     run_centralized,
     run_distributed,
     synthetic_table,
+    validate_schedule,
 )
 from distcov.errors import (
+    CoverageError,
     DimensionMismatch,
+    DistCovError,
     OverlappingPair,
     RowCountMismatch,
     TimeoutError,
@@ -493,6 +500,74 @@ def test_column_ownership_is_checked_before_any_kernel(monkeypatch, cols, messag
     with pytest.raises(DimensionMismatch, match=f"^{message}$"):
         run_centralized(blocks)
     assert calls[0] == 0
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        merge_blocks([local_covariance(b) for b in blocks], [], 4)
+
+
+def _three_site_lists():
+    """Every t=3 schedule whose lists draw from the other two sites: 5**3."""
+    for k_lists in itertools.product(range(5), repeat=3):
+        lists = []
+        for k, choice in enumerate(k_lists):
+            a, b = (j for j in range(3) if j != k)
+            lists.append(((), (a,), (b,), (a, b), (b, a))[choice])
+        yield tuple(lists)
+
+
+def test_schedule_proof_agrees_with_validate_schedule(monkeypatch):
+    kernel = runtime.site_covariance
+    calls, starts = [0], [0]
+    start = threading.Thread.start
+
+    def counted_kernel(own, senders):
+        calls[0] += 1
+        return kernel(own, senders)
+
+    def counted_start(self):
+        starts[0] += 1
+        start(self)
+
+    monkeypatch.setattr(runtime, "site_covariance", counted_kernel)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    rng = np.random.default_rng(44)
+    blocks = blocks_for(rng.standard_normal((8, 5)), [2, 2, 1])
+    oracle = run_centralized(blocks)[0].matrix.tobytes()
+    refused, unbalanced = 0, 0
+    for lists in _three_site_lists():
+        schedule = Schedule(t=3, r=1, predecessors=lists)
+        rep = validate_schedule(schedule)
+        calls[0] = starts[0] = 0
+        try:
+            cov = run_distributed(blocks, schedule)[0]
+        except CoverageError:
+            assert rep.gaps or rep.duplicates, lists
+            assert calls[0] == starts[0] == 0, lists
+            refused += 1
+        else:
+            assert not rep.gaps and not rep.duplicates, lists
+            assert cov.matrix.tobytes() == oracle, lists
+            unbalanced += not rep.valid  # correct, but a list is longer than r
+    # 14 of the 125 cover each pair once: the two ring orientations, and 12
+    # where one site receives from both others, such as ((1, 2), (2,), ()).
+    assert refused == 111 and unbalanced == 12
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+@pytest.mark.parametrize("t, lists, pair", [
+    (3, ((2,), (0,), ()), "(1, 2)"),  # a gap
+    (2, ((5,), ()), "(0, 1)"),  # a site outside the run
+    (3, ((2,), (0,)), "(1, 2)"),  # fewer lists than sites
+])
+def test_bad_schedule_fails_before_any_thread(monkeypatch, transport, t, lists, pair):
+    monkeypatch.delenv("DCM_DEADLINE_MS", raising=False)
+    rng = np.random.default_rng(45)
+    blocks = blocks_for(rng.standard_normal((8, 2 * t)), [2] * t)
+    before = threading.active_count()
+    started = time.perf_counter()
+    with pytest.raises(DistCovError, match=re.escape(f"site pair {pair} not covered")):
+        run_distributed(blocks, Schedule(t=t, r=1, predecessors=lists), transport=transport)
+    assert time.perf_counter() - started < 1.0
+    assert threading.active_count() == before
 
 
 def test_critical_path_aggregation():

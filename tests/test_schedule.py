@@ -107,6 +107,19 @@ def test_validate_rejects_self_pair():
     assert not rep.valid
 
 
+def test_validate_rejects_a_site_outside_the_ring():
+    # Pair (0, 1) is covered once; site 5 does not exist in a 2-site run.
+    rep = validate_schedule(Schedule(t=2, r=1, predecessors=((1,), (5,))))
+    assert not rep.valid
+    assert rep.duplicates == ((1, 5),) and rep.gaps == ()
+
+
+def test_schedule_blocks_follow_the_lists():
+    assert build_schedule(3).blocks() == [(0, 0), (1, 1), (2, 2), (2, 0), (0, 1), (1, 2)]
+    short = Schedule(t=3, r=1, predecessors=((1, 2), (2,)))
+    assert validate_schedule(short).gaps == ((2, 2),)
+
+
 @given(st.integers(min_value=1, max_value=64))
 def test_every_schedule_covers_all_pairs_once(t):
     s = build_schedule(t)
