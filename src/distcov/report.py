@@ -16,7 +16,7 @@ import numpy as np
 from .costmodel import distributed_cost
 from .covariance import GlobalCovariance
 from .eigen import EigenDecomposition
-from .errors import DimensionMismatch, IoError, MalformedFrame, MismatchError
+from .errors import IoError, MalformedFrame, MismatchError
 from .matrix import DenseMatrix
 from .runtime import RunMetrics, critical_path_ms, run_centralized, run_distributed
 from .schedule import Schedule, build_schedule
@@ -119,10 +119,6 @@ def compare_partitions(
     cen_cov, cen_eig, cen_metrics = run_centralized(blocks)
 
     dist_bytes = dist_cov.matrix.tobytes()
-    if dist_cov.dim != cen_cov.dim:
-        raise DimensionMismatch(
-            f"distributed dim {dist_cov.dim} vs centralized {cen_cov.dim}"
-        )
     equal = dist_bytes == cen_cov.matrix.tobytes()
     if not equal:
         raise MismatchError(

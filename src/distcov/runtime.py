@@ -1,22 +1,15 @@
-"""Protocol runtime: per-site workers, a coordinator, and two transports.
+"""Protocol runtime: site turns, a coordinator, and two transports.
 
-One worker thread per site ships its raw columns to every site that lists
-it as a predecessor, waits for every predecessor's columns, then makes one
+Every site first ships its raw columns to every site that lists it as a
+predecessor. Then the sites take turns on the caller's thread, in site
+order: each takes its predecessors' columns from its inbox, makes one
 kernel call (`site_covariance`) for its local block and all its cross
 blocks, and sends every block to the coordinator (reserved endpoint id =
-t). Before any socket or thread exists, the coordinator's `_Assembler`
-proves that the sites' columns partition the table and that the schedule's
-blocks cover every pair of sites exactly once. It then writes each block
-into the m x m matrix as it arrives, so once the last block is in, only the
-eigen-decomposition is left.
-
-A run has one compute gate: a site holds it only while its kernel runs,
-never while it sends, receives or waits. The kernels' BLAS calls already
-use every core, so kernels from several sites at once only make their
-threads spin against each other; with the gate they run one at a time,
-back to back, since every site's data is shipped before any kernel runs.
-The first failure in a run sets its stop event, and a site that sees the
-event once it holds the gate returns without computing.
+t). Before any socket exists, the coordinator's `_Assembler` proves that
+the sites' columns partition the table and that the schedule's blocks
+cover every pair of sites exactly once. After the last turn the
+coordinator drains its inbox, writing each block into the m x m matrix, so
+once the last block is in, only the eigen-decomposition is left.
 
 Both transports move the same encoded frames, so byte counts are real and
 the merged matrix is bit-identical either way: in-process puts frames
@@ -24,11 +17,9 @@ straight into the receiver's inbox, TCP uses loopback sockets with one
 connection per directed edge, all read by a single I/O thread.
 
 Each endpoint has one FIFO inbox, and it is the only way anything reaches
-the endpoint: frames, failures and shutdown. A failing site puts its
-exception into the coordinator's inbox, so the coordinator's one blocking
-`recv` raises it at once; the coordinator then closes the transport, which
-puts a "transport closed" TransportError into every inbox, so no site stays
-parked in `recv` behind the failure.
+the endpoint: frames, failures and shutdown. A failure in a site's turn or
+in the coordinator's loop propagates to the caller; the transport is closed
+on the way out, which stops the TCP I/O thread.
 """
 
 from __future__ import annotations
@@ -38,7 +29,6 @@ import os
 import queue
 import selectors
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -86,7 +76,6 @@ __all__ = [
 ]
 
 DEFAULT_DEADLINE_MS = 60_000.0
-_LENGTH = struct.Struct("<Q")
 
 
 def _deadline_ms(override: float | None) -> float:
@@ -119,14 +108,11 @@ class RunMetrics:
 
     Each site's one kernel call (its local block and all its cross blocks)
     carries two readings: wall time (`site_cov_ms`) and per-thread CPU time
-    (`site_cov_cpu_ms`). Both start once the site holds the run's compute
-    gate, so neither counts the wait for another site's kernel. The wall
-    reading still includes time the site's thread spends waiting for the
-    interpreter lock while other threads move frames; the CPU reading is
-    what the site would spend on a processor of its own. `transfers` is
-    keyed by directed edge (sender, receiver) and covers raw column
-    shipments only. `merge_ms` is what assembly leaves after the last
-    message: the matrix's final checks.
+    (`site_cov_cpu_ms`). The sites take turns, so neither counts another
+    site's kernel; the CPU reading is what the site would spend on a
+    processor of its own. `transfers` is keyed by directed edge (sender,
+    receiver) and covers raw column shipments only. `merge_ms` is what
+    assembly leaves after the last message: the matrix's final checks.
     """
 
     site_cov_ms: tuple[float, ...]
@@ -159,8 +145,8 @@ def critical_path_ms(metrics: RunMetrics, schedule: Schedule) -> float:
     Each site receives its predecessors' columns, then makes its one kernel
     call, and the sites do so concurrently, so the protocol takes the
     slowest site's inbound transfers plus kernel. Kernel costs are the
-    per-thread CPU readings, which stay honest when one host runs every site
-    and the sites' kernels take turns at its compute gate.
+    per-thread CPU readings, which stay honest when one host runs every
+    site's kernel in turn.
     """
     return max(
         metrics.site_cov_cpu_ms[k]
@@ -313,8 +299,7 @@ class TcpTransport(_Inboxes):
             if st.got < len(st.buf):
                 continue
             if st.got == HEADER.size:  # a full header; frame buffers are always longer
-                # Length field sits after magic(4) + kind(1) + sender(4) + receiver(4).
-                size = HEADER.size + _LENGTH.unpack_from(st.buf, 13)[0]
+                size = HEADER.size + HEADER.unpack_from(st.buf)[4]
                 if self._max_frame is not None and size > self._max_frame:
                     self.fail(st.endpoint, TransportError(
                         f"endpoint {st.endpoint}: frame of {size} bytes exceeds the "
@@ -367,64 +352,39 @@ class TcpTransport(_Inboxes):
         super().close()
 
 
-class _Run:
-    """What the site workers of one run share. Each site writes only its own
-    metrics slots, before it sends DONE; the coordinator reads them once
-    every DONE is in."""
-
-    def __init__(self, schedule: Schedule, net, deadline: float):
-        self.schedule, self.net, self.deadline = schedule, net, deadline
-        self.coordinator = schedule.t  # reserved endpoint id
-        self.gate = threading.Lock()  # one kernel in flight per run
-        self.stop = threading.Event()  # set by the run's first failure
-        self.site_ms = [0.0] * schedule.t
-        self.site_cpu_ms = [0.0] * schedule.t
-        self.sent: list[dict[int, TransferStat]] = [{} for _ in range(schedule.t)]
-
-
-def _site_worker(run: _Run, block: ColumnBlock) -> None:
-    site, net = block.site, run.net
-    try:
-        for receiver in run.schedule.receivers_from(site):
-            run.sent[site][receiver] = net.send(
-                ProtocolMessage(MessageKind.DATA_BLOCK, site, receiver, block)
+def _site_turn(net, schedule: Schedule, block: ColumnBlock, deadline: float) -> tuple[float, float]:
+    """One site's turn: take its predecessors' columns from its inbox, make
+    its one kernel call, and send every block and DONE to the coordinator.
+    Returns the kernel call's wall and CPU time in ms."""
+    site, coordinator = block.site, schedule.t
+    received: dict[int, ColumnBlock] = {}
+    expected = schedule.senders_to(site)
+    while len(received) < len(expected):
+        msg = net.recv(site, deadline - time.perf_counter())
+        if msg.kind is not MessageKind.DATA_BLOCK:
+            raise TransportError(
+                f"site {site} received unexpected {msg.kind.name} from {msg.sender}"
             )
+        got = msg.payload
+        assert isinstance(got, ColumnBlock)
+        if got.site not in expected or got.site in received:
+            raise TransportError(
+                f"site {site} received data from non-predecessor {got.site}"
+            )
+        received[got.site] = got
 
-        received: dict[int, ColumnBlock] = {}
-        expected = run.schedule.senders_to(site)
-        while len(received) < len(expected):
-            msg = net.recv(site, run.deadline - time.perf_counter())
-            if msg.kind is not MessageKind.DATA_BLOCK:
-                raise TransportError(
-                    f"site {site} received unexpected {msg.kind.name} from {msg.sender}"
-                )
-            got = msg.payload
-            assert isinstance(got, ColumnBlock)
-            if got.site not in expected or got.site in received:
-                raise TransportError(
-                    f"site {site} received data from non-predecessor {got.site}"
-                )
-            received[got.site] = got
-
-        with run.gate:
-            if run.stop.is_set():
-                return  # another site failed; the coordinator already knows
-            t0, c0 = time.perf_counter(), time.thread_time()
-            try:
-                local, crosses = site_covariance(block, [received[j] for j in expected])
-            except BaseException:
-                run.stop.set()  # before the gate opens, so no other kernel starts
-                raise
-            run.site_ms[site] = (time.perf_counter() - t0) * 1e3
-            run.site_cpu_ms[site] = (time.thread_time() - c0) * 1e3
-        for blk in (local, *crosses):
-            net.send(ProtocolMessage(MessageKind.COV_BLOCK, site, run.coordinator, blk))
-        net.send(ProtocolMessage(MessageKind.DONE, site, run.coordinator))
-    except BaseException as exc:  # the coordinator's recv raises it
-        run.stop.set()
-        if not isinstance(exc, DistCovError):
-            exc = TransportError(f"site {site} worker failed: {exc!r}")
-        net.fail(run.coordinator, exc)
+    t0, c0 = time.perf_counter(), time.thread_time()
+    try:
+        local, crosses = site_covariance(block, [received[j] for j in expected])
+    except DistCovError:
+        raise
+    except Exception as exc:
+        raise TransportError(f"site {site} worker failed: {exc!r}") from exc
+    ms, cpu_ms = (time.perf_counter() - t0) * 1e3, (time.thread_time() - c0) * 1e3
+    for blk in (local, *crosses):
+        net.send(ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, blk))
+    net.send(ProtocolMessage(MessageKind.DONE, site, coordinator))
+    return ms, cpu_ms
 
 
 def _check_blocks(blocks) -> int:
@@ -456,7 +416,8 @@ def run_distributed(
 
     `transport` is "in-process" or "tcp". Raises TimeoutError when a block
     fails to arrive within the deadline (DCM_DEADLINE_MS or 60 s), and
-    propagates the first worker error otherwise.
+    propagates any other error from a site's turn or the coordinator; a
+    kernel error that is not a DistCovError becomes TransportError.
     """
     blocks = sorted(blocks, key=lambda b: b.site)
     rows = _check_blocks(blocks)
@@ -478,21 +439,19 @@ def run_distributed(
 
     start = time.perf_counter()
     deadline = start + deadline_s
-    run = _Run(schedule, net, deadline)
-
-    workers = [
-        threading.Thread(target=_site_worker, args=(run, b), daemon=True) for b in blocks
-    ]
+    done: list[int] = []
     try:
-        for w in workers:
-            w.start()
+        # Every site ships its raw columns before any site computes, so the
+        # sites can then take their turns in site order without waiting.
+        transfers = {
+            (b.site, k): net.send(ProtocolMessage(MessageKind.DATA_BLOCK, b.site, k, b))
+            for b in blocks
+            for k in schedule.receivers_from(b.site)
+        }
+        site_ms, site_cpu_ms = zip(*(_site_turn(net, schedule, b, deadline) for b in blocks))
 
-        done: list[int] = []
         while assembler.missing or len(done) < t:
-            try:
-                msg = net.recv(coordinator, deadline - time.perf_counter())
-            except TimeoutError:  # the coordinator's own, or one a site forwarded
-                raise _gather_timeout(assembler, done, t, deadline_s) from None
+            msg = net.recv(coordinator, deadline - time.perf_counter())
             if msg.kind is MessageKind.DONE:
                 done.append(msg.sender)
             elif msg.kind is MessageKind.COV_BLOCK:
@@ -512,22 +471,19 @@ def run_distributed(
         t2 = time.perf_counter()
 
         metrics = RunMetrics(
-            site_cov_ms=tuple(run.site_ms),
-            site_cov_cpu_ms=tuple(run.site_cpu_ms),
-            transfers={
-                (j, k): stat for j, sent in enumerate(run.sent) for k, stat in sent.items()
-            },
+            site_cov_ms=site_ms,
+            site_cov_cpu_ms=site_cpu_ms,
+            transfers=transfers,
             merge_ms=merge_ms,
             eigen_ms=(t2 - t1) * 1e3,
             protocol_ms=protocol_ms,
             total_ms=(t2 - start) * 1e3,
         )
         return merged, decomp, metrics
+    except TimeoutError:  # a site's receive or the coordinator's
+        raise _gather_timeout(assembler, done, t, deadline_s) from None
     finally:
-        run.stop.set()  # a site still waiting for the gate returns without computing
-        net.close()  # wakes every worker still parked in recv
-        for w in workers:
-            w.join()
+        net.close()
 
 
 def _gather_timeout(

@@ -181,6 +181,44 @@ def test_one_kernel_in_flight_per_run(monkeypatch, transport):
     assert cov_d.matrix.tobytes() == cov_c.matrix.tobytes()
 
 
+@pytest.mark.parametrize("transport, threads", [("in-process", 0), ("tcp", 1)])
+def test_sites_start_no_threads(monkeypatch, transport, threads):
+    starts = [0]
+    start = threading.Thread.start
+
+    def counted_start(self):
+        starts[0] += 1
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    rng = np.random.default_rng(46)
+    blocks = blocks_for(rng.standard_normal((40, 14)), [3, 2, 2, 3, 2, 2])
+    cov_d, _, _ = run_distributed(blocks, build_schedule(6), transport=transport)
+    assert starts[0] == threads  # the TCP transport's one I/O thread, else none
+    cov_c, _, _ = run_centralized(blocks)
+    assert cov_d.matrix.tobytes() == cov_c.matrix.tobytes()
+
+
+def test_site_refuses_raw_columns_from_a_non_predecessor(monkeypatch):
+    # In-process only: sites ship in site order into FIFO inboxes, so site 2
+    # reads site 0's stray columns before site 1's. Over TCP the I/O thread's
+    # arrival order decides whether site 2 reads the stray frame at all.
+    receivers_from = Schedule.receivers_from
+
+    def also_to_site_2(self, j):
+        return receivers_from(self, j) + ((2,) if j == 0 else ())
+
+    monkeypatch.setattr(Schedule, "receivers_from", also_to_site_2)
+    rng = np.random.default_rng(47)
+    blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
+    before = threading.active_count()
+    started = time.perf_counter()
+    with pytest.raises(TransportError, match="^site 2 received data from non-predecessor 0$"):
+        run_distributed(blocks, build_schedule(3))
+    assert time.perf_counter() - started < 1.0
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
 def test_one_kernel_call_per_site(monkeypatch, transport):
     kernel = covariance._cov_blocks
