@@ -1,15 +1,18 @@
 """Protocol runtime: site turns, a coordinator, and two transports.
 
-Every site first ships its raw columns to every site that lists it as a
-predecessor. Then the sites take turns on the caller's thread, in site
-order: each takes its predecessors' columns from its inbox, makes one
-kernel call (`site_covariance`) for its local block and all its cross
-blocks, and sends every block to the coordinator (reserved endpoint id =
-t). Before any socket exists, the coordinator's `_Assembler` proves that
-the sites' columns partition the table and that the schedule's blocks
-cover every pair of sites exactly once. After the last turn the
-coordinator drains its inbox, writing each block into the m x m matrix, so
-once the last block is in, only the eigen-decomposition is left.
+The sites take turns on the caller's thread, in site order, and each turn
+is self-contained: every predecessor of the site ships its raw columns and
+the site takes them from its inbox at once, makes one kernel call
+(`site_covariance`) for its local block and all its cross blocks, and sends
+every block and DONE to the coordinator (reserved endpoint id = t). The
+coordinator then takes frames until that site's DONE is in, writing each
+block into the m x m matrix, before the next site's turn starts. So a run
+holds one site's shipped columns at a time, a failing kernel ends the run
+before any later site ships, and a timeout names the site whose turn
+overran. Before any socket exists, the coordinator's `_Assembler` proves
+that the sites' columns partition the table and that the schedule's blocks
+cover every pair of sites exactly once. Once the last block is in, only the
+eigen-decomposition is left.
 
 Both transports move the same encoded frames, so byte counts are real and
 the merged matrix is bit-identical either way: in-process puts frames
@@ -352,30 +355,29 @@ class TcpTransport(_Inboxes):
         super().close()
 
 
-def _site_turn(net, schedule: Schedule, block: ColumnBlock, deadline: float) -> tuple[float, float]:
-    """One site's turn: take its predecessors' columns from its inbox, make
-    its one kernel call, and send every block and DONE to the coordinator.
-    Returns the kernel call's wall and CPU time in ms."""
-    site, coordinator = block.site, schedule.t
-    received: dict[int, ColumnBlock] = {}
-    expected = schedule.senders_to(site)
-    while len(received) < len(expected):
+def _site_turn(
+    net, schedule: Schedule, blocks, site: int, deadline: float, transfers: dict
+) -> tuple[float, float]:
+    """Site `site`'s turn: its predecessors ship their raw columns, which it
+    takes from its inbox at once; it makes its one kernel call and sends
+    every block and DONE to the coordinator. Records each shipment in
+    `transfers`; returns the kernel call's wall and CPU time in ms."""
+    coordinator, senders = schedule.t, []
+    for j in schedule.senders_to(site):
+        shipment = ProtocolMessage(MessageKind.DATA_BLOCK, j, site, blocks[j])
+        transfers[(j, site)] = net.send(shipment)
         msg = net.recv(site, deadline - time.perf_counter())
-        if msg.kind is not MessageKind.DATA_BLOCK:
+        # A DATA_BLOCK comes from the site whose columns it carries.
+        origin = msg.payload.site if msg.kind is MessageKind.DATA_BLOCK else msg.sender
+        if (msg.kind, origin) != (MessageKind.DATA_BLOCK, j):
             raise TransportError(
-                f"site {site} received unexpected {msg.kind.name} from {msg.sender}"
+                f"site {site} expected DATA_BLOCK from {j}, received {msg.kind.name} from {origin}"
             )
-        got = msg.payload
-        assert isinstance(got, ColumnBlock)
-        if got.site not in expected or got.site in received:
-            raise TransportError(
-                f"site {site} received data from non-predecessor {got.site}"
-            )
-        received[got.site] = got
+        senders.append(msg.payload)
 
     t0, c0 = time.perf_counter(), time.thread_time()
     try:
-        local, crosses = site_covariance(block, [received[j] for j in expected])
+        local, crosses = site_covariance(blocks[site], senders)
     except DistCovError:
         raise
     except Exception as exc:
@@ -385,6 +387,21 @@ def _site_turn(net, schedule: Schedule, block: ColumnBlock, deadline: float) -> 
         net.send(ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, blk))
     net.send(ProtocolMessage(MessageKind.DONE, site, coordinator))
     return ms, cpu_ms
+
+
+def _take(net, coordinator: int, assembler: _Assembler, done: list[int], deadline: float) -> None:
+    """Take one frame from the coordinator's inbox: a block goes to the
+    assembler, a DONE marker to `done`."""
+    msg = net.recv(coordinator, deadline - time.perf_counter())
+    if msg.kind is MessageKind.DONE:
+        done.append(msg.sender)
+    elif msg.kind is MessageKind.COV_BLOCK:
+        assert isinstance(msg.payload, CovBlock)
+        assembler.add(msg.payload)
+    else:
+        raise TransportError(
+            f"coordinator received unexpected {msg.kind.name} from {msg.sender}"
+        )
 
 
 def _check_blocks(blocks) -> int:
@@ -440,27 +457,16 @@ def run_distributed(
     start = time.perf_counter()
     deadline = start + deadline_s
     done: list[int] = []
+    transfers: dict[tuple[int, int], TransferStat] = {}
+    turns = []
     try:
-        # Every site ships its raw columns before any site computes, so the
-        # sites can then take their turns in site order without waiting.
-        transfers = {
-            (b.site, k): net.send(ProtocolMessage(MessageKind.DATA_BLOCK, b.site, k, b))
-            for b in blocks
-            for k in schedule.receivers_from(b.site)
-        }
-        site_ms, site_cpu_ms = zip(*(_site_turn(net, schedule, b, deadline) for b in blocks))
-
-        while assembler.missing or len(done) < t:
-            msg = net.recv(coordinator, deadline - time.perf_counter())
-            if msg.kind is MessageKind.DONE:
-                done.append(msg.sender)
-            elif msg.kind is MessageKind.COV_BLOCK:
-                assert isinstance(msg.payload, CovBlock)
-                assembler.add(msg.payload)
-            else:
-                raise TransportError(
-                    f"coordinator received unexpected {msg.kind.name} from {msg.sender}"
-                )
+        for site in range(t):
+            turns.append(_site_turn(net, schedule, blocks, site, deadline, transfers))
+            while site not in done:
+                _take(net, coordinator, assembler, done, deadline)
+        while assembler.missing:  # only a block that a site never sent
+            _take(net, coordinator, assembler, done, deadline)
+        site_ms, site_cpu_ms = zip(*turns)
 
         t0 = time.perf_counter()
         merged = assembler.result()

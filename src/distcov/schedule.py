@@ -32,12 +32,6 @@ class Schedule:
             raise IndexOutOfRange(f"site {k} out of range for t={self.t}")
         return self.predecessors[k]
 
-    def receivers_from(self, j: int) -> tuple[int, ...]:
-        """Sites to which site j sends its raw columns."""
-        if not 0 <= j < self.t:
-            raise IndexOutOfRange(f"site {j} out of range for t={self.t}")
-        return tuple(k for k in range(self.t) if j in self.predecessors[k])
-
     def blocks(self) -> list[tuple[int, int]]:
         """(site_a, site_b) of every block a run computes: (k, k) for each
         site, then (j, k) for each predecessor j of site k."""

@@ -101,6 +101,34 @@ def test_message_counts(t):
     assert kinds.count(MessageKind.DONE) == t
 
 
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_frames_follow_the_turns(monkeypatch, transport):
+    t = 6
+    sched = build_schedule(t)
+    rng = np.random.default_rng(49)
+    blocks = blocks_for(rng.standard_normal((12, 2 * t)), [2] * t)
+    log: list = []
+    run_distributed(blocks, sched, transport=transport, message_log=log)
+    expected = []
+    for k in range(t):
+        senders = sched.senders_to(k)
+        expected += [(MessageKind.DATA_BLOCK, j, k) for j in senders]
+        expected += [(MessageKind.COV_BLOCK, k, t)] * (1 + len(senders))
+        expected += [(MessageKind.DONE, k, t)]
+    assert [entry[:3] for entry in log] == expected
+
+    def fails(own, senders):
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(runtime, "site_covariance", fails)
+    log.clear()
+    with pytest.raises(TransportError, match="^site 0 worker failed"):
+        run_distributed(blocks, sched, transport=transport, message_log=log)
+    assert [entry[:3] for entry in log] == [
+        (MessageKind.DATA_BLOCK, j, 0) for j in sched.senders_to(0)
+    ]
+
+
 def test_no_data_to_non_predecessors():
     t = 6
     rng = np.random.default_rng(99)
@@ -200,20 +228,23 @@ def test_sites_start_no_threads(monkeypatch, transport, threads):
 
 
 def test_site_refuses_raw_columns_from_a_non_predecessor(monkeypatch):
-    # In-process only: sites ship in site order into FIFO inboxes, so site 2
-    # reads site 0's stray columns before site 1's. Over TCP the I/O thread's
-    # arrival order decides whether site 2 reads the stray frame at all.
-    receivers_from = Schedule.receivers_from
+    # At t=3 site 0 ships only to site 1; a copy of that frame also reaches
+    # site 2's inbox, ahead of the columns site 2 expects from site 1.
+    deliver = InProcessTransport._deliver
 
-    def also_to_site_2(self, j):
-        return receivers_from(self, j) + ((2,) if j == 0 else ())
+    def also_to_site_2(self, msg, frame):
+        deliver(self, msg, frame)
+        if msg.kind is MessageKind.DATA_BLOCK and msg.sender == 0:
+            self._inbox[2].put(frame)
 
-    monkeypatch.setattr(Schedule, "receivers_from", also_to_site_2)
+    monkeypatch.setattr(InProcessTransport, "_deliver", also_to_site_2)
     rng = np.random.default_rng(47)
     blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
     before = threading.active_count()
     started = time.perf_counter()
-    with pytest.raises(TransportError, match="^site 2 received data from non-predecessor 0$"):
+    with pytest.raises(
+        TransportError, match="^site 2 expected DATA_BLOCK from 1, received DATA_BLOCK from 0$"
+    ):
         run_distributed(blocks, build_schedule(3))
     assert time.perf_counter() - started < 1.0
     assert threading.active_count() == before
@@ -398,6 +429,27 @@ def test_timeout_names_the_missing_blocks(monkeypatch):
     silent = text.split("no DONE from sites: ")[1]
     assert "(2, 0)" in missing
     assert "0" in silent.split(", ")
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_timeout_names_the_site_that_overran(monkeypatch, transport):
+    kernel = runtime.site_covariance
+
+    def stalled(own, senders):
+        if own.site == 3:
+            time.sleep(0.4)
+        return kernel(own, senders)
+
+    monkeypatch.setattr(runtime, "site_covariance", stalled)
+    rng = np.random.default_rng(48)
+    blocks = blocks_for(rng.standard_normal((20, 12)), [2] * 6)
+    sched = build_schedule(6)
+    with pytest.raises(TimeoutError) as exc:
+        run_distributed(blocks, sched, transport=transport, deadline_ms=300.0)
+    text = str(exc.value)
+    assert text.endswith("no DONE from sites: 3, 4, 5")
+    missing = text.split("missing blocks (site_a, site_b): ")[1].split(";")[0]
+    assert missing == ", ".join(map(str, sorted(p for p in sched.blocks() if p[1] >= 3)))
 
 
 def test_deadline_resolution(monkeypatch):
