@@ -15,25 +15,24 @@ cover every pair of sites exactly once. Once the last block is in, only the
 eigen-decomposition is left.
 
 Both transports move the same encoded frames, so byte counts are real and
-the merged matrix is bit-identical either way: in-process puts frames
-straight into the receiver's inbox, TCP uses loopback sockets with one
-connection per directed edge, all read by a single I/O thread.
+the merged matrix is bit-identical either way: in-process appends frames
+straight to the receiver's inbox, TCP uses loopback sockets with one
+connection per directed edge. Each endpoint has one FIFO inbox of frames.
 
-Each endpoint has one FIFO inbox, and it is the only way anything reaches
-the endpoint: frames, failures and shutdown. A failure in a site's turn or
-in the coordinator's loop propagates to the caller; the transport is closed
-on the way out, which stops the TCP I/O thread.
+A run starts no thread: TCP bytes move only inside `send` and `recv`, on
+the caller's thread. So any failure, in a site's turn, the coordinator's
+loop or the transport, raises on that thread; the transport is closed on
+the way out, which closes its sockets.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
 import selectors
 import socket
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +98,9 @@ def _deadline_ms(override: float | None) -> float:
 
 @dataclass(frozen=True)
 class TransferStat:
-    """One raw-data shipment: encoded frame size and send wall time."""
+    """One raw-data shipment: encoded frame size and send wall time. Over
+    TCP the send time includes the inbound reads made while the socket was
+    full."""
 
     bytes: int
     ms: float
@@ -114,8 +115,10 @@ class RunMetrics:
     (`site_cov_cpu_ms`). The sites take turns, so neither counts another
     site's kernel; the CPU reading is what the site would spend on a
     processor of its own. `transfers` is keyed by directed edge (sender,
-    receiver) and covers raw column shipments only. `merge_ms` is what
-    assembly leaves after the last message: the matrix's final checks.
+    receiver) and covers raw column shipments only; over TCP a send's time
+    includes the inbound reads made while its socket was full. `merge_ms`
+    is what assembly leaves after the last message: the matrix's final
+    checks.
     """
 
     site_cov_ms: tuple[float, ...]
@@ -162,22 +165,20 @@ def critical_path_ms(metrics: RunMetrics, schedule: Schedule) -> float:
     )
 
 
-class _Inboxes:
-    """One FIFO inbox per endpoint, the only way anything reaches an endpoint.
+class InProcessTransport:
+    """One FIFO inbox of encoded frames per endpoint; `send` encodes a frame
+    exactly as on TCP and appends it straight to the receiver's inbox.
 
-    An inbox holds encoded frames and exceptions. `recv` decodes a frame and
-    raises an exception; `fail` queues one, and `close` fails every endpoint,
-    so no receiver stays parked behind a closed transport. Subclasses supply
-    `_deliver`, which moves one encoded frame towards its receiver's inbox.
+    Only `send` fills an inbox, so `recv` on an empty one raises
+    TimeoutError at once: nothing could fill it while `recv` waited.
     """
 
     def __init__(self, endpoints, log: list | None = None):
-        self._inbox: dict[int, queue.Queue] = {e: queue.Queue() for e in endpoints}
+        self._inbox: dict[int, deque] = {e: deque() for e in endpoints}
         self._log = log
-        self._log_lock = threading.Lock()
 
     def _deliver(self, msg: ProtocolMessage, frame) -> None:
-        raise NotImplementedError
+        self._inbox[msg.receiver].append(frame)
 
     def send(self, msg: ProtocolMessage) -> TransferStat:
         t0 = time.perf_counter()
@@ -187,38 +188,20 @@ class _Inboxes:
         self._deliver(msg, frame)
         ms = (time.perf_counter() - t0) * 1e3
         if self._log is not None:
-            with self._log_lock:
-                self._log.append((msg.kind, msg.sender, msg.receiver, len(frame)))
+            self._log.append((msg.kind, msg.sender, msg.receiver, len(frame)))
         return TransferStat(bytes=len(frame), ms=ms)
 
     def recv(self, endpoint: int, timeout_s: float) -> ProtocolMessage:
-        try:
-            if timeout_s <= 0:  # the deadline has passed (Queue.get refuses < 0)
-                raise queue.Empty
-            item = self._inbox[endpoint].get(timeout=timeout_s)
-        except queue.Empty:
-            raise TimeoutError(
-                f"endpoint {endpoint}: no message within {timeout_s:.3f}s"
-            ) from None
-        if isinstance(item, BaseException):
-            raise item
-        return decode_message(item)
-
-    def fail(self, endpoint: int, exc: BaseException) -> None:
-        """Make the endpoint's next `recv` raise `exc`."""
-        self._inbox[endpoint].put(exc)
+        """Decode the endpoint's next frame. TimeoutError if its inbox is
+        empty, and also if `timeout_s <= 0`: the deadline has passed, even
+        when a frame waits."""
+        inbox = self._inbox[endpoint]
+        if timeout_s <= 0 or not inbox:
+            raise TimeoutError(f"endpoint {endpoint}: no message within {timeout_s:.3f}s")
+        return decode_message(inbox.popleft())
 
     def close(self) -> None:
-        for e in self._inbox:
-            self.fail(e, TransportError(f"endpoint {e}: transport closed"))
-
-
-class InProcessTransport(_Inboxes):
-    """Frames are encoded/decoded exactly as on TCP and put straight into
-    the receiver's inbox."""
-
-    def _deliver(self, msg: ProtocolMessage, frame) -> None:
-        self._inbox[msg.receiver].put(frame)
+        """Nothing to release in-process."""
 
 
 class _Inbound:
@@ -233,30 +216,28 @@ class _Inbound:
         self.got = 0
 
 
-class TcpTransport(_Inboxes):
-    """Loopback sockets: one listener per endpoint, one connection per
-    directed edge, and one I/O thread that accepts and reads them all.
+class TcpTransport(InProcessTransport):
+    """Loopback sockets: one listener per endpoint and one TCP_NODELAY
+    connection per directed edge, all moved on the caller's thread.
 
-    The I/O thread waits on every socket with one selector and never
-    blocks on a single connection, so `send` can stay a blocking `sendall`
-    on the caller's thread: whatever is sent is drained into an unbounded
-    per-endpoint inbox, and the protocol cannot deadlock on socket buffers.
-    Each frame is received into one buffer of its declared size, filled
-    across wake-ups; a declared size above `max_frame` bytes is refused
-    before anything is allocated, and the endpoint's next `recv` raises
-    TransportError.
+    One selector watches the listeners and every accepted connection, and
+    bytes move only inside `send` and `recv`. `send` writes with
+    non-blocking `socket.send`; whenever the socket is full it selects,
+    with the sending socket registered for write, and accepts and reads
+    whatever is ready, so a frame larger than the socket buffers drains
+    into the receiver's inbox while it is written. `recv` selects until
+    the endpoint's inbox has a frame or the deadline passes. Each frame is
+    received into one buffer of its declared size, filled across reads; a
+    declared size above `max_frame` bytes raises TransportError before
+    anything is allocated.
     """
 
     def __init__(self, endpoints, log: list | None = None, max_frame: int | None = None):
         super().__init__(endpoints, log)
         self._max_frame = max_frame
-        self._conn_lock = threading.Lock()
         self._conns: dict[tuple[int, int], socket.socket] = {}
         self._ports: dict[int, int] = {}
         self._selector = selectors.DefaultSelector()
-        # close() closes the write end; the read end then selects as readable.
-        self._wake, self._wake_writer = socket.socketpair()
-        self._selector.register(self._wake, selectors.EVENT_READ, None)
         for e in endpoints:
             srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -265,18 +246,20 @@ class TcpTransport(_Inboxes):
             srv.setblocking(False)
             self._selector.register(srv, selectors.EVENT_READ, e)
             self._ports[e] = srv.getsockname()[1]
-        self._io = threading.Thread(target=self._io_loop, daemon=True)
-        self._io.start()
 
-    def _io_loop(self) -> None:
-        while True:
-            for key, _ in self._selector.select():
-                if key.data is None:
-                    return  # woken by close()
-                if isinstance(key.data, _Inbound):
-                    self._read(key.fileobj, key.data)
-                else:
-                    self._accept(key.fileobj, key.data)
+    def recv(self, endpoint: int, timeout_s: float) -> ProtocolMessage:
+        deadline = time.perf_counter() + timeout_s
+        while not self._inbox[endpoint] and (left := deadline - time.perf_counter()) > 0:
+            self._pump(left)
+        return super().recv(endpoint, timeout_s)
+
+    def _pump(self, timeout: float | None) -> None:
+        """One select: accept and read whatever is ready within `timeout` s."""
+        for key, _ in self._selector.select(timeout):
+            if isinstance(key.data, _Inbound):
+                self._read(key.fileobj, key.data)
+            elif key.data is not None:  # None: a sending socket waiting for room
+                self._accept(key.fileobj, key.data)
 
     def _accept(self, srv: socket.socket, endpoint: int) -> None:
         try:
@@ -304,18 +287,17 @@ class TcpTransport(_Inboxes):
             if st.got == HEADER.size:  # a full header; frame buffers are always longer
                 size = HEADER.size + HEADER.unpack_from(st.buf)[4]
                 if self._max_frame is not None and size > self._max_frame:
-                    self.fail(st.endpoint, TransportError(
+                    self._drop(conn)
+                    raise TransportError(
                         f"endpoint {st.endpoint}: frame of {size} bytes exceeds the "
                         f"largest legal frame of {self._max_frame} bytes"
-                    ))
-                    self._drop(conn)
-                    return
+                    )
                 if size > HEADER.size:
                     frame = bytearray(size)
                     frame[: HEADER.size] = st.buf
                     st.buf = frame
                     continue
-            self._inbox[st.endpoint].put(st.buf)
+            self._inbox[st.endpoint].append(st.buf)
             st.buf, st.got = bytearray(HEADER.size), 0
 
     def _drop(self, conn: socket.socket) -> None:
@@ -324,35 +306,39 @@ class TcpTransport(_Inboxes):
 
     def _connection(self, sender: int, receiver: int) -> socket.socket:
         key = (sender, receiver)
-        with self._conn_lock:
-            sock = self._conns.get(key)
-            if sock is None:
-                sock = socket.create_connection(("127.0.0.1", self._ports[receiver]))
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._conns[key] = sock
+        sock = self._conns.get(key)
+        if sock is None:
+            sock = socket.create_connection(("127.0.0.1", self._ports[receiver]))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setblocking(False)
+            self._conns[key] = sock
         return sock
 
     def _deliver(self, msg: ProtocolMessage, frame) -> None:
         try:
-            self._connection(msg.sender, msg.receiver).sendall(frame)
+            sock = self._connection(msg.sender, msg.receiver)
+            view = memoryview(frame)
+            while view:
+                try:
+                    view = view[sock.send(view) :]
+                except BlockingIOError:  # full: read inbound until it takes more
+                    self._selector.register(sock, selectors.EVENT_WRITE)
+                    try:
+                        self._pump(None)
+                    finally:
+                        self._selector.unregister(sock)
         except OSError as exc:
             raise TransportError(
                 f"send {msg.sender}->{msg.receiver} failed: {exc}"
             ) from None
 
     def close(self) -> None:
-        """Stop the I/O thread, close every socket this transport opened,
-        then fail every endpoint."""
-        self._wake_writer.close()
-        self._io.join()
+        """Close every socket this transport opened."""
         for key in list(self._selector.get_map().values()):
             key.fileobj.close()
         self._selector.close()
-        with self._conn_lock:
-            for sock in self._conns.values():
-                sock.close()
-            self._conns.clear()
-        super().close()
+        for sock in self._conns.values():
+            sock.close()
 
 
 def _site_turn(
@@ -387,21 +373,6 @@ def _site_turn(
         net.send(ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, blk))
     net.send(ProtocolMessage(MessageKind.DONE, site, coordinator))
     return ms, cpu_ms
-
-
-def _take(net, coordinator: int, assembler: _Assembler, done: list[int], deadline: float) -> None:
-    """Take one frame from the coordinator's inbox: a block goes to the
-    assembler, a DONE marker to `done`."""
-    msg = net.recv(coordinator, deadline - time.perf_counter())
-    if msg.kind is MessageKind.DONE:
-        done.append(msg.sender)
-    elif msg.kind is MessageKind.COV_BLOCK:
-        assert isinstance(msg.payload, CovBlock)
-        assembler.add(msg.payload)
-    else:
-        raise TransportError(
-            f"coordinator received unexpected {msg.kind.name} from {msg.sender}"
-        )
 
 
 def _check_blocks(blocks) -> int:
@@ -463,9 +434,18 @@ def run_distributed(
         for site in range(t):
             turns.append(_site_turn(net, schedule, blocks, site, deadline, transfers))
             while site not in done:
-                _take(net, coordinator, assembler, done, deadline)
-        while assembler.missing:  # only a block that a site never sent
-            _take(net, coordinator, assembler, done, deadline)
+                msg = net.recv(coordinator, deadline - time.perf_counter())
+                if msg.kind is MessageKind.DONE:
+                    done.append(msg.sender)
+                elif msg.kind is MessageKind.COV_BLOCK:
+                    assert isinstance(msg.payload, CovBlock)
+                    assembler.add(msg.payload)
+                else:
+                    raise TransportError(
+                        f"coordinator received unexpected {msg.kind.name} from {msg.sender}"
+                    )
+        if assembler.missing:  # a site's blocks precede its DONE: these were never sent
+            raise _gather_timeout(assembler, done, t, deadline_s)
         site_ms, site_cpu_ms = zip(*turns)
 
         t0 = time.perf_counter()

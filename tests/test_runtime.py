@@ -209,8 +209,8 @@ def test_one_kernel_in_flight_per_run(monkeypatch, transport):
     assert cov_d.matrix.tobytes() == cov_c.matrix.tobytes()
 
 
-@pytest.mark.parametrize("transport, threads", [("in-process", 0), ("tcp", 1)])
-def test_sites_start_no_threads(monkeypatch, transport, threads):
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_sites_start_no_threads(monkeypatch, transport):
     starts = [0]
     start = threading.Thread.start
 
@@ -222,7 +222,7 @@ def test_sites_start_no_threads(monkeypatch, transport, threads):
     rng = np.random.default_rng(46)
     blocks = blocks_for(rng.standard_normal((40, 14)), [3, 2, 2, 3, 2, 2])
     cov_d, _, _ = run_distributed(blocks, build_schedule(6), transport=transport)
-    assert starts[0] == threads  # the TCP transport's one I/O thread, else none
+    assert starts[0] == 0
     cov_c, _, _ = run_centralized(blocks)
     assert cov_d.matrix.tobytes() == cov_c.matrix.tobytes()
 
@@ -235,7 +235,7 @@ def test_site_refuses_raw_columns_from_a_non_predecessor(monkeypatch):
     def also_to_site_2(self, msg, frame):
         deliver(self, msg, frame)
         if msg.kind is MessageKind.DATA_BLOCK and msg.sender == 0:
-            self._inbox[2].put(frame)
+            self._inbox[2].append(frame)
 
     monkeypatch.setattr(InProcessTransport, "_deliver", also_to_site_2)
     rng = np.random.default_rng(47)
@@ -305,19 +305,54 @@ def test_coordinator_names_a_missing_block(monkeypatch):
     assert text.split("no DONE from sites: ")[1] == "none"
 
 
-def test_tcp_transport_runs_one_io_thread():
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_dropped_block_fails_before_the_deadline(monkeypatch, transport):
+    # Every DONE is in, so the block was never sent: waiting out the
+    # default 60 s deadline would not bring it.
+    monkeypatch.delenv("DCM_DEADLINE_MS", raising=False)
+    started = time.perf_counter()
+    with pytest.raises(TimeoutError, match=r"missing blocks \(site_a, site_b\): \(2, 0\);"):
+        _run_with_site_0_blocks(monkeypatch, lambda crosses: [], transport=transport)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_tcp_round_trip_starts_no_thread():
     before = threading.active_count()
     net = TcpTransport([0, 1, 2])
     try:
-        assert threading.active_count() == before + 1
         for sender, receiver in [(0, 1), (1, 2), (2, 0), (0, 2)]:
             net.send(ProtocolMessage(MessageKind.DONE, sender, receiver))
         for receiver in [1, 2, 0, 2]:
             assert net.recv(receiver, 5.0).kind is MessageKind.DONE
-        assert threading.active_count() == before + 1
+        assert threading.active_count() == before
     finally:
         net.close()
-    assert threading.active_count() == before
+
+
+def test_tcp_sends_a_frame_larger_than_the_socket_buffers(monkeypatch):
+    # 16 MB fills the loopback buffers, so send must read its own frame
+    # into the inbox while writing it: a blocking sendall would never return.
+    waits = [0]
+    pump = TcpTransport._pump
+
+    def counted_pump(self, timeout):
+        waits[0] += 1
+        pump(self, timeout)
+
+    monkeypatch.setattr(TcpTransport, "_pump", counted_pump)
+    rng = np.random.default_rng(50)
+    block = ColumnBlock(
+        site=1, data=DenseMatrix(rng.standard_normal((1000, 2000))), global_cols=tuple(range(2000))
+    )
+    net = TcpTransport([0, 1])
+    try:
+        stat = net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
+        assert stat.bytes > 16_000_000 and waits[0] > 0
+        msg = net.recv(0, 5.0)
+    finally:
+        net.close()
+    assert msg.payload.global_cols == block.global_cols
+    assert msg.payload.data.tobytes() == block.data.tobytes()
 
 
 def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time():
@@ -530,29 +565,6 @@ def test_first_failure_stops_the_other_kernels(monkeypatch, transport):
     assert len(calls) == 1
     assert str(exc.value).startswith(f"site {calls[0]} worker failed")
     assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("make", [InProcessTransport, TcpTransport])
-def test_close_wakes_a_parked_receiver(make):
-    net = make([0, 1])
-    raised: list[BaseException] = []
-
-    def park():
-        try:
-            net.recv(0, 60.0)
-        except BaseException as exc:
-            raised.append(exc)
-
-    receiver = threading.Thread(target=park)
-    receiver.start()
-    time.sleep(0.05)  # let it park
-    started = time.perf_counter()
-    net.close()
-    receiver.join(timeout=5.0)
-    assert not receiver.is_alive()
-    assert time.perf_counter() - started < 1.0
-    assert len(raised) == 1 and isinstance(raised[0], TransportError)
-    assert "transport closed" in str(raised[0])
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
