@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: `schedule` (inspect the exchange schedule), `run` (one mode,
-one report), `compare` (both modes, bit-exact equality gate, plot data),
+one report), `compare` (one centralized oracle per table, one distributed
+run per partitioning, bit-exact equality gate, plot data),
 `cost-model` (analytical speed-up), `gen` (reproducible synthetic dataset).
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 protocol error, 5 matrix
@@ -232,17 +233,10 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     table, tables = _load_inputs(args)
     presets = args.preset if args.preset else [None]
-    rows = []
-    for preset_name in presets:
-        spec = _resolve_spec(args, tables, preset_name)
-        blocks = partition_vertical(table, spec)
-        rows.append(
-            _compare_partitions(
-                blocks,
-                transport=args.transport,
-                deadline_ms=args.deadline_ms,
-            )
-        )
+    specs = [_resolve_spec(args, tables, name) for name in presets]
+    rows = _compare_partitions(
+        table, specs, transport=args.transport, deadline_ms=args.deadline_ms
+    )
     doc = {"report_version": REPORT_VERSION, "comparisons": rows}
     _emit(doc, args.out)
     if args.plot_data is not None:

@@ -208,15 +208,19 @@ class _Operand:
         n, w = values.shape
         rows_t = np.empty((w, min(n, _CHUNK_ROWS)), dtype=np.float64)
         total = np.zeros(w, dtype=np.float64)
+        hi = np.full(w, -np.inf)
+        lo = np.full(w, np.inf)
         for r0 in range(0, n, _CHUNK_ROWS):
             part = rows_t[:, : min(_CHUNK_ROWS, n - r0)]
             np.copyto(part, values[r0 : r0 + _CHUNK_ROWS].T)
             total += np.add.reduce(part, axis=1)
+            np.maximum(hi, part.max(axis=1), out=hi)
+            np.minimum(lo, part.min(axis=1), out=lo)
         self.values = values
         self.mean = total / n
         # Rounding is monotonic, so the centered peak is the rounded
         # distance from the mean to the column's max or min.
-        peak = np.maximum(values.max(axis=0) - self.mean, self.mean - values.min(axis=0))
+        peak = np.maximum(hi - self.mean, self.mean - lo)
         _, self.exps = np.frexp(peak)  # peak < 2**exps
         self.scale = np.ldexp(1.0, b - self.exps)
 

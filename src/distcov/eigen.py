@@ -40,11 +40,10 @@ def symmetric_eigen(a: GlobalCovariance) -> EigenDecomposition:
     # eigh sorts ascending; flip to descending and re-pair the columns.
     vals = vals[::-1]
     vecs = np.ascontiguousarray(vecs[:, ::-1])
-    for i in range(vecs.shape[1]):
-        col = vecs[:, i]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0.0:
-            np.negative(col, out=col)
+    # argmax returns the first maximum, so ties go to the lowest index.
+    lead = np.argmax(np.abs(vecs), axis=0)
+    flip = vecs[lead, np.arange(vecs.shape[1])] < 0.0
+    np.negative(vecs, out=vecs, where=flip)
     return EigenDecomposition(
         eigenvalues=tuple(float(v) for v in vals),
         eigenvectors=DenseMatrix._wrap(vecs),

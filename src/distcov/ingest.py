@@ -214,7 +214,8 @@ def _all_numeric(fields: Sequence[str]) -> bool:
 
 
 def hjoin(tables: Sequence[DenseMatrix]) -> DenseMatrix:
-    """Concatenate tables column-wise; they must share the row count."""
+    """Concatenate tables column-wise; they must share the row count. A
+    single table comes back as it is."""
     if not tables:
         raise RowCountMismatch("hjoin needs at least one table")
     rows = tables[0].rows
@@ -223,6 +224,8 @@ def hjoin(tables: Sequence[DenseMatrix]) -> DenseMatrix:
             raise RowCountMismatch(
                 f"table {i} has {tbl.rows} rows, expected {rows}"
             )
+    if len(tables) == 1:
+        return tables[0]
     values = np.ascontiguousarray(np.hstack([t.values for t in tables]))
     labels: tuple[str, ...] | None = None
     if all(t.labels is not None for t in tables):

@@ -3,6 +3,13 @@
 A report never carries the full matrix — at benchmark scale that is 649x649
 values — so equality is asserted via a checksum over the canonical byte
 encoding, and `dump_matrix` exists for anyone who wants the actual numbers.
+
+`compare_partitions` checks one table under several partitionings: it
+computes the centralized oracle once from the table, without an
+eigen-decomposition, then runs the distributed mode per partitioning and
+requires each merged matrix to equal the oracle byte for byte. A row's
+eigenvalues come from its distributed run's decomposition, which is the
+decomposition of the same bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from .covariance import GlobalCovariance
 from .eigen import EigenDecomposition
 from .errors import IoError, MalformedFrame, MismatchError
 from .matrix import DenseMatrix
-from .runtime import RunMetrics, critical_path_ms, run_centralized, run_distributed
+from .ingest import partition_vertical
+from .runtime import RunMetrics, _timed_oracle, critical_path_ms, run_distributed
 from .schedule import Schedule, build_schedule
 
 __all__ = [
@@ -100,48 +108,54 @@ def run_report(
 
 
 def compare_partitions(
-    blocks,
+    table: DenseMatrix,
+    specs,
     transport: str = "in-process",
     deadline_ms: float | None = None,
-) -> dict:
-    """Run both modes on one partitioning and assert bit-exact equality.
+) -> list[dict]:
+    """Run the distributed mode once per partition spec and assert that each
+    merged matrix is bit-identical to the one oracle of `table`.
 
-    Returns one comparison row.
+    Returns one comparison row per spec. Every row reports the oracle's
+    `centralized_ms`, and `centralized_metrics.eigen_ms` is 0.0.
 
     Raises:
-        MismatchError: the two matrices differ (never expected in real use).
+        MismatchError: a merged matrix differs (never expected in real use).
     """
-    t = len(blocks)
-    schedule = build_schedule(t)
-    dist_cov, dist_eig, dist_metrics = run_distributed(
-        blocks, schedule, transport=transport, deadline_ms=deadline_ms
-    )
-    cen_cov, cen_eig, cen_metrics = run_centralized(blocks)
-
-    dist_bytes = dist_cov.matrix.tobytes()
-    equal = dist_bytes == cen_cov.matrix.tobytes()
-    if not equal:
-        raise MismatchError(
-            f"distributed and centralized matrices differ (t={t}, "
-            f"distributed {hashlib.sha256(dist_bytes).hexdigest()[:16]}…, "
-            f"centralized {matrix_checksum(cen_cov.matrix)[:16]}…)"
-        )
-
-    widths = [b.data.cols for b in sorted(blocks, key=lambda b: b.site)]
+    cen_cov, cen_metrics = _timed_oracle(table)
+    cen_bytes = cen_cov.matrix.tobytes()
+    checksum = hashlib.sha256(cen_bytes).hexdigest()
     # CPU reading on both sides: the centralized run is single-threaded, the
     # distributed aggregate assumes one processor per site.
     centralized_ms = cen_metrics.site_cov_cpu_ms[0]
-    distributed_ms = critical_path_ms(dist_metrics, schedule)
-    return {
-        "partitions": t,
-        "equal": True,
-        "matrix_checksum": matrix_checksum(cen_cov.matrix),
-        "top_eigenvalues": list(cen_eig.eigenvalues[:10]),
-        "centralized_ms": centralized_ms,
-        "distributed_ms": distributed_ms,
-        "measured_speedup": (centralized_ms / distributed_ms) if distributed_ms > 0 else None,
-        "cost_model": distributed_cost(widths, schedule).to_dict(),
-        "distributed_metrics": dist_metrics.to_dict(),
-        "centralized_metrics": cen_metrics.to_dict(),
-        "distributed_eigen_top": list(dist_eig.eigenvalues[:3]),
-    }
+    rows = []
+    for spec in specs:
+        blocks = partition_vertical(table, spec)
+        t = len(blocks)
+        schedule = build_schedule(t)
+        dist_cov, dist_eig, dist_metrics = run_distributed(
+            blocks, schedule, transport=transport, deadline_ms=deadline_ms
+        )
+        dist_bytes = dist_cov.matrix.tobytes()
+        if dist_bytes != cen_bytes:
+            raise MismatchError(
+                f"distributed and centralized matrices differ (t={t}, "
+                f"distributed {hashlib.sha256(dist_bytes).hexdigest()[:16]}…, "
+                f"centralized {checksum[:16]}…)"
+            )
+        widths = [b.data.cols for b in blocks]
+        distributed_ms = critical_path_ms(dist_metrics, schedule)
+        rows.append({
+            "partitions": t,
+            "equal": True,
+            "matrix_checksum": checksum,
+            "top_eigenvalues": list(dist_eig.eigenvalues[:10]),
+            "centralized_ms": centralized_ms,
+            "distributed_ms": distributed_ms,
+            "measured_speedup": (centralized_ms / distributed_ms) if distributed_ms > 0 else None,
+            "cost_model": distributed_cost(widths, schedule).to_dict(),
+            "distributed_metrics": dist_metrics.to_dict(),
+            "centralized_metrics": cen_metrics.to_dict(),
+            "distributed_eigen_top": list(dist_eig.eigenvalues[:3]),
+        })
+    return rows

@@ -11,8 +11,10 @@ holds one site's shipped columns at a time, a failing kernel ends the run
 before any later site ships, and a timeout names the site whose turn
 overran. Before any socket exists, the coordinator's `_Assembler` proves
 that the sites' columns partition the table and that the schedule's blocks
-cover every pair of sites exactly once. Once the last block is in, only the
-eigen-decomposition is left.
+cover every pair of sites exactly once. After the last turn every inbox
+must be empty: a frame nobody read, such as a DATA_BLOCK that reached a
+site after its turn, fails the run. Then only the eigen-decomposition is
+left.
 
 Both transports move the same encoded frames, so byte counts are real and
 the merged matrix is bit-identical either way: in-process appends frames
@@ -33,7 +35,7 @@ import selectors
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -200,6 +202,16 @@ class InProcessTransport:
             raise TimeoutError(f"endpoint {endpoint}: no message within {timeout_s:.3f}s")
         return decode_message(inbox.popleft())
 
+    def require_drained(self) -> None:
+        """TransportError naming a frame that waits unread in any inbox."""
+        for endpoint, inbox in self._inbox.items():
+            if inbox:
+                msg = decode_message(inbox[0])
+                raise TransportError(
+                    f"endpoint {endpoint}: unread {msg.kind.name} from {msg.sender} "
+                    f"to {msg.receiver} after the last turn"
+                )
+
     def close(self) -> None:
         """Nothing to release in-process."""
 
@@ -253,13 +265,23 @@ class TcpTransport(InProcessTransport):
             self._pump(left)
         return super().recv(endpoint, timeout_s)
 
-    def _pump(self, timeout: float | None) -> None:
-        """One select: accept and read whatever is ready within `timeout` s."""
-        for key, _ in self._selector.select(timeout):
+    def require_drained(self) -> None:
+        # Read all that has arrived: an accept makes a connection readable
+        # only at the next select.
+        while self._pump(0):
+            pass
+        super().require_drained()
+
+    def _pump(self, timeout: float | None) -> bool:
+        """One select: accept and read whatever is ready within `timeout` s.
+        False if nothing was."""
+        ready = self._selector.select(timeout)
+        for key, _ in ready:
             if isinstance(key.data, _Inbound):
                 self._read(key.fileobj, key.data)
             elif key.data is not None:  # None: a sending socket waiting for room
                 self._accept(key.fileobj, key.data)
+        return bool(ready)
 
     def _accept(self, srv: socket.socket, endpoint: int) -> None:
         try:
@@ -404,7 +426,8 @@ def run_distributed(
 
     `transport` is "in-process" or "tcp". Raises TimeoutError when a block
     fails to arrive within the deadline (DCM_DEADLINE_MS or 60 s), and
-    propagates any other error from a site's turn or the coordinator; a
+    TransportError when a frame is left unread after the last turn; it
+    propagates any other error from a site's turn or the coordinator, and a
     kernel error that is not a DistCovError becomes TransportError.
     """
     blocks = sorted(blocks, key=lambda b: b.site)
@@ -444,6 +467,7 @@ def run_distributed(
                     raise TransportError(
                         f"coordinator received unexpected {msg.kind.name} from {msg.sender}"
                     )
+        net.require_drained()
         if assembler.missing:  # a site's blocks precede its DONE: these were never sent
             raise _gather_timeout(assembler, done, t, deadline_s)
         site_ms, site_cpu_ms = zip(*turns)
@@ -486,6 +510,21 @@ def _gather_timeout(
     )
 
 
+def _timed_oracle(table: DenseMatrix) -> tuple[GlobalCovariance, RunMetrics]:
+    """The oracle matrix of a whole table, with its wall and CPU time; the
+    metrics leave the eigen-decomposition out (`eigen_ms` is 0.0)."""
+    start, c0 = time.perf_counter(), time.thread_time()
+    cov = centralized_covariance(table)
+    cov_ms = (time.perf_counter() - start) * 1e3
+    metrics = RunMetrics(
+        site_cov_ms=(cov_ms,),
+        site_cov_cpu_ms=((time.thread_time() - c0) * 1e3,),
+        protocol_ms=cov_ms,
+        total_ms=cov_ms,
+    )
+    return cov, metrics
+
+
 def run_centralized(
     blocks,
 ) -> tuple[GlobalCovariance, EigenDecomposition, RunMetrics]:
@@ -512,20 +551,10 @@ def run_centralized(
         np.ascontiguousarray(full), tuple(labels) if labels else None
     )
 
-    start, c0 = time.perf_counter(), time.thread_time()
-    cov = centralized_covariance(table)
-    t1, c1 = time.perf_counter(), time.thread_time()
+    cov, metrics = _timed_oracle(table)
+    t1 = time.perf_counter()
     decomp = symmetric_eigen(cov)
-    t2 = time.perf_counter()
-
-    cov_ms = (t1 - start) * 1e3
-    metrics = RunMetrics(
-        site_cov_ms=(cov_ms,),
-        site_cov_cpu_ms=((c1 - c0) * 1e3,),
-        transfers={},
-        merge_ms=0.0,
-        eigen_ms=(t2 - t1) * 1e3,
-        protocol_ms=cov_ms,
-        total_ms=(t2 - start) * 1e3,
+    eigen_ms = (time.perf_counter() - t1) * 1e3
+    return cov, decomp, replace(
+        metrics, eigen_ms=eigen_ms, total_ms=metrics.total_ms + eigen_ms
     )
-    return cov, decomp, metrics

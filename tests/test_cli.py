@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import distcov.report as report
-from distcov import GlobalCovariance, load_matrix_dump, load_table, matrix_checksum
+import distcov.runtime as runtime
+from distcov import (
+    GlobalCovariance,
+    centralized_covariance,
+    load_matrix_dump,
+    load_table,
+    matrix_checksum,
+)
 from distcov.cli import main
 
 
@@ -187,16 +194,45 @@ def test_compare_reports_equality(tmp_path, capsys):
     assert lines[1].split()[0] == "2"
 
 
-def test_compare_corruption_hook_yields_mismatch_exit(tmp_path, capsys, monkeypatch):
-    real = report.run_centralized
+def test_compare_oracle_once_and_one_decomposition_per_preset(tmp_path, capsys, monkeypatch):
+    calls = {"centralized_covariance": 0, "symmetric_eigen": 0}
+    for name in calls:
+        real = getattr(runtime, name)
 
-    def off_by_one_entry(blocks):
-        cov, decomp, metrics = real(blocks)
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(runtime, name, counted)
+    data = tmp_path / "data.txt"
+    main(["gen", "--rows", "12", "--cols", "649", "--seed", "2", "--out", str(data)])
+    capsys.readouterr()
+    presets = ["mfeat-2", "mfeat-4", "mfeat-6"]
+    doc = _run_json(capsys, [
+        "compare", "--inputs", str(data), *(a for p in presets for a in ("--preset", p)),
+    ])
+    rows = doc["comparisons"]
+    assert [r["partitions"] for r in rows] == [2, 4, 6]
+    assert calls == {"centralized_covariance": 1, "symmetric_eigen": len(presets)}
+    assert all(r["equal"] is True for r in rows)
+    assert len({r["matrix_checksum"] for r in rows}) == 1
+    assert len({r["centralized_ms"] for r in rows}) == 1
+    assert all(r["centralized_metrics"]["eigen_ms"] == 0.0 for r in rows)
+    assert rows[0]["matrix_checksum"] == matrix_checksum(
+        centralized_covariance(load_table(data)).matrix
+    )
+
+
+def test_compare_corruption_hook_yields_mismatch_exit(tmp_path, capsys, monkeypatch):
+    real = report._timed_oracle
+
+    def off_by_one_entry(table):
+        cov, metrics = real(table)
         values = np.array(cov.matrix.values)
         values[0, 0] += 1.0
-        return GlobalCovariance(values), decomp, metrics
+        return GlobalCovariance(values), metrics
 
-    monkeypatch.setattr(report, "run_centralized", off_by_one_entry)
+    monkeypatch.setattr(report, "_timed_oracle", off_by_one_entry)
     a = tmp_path / "a.txt"
     main(["gen", "--rows", "20", "--cols", "4", "--seed", "5", "--out", str(a)])
     capsys.readouterr()

@@ -316,6 +316,25 @@ def test_dropped_block_fails_before_the_deadline(monkeypatch, transport):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_late_stray_frame_is_refused(monkeypatch, transport):
+    # At t=3 site 1 takes columns from site 0 only; site 2's columns reach
+    # it after its turn, so no turn ever reads them.
+    turn = runtime._site_turn
+
+    def also_ship_to_site_1(net, schedule, blocks, site, deadline, transfers):
+        timing = turn(net, schedule, blocks, site, deadline, transfers)
+        if site == 2:
+            net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 2, 1, blocks[2]))
+        return timing
+
+    monkeypatch.setattr(runtime, "_site_turn", also_ship_to_site_1)
+    rng = np.random.default_rng(51)
+    blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
+    with pytest.raises(TransportError, match=r"^endpoint 1: unread DATA_BLOCK from 2 to 1 "):
+        run_distributed(blocks, build_schedule(3), transport=transport)
+
+
 def test_tcp_round_trip_starts_no_thread():
     before = threading.active_count()
     net = TcpTransport([0, 1, 2])
@@ -355,7 +374,17 @@ def test_tcp_sends_a_frame_larger_than_the_socket_buffers(monkeypatch):
     assert msg.payload.data.tobytes() == block.data.tobytes()
 
 
-def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time():
+def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time(monkeypatch):
+    header_reads = []  # bytes of the header held after each read inside it
+    read = TcpTransport._read
+
+    def watched_read(self, conn, st):
+        in_header = len(st.buf) == HEADER.size
+        read(self, conn, st)
+        if in_header:
+            header_reads.append(st.got if len(st.buf) == HEADER.size else HEADER.size)
+
+    monkeypatch.setattr(TcpTransport, "_read", watched_read)
     block = ColumnBlock(site=1, data=new_matrix(3, 2, [1, 2, 3, 4, 5, 6]), global_cols=(4, 7))
     frame = encode_message(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
     net = TcpTransport([0, 1], max_frame=len(frame))
@@ -365,10 +394,11 @@ def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time():
             for i in range(len(frame)):
                 sock.sendall(frame[i : i + 1])
                 if i < HEADER.size:
-                    time.sleep(0.002)  # let the I/O thread wake inside the header
+                    net._pump(0)  # read what has arrived, inside the header
             msg = net.recv(0, 5.0)
     finally:
         net.close()
+    assert any(0 < got < HEADER.size for got in header_reads)
     assert (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 1, 0)
     assert msg.payload.global_cols == (4, 7)
     assert msg.payload.data.tobytes() == block.data.tobytes()
