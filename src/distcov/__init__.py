@@ -7,7 +7,7 @@ merges the blocks into the full matrix — bit-identical to computing it on
 the unpartitioned data — then extracts its eigen-components.
 """
 
-from .costmodel import CostReport, centralized_cost, distributed_cost, speedup_lower_bound
+from .costmodel import CostReport, distributed_cost
 from .covariance import (
     ColumnBlock,
     CovBlock,
@@ -29,7 +29,7 @@ from .ingest import (
     partition_vertical,
     synthetic_table,
 )
-from .matrix import DenseMatrix, column_slice, new_matrix
+from .matrix import DenseMatrix, column_slice
 from .report import compare_partitions, dump_matrix, load_matrix_dump, matrix_checksum
 from .runtime import (
     RunMetrics,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DenseMatrix",
-    "new_matrix",
     "column_slice",
     "ColumnBlock",
     "CovBlock",
@@ -70,9 +69,7 @@ __all__ = [
     "synthetic_table",
     "load_mfeat",
     "CostReport",
-    "centralized_cost",
     "distributed_cost",
-    "speedup_lower_bound",
     "MessageKind",
     "ProtocolMessage",
     "encode_message",

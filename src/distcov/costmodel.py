@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WidthMismatch
-from .schedule import Schedule, build_schedule
+from .schedule import Schedule
 
-__all__ = ["CostReport", "centralized_cost", "distributed_cost", "speedup_lower_bound"]
+__all__ = ["CostReport", "distributed_cost"]
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,6 @@ class CostReport:
         }
 
 
-def centralized_cost(m: int) -> int:
-    """Pair evaluations for a single-machine covariance of m columns."""
-    if m < 1:
-        raise WidthMismatch(f"column count must be >= 1, got {m}")
-    return m * (m - 1) // 2
-
-
 def distributed_cost(widths, schedule: Schedule) -> CostReport:
     """Cost of the distributed computation for the given per-site widths.
 
@@ -69,7 +62,8 @@ def distributed_cost(widths, schedule: Schedule) -> CostReport:
     t_l = max(local)
     t_cr_cm = max(cross)
     t_d = t_l + t_cr_cm
-    t_c = centralized_cost(sum(w))
+    m = sum(w)
+    t_c = m * (m - 1) // 2
     return CostReport(
         t_c=t_c,
         local_ops=local,
@@ -80,12 +74,3 @@ def distributed_cost(widths, schedule: Schedule) -> CostReport:
         speedup=t_c / t_d,
     )
 
-
-def speedup_lower_bound(t: int, gamma: int) -> float:
-    """Modeled speed-up for t sites of equal width gamma; >= floor(t/2)."""
-    if t < 2:
-        raise WidthMismatch(f"need at least 2 sites, got {t}")
-    if gamma < 2:
-        raise WidthMismatch(f"per-site width must be >= 2, got {gamma}")
-    report = distributed_cost([gamma] * t, build_schedule(t))
-    return report.speedup

@@ -129,7 +129,7 @@ class GlobalCovariance:
 
     __slots__ = ("_matrix",)
 
-    def __init__(self, values, labels: Sequence[str] | None = None):
+    def __init__(self, values):
         arr = np.array(values, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"covariance matrix must be square, got {arr.shape}")
@@ -138,19 +138,21 @@ class GlobalCovariance:
         sym = np.triu(arr) + np.triu(arr, 1).T
         if np.any(np.diag(sym) < 0.0):
             raise InvalidCovariance("diagonal entries (variances) must be non-negative")
-        self._matrix = DenseMatrix(sym, labels)
+        self._matrix = DenseMatrix(sym)
 
     @classmethod
-    def _assembled(cls, arr: np.ndarray, labels: Sequence[str] | None) -> "GlobalCovariance":
+    def _assembled(cls, arr: np.ndarray) -> "GlobalCovariance":
         """What `__init__` makes of an arr whose triangles hold equal values,
-        without copying arr. Equal values are equal bits but for the sign of
-        zero; + 0.0 makes -0.0 into +0.0, as the mirror sum in `__init__` does.
+        without the mirror sum: arr itself is normalized in place and then
+        copied into the matrix. Equal values are equal bits but for the sign
+        of zero; + 0.0 makes -0.0 into +0.0, as the mirror sum in `__init__`
+        does.
         """
         arr += 0.0
         if np.any(np.diag(arr) < 0.0):
             raise InvalidCovariance("diagonal entries (variances) must be non-negative")
         cov = cls.__new__(cls)
-        cov._matrix = DenseMatrix(arr, labels)
+        cov._matrix = DenseMatrix(arr)
         return cov
 
     @property
@@ -160,10 +162,6 @@ class GlobalCovariance:
     @property
     def matrix(self) -> DenseMatrix:
         return self._matrix
-
-    @property
-    def labels(self) -> tuple[str, ...] | None:
-        return self._matrix.labels
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GlobalCovariance):
@@ -369,7 +367,7 @@ def site_covariance(
     values = own.data.values
     local, *cross = _cov_blocks(values, [values, *(s.data.values for s in senders)])
     local_block = CovBlock(
-        own.site, own.site, DenseMatrix._wrap(local, own.data.labels),
+        own.site, own.site, DenseMatrix._wrap(local),
         own.global_cols, own.global_cols,
     )
     return local_block, [_cross_block(own, s, c) for s, c in zip(senders, cross)]
@@ -387,7 +385,7 @@ def centralized_covariance(m: DenseMatrix) -> GlobalCovariance:
     if m.cols < 1:
         raise DimensionMismatch("covariance needs at least one column")
     (block,) = _cov_blocks(m.values, [m.values])
-    return GlobalCovariance(block, m.labels)
+    return GlobalCovariance._assembled(block)
 
 
 def _column_count(owners: Iterable[Sequence[int]]) -> int:
@@ -423,7 +421,6 @@ class _Assembler:
         self.expected, self.missing = len(pairs), set(pairs)
         self._owners = owners
         self._out = np.empty((self.dim, self.dim), dtype=np.float64)
-        self._labels: list[str | None] = [None] * self.dim
 
     def add(self, blk: CovBlock) -> None:
         a, b = blk.site_a, blk.site_b
@@ -440,16 +437,11 @@ class _Assembler:
         self._out[np.ix_(rg, cg)] = blk.block.values
         if a != b:
             self._out[np.ix_(cg, rg)] = blk.block.values.T
-        elif blk.block.labels is not None:
-            for pos, name in zip(rg, blk.block.labels):
-                self._labels[pos] = name
         self.missing.remove((a, b))
 
     def result(self) -> GlobalCovariance:
-        """The matrix, once `missing` is empty. Labels survive only if every
-        local block carries them."""
-        labels = None if None in self._labels else tuple(self._labels)
-        return GlobalCovariance._assembled(self._out, labels)
+        """The matrix, once `missing` is empty."""
+        return GlobalCovariance._assembled(self._out)
 
 
 def merge_blocks(

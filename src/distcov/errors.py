@@ -17,10 +17,6 @@ class NonFiniteValue(DistCovError):
     """NaN or infinity encountered where only finite reals are admitted."""
 
 
-class DuplicateLabel(DistCovError):
-    """Column labels must be unique."""
-
-
 class IndexOutOfRange(DistCovError):
     """A row, column, or site index lies outside the valid range."""
 

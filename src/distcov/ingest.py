@@ -145,7 +145,8 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
 
     `format` is "whitespace" (runs of blanks between fields, the native
     layout of the benchmark files) or "csv". A CSV first row that does not
-    parse as numbers is taken as a header and becomes the column labels.
+    parse as numbers is taken as a header and skipped; it must have as many
+    fields as the data rows. The matrix holds values only.
 
     Raises:
         IoError: the file cannot be read.
@@ -180,26 +181,25 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
     else:
         rows = [line.split() for line in text.splitlines() if line.strip()]
 
-    labels: tuple[str, ...] | None = None
-    if format == "csv" and rows and not _all_numeric(rows[0]):
-        labels = tuple(f.strip() for f in rows[0])
-        rows = rows[1:]
-    if not rows:
+    skip = 1 if format == "csv" and rows and not _all_numeric(rows[0]) else 0
+    if len(rows) == skip:
         raise ParseError(f"{p}: no data rows")
 
-    width = len(rows[0])
-    data = np.empty((len(rows), width), dtype=np.float64)
+    width = len(rows[skip])
+    data = np.empty((len(rows) - skip, width), dtype=np.float64)
     for i, fields in enumerate(rows):
         if len(fields) != width:
             raise RaggedRows(
                 f"{p}: row {i + 1} has {len(fields)} fields, expected {width}"
             )
+        if i < skip:
+            continue
         for j, f in enumerate(fields):
             try:
-                data[i, j] = float(f)
+                data[i - skip, j] = float(f)
             except ValueError:
                 raise ParseError(f"{p}: row {i + 1} field {j + 1}: {f!r} is not a number") from None
-    return DenseMatrix(data, labels)
+    return DenseMatrix(data)
 
 
 def _all_numeric(fields: Sequence[str]) -> bool:
@@ -226,11 +226,7 @@ def hjoin(tables: Sequence[DenseMatrix]) -> DenseMatrix:
             )
     if len(tables) == 1:
         return tables[0]
-    values = np.ascontiguousarray(np.hstack([t.values for t in tables]))
-    labels: tuple[str, ...] | None = None
-    if all(t.labels is not None for t in tables):
-        labels = tuple(name for t in tables for name in t.labels)  # type: ignore[union-attr]
-    return DenseMatrix._wrap(values, labels)
+    return DenseMatrix._wrap(np.ascontiguousarray(np.hstack([t.values for t in tables])))
 
 
 def partition_vertical(m: DenseMatrix, spec: PartitionSpec) -> list[ColumnBlock]:

@@ -539,19 +539,10 @@ def run_centralized(
     total_cols = _column_count(b.global_cols for b in blocks)
 
     full = np.empty((rows, total_cols), dtype=np.float64)
-    labels: list[str] | None = [""] * total_cols
     for b in blocks:
         full[:, list(b.global_cols)] = b.data.values
-        if labels is not None and b.data.labels is not None:
-            for pos, name in zip(b.global_cols, b.data.labels):
-                labels[pos] = name
-        else:
-            labels = None
-    table = DenseMatrix._wrap(
-        np.ascontiguousarray(full), tuple(labels) if labels else None
-    )
 
-    cov, metrics = _timed_oracle(table)
+    cov, metrics = _timed_oracle(DenseMatrix._wrap(full))
     t1 = time.perf_counter()
     decomp = symmetric_eigen(cov)
     eigen_ms = (time.perf_counter() - t1) * 1e3

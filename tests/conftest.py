@@ -30,14 +30,14 @@ THREE_SITE_GROUPS = ((0, 1), (2, 3), (4,))
 
 @pytest.fixture
 def three_site_blocks() -> list[ColumnBlock]:
-    m = DenseMatrix(THREE_SITE_DATA, labels=("x", "y", "z", "w", "v"))
+    m = DenseMatrix(THREE_SITE_DATA)
     spec = PartitionSpec(total_cols=5, groups=THREE_SITE_GROUPS)
     return partition_vertical(m, spec)
 
 
 @pytest.fixture
 def three_site_matrix() -> DenseMatrix:
-    return DenseMatrix(THREE_SITE_DATA, labels=("x", "y", "z", "w", "v"))
+    return DenseMatrix(THREE_SITE_DATA)
 
 
 def blocks_for(data: np.ndarray, widths: list[int]) -> list[ColumnBlock]:

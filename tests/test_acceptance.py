@@ -22,14 +22,13 @@ from distcov import (
     centralized_covariance,
     critical_path_ms,
     decode_message,
+    distributed_cost,
     encode_message,
     merge_blocks,
     mfeat_preset,
-    new_matrix,
     partition_vertical,
     run_centralized,
     run_distributed,
-    speedup_lower_bound,
     symmetric_eigen,
     synthetic_table,
     validate_schedule,
@@ -216,7 +215,8 @@ def test_criterion_7_speedup_model_and_trend(capsys):
     try:
         for t in range(2, 11):
             for gamma in (10, 50, 100):
-                assert speedup_lower_bound(t, gamma) >= t // 2, (t, gamma)
+                speedup = distributed_cost([gamma] * t, build_schedule(t)).speedup
+                assert speedup >= t // 2, (t, gamma)
 
         runs = _mfeat_runs()["runs"]
         _, metrics2, sched2 = runs[2]
@@ -234,14 +234,14 @@ def test_criterion_8_three_site_merge_fixture(capsys):
     the oracle, and dropping a cross block is rejected as a coverage gap."""
     ok = False
     try:
-        data = new_matrix(6, 5, [
+        data = DenseMatrix(np.reshape([
             1, 2, 6, 1, 3,
             2, 4, 5, 1, 1,
             3, 6, 4, 2, 4,
             4, 8, 3, 2, 1,
             5, 10, 2, 3, 5,
             6, 12, 1, 3, 9,
-        ], labels=["x", "y", "z", "w", "v"])
+        ], (6, 5)))
         blocks = blocks_for(data.values, [2, 2, 1])
         sched = build_schedule(3)
         locals_, crosses = schedule_blocks(blocks, sched)

@@ -2,19 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from distcov import build_schedule, centralized_cost, distributed_cost, speedup_lower_bound
+from distcov import build_schedule, distributed_cost
 from distcov.errors import WidthMismatch
 
 
 def test_centralized_count():
-    assert centralized_cost(649) == 210_276
-    assert centralized_cost(1) == 0
-    assert centralized_cost(2) == 1
-
-
-def test_centralized_rejects_zero():
-    with pytest.raises(WidthMismatch):
-        centralized_cost(0)
+    assert distributed_cost([649], build_schedule(1)).t_c == 210_276
+    assert distributed_cost([2], build_schedule(1)).t_c == 1
+    assert distributed_cost([1, 1], build_schedule(2)).t_c == 1
 
 
 def test_equal_widths_four_sites():
@@ -29,7 +24,7 @@ def test_equal_widths_four_sites():
 
 def test_single_site_equals_centralized():
     rep = distributed_cost([30], build_schedule(1))
-    assert rep.t_d == centralized_cost(30)
+    assert rep.t_d == rep.t_c == 435
     assert rep.speedup == 1.0
 
 
@@ -66,14 +61,7 @@ def test_width_count_must_match_schedule():
 @pytest.mark.parametrize("t", range(2, 11))
 @pytest.mark.parametrize("gamma", [10, 50, 100])
 def test_speedup_at_least_half_t(t, gamma):
-    assert speedup_lower_bound(t, gamma) >= t // 2
-
-
-def test_speedup_lower_bound_guards():
-    with pytest.raises(WidthMismatch):
-        speedup_lower_bound(1, 10)
-    with pytest.raises(WidthMismatch):
-        speedup_lower_bound(4, 1)
+    assert distributed_cost([gamma] * t, build_schedule(t)).speedup >= t // 2
 
 
 def test_distributed_cost_non_increasing_at_fixed_total():

@@ -16,7 +16,6 @@ from distcov import (
     cross_covariance,
     local_covariance,
     merge_blocks,
-    new_matrix,
     run_distributed,
     site_covariance,
 )
@@ -37,7 +36,8 @@ from distcov.schedule import build_schedule
 # --- one-column blocks: known values and argument errors ------------------
 
 def _col(site: int, values, col: int = 0) -> ColumnBlock:
-    return ColumnBlock(site=site, data=new_matrix(len(values), 1, values), global_cols=(col,))
+    return ColumnBlock(site=site, data=DenseMatrix(np.reshape(values, (-1, 1))),
+                       global_cols=(col,))
 
 
 def test_one_column_identical_columns():
@@ -71,7 +71,7 @@ def test_one_column_too_few_rows():
 # --- block types -----------------------------------------------------------
 
 def test_column_block_validation():
-    data = new_matrix(3, 2, [1, 2, 3, 4, 5, 6])
+    data = DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (3, 2)))
     with pytest.raises(DimensionMismatch):
         ColumnBlock(site=0, data=data, global_cols=(1,))  # wrong index count
     with pytest.raises(DimensionMismatch):
@@ -81,7 +81,7 @@ def test_column_block_validation():
 
 
 def test_local_cov_block_must_be_symmetric():
-    asym = new_matrix(2, 2, [1, 2, 3, 4])
+    asym = DenseMatrix(np.reshape([1, 2, 3, 4], (2, 2)))
     with pytest.raises(InvalidCovariance):
         CovBlock(site_a=0, site_b=0, block=asym,
                  rows_global_cols=(0, 1), cols_global_cols=(0, 1))
@@ -106,27 +106,29 @@ def test_global_covariance_must_be_square():
 # --- local / cross / centralized -------------------------------------------
 
 def test_local_single_column_variance():
-    b = ColumnBlock(site=0, data=new_matrix(3, 1, [1, 2, 3]), global_cols=(0,))
+    b = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
     blk = local_covariance(b)
     assert blk.block.values.tolist() == [[1.0]]
     assert blk.site_a == blk.site_b == 0
 
 
 def test_local_two_columns():
-    b = ColumnBlock(site=0, data=new_matrix(3, 2, [1, 3, 2, 2, 3, 1]), global_cols=(0, 1))
+    b = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 3, 2, 2, 3, 1], (3, 2))),
+                    global_cols=(0, 1))
     blk = local_covariance(b)
     assert blk.block.values.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
 
 def test_local_identical_columns_give_equal_entries():
-    b = ColumnBlock(site=0, data=new_matrix(3, 2, [1, 1, 2, 2, 3, 3]), global_cols=(0, 1))
+    b = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 1, 2, 2, 3, 3], (3, 2))),
+                    global_cols=(0, 1))
     blk = local_covariance(b)
     assert len(set(blk.block.values.flatten().tolist())) == 1
 
 
 def test_cross_variance_case():
-    s = ColumnBlock(site=0, data=new_matrix(3, 1, [1, 2, 3]), global_cols=(0,))
-    r = ColumnBlock(site=1, data=new_matrix(3, 1, [1, 2, 3]), global_cols=(1,))
+    s = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
+    r = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(1,))
     blk = cross_covariance(receiver=r, sender=s)
     assert blk.block.values.tolist() == [[1.0]]
     assert blk.site_a == 0 and blk.site_b == 1
@@ -134,48 +136,50 @@ def test_cross_variance_case():
 
 
 def test_cross_shape_is_sender_rows_receiver_cols():
-    s = ColumnBlock(site=0, data=new_matrix(3, 1, [1, 2, 3]), global_cols=(0,))
-    r = ColumnBlock(site=1, data=new_matrix(3, 2, [1, 2, 2, 4, 3, 6]), global_cols=(1, 2))
+    s = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
+    r = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2, 2, 4, 3, 6], (3, 2))),
+                    global_cols=(1, 2))
     blk = cross_covariance(receiver=r, sender=s)
     assert blk.block.rows == 1 and blk.block.cols == 2
 
 
 def test_cross_constant_sender_gives_zero_row():
-    s = ColumnBlock(site=0, data=new_matrix(3, 1, [4, 4, 4]), global_cols=(0,))
-    r = ColumnBlock(site=1, data=new_matrix(3, 2, [1, 2, 5, 3, 2, 8]), global_cols=(1, 2))
+    s = ColumnBlock(site=0, data=DenseMatrix(np.reshape([4, 4, 4], (3, 1))), global_cols=(0,))
+    r = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2, 5, 3, 2, 8], (3, 2))),
+                    global_cols=(1, 2))
     blk = cross_covariance(receiver=r, sender=s)
     assert blk.block.values.tolist() == [[0.0, 0.0]]
 
 
 def test_cross_rejects_same_site_and_row_mismatch():
-    a = ColumnBlock(site=0, data=new_matrix(3, 1, [1, 2, 3]), global_cols=(0,))
-    b = ColumnBlock(site=0, data=new_matrix(3, 1, [1, 2, 3]), global_cols=(1,))
+    a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
+    b = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(1,))
     with pytest.raises(SameSite):
         cross_covariance(receiver=a, sender=b)
-    c = ColumnBlock(site=1, data=new_matrix(2, 1, [1, 2]), global_cols=(1,))
+    c = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2], (2, 1))), global_cols=(1,))
     with pytest.raises(RowCountMismatch):
         cross_covariance(receiver=c, sender=a)
 
 
 def test_centralized_hand_example():
-    m = new_matrix(3, 2, [1, 3, 2, 2, 3, 1])
+    m = DenseMatrix(np.reshape([1, 3, 2, 2, 3, 1], (3, 2)))
     g = centralized_covariance(m)
     assert g.matrix.values.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
 
 def test_centralized_single_column():
-    g = centralized_covariance(new_matrix(3, 1, [1, 2, 3]))
+    g = centralized_covariance(DenseMatrix(np.reshape([1, 2, 3], (3, 1))))
     assert g.dim == 1 and g.matrix.values[0, 0] == 1.0
 
 
 def test_centralized_identical_columns():
-    g = centralized_covariance(new_matrix(3, 2, [1, 1, 2, 2, 3, 3]))
+    g = centralized_covariance(DenseMatrix(np.reshape([1, 1, 2, 2, 3, 3], (3, 2))))
     assert len(set(g.matrix.values.flatten().tolist())) == 1
 
 
 def test_centralized_too_few_rows():
     with pytest.raises(TooFewRows):
-        centralized_covariance(new_matrix(1, 2, [1, 2]))
+        centralized_covariance(DenseMatrix(np.reshape([1, 2], (1, 2))))
 
 
 # --- the three-site fixture, hand-derived entries --------------------------
@@ -198,13 +202,6 @@ def test_merge_reproduces_oracle_on_fixture(three_site_blocks, three_site_matrix
     merged = merge_blocks(locals_, crosses, 5)
     oracle = centralized_covariance(three_site_matrix)
     assert merged.matrix.tobytes() == oracle.matrix.tobytes()
-
-
-def test_merge_keeps_labels_from_local_blocks(three_site_blocks):
-    sched = build_schedule(3)
-    locals_, crosses = schedule_blocks(three_site_blocks, sched)
-    merged = merge_blocks(locals_, crosses, 5)
-    assert merged.labels == ("x", "y", "z", "w", "v")
 
 
 def test_merge_single_site(three_site_matrix):

@@ -32,22 +32,20 @@ def test_load_whitespace(tmp_path):
     m = load_table(p)
     assert m.rows == 3 and m.cols == 2
     assert m.values.tolist() == [[1, 2], [3, 4], [5, 6]]
-    assert m.labels is None
 
 
 def test_load_csv_with_header(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("a,b\n1,2\n")
+    p.write_text("a,b\n1.5,-2\n3,0.1\n")
     m = load_table(p, format="csv")
-    assert m.rows == 1 and m.cols == 2
-    assert m.labels == ("a", "b")
+    assert m.values.tolist() == [[1.5, -2.0], [3.0, 0.1]]
 
 
 def test_load_csv_without_header(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1,2\n3,4\n")
     m = load_table(p, format="csv")
-    assert m.rows == 2 and m.labels is None
+    assert m.values.tolist() == [[1, 2], [3, 4]]
 
 
 def test_load_ragged(tmp_path):
@@ -94,6 +92,12 @@ def test_load_errors_name_row_and_field(tmp_path):
     p.write_text("1 2\n3 oops\n")
     with pytest.raises(ParseError, match="row 2 field 2: 'oops' is not a number"):
         load_table(p)
+    p.write_text("a,b,c\n1,2\n3,4\n")  # a header is a row too
+    with pytest.raises(RaggedRows, match="row 1 has 3 fields, expected 2"):
+        load_table(p, format="csv")
+    p.write_text("a,b\n1,2\n3,oops\n")
+    with pytest.raises(ParseError, match="row 3 field 2: 'oops' is not a number"):
+        load_table(p, format="csv")
 
 
 def test_load_missing_file(tmp_path):

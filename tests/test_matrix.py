@@ -5,26 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from distcov import DenseMatrix, column_slice, new_matrix
+from distcov import DenseMatrix, column_slice
 from distcov.errors import (
     DimensionMismatch,
     DuplicateIndex,
-    DuplicateLabel,
     IndexOutOfRange,
     NonFiniteValue,
 )
 
 
 def test_new_matrix_shape_and_values():
-    m = new_matrix(2, 3, [1, 2, 3, 4, 5, 6])
+    m = DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (2, 3)))
     assert m.rows == 2 and m.cols == 3
     assert m.values[1, 2] == 6.0
     assert m.values.dtype == np.float64
-
-
-def test_new_matrix_wrong_value_count():
-    with pytest.raises(DimensionMismatch):
-        new_matrix(2, 2, [1, 2, 3])
 
 
 def test_one_dimensional_input_rejected():
@@ -35,20 +29,11 @@ def test_one_dimensional_input_rejected():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_rejected(bad):
     with pytest.raises(NonFiniteValue):
-        new_matrix(1, 2, [1.0, bad])
-
-
-def test_labels_checked():
-    m = new_matrix(1, 2, [1, 2], labels=["a", "b"])
-    assert m.labels == ("a", "b")
-    with pytest.raises(DimensionMismatch):
-        new_matrix(1, 2, [1, 2], labels=["a"])
-    with pytest.raises(DuplicateLabel):
-        new_matrix(1, 2, [1, 2], labels=["a", "a"])
+        DenseMatrix(np.reshape([1.0, bad], (1, 2)))
 
 
 def test_values_are_read_only():
-    m = new_matrix(2, 2, [1, 2, 3, 4])
+    m = DenseMatrix(np.reshape([1, 2, 3, 4], (2, 2)))
     with pytest.raises(ValueError):
         m.values[0, 0] = 9.0
 
@@ -61,34 +46,32 @@ def test_construction_copies_input():
 
 
 def test_tobytes_is_little_endian_row_major():
-    m = new_matrix(1, 2, [1.0, 2.0])
+    m = DenseMatrix(np.reshape([1.0, 2.0], (1, 2)))
     expected = np.array([1.0, 2.0]).astype("<f8").tobytes()
     assert m.tobytes() == expected
 
 
 def test_equality_covers_values_and_labels():
-    a = new_matrix(1, 2, [1, 2], labels=["p", "q"])
-    b = new_matrix(1, 2, [1, 2], labels=["p", "q"])
-    c = new_matrix(1, 2, [1, 2])
+    a = DenseMatrix(np.reshape([1, 2], (1, 2)))
+    b = DenseMatrix(np.reshape([1, 2], (1, 2)))
     assert a == b
-    assert a != c
-    assert a != new_matrix(2, 1, [1, 2])
+    assert a != DenseMatrix(np.reshape([1, 3], (1, 2)))
+    assert a != DenseMatrix(np.reshape([1, 2], (2, 1)))
 
 
 def test_matrices_are_unhashable():
     with pytest.raises(TypeError):
-        hash(new_matrix(1, 1, [1.0]))
+        hash(DenseMatrix(np.reshape([1.0], (1, 1))))
 
 
 def test_column_slice_reorders_and_keeps_labels():
-    m = new_matrix(2, 3, [1, 2, 3, 4, 5, 6], labels=["a", "b", "c"])
+    m = DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (2, 3)))
     s = column_slice(m, [2, 0])
-    assert s.labels == ("c", "a")
     assert s.values.tolist() == [[3.0, 1.0], [6.0, 4.0]]
 
 
 def test_column_slice_errors():
-    m = new_matrix(2, 2, [1, 2, 3, 4])
+    m = DenseMatrix(np.reshape([1, 2, 3, 4], (2, 2)))
     with pytest.raises(IndexOutOfRange):
         column_slice(m, [0, 2])
     with pytest.raises(DuplicateIndex):
@@ -96,7 +79,7 @@ def test_column_slice_errors():
 
 
 def test_column_slice_empty_selection():
-    m = new_matrix(2, 2, [1, 2, 3, 4])
+    m = DenseMatrix(np.reshape([1, 2, 3, 4], (2, 2)))
     s = column_slice(m, [])
     assert s.rows == 2 and s.cols == 0
 

@@ -20,10 +20,10 @@ from distcov import (
     centralized_covariance,
     critical_path_ms,
     encode_message,
+    load_table,
     local_covariance,
     merge_blocks,
     mfeat_preset,
-    new_matrix,
     partition_vertical,
     run_centralized,
     run_distributed,
@@ -50,6 +50,7 @@ from distcov.runtime import (
     TransferStat,
     _deadline_ms,
 )
+from distcov.ingest import even_preset
 from distcov.wire import HEADER, MAGIC, largest_frame
 from conftest import blocks_for
 
@@ -69,7 +70,8 @@ def test_three_site_fixture_matches_oracle(three_site_blocks, three_site_matrix)
 
 
 def test_single_site_degenerate_run():
-    b = ColumnBlock(site=0, data=new_matrix(3, 2, [1, 3, 2, 2, 3, 1]), global_cols=(0, 1))
+    b = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 3, 2, 2, 3, 1], (3, 2))),
+                    global_cols=(0, 1))
     log: list = []
     cov, _, _ = run_distributed([b], build_schedule(1), message_log=log)
     assert cov.matrix.values.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
@@ -385,7 +387,8 @@ def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time(monkeypatch):
             header_reads.append(st.got if len(st.buf) == HEADER.size else HEADER.size)
 
     monkeypatch.setattr(TcpTransport, "_read", watched_read)
-    block = ColumnBlock(site=1, data=new_matrix(3, 2, [1, 2, 3, 4, 5, 6]), global_cols=(4, 7))
+    block = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (3, 2))),
+                        global_cols=(4, 7))
     frame = encode_message(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
     net = TcpTransport([0, 1], max_frame=len(frame))
     try:
@@ -414,8 +417,20 @@ def test_distributed_matches_centralized_runner():
     assert metrics.transfers == {}
 
 
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_csv_header_does_not_split_distributed_from_centralized(tmp_path, transport):
+    rng = np.random.default_rng(33)
+    path = tmp_path / "t.csv"
+    np.savetxt(path, rng.standard_normal((12, 5)), fmt="%.17g", delimiter=",",
+               header="a,b,c,d,e", comments="")
+    blocks = partition_vertical(load_table(path, format="csv"), even_preset(5, 3))
+    cov_d, _, _ = run_distributed(blocks, build_schedule(3), transport=transport)
+    cov_c, _, _ = run_centralized(blocks)
+    assert cov_d == cov_c
+
+
 def test_unknown_transport():
-    b = ColumnBlock(site=0, data=new_matrix(2, 1, [1, 2]), global_cols=(0,))
+    b = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2], (2, 1))), global_cols=(0,))
     with pytest.raises(TransportError):
         run_distributed([b], build_schedule(1), transport="carrier-pigeon")
 
@@ -431,8 +446,8 @@ def test_transfer_bytes_are_encoded_frame_sizes():
 
 
 def test_site_validation():
-    a = ColumnBlock(site=0, data=new_matrix(3, 1, [1, 2, 3]), global_cols=(0,))
-    b = ColumnBlock(site=2, data=new_matrix(3, 1, [4, 5, 6]), global_cols=(1,))
+    a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
+    b = ColumnBlock(site=2, data=DenseMatrix(np.reshape([4, 5, 6], (3, 1))), global_cols=(1,))
     with pytest.raises(DimensionMismatch):
         run_distributed([a, b], build_schedule(2))  # sites 0,2 not 0,1
     with pytest.raises(DimensionMismatch):
@@ -440,8 +455,8 @@ def test_site_validation():
 
 
 def test_row_count_validation():
-    a = ColumnBlock(site=0, data=new_matrix(3, 1, [1, 2, 3]), global_cols=(0,))
-    b = ColumnBlock(site=1, data=new_matrix(2, 1, [4, 5]), global_cols=(1,))
+    a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
+    b = ColumnBlock(site=1, data=DenseMatrix(np.reshape([4, 5], (2, 1))), global_cols=(1,))
     with pytest.raises(RowCountMismatch):
         run_distributed([a, b], build_schedule(2))
     with pytest.raises(RowCountMismatch):
@@ -449,13 +464,13 @@ def test_row_count_validation():
 
 
 def test_too_few_rows():
-    a = ColumnBlock(site=0, data=new_matrix(1, 1, [1]), global_cols=(0,))
+    a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1], (1, 1))), global_cols=(0,))
     with pytest.raises(TooFewRows):
         run_centralized([a])
 
 
 def test_centralized_single_column():
-    a = ColumnBlock(site=0, data=new_matrix(3, 1, [1, 2, 3]), global_cols=(0,))
+    a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
     cov, decomp, _ = run_centralized([a])
     assert cov.dim == 1
     assert cov.matrix.values[0, 0] == 1.0
@@ -463,8 +478,8 @@ def test_centralized_single_column():
 
 
 def test_centralized_detects_column_gaps():
-    a = ColumnBlock(site=0, data=new_matrix(3, 1, [1, 2, 3]), global_cols=(0,))
-    b = ColumnBlock(site=1, data=new_matrix(3, 1, [4, 5, 6]), global_cols=(2,))
+    a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
+    b = ColumnBlock(site=1, data=DenseMatrix(np.reshape([4, 5, 6], (3, 1))), global_cols=(2,))
     with pytest.raises(DimensionMismatch):
         run_centralized([a, b])
 

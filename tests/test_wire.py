@@ -13,14 +13,13 @@ from distcov import (
     ProtocolMessage,
     decode_message,
     encode_message,
-    new_matrix,
 )
 from distcov.errors import LengthMismatch, MalformedFrame, NonFiniteValue, UnknownKind
 from distcov.wire import HEADER, MAGIC
 
 
 def _data_msg() -> ProtocolMessage:
-    block = ColumnBlock(site=0, data=new_matrix(2, 1, [1.0, 2.0]), global_cols=(4,))
+    block = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1.0, 2.0], (2, 1))), global_cols=(4,))
     return ProtocolMessage(MessageKind.DATA_BLOCK, sender=0, receiver=1, payload=block)
 
 
@@ -55,7 +54,7 @@ def test_covblock_roundtrip():
     blk = CovBlock(
         site_a=2,
         site_b=0,
-        block=new_matrix(2, 3, [1.5, -2.25, 0.0, 3.75, 1e300, -1e-300]),
+        block=DenseMatrix(np.reshape([1.5, -2.25, 0.0, 3.75, 1e300, -1e-300], (2, 3))),
         rows_global_cols=(5, 6),
         cols_global_cols=(0, 1, 2),
     )
