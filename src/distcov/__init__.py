@@ -1,10 +1,11 @@
 """Exact covariance of vertically partitioned data.
 
 Each site holds every row but only a slice of the columns. Sites compute
-their own covariance blocks, exchange raw columns along a ring predecessor
-schedule so that every pair of sites meets exactly once, and a coordinator
-merges the blocks into the full matrix — bit-identical to computing it on
-the unpartitioned data — then extracts its eigen-components.
+their own covariance blocks, exchange raw columns along any schedule of
+senders that makes every pair of sites meet exactly once (by default the
+paper's ring), and a coordinator merges the blocks into the full matrix —
+bit-identical to computing it on the unpartitioned data — then extracts its
+eigen-components.
 """
 
 from .costmodel import CostReport, distributed_cost
@@ -38,7 +39,7 @@ from .runtime import (
     run_centralized,
     run_distributed,
 )
-from .schedule import CoverageReport, Schedule, build_schedule, predecessor, validate_schedule
+from .schedule import Schedule, build_schedule
 from .wire import MessageKind, ProtocolMessage, decode_message, encode_message
 
 __version__ = "0.1.0"
@@ -57,10 +58,7 @@ __all__ = [
     "EigenDecomposition",
     "symmetric_eigen",
     "Schedule",
-    "CoverageReport",
-    "predecessor",
     "build_schedule",
-    "validate_schedule",
     "PartitionSpec",
     "load_table",
     "hjoin",

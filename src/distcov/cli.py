@@ -40,7 +40,7 @@ from .ingest import (
 from .report import REPORT_VERSION, dump_matrix, run_report
 from .report import compare_partitions as _compare_partitions
 from .runtime import run_centralized, run_distributed
-from .schedule import build_schedule, validate_schedule
+from .schedule import build_schedule
 
 __all__ = ["main"]
 
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("schedule", help="show and validate the exchange schedule")
+    sp = sub.add_parser("schedule", help="show the exchange schedule")
     sp.add_argument("--sites", type=_positive_int, required=True)
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sp.set_defaults(func=_cmd_schedule)
@@ -182,34 +182,14 @@ def _emit(doc: dict, out: Path | None) -> None:
 
 def _cmd_schedule(args) -> int:
     s = build_schedule(args.sites)
-    report = validate_schedule(s)
     if args.json:
-        _emit(
-            {
-                "t": s.t,
-                "r": s.r,
-                "predecessors": [list(p) for p in s.predecessors],
-                "validation": {
-                    "pairs_covered": report.pairs_covered,
-                    "duplicates": [list(d) for d in report.duplicates],
-                    "gaps": [list(g) for g in report.gaps],
-                    "max_list_len": report.max_list_len,
-                    "valid": report.valid,
-                },
-            },
-            None,
-        )
+        _emit(s.to_dict(), None)
         return 0
-    print(f"t={s.t} r={s.r}")
+    print(f"t={s.t}")
     for k, preds in enumerate(s.predecessors):
         shown = ", ".join(str(p) for p in preds) if preds else "(none)"
         print(f"site {k} <- {shown}")
-    verdict = "valid" if report.valid else "INVALID"
-    print(
-        f"coverage: {report.pairs_covered} pairs, "
-        f"max list length {report.max_list_len}, {verdict}"
-    )
-    return 0 if report.valid else 4
+    return 0
 
 
 def _cmd_run(args) -> int:

@@ -2,7 +2,7 @@
 
 Centralized work is all m(m-1)/2 pairs on one machine. Distributed work is
 the slowest site's local block plus the slowest site's cross-block phase,
-where receiving site k pays m_k*m_i compute and m_i shipping per predecessor
+where receiving site k pays m_k*m_i compute and m_i shipping per sender
 i. The modeled speed-up of an equal-width split across t sites is at least
 floor(t/2).
 """
@@ -44,9 +44,11 @@ class CostReport:
 def distributed_cost(widths, schedule: Schedule) -> CostReport:
     """Cost of the distributed computation for the given per-site widths.
 
-    t_d = max_j local(j) + max_k sum over predecessors i of (m_k*m_i + m_i).
+    t_d = max_j local(j) + max_k sum over senders i of (m_k*m_i + m_i).
     The two maxima are independent: every site computes its local block in
     parallel, then every site works through its received blocks in parallel.
+    One site with one column has no pairs at all; that run is the
+    centralized run, so its speed-up is 1.0.
     """
     w = [int(x) for x in widths]
     if len(w) != schedule.t:
@@ -71,6 +73,6 @@ def distributed_cost(widths, schedule: Schedule) -> CostReport:
         cross_comm_ops=cross,
         t_cr_cm=t_cr_cm,
         t_d=t_d,
-        speedup=t_c / t_d,
+        speedup=t_c / t_d if t_d else 1.0,
     )
 

@@ -39,7 +39,7 @@ __all__ = [
     "DUMP_MAGIC",
 ]
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 DUMP_MAGIC = b"DCMM"
 _DUMP_HEADER = struct.Struct("<4sIQ")  # magic, dim, reserved
 
@@ -99,10 +99,7 @@ def run_report(
         "matrix_checksum": matrix_checksum(cov.matrix),
         "top_eigenvalues": list(decomp.eigenvalues[:10]),
         "metrics": metrics.to_dict(),
-        "schedule": None
-        if schedule is None
-        else {"t": schedule.t, "r": schedule.r,
-              "predecessors": [list(p) for p in schedule.predecessors]},
+        "schedule": None if schedule is None else schedule.to_dict(),
     }
     return doc
 
@@ -144,7 +141,7 @@ def compare_partitions(
                 f"centralized {checksum[:16]}…)"
             )
         widths = [b.data.cols for b in blocks]
-        distributed_ms = critical_path_ms(dist_metrics, schedule)
+        distributed_ms = critical_path_ms(dist_metrics)
         rows.append({
             "partitions": t,
             "equal": True,

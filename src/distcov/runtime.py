@@ -1,7 +1,7 @@
 """Protocol runtime: site turns, a coordinator, and two transports.
 
 The sites take turns on the caller's thread, in site order, and each turn
-is self-contained: every predecessor of the site ships its raw columns and
+is self-contained: every sender of the site ships its raw columns and
 the site takes them from its inbox at once, makes one kernel call
 (`site_covariance`) for its local block and all its cross blocks, and sends
 every block and DONE to the coordinator (reserved endpoint id = t). The
@@ -146,25 +146,20 @@ class RunMetrics:
         }
 
 
-def critical_path_ms(metrics: RunMetrics, schedule: Schedule) -> float:
+def critical_path_ms(metrics: RunMetrics) -> float:
     """Distributed time with one processor per site, derived from the
     measured per-site phases.
 
-    Each site receives its predecessors' columns, then makes its one kernel
+    Each site receives its senders' columns, then makes its one kernel
     call, and the sites do so concurrently, so the protocol takes the
     slowest site's inbound transfers plus kernel. Kernel costs are the
     per-thread CPU readings, which stay honest when one host runs every
     site's kernel in turn.
     """
-    return max(
-        metrics.site_cov_cpu_ms[k]
-        + sum(
-            metrics.transfers[(j, k)].ms
-            for j in schedule.predecessors[k]
-            if (j, k) in metrics.transfers
-        )
-        for k in range(schedule.t)
-    )
+    per_site = list(metrics.site_cov_cpu_ms)
+    for (_, k), s in metrics.transfers.items():
+        per_site[k] += s.ms
+    return max(per_site)
 
 
 class InProcessTransport:
@@ -366,7 +361,7 @@ class TcpTransport(InProcessTransport):
 def _site_turn(
     net, schedule: Schedule, blocks, site: int, deadline: float, transfers: dict
 ) -> tuple[float, float]:
-    """Site `site`'s turn: its predecessors ship their raw columns, which it
+    """Site `site`'s turn: its senders ship their raw columns, which it
     takes from its inbox at once; it makes its one kernel call and sends
     every block and DONE to the coordinator. Records each shipment in
     `transfers`; returns the kernel call's wall and CPU time in ms."""

@@ -31,9 +31,9 @@ from distcov import (
     run_distributed,
     symmetric_eigen,
     synthetic_table,
-    validate_schedule,
 )
 from distcov.errors import MissingPair
+from distcov.schedule import pair_coverage
 from conftest import blocks_for, random_widths, schedule_blocks
 
 
@@ -53,9 +53,8 @@ def _mfeat_runs() -> dict:
         runs = {}
         for t in (2, 3, 4, 5, 6):
             blocks = partition_vertical(table, mfeat_preset(t))
-            sched = build_schedule(t)
-            cov, _, metrics = run_distributed(blocks, sched)
-            runs[t] = (cov, metrics, sched)
+            cov, _, metrics = run_distributed(blocks, build_schedule(t))
+            runs[t] = (cov, metrics)
         _MFEAT_CACHE["oracle"] = oracle
         _MFEAT_CACHE["runs"] = runs
     return _MFEAT_CACHE
@@ -92,7 +91,7 @@ def test_criterion_2_benchmark_scale_equivalence(capsys):
         started = time.perf_counter()
         cache = _mfeat_runs()
         oracle = cache["oracle"]
-        for t, (cov, _, _) in cache["runs"].items():
+        for t, (cov, _) in cache["runs"].items():
             assert cov.matrix.tobytes() == oracle.matrix.tobytes(), f"preset t={t}"
         assert time.perf_counter() - started < 60.0
         ok = True
@@ -107,10 +106,9 @@ def test_criterion_3_schedule_coverage(capsys):
         started = time.perf_counter()
         for t in range(1, 65):
             s = build_schedule(t)
-            rep = validate_schedule(s)
-            assert rep.valid, t
-            assert rep.pairs_covered == t * (t - 1) // 2
-            assert rep.max_list_len <= t // 2
+            assert pair_coverage(range(t), s.blocks()) == ((), ()), t
+            assert len(s.blocks()) == t + t * (t - 1) // 2
+            assert max(map(len, s.predecessors)) <= t // 2
         assert time.perf_counter() - started < 1.0
         ok = True
     finally:
@@ -219,10 +217,8 @@ def test_criterion_7_speedup_model_and_trend(capsys):
                 assert speedup >= t // 2, (t, gamma)
 
         runs = _mfeat_runs()["runs"]
-        _, metrics2, sched2 = runs[2]
-        _, metrics6, sched6 = runs[6]
-        t2 = critical_path_ms(metrics2, sched2)
-        t6 = critical_path_ms(metrics6, sched6)
+        t2 = critical_path_ms(runs[2][1])
+        t6 = critical_path_ms(runs[6][1])
         assert t6 < t2, f"t=6 path {t6:.1f}ms not below t=2 path {t2:.1f}ms"
         ok = True
     finally:

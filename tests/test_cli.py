@@ -34,20 +34,20 @@ def _run_json(capsys, argv) -> dict:
 def test_schedule_text_output(capsys):
     assert main(["schedule", "--sites", "5"]) == 0
     out = capsys.readouterr().out
-    assert "site 0 <- 4, 3" in out
-    assert "valid" in out
+    assert out.splitlines() == [
+        "t=5", "site 0 <- 4, 3", "site 1 <- 0, 4", "site 2 <- 1, 0", "site 3 <- 2, 1",
+        "site 4 <- 3, 2",
+    ]
 
 
 def test_schedule_json_output(capsys):
     doc = _run_json(capsys, ["schedule", "--sites", "5", "--json"])
-    assert doc["predecessors"] == [[4, 3], [0, 4], [1, 0], [2, 1], [3, 2]]
-    assert doc["validation"]["valid"] is True
+    assert doc == {"t": 5, "predecessors": [[4, 3], [0, 4], [1, 0], [2, 1], [3, 2]]}
 
 
 def test_schedule_single_site(capsys):
     doc = _run_json(capsys, ["schedule", "--sites", "1", "--json"])
-    assert doc["predecessors"] == [[]]
-    assert doc["validation"]["valid"] is True
+    assert doc == {"t": 1, "predecessors": [[]]}
 
 
 def test_schedule_zero_sites_is_usage_error():
@@ -78,7 +78,7 @@ def test_gen_csv(tmp_path, capsys):
 def test_run_both_modes_same_checksum(dataset, tmp_path, capsys):
     d = _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "distributed"])
     c = _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "centralized"])
-    assert d["report_version"] == 2 and c["report_version"] == 2
+    assert d["report_version"] == 3 and c["report_version"] == 3
     assert d["partitions"] == 1 and d["mode"] == "distributed"
     assert d["matrix_checksum"] == c["matrix_checksum"]
     assert len(d["top_eigenvalues"]) == 9
@@ -92,7 +92,7 @@ def test_run_multifile_defaults_to_per_file_sites(tmp_path, capsys):
     capsys.readouterr()
     d = _run_json(capsys, ["run", "--inputs", str(a), str(b), "--mode", "distributed"])
     assert d["partitions"] == 2
-    assert d["schedule"]["predecessors"] == [[], [0]]
+    assert d["schedule"] == {"t": 2, "predecessors": [[], [0]]}
     assert d["dim"] == 9
 
 
@@ -254,6 +254,14 @@ def test_cost_model_equal_widths(capsys):
     doc = _run_json(capsys, ["cost-model", "--sites", "4", "--gamma", "100"])
     assert doc["distributed_ops"] == 25_150
     assert doc["speedup"] == pytest.approx(79_800 / 25_150)
+
+
+def test_cost_model_one_site_one_column(capsys):
+    # No pairs at all: the one-site run is the centralized run.
+    for argv in (["--widths", "1"], ["--sites", "1", "--gamma", "1"]):
+        doc = _run_json(capsys, ["cost-model", *argv])
+        assert doc["distributed_ops"] == 0
+        assert doc["speedup"] == 1.0
 
 
 def test_cost_model_sites_without_gamma(capsys):

@@ -5,9 +5,12 @@ import re
 import socket
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distcov import (
     ColumnBlock,
@@ -28,7 +31,6 @@ from distcov import (
     run_centralized,
     run_distributed,
     synthetic_table,
-    validate_schedule,
 )
 from distcov.errors import (
     CoverageError,
@@ -51,6 +53,7 @@ from distcov.runtime import (
     _deadline_ms,
 )
 from distcov.ingest import even_preset
+from distcov.schedule import pair_coverage
 from distcov.wire import HEADER, MAGIC, largest_frame
 from conftest import blocks_for
 
@@ -662,6 +665,9 @@ def _three_site_lists():
 
 
 def test_schedule_proof_agrees_with_validate_schedule(monkeypatch):
+    """The run refuses, before any kernel, exactly the t=3 schedules that a
+    pair count made here finds wrong, and every one it accepts gives the
+    oracle's bytes on both transports."""
     kernel = runtime.site_covariance
     calls, starts = [0], [0]
     start = threading.Thread.start
@@ -679,46 +685,77 @@ def test_schedule_proof_agrees_with_validate_schedule(monkeypatch):
     rng = np.random.default_rng(44)
     blocks = blocks_for(rng.standard_normal((8, 5)), [2, 2, 1])
     oracle = run_centralized(blocks)[0].matrix.tobytes()
-    refused, unbalanced = 0, 0
+    every_pair = Counter({(0, 1): 1, (0, 2): 1, (1, 2): 1})
+    refused, accepted = 0, 0
     for lists in _three_site_lists():
-        schedule = Schedule(t=3, r=1, predecessors=lists)
-        rep = validate_schedule(schedule)
+        covered = Counter(
+            (min(j, k), max(j, k)) for k, senders in enumerate(lists) for j in senders
+        )
+        schedule = Schedule(predecessors=lists)
         calls[0] = starts[0] = 0
         try:
             cov = run_distributed(blocks, schedule)[0]
         except CoverageError:
-            assert rep.gaps or rep.duplicates, lists
+            assert covered != every_pair, lists
             assert calls[0] == starts[0] == 0, lists
             refused += 1
         else:
-            assert not rep.gaps and not rep.duplicates, lists
+            assert covered == every_pair, lists
             assert cov.matrix.tobytes() == oracle, lists
-            unbalanced += not rep.valid  # correct, but a list is longer than r
+            tcp = run_distributed(blocks, schedule, transport="tcp")[0]
+            assert tcp.matrix.tobytes() == oracle, lists
+            accepted += 1
     # 14 of the 125 cover each pair once: the two ring orientations, and 12
     # where one site receives from both others, such as ((1, 2), (2,), ()).
-    assert refused == 111 and unbalanced == 12
+    assert refused == 111 and accepted == 14
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
 @pytest.mark.parametrize("t, lists, pair", [
     (3, ((2,), (0,), ()), "(1, 2)"),  # a gap
     (2, ((5,), ()), "(0, 1)"),  # a site outside the run
-    (3, ((2,), (0,)), "(1, 2)"),  # fewer lists than sites
+    (3, ((2,), (0,)), "(1, 2)"),  # a 2-site schedule given 3 blocks
 ])
 def test_bad_schedule_fails_before_any_thread(monkeypatch, transport, t, lists, pair):
     monkeypatch.delenv("DCM_DEADLINE_MS", raising=False)
     rng = np.random.default_rng(45)
     blocks = blocks_for(rng.standard_normal((8, 2 * t)), [2] * t)
+    schedule = Schedule(predecessors=lists)
+    # Every case leaves `pair` uncovered; a schedule for the wrong number of
+    # sites is refused sooner, by its size.
+    assert pair in map(str, pair_coverage(range(t), schedule.blocks())[1])
+    if schedule.t == t:
+        error, message = CoverageError, f"site pair {pair} not covered"
+    else:
+        error, message = DimensionMismatch, f"schedule is for {schedule.t} sites, got {t} blocks"
     before = threading.active_count()
     started = time.perf_counter()
-    with pytest.raises(DistCovError, match=re.escape(f"site pair {pair} not covered")):
-        run_distributed(blocks, Schedule(t=t, r=1, predecessors=lists), transport=transport)
+    with pytest.raises(error, match=re.escape(message)):
+        run_distributed(blocks, schedule, transport=transport)
     assert time.perf_counter() - started < 1.0
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_any_orientation_of_the_site_pairs_equals_the_oracle(transport, data):
+    """Any sender lists that cover each pair once are a correct schedule:
+    each pair's receiver is drawn, and each list's order is shuffled."""
+    t = data.draw(st.integers(min_value=2, max_value=6), label="t")
+    lists = [[] for _ in range(t)]
+    for a, b in itertools.combinations(range(t), 2):
+        receiver, sender = (a, b) if data.draw(st.booleans()) else (b, a)
+        lists[receiver].append(sender)
+    lists = [tuple(data.draw(st.permutations(senders))) for senders in lists]
+    rng = np.random.default_rng(46)
+    blocks = blocks_for(rng.standard_normal((7, 2 * t)), [2] * t)
+    oracle = run_centralized(blocks)[0].matrix.tobytes()
+    cov = run_distributed(blocks, Schedule(predecessors=tuple(lists)), transport=transport)[0]
+    assert cov.matrix.tobytes() == oracle, lists
+
+
 def test_critical_path_aggregation():
-    sched = build_schedule(3)  # preds: [[2], [0], [1]]  (t=3, r=1)
     metrics = RunMetrics(
         site_cov_ms=(50.0, 50.0, 50.0),  # wall readings are not used
         site_cov_cpu_ms=(9.0, 7.0, 12.0),
@@ -729,7 +766,7 @@ def test_critical_path_aggregation():
         },
     )
     # per-site inbound + kernel = 10, 12, 14 -> 14
-    assert critical_path_ms(metrics, sched) == pytest.approx(14.0)
+    assert critical_path_ms(metrics) == pytest.approx(14.0)
 
 
 def test_metrics_serialization():
