@@ -5,11 +5,11 @@ values — so equality is asserted via a checksum over the canonical byte
 encoding, and `dump_matrix` exists for anyone who wants the actual numbers.
 
 `compare_partitions` checks one table under several partitionings: it
-computes the centralized oracle once from the table, without an
-eigen-decomposition, then runs the distributed mode per partitioning and
-requires each merged matrix to equal the oracle byte for byte. A row's
-eigenvalues come from its distributed run's decomposition, which is the
-decomposition of the same bytes.
+computes the centralized oracle once from the table, then runs the
+distributed exchange per partitioning and requires each merged matrix to
+equal the oracle bit for bit. Neither side is eigen-decomposed: a row
+proves equality and times both sides, and `distcov run` reports the
+eigenvalues of the same bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .eigen import EigenDecomposition
 from .errors import IoError, MalformedFrame, MismatchError
 from .matrix import DenseMatrix
 from .ingest import partition_vertical
-from .runtime import RunMetrics, _timed_oracle, critical_path_ms, run_distributed
+from .runtime import RunMetrics, _timed_exchange, _timed_oracle, critical_path_ms
 from .schedule import Schedule, build_schedule
 
 __all__ = [
@@ -39,14 +39,15 @@ __all__ = [
     "DUMP_MAGIC",
 ]
 
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 DUMP_MAGIC = b"DCMM"
 _DUMP_HEADER = struct.Struct("<4sIQ")  # magic, dim, reserved
 
 
 def matrix_checksum(m: DenseMatrix) -> str:
-    """SHA-256 over the row-major binary64 little-endian matrix bytes."""
-    return hashlib.sha256(m.tobytes()).hexdigest()
+    """SHA-256 over the row-major binary64 little-endian matrix bytes,
+    hashed from the matrix's own buffer (a copy only on a big-endian host)."""
+    return hashlib.sha256(memoryview(m.values.astype("<f8", copy=False))).hexdigest()
 
 
 def dump_matrix(cov: GlobalCovariance, path: str | Path) -> None:
@@ -110,18 +111,21 @@ def compare_partitions(
     transport: str = "in-process",
     deadline_ms: float | None = None,
 ) -> list[dict]:
-    """Run the distributed mode once per partition spec and assert that each
-    merged matrix is bit-identical to the one oracle of `table`.
+    """Run the distributed exchange once per partition spec and assert that
+    each merged matrix is bit-identical to the one oracle of `table`.
 
     Returns one comparison row per spec. Every row reports the oracle's
-    `centralized_ms`, and `centralized_metrics.eigen_ms` is 0.0.
+    `centralized_ms`. No matrix is eigen-decomposed, so
+    `centralized_metrics.eigen_ms` and `distributed_metrics.eigen_ms` are
+    0.0 and a row carries no eigenvalues.
 
     Raises:
         MismatchError: a merged matrix differs (never expected in real use).
     """
     cen_cov, cen_metrics = _timed_oracle(table)
-    cen_bytes = cen_cov.matrix.tobytes()
-    checksum = hashlib.sha256(cen_bytes).hexdigest()
+    # Bit patterns, not floats: == on floats would equate -0.0 and 0.0.
+    cen_bits = cen_cov.matrix.values.view(np.uint64)
+    checksum = matrix_checksum(cen_cov.matrix)
     # CPU reading on both sides: the centralized run is single-threaded, the
     # distributed aggregate assumes one processor per site.
     centralized_ms = cen_metrics.site_cov_cpu_ms[0]
@@ -130,14 +134,11 @@ def compare_partitions(
         blocks = partition_vertical(table, spec)
         t = len(blocks)
         schedule = build_schedule(t)
-        dist_cov, dist_eig, dist_metrics = run_distributed(
-            blocks, schedule, transport=transport, deadline_ms=deadline_ms
-        )
-        dist_bytes = dist_cov.matrix.tobytes()
-        if dist_bytes != cen_bytes:
+        dist_cov, dist_metrics = _timed_exchange(blocks, schedule, transport, deadline_ms)
+        if not np.array_equal(dist_cov.matrix.values.view(np.uint64), cen_bits):
             raise MismatchError(
                 f"distributed and centralized matrices differ (t={t}, "
-                f"distributed {hashlib.sha256(dist_bytes).hexdigest()[:16]}…, "
+                f"distributed {matrix_checksum(dist_cov.matrix)[:16]}…, "
                 f"centralized {checksum[:16]}…)"
             )
         widths = [b.data.cols for b in blocks]
@@ -146,13 +147,11 @@ def compare_partitions(
             "partitions": t,
             "equal": True,
             "matrix_checksum": checksum,
-            "top_eigenvalues": list(dist_eig.eigenvalues[:10]),
             "centralized_ms": centralized_ms,
             "distributed_ms": distributed_ms,
             "measured_speedup": (centralized_ms / distributed_ms) if distributed_ms > 0 else None,
             "cost_model": distributed_cost(widths, schedule).to_dict(),
             "distributed_metrics": dist_metrics.to_dict(),
             "centralized_metrics": cen_metrics.to_dict(),
-            "distributed_eigen_top": list(dist_eig.eigenvalues[:3]),
         })
     return rows

@@ -13,8 +13,12 @@ overran. Before any socket exists, the coordinator's `_Assembler` proves
 that the sites' columns partition the table and that the schedule's blocks
 cover every pair of sites exactly once. After the last turn every inbox
 must be empty: a frame nobody read, such as a DATA_BLOCK that reached a
-site after its turn, fails the run. Then only the eigen-decomposition is
-left.
+site after its turn, fails the run.
+
+The exchange ends with the merged matrix. `run_distributed` then
+eigen-decomposes it on the caller's thread, as `run_centralized` does the
+oracle; `report.compare_partitions` runs the exchange alone, since its rows
+only prove the merged bytes equal to the oracle's and time the exchange.
 
 Both transports move the same encoded frames, so byte counts are real and
 the merged matrix is bit-identical either way: in-process appends frames
@@ -113,14 +117,17 @@ class RunMetrics:
     """Timing breakdown of one run, all values in milliseconds.
 
     Each site's one kernel call (its local block and all its cross blocks)
-    carries two readings: wall time (`site_cov_ms`) and per-thread CPU time
-    (`site_cov_cpu_ms`). The sites take turns, so neither counts another
-    site's kernel; the CPU reading is what the site would spend on a
-    processor of its own. `transfers` is keyed by directed edge (sender,
-    receiver) and covers raw column shipments only; over TCP a send's time
-    includes the inbound reads made while its socket was full. `merge_ms`
-    is what assembly leaves after the last message: the matrix's final
-    checks.
+    carries two readings: wall time (`site_cov_ms`) and CPU time
+    (`site_cov_cpu_ms`). The CPU reading is the calling thread's
+    `time.thread_time`, so it excludes the CPU of OpenBLAS's worker threads,
+    which the kernel's matrix products also use. The sites take turns, so
+    neither reading counts another site's kernel; the CPU reading is what
+    the site would spend on a processor of its own. `transfers` is keyed by
+    directed edge (sender, receiver) and covers raw column shipments only;
+    over TCP a send's time includes the inbound reads made while its socket
+    was full. `merge_ms` is what assembly leaves after the last message: the
+    matrix's final checks. `eigen_ms` is 0.0 where a run stops before the
+    eigen-decomposition.
     """
 
     site_cov_ms: tuple[float, ...]
@@ -417,7 +424,7 @@ def run_distributed(
     deadline_ms: float | None = None,
     message_log: list | None = None,
 ) -> tuple[GlobalCovariance, EigenDecomposition, RunMetrics]:
-    """Execute the full exchange protocol and return the merged result.
+    """Execute the full exchange protocol, then decompose the merged matrix.
 
     `transport` is "in-process" or "tcp". Raises TimeoutError when a block
     fails to arrive within the deadline (DCM_DEADLINE_MS or 60 s), and
@@ -425,6 +432,20 @@ def run_distributed(
     propagates any other error from a site's turn or the coordinator, and a
     kernel error that is not a DistCovError becomes TransportError.
     """
+    return _decomposed(
+        *_timed_exchange(blocks, schedule, transport, deadline_ms, message_log)
+    )
+
+
+def _timed_exchange(
+    blocks,
+    schedule: Schedule,
+    transport: str,
+    deadline_ms: float | None,
+    message_log: list | None = None,
+) -> tuple[GlobalCovariance, RunMetrics]:
+    """The exchange protocol up to the merged matrix, with its timings; the
+    metrics leave the eigen-decomposition out (`eigen_ms` is 0.0)."""
     blocks = sorted(blocks, key=lambda b: b.site)
     rows = _check_blocks(blocks)
     t = len(blocks)
@@ -471,20 +492,15 @@ def run_distributed(
         merged = assembler.result()
         t1 = time.perf_counter()
         protocol_ms = (t1 - start) * 1e3
-        merge_ms = (t1 - t0) * 1e3
-        decomp = symmetric_eigen(merged)
-        t2 = time.perf_counter()
-
         metrics = RunMetrics(
             site_cov_ms=site_ms,
             site_cov_cpu_ms=site_cpu_ms,
             transfers=transfers,
-            merge_ms=merge_ms,
-            eigen_ms=(t2 - t1) * 1e3,
+            merge_ms=(t1 - t0) * 1e3,
             protocol_ms=protocol_ms,
-            total_ms=(t2 - start) * 1e3,
+            total_ms=protocol_ms,
         )
-        return merged, decomp, metrics
+        return merged, metrics
     except TimeoutError:  # a site's receive or the coordinator's
         raise _gather_timeout(assembler, done, t, deadline_s) from None
     finally:
@@ -537,10 +553,17 @@ def run_centralized(
     for b in blocks:
         full[:, list(b.global_cols)] = b.data.values
 
-    cov, metrics = _timed_oracle(DenseMatrix._wrap(full))
-    t1 = time.perf_counter()
+    return _decomposed(*_timed_oracle(DenseMatrix._wrap(full)))
+
+
+def _decomposed(
+    cov: GlobalCovariance, metrics: RunMetrics
+) -> tuple[GlobalCovariance, EigenDecomposition, RunMetrics]:
+    """`cov`, its eigen-decomposition, and `metrics` with the decomposition's
+    wall time added as `eigen_ms` and to `total_ms`."""
+    t0 = time.perf_counter()
     decomp = symmetric_eigen(cov)
-    eigen_ms = (time.perf_counter() - t1) * 1e3
+    eigen_ms = (time.perf_counter() - t0) * 1e3
     return cov, decomp, replace(
         metrics, eigen_ms=eigen_ms, total_ms=metrics.total_ms + eigen_ms
     )

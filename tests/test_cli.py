@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 import distcov.report as report
 import distcov.runtime as runtime
 from distcov import (
+    DenseMatrix,
     GlobalCovariance,
     centralized_covariance,
     load_matrix_dump,
     load_table,
     matrix_checksum,
+    synthetic_table,
 )
 from distcov.cli import main
 
@@ -78,7 +81,7 @@ def test_gen_csv(tmp_path, capsys):
 def test_run_both_modes_same_checksum(dataset, tmp_path, capsys):
     d = _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "distributed"])
     c = _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "centralized"])
-    assert d["report_version"] == 3 and c["report_version"] == 3
+    assert d["report_version"] == 4 and c["report_version"] == 4
     assert d["partitions"] == 1 and d["mode"] == "distributed"
     assert d["matrix_checksum"] == c["matrix_checksum"]
     assert len(d["top_eigenvalues"]) == 9
@@ -126,6 +129,19 @@ def test_run_writes_report_and_dump(dataset, tmp_path, capsys):
     doc = json.loads(out.read_text())
     m = load_matrix_dump(dump)
     assert matrix_checksum(m) == doc["matrix_checksum"]
+
+
+def test_matrix_checksum_hashes_the_canonical_bytes_without_copying(monkeypatch):
+    values = np.array(synthetic_table(6, 5, seed=8).values)
+    values[1, 2] = -0.0
+    matrices = [DenseMatrix(values), centralized_covariance(DenseMatrix(values)).matrix]
+    expected = [hashlib.sha256(m.tobytes()).hexdigest() for m in matrices]
+
+    def no_copy(self):
+        raise AssertionError("matrix_checksum copied the matrix to bytes")
+
+    monkeypatch.setattr(DenseMatrix, "tobytes", no_copy)
+    assert [matrix_checksum(m) for m in matrices] == expected
 
 
 def test_run_missing_file_is_data_error(tmp_path, capsys):
@@ -194,7 +210,7 @@ def test_compare_reports_equality(tmp_path, capsys):
     assert lines[1].split()[0] == "2"
 
 
-def test_compare_oracle_once_and_one_decomposition_per_preset(tmp_path, capsys, monkeypatch):
+def test_compare_oracle_once_and_no_decomposition(tmp_path, capsys, monkeypatch):
     calls = {"centralized_covariance": 0, "symmetric_eigen": 0}
     for name in calls:
         real = getattr(runtime, name)
@@ -213,32 +229,36 @@ def test_compare_oracle_once_and_one_decomposition_per_preset(tmp_path, capsys, 
     ])
     rows = doc["comparisons"]
     assert [r["partitions"] for r in rows] == [2, 4, 6]
-    assert calls == {"centralized_covariance": 1, "symmetric_eigen": len(presets)}
+    assert calls == {"centralized_covariance": 1, "symmetric_eigen": 0}
     assert all(r["equal"] is True for r in rows)
     assert len({r["matrix_checksum"] for r in rows}) == 1
     assert len({r["centralized_ms"] for r in rows}) == 1
     assert all(r["centralized_metrics"]["eigen_ms"] == 0.0 for r in rows)
+    assert all(r["distributed_metrics"]["eigen_ms"] == 0.0 for r in rows)
+    assert not any("eigen" in key for r in rows for key in r)
     assert rows[0]["matrix_checksum"] == matrix_checksum(
         centralized_covariance(load_table(data)).matrix
     )
 
 
 def test_compare_corruption_hook_yields_mismatch_exit(tmp_path, capsys, monkeypatch):
-    real = report._timed_oracle
-
-    def off_by_one_entry(table):
-        cov, metrics = real(table)
-        values = np.array(cov.matrix.values)
-        values[0, 0] += 1.0
-        return GlobalCovariance(values), metrics
-
-    monkeypatch.setattr(report, "_timed_oracle", off_by_one_entry)
     a = tmp_path / "a.txt"
     main(["gen", "--rows", "20", "--cols", "4", "--seed", "5", "--out", str(a)])
     capsys.readouterr()
-    code = main(["compare", "--inputs", str(a)])
-    assert code == 5
-    assert capsys.readouterr().err.startswith("mismatch: distributed and centralized")
+    real = report._timed_oracle
+    # Off by one, then off by one ulp, which a tolerance-based comparison would pass.
+    for corrupt in (lambda v: v + 1.0, lambda v: np.nextafter(v, np.inf)):
+
+        def corrupted_entry(table, corrupt=corrupt):
+            cov, metrics = real(table)
+            values = np.array(cov.matrix.values)
+            values[0, 0] = corrupt(values[0, 0])
+            return GlobalCovariance(values), metrics
+
+        monkeypatch.setattr(report, "_timed_oracle", corrupted_entry)
+        code = main(["compare", "--inputs", str(a)])
+        assert code == 5
+        assert capsys.readouterr().err.startswith("mismatch: distributed and centralized")
 
 
 # --- cost-model -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import re
 import socket
@@ -21,6 +22,7 @@ from distcov import (
     Schedule,
     build_schedule,
     centralized_covariance,
+    compare_partitions,
     critical_path_ms,
     encode_message,
     load_table,
@@ -30,6 +32,7 @@ from distcov import (
     partition_vertical,
     run_centralized,
     run_distributed,
+    symmetric_eigen,
     synthetic_table,
 )
 from distcov.errors import (
@@ -418,6 +421,22 @@ def test_distributed_matches_centralized_runner():
     assert cov_d.matrix.tobytes() == cov_c.matrix.tobytes()
     assert cov_c.matrix.tobytes() == _oracle(blocks).matrix.tobytes()
     assert metrics.transfers == {}
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_run_distributed_is_the_exchange_then_the_decomposition(transport):
+    table = synthetic_table(30, 11, seed=34)
+    spec = even_preset(11, 4)
+    cov, decomp, metrics = run_distributed(
+        partition_vertical(table, spec), build_schedule(4), transport=transport
+    )
+    again = symmetric_eigen(cov)
+    assert np.array(decomp.eigenvalues).tobytes() == np.array(again.eigenvalues).tobytes()
+    assert decomp.eigenvectors.tobytes() == again.eigenvectors.tobytes()
+    assert metrics.eigen_ms > 0
+    assert metrics.total_ms == metrics.protocol_ms + metrics.eigen_ms
+    [row] = compare_partitions(table, [spec], transport=transport)
+    assert hashlib.sha256(cov.matrix.tobytes()).hexdigest() == row["matrix_checksum"]
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
