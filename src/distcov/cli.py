@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
@@ -39,7 +37,7 @@ from .ingest import (
 )
 from .report import REPORT_VERSION, dump_matrix, run_report
 from .report import compare_partitions as _compare_partitions
-from .runtime import run_centralized, run_distributed
+from .runtime import _deadline_ms, run_centralized, run_distributed
 from .schedule import build_schedule
 
 __all__ = ["main"]
@@ -55,16 +53,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
-
-
-def _deadline(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return v
 
 
@@ -95,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _data_args(rp)
     rp.add_argument("--mode", choices=("centralized", "distributed"), required=True)
     rp.add_argument("--transport", choices=("in-process", "tcp"), default="in-process")
-    rp.add_argument("--deadline-ms", type=_deadline, default=None)
+    rp.add_argument("--deadline-ms", default=None)
     rp.add_argument("--out", type=Path, default=None, help="write the JSON report here")
     rp.add_argument("--dump-matrix", type=Path, default=None,
                     help="also write the full matrix (binary dump)")
@@ -104,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("compare", help="run both modes and assert bit-exact equality")
     _data_args(cp, repeatable_preset=True)
     cp.add_argument("--transport", choices=("in-process", "tcp"), default="in-process")
-    cp.add_argument("--deadline-ms", type=_deadline, default=None)
+    cp.add_argument("--deadline-ms", default=None)
     cp.add_argument("--out", type=Path, default=None)
     cp.add_argument("--plot-data", type=Path, default=None,
                     help="write partitions/centralized-ms/distributed-ms rows here")
@@ -257,12 +245,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # Only run and compare take a deadline; an explicit --deadline-ms wins.
-    env = os.environ.get("DCM_DEADLINE_MS")
-    if env and "deadline_ms" in vars(args) and args.deadline_ms is None:
+    if "deadline_ms" in vars(args):
         try:
-            args.deadline_ms = _deadline(env)
-        except argparse.ArgumentTypeError as exc:
-            print(f"usage error: DCM_DEADLINE_MS: {exc}", file=sys.stderr)
+            args.deadline_ms = _deadline_ms(args.deadline_ms)
+        except ValueError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
             return 2
     try:
         return args.func(args)

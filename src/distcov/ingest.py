@@ -75,22 +75,15 @@ class PartitionSpec:
 
     total_cols: int
     groups: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "groups", tuple(tuple(int(c) for c in g) for g in self.groups)
         )
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(str(n) for n in self.names))
         if self.total_cols < 1:
             raise SpecMismatch(f"total_cols must be >= 1, got {self.total_cols}")
         if not self.groups:
             raise SpecMismatch("a partition needs at least one group")
-        if self.names is not None and len(self.names) != len(self.groups):
-            raise SpecMismatch(
-                f"{len(self.names)} names for {len(self.groups)} groups"
-            )
         seen: set[int] = set()
         for i, g in enumerate(self.groups):
             if not g:
@@ -112,17 +105,10 @@ class PartitionSpec:
     def sites(self) -> int:
         return len(self.groups)
 
-    def to_json(self) -> str:
-        groups = []
-        for i, g in enumerate(self.groups):
-            entry: dict = {"site": i, "cols": list(g)}
-            if self.names is not None:
-                entry["name"] = self.names[i]
-            groups.append(entry)
-        return json.dumps({"total_cols": self.total_cols, "groups": groups})
-
     @classmethod
     def from_json(cls, text: str) -> "PartitionSpec":
+        """Parse `{"total_cols": n, "groups": [{"site": i, "cols": [...]}]}`;
+        any other key, such as a group's "name", is ignored."""
         try:
             doc = json.loads(text)
             total = int(doc["total_cols"])
@@ -134,10 +120,7 @@ class PartitionSpec:
             if entry.get("site") != i:
                 raise SpecMismatch(f"group site-ids must be 0..{len(raw) - 1} in order")
         groups = tuple(tuple(int(c) for c in e["cols"]) for e in raw)
-        names = None
-        if all("name" in e for e in raw):
-            names = tuple(str(e["name"]) for e in raw)
-        return cls(total_cols=total, groups=groups, names=names)
+        return cls(total_cols=total, groups=groups)
 
 
 def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
@@ -256,16 +239,12 @@ def mfeat_preset(partitions: int) -> PartitionSpec:
         )
     starts = np.concatenate(([0], np.cumsum(MFEAT_WIDTHS)))
     groups = []
-    names = []
     for file_idxs in _MFEAT_GROUPINGS[partitions]:
         cols: list[int] = []
         for fi in file_idxs:
             cols.extend(range(int(starts[fi]), int(starts[fi + 1])))
         groups.append(tuple(cols))
-        names.append("-".join(MFEAT_FILES[fi][0] for fi in file_idxs))
-    return PartitionSpec(
-        total_cols=MFEAT_TOTAL_COLS, groups=tuple(groups), names=tuple(names)
-    )
+    return PartitionSpec(total_cols=MFEAT_TOTAL_COLS, groups=tuple(groups))
 
 
 def even_preset(total_cols: int, partitions: int) -> PartitionSpec:

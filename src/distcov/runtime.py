@@ -23,7 +23,8 @@ only prove the merged bytes equal to the oracle's and time the exchange.
 Both transports move the same encoded frames, so byte counts are real and
 the merged matrix is bit-identical either way: in-process appends frames
 straight to the receiver's inbox, TCP uses loopback sockets with one
-connection per directed edge. Each endpoint has one FIFO inbox of frames.
+listener and one connection per directed edge, both of whose ends it
+opens. Each endpoint has one FIFO inbox of frames.
 
 A run starts no thread: TCP bytes move only inside `send` and `recv`, on
 the caller's thread. So any failure, in a site's turn, the coordinator's
@@ -219,7 +220,8 @@ class InProcessTransport:
 
 
 class _Inbound:
-    """Read state of one accepted connection: a header buffer until the
+    """Read state of the receiving end of one edge, which `_connection`
+    accepted from the edge's own sending socket: a header buffer until the
     header is complete, then one buffer of the declared frame size."""
 
     __slots__ = ("endpoint", "buf", "got")
@@ -231,35 +233,31 @@ class _Inbound:
 
 
 class TcpTransport(InProcessTransport):
-    """Loopback sockets: one listener per endpoint and one TCP_NODELAY
-    connection per directed edge, all moved on the caller's thread.
+    """Loopback sockets: one listener for the whole transport and one
+    TCP_NODELAY connection per directed edge, all moved on the caller's
+    thread.
 
-    One selector watches the listeners and every accepted connection, and
-    bytes move only inside `send` and `recv`. `send` writes with
-    non-blocking `socket.send`; whenever the socket is full it selects,
-    with the sending socket registered for write, and accepts and reads
-    whatever is ready, so a frame larger than the socket buffers drains
-    into the receiver's inbox while it is written. `recv` selects until
-    the endpoint's inbox has a frame or the deadline passes. Each frame is
-    received into one buffer of its declared size, filled across reads; a
-    declared size above `max_frame` bytes raises TransportError before
-    anything is allocated.
+    The transport owns both ends of every edge. The first send on an edge
+    connects to the listener and accepts the receiving end at once; a
+    connection from any other peer is closed and the send raises
+    TransportError, so every frame read is one the transport sent. One
+    selector watches the receiving ends, and bytes move only inside `send`
+    and `recv`. `send` writes with non-blocking `socket.send`; whenever the
+    socket is full it selects, with the sending socket registered for
+    write, and reads whatever is ready, so a frame larger than the socket
+    buffers drains into the receiver's inbox while it is written. `recv`
+    selects until the endpoint's inbox has a frame or the deadline passes.
+    Each frame is received into one buffer of its declared size, filled
+    across reads; a declared size above `max_frame` bytes raises
+    TransportError before anything is allocated.
     """
 
     def __init__(self, endpoints, log: list | None = None, max_frame: int | None = None):
         super().__init__(endpoints, log)
         self._max_frame = max_frame
         self._conns: dict[tuple[int, int], socket.socket] = {}
-        self._ports: dict[int, int] = {}
         self._selector = selectors.DefaultSelector()
-        for e in endpoints:
-            srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            srv.bind(("127.0.0.1", 0))
-            srv.listen()
-            srv.setblocking(False)
-            self._selector.register(srv, selectors.EVENT_READ, e)
-            self._ports[e] = srv.getsockname()[1]
+        self._listener = socket.create_server(("127.0.0.1", 0))
 
     def recv(self, endpoint: int, timeout_s: float) -> ProtocolMessage:
         deadline = time.perf_counter() + timeout_s
@@ -268,30 +266,20 @@ class TcpTransport(InProcessTransport):
         return super().recv(endpoint, timeout_s)
 
     def require_drained(self) -> None:
-        # Read all that has arrived: an accept makes a connection readable
-        # only at the next select.
+        # Bytes still queued at a sender come in only as reads make room:
+        # read until nothing more is ready.
         while self._pump(0):
             pass
         super().require_drained()
 
     def _pump(self, timeout: float | None) -> bool:
-        """One select: accept and read whatever is ready within `timeout` s.
-        False if nothing was."""
+        """One select: read whatever is ready within `timeout` s. False if
+        nothing was."""
         ready = self._selector.select(timeout)
         for key, _ in ready:
-            if isinstance(key.data, _Inbound):
+            if key.data is not None:  # None: a sending socket waiting for room
                 self._read(key.fileobj, key.data)
-            elif key.data is not None:  # None: a sending socket waiting for room
-                self._accept(key.fileobj, key.data)
         return bool(ready)
-
-    def _accept(self, srv: socket.socket, endpoint: int) -> None:
-        try:
-            conn, _ = srv.accept()
-        except BlockingIOError:
-            return  # the peer gave up before we got to it
-        conn.setblocking(False)
-        self._selector.register(conn, selectors.EVENT_READ, _Inbound(endpoint))
 
     def _read(self, conn: socket.socket, st: _Inbound) -> None:
         """Take what the socket holds now; deliver every frame it completes."""
@@ -329,12 +317,28 @@ class TcpTransport(InProcessTransport):
         conn.close()
 
     def _connection(self, sender: int, receiver: int) -> socket.socket:
+        """The sending socket of edge sender->receiver; the first call
+        connects it and accepts its receiving end."""
         key = (sender, receiver)
         sock = self._conns.get(key)
         if sock is None:
-            sock = socket.create_connection(("127.0.0.1", self._ports[receiver]))
+            sock = socket.create_connection(self._listener.getsockname())
+            try:
+                conn, peer = self._listener.accept()
+            except OSError:
+                sock.close()
+                raise
+            if peer != sock.getsockname():
+                conn.close()
+                sock.close()
+                raise TransportError(
+                    f"edge {sender}->{receiver}: accepted a connection from {peer}, "
+                    f"not from the edge's own socket"
+                )
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.setblocking(False)
+            conn.setblocking(False)
+            self._selector.register(conn, selectors.EVENT_READ, _Inbound(receiver))
             self._conns[key] = sock
         return sock
 
@@ -363,6 +367,7 @@ class TcpTransport(InProcessTransport):
         self._selector.close()
         for sock in self._conns.values():
             sock.close()
+        self._listener.close()
 
 
 def _site_turn(

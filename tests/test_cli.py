@@ -162,11 +162,11 @@ def test_run_ragged_file_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["-5", "nan"])
 def test_run_rejects_bad_deadline_at_parse_time(dataset, capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--inputs", str(dataset), "--mode", "distributed",
-              "--deadline-ms", value])
-    assert exc.value.code == 2
-    assert "--deadline-ms: must be a finite number > 0" in capsys.readouterr().err
+    code = main(["run", "--inputs", str(dataset), "--mode", "distributed",
+                 "--deadline-ms", value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: deadline_ms must be a finite number >= 0, got {value!r}\n"
 
 
 def test_run_rejects_bad_deadline_env(dataset, capsys, monkeypatch):
@@ -174,7 +174,21 @@ def test_run_rejects_bad_deadline_env(dataset, capsys, monkeypatch):
     code = main(["run", "--inputs", str(dataset), "--mode", "distributed"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == "usage error: DCM_DEADLINE_MS: 'abc' is not a number\n"
+    assert err == "usage error: DCM_DEADLINE_MS must be a finite number >= 0, got 'abc'\n"
+
+
+def test_run_with_deadline_zero_names_the_missing_blocks(dataset, capsys, monkeypatch):
+    monkeypatch.delenv("DCM_DEADLINE_MS", raising=False)
+    spec = {"total_cols": 9, "groups": [{"site": 0, "cols": [0, 1, 2, 3]},
+                                        {"site": 1, "cols": [4, 5, 6, 7, 8]}]}
+    spec_path = dataset.parent / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code = main(["run", "--inputs", str(dataset), "--spec", str(spec_path),
+                 "--mode", "distributed", "--deadline-ms", "0"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("protocol error: coordinator: 0/3 blocks")
+    assert "missing blocks (site_a, site_b): (0, 0), (0, 1), (1, 1);" in err
 
 
 @pytest.mark.parametrize("command", [["run", "--mode", "centralized"], ["compare"]])

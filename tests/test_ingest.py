@@ -147,14 +147,15 @@ def test_spec_validation():
         PartitionSpec(total_cols=3, groups=((0, 1),))  # gap
     with pytest.raises(SpecMismatch):
         PartitionSpec(total_cols=2, groups=((0, 1), ()))  # empty group
-    with pytest.raises(SpecMismatch):
-        PartitionSpec(total_cols=2, groups=((0, 1),), names=("a", "b"))
 
 
 def test_spec_json_roundtrip():
-    spec = PartitionSpec(total_cols=4, groups=((0, 1), (2, 3)), names=("left", "right"))
-    back = PartitionSpec.from_json(spec.to_json())
-    assert back == spec
+    text = (
+        '{"total_cols": 4, "groups": [{"site": 1, "cols": [2, 3], "name": "right"},'
+        ' {"site": 0, "cols": [0, 1], "name": "left"}]}'
+    )
+    spec = PartitionSpec.from_json(text)
+    assert spec == PartitionSpec(total_cols=4, groups=((0, 1), (2, 3)))
 
 
 def test_spec_from_json_errors():
@@ -214,12 +215,6 @@ def test_preset_group_widths(partitions, widths):
     spec = mfeat_preset(partitions)
     assert [len(g) for g in spec.groups] == widths
     assert spec.total_cols == 649
-
-
-def test_preset_names():
-    assert mfeat_preset(2).names == ("Fact-Fou-Kar", "Mor-Pix-Zer")
-    assert mfeat_preset(4).names == ("Fact", "Fou-Kar", "Mor-Pix", "Zer")
-    assert mfeat_preset(6).names == ("Fact", "Fou", "Kar", "Mor", "Pix", "Zer")
 
 
 def test_preset_unsupported_count():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import re
 import socket
 import threading
@@ -27,6 +28,7 @@ from distcov import (
     encode_message,
     load_table,
     local_covariance,
+    matrix_checksum,
     merge_blocks,
     mfeat_preset,
     partition_vertical,
@@ -161,12 +163,12 @@ def test_tcp_matches_in_process():
 def test_tcp_refuses_oversized_frame_before_allocating():
     net = TcpTransport([0, 1], max_frame=largest_frame(10, [3, 2]))
     try:
-        with socket.create_connection(("127.0.0.1", net._ports[0])) as sock:
-            sock.sendall(HEADER.pack(MAGIC, int(MessageKind.DATA_BLOCK), 1, 0, 2**60))
-            started = time.perf_counter()
-            with pytest.raises(TransportError, match="largest legal frame"):
-                net.recv(0, 5.0)
-            assert time.perf_counter() - started < 1.0
+        sock = net._connection(1, 0)
+        sock.sendall(HEADER.pack(MAGIC, int(MessageKind.DATA_BLOCK), 1, 0, 2**60))
+        started = time.perf_counter()
+        with pytest.raises(TransportError, match="largest legal frame"):
+            net.recv(0, 5.0)
+        assert time.perf_counter() - started < 1.0
     finally:
         net.close()
 
@@ -398,19 +400,82 @@ def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time(monkeypatch):
     frame = encode_message(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
     net = TcpTransport([0, 1], max_frame=len(frame))
     try:
-        with socket.create_connection(("127.0.0.1", net._ports[0])) as sock:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            for i in range(len(frame)):
-                sock.sendall(frame[i : i + 1])
-                if i < HEADER.size:
-                    net._pump(0)  # read what has arrived, inside the header
-            msg = net.recv(0, 5.0)
+        sock = net._connection(1, 0)
+        for i in range(len(frame)):
+            sock.sendall(frame[i : i + 1])
+            if i < HEADER.size:
+                net._pump(0)  # read what has arrived, inside the header
+        msg = net.recv(0, 5.0)
     finally:
         net.close()
     assert any(0 < got < HEADER.size for got in header_reads)
     assert (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 1, 0)
     assert msg.payload.global_cols == (4, 7)
     assert msg.payload.data.tobytes() == block.data.tobytes()
+
+
+def _open_fds():
+    """This process's open file descriptors, or None without /proc/self/fd."""
+    try:
+        return set(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+def test_tcp_refuses_a_connection_it_did_not_open():
+    block = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (3, 2))),
+                        global_cols=(4, 7))
+    frame = encode_message(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
+    before = _open_fds()
+    net = TcpTransport([0, 1], max_frame=len(frame))
+    try:
+        with socket.create_connection(net._listener.getsockname()) as foreign:
+            foreign.sendall(frame)
+            started = time.perf_counter()
+            with pytest.raises(TransportError, match=r"^edge 1->0: accepted a connection from"):
+                net.send(ProtocolMessage(MessageKind.DONE, 1, 0))
+            assert time.perf_counter() - started < 1.0
+            net.require_drained()  # reads what has arrived; raises on a frame in any inbox
+    finally:
+        net.close()
+    assert _open_fds() == before
+
+
+def test_tcp_runs_leave_no_file_descriptor_open(monkeypatch):
+    before = _open_fds()
+    if before is None:
+        pytest.skip("no /proc/self/fd to list")
+    rng = np.random.default_rng(52)
+    blocks = blocks_for(rng.standard_normal((20, 12)), [2] * 6)
+    sched = build_schedule(6)
+    for _ in range(4):
+        run_distributed(blocks, sched, transport="tcp")
+    kernel = runtime.site_covariance
+
+    def site_3_fails(own, senders):
+        if own.site == 3:
+            raise RuntimeError("disk gone")
+        return kernel(own, senders)
+
+    monkeypatch.setattr(runtime, "site_covariance", site_3_fails)
+    with pytest.raises(TransportError, match="^site 3 worker failed"):
+        run_distributed(blocks, sched, transport="tcp")
+    assert _open_fds() == before
+
+
+def test_checksum_is_pinned_across_hosts():
+    # Entries k/8 - 1 for k in 0..16 are exact in binary64 and no RNG is
+    # involved, so every host reads the same input: another digest means
+    # the arithmetic differs there.
+    i, j = np.indices((64, 30))
+    table = DenseMatrix(((7 * i + 13 * j) % 17) / 8 - 1)
+    pinned = "d578ef67a47114596a8a77b74f8aeec777a6dd6cb862c06133edad83a40835c4"
+    assert matrix_checksum(centralized_covariance(table).matrix) == pinned
+    for t in range(1, 7):
+        blocks = partition_vertical(table, even_preset(30, t))
+        for transport in ("in-process", "tcp"):
+            cov, _, _ = run_distributed(blocks, build_schedule(t), transport=transport)
+            assert matrix_checksum(cov.matrix) == pinned, (t, transport)
 
 
 def test_distributed_matches_centralized_runner():
