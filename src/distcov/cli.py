@@ -12,6 +12,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from .costmodel import distributed_cost
 from .errors import (
     CoverageError,
     DistCovError,
+    IoError,
     MalformedFrame,
     MismatchError,
     TransportError,
@@ -160,12 +162,24 @@ def _resolve_spec(args, tables, preset_name: str | None) -> PartitionSpec:
     return _default_spec(tables)
 
 
+@contextlib.contextmanager
+def _written(path: Path):
+    """The CLI's one file writer: a text handle on `path`. Any OSError in
+    opening or writing it raises IoError (exit 3)."""
+    try:
+        with open(path, "w") as f:
+            yield f
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(doc: dict, out: Path | None) -> None:
     text = json.dumps(doc, indent=2)
     if out is None:
         print(text)
     else:
-        out.write_text(text + "\n")
+        with _written(out) as f:
+            f.write(text + "\n")
 
 
 def _cmd_schedule(args) -> int:
@@ -213,7 +227,8 @@ def _cmd_compare(args) -> int:
             lines.append(
                 f"{row['partitions']} {row['centralized_ms']:.3f} {row['distributed_ms']:.3f}"
             )
-        args.plot_data.write_text("\n".join(lines) + "\n")
+        with _written(args.plot_data) as f:
+            f.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -236,7 +251,8 @@ def _cmd_gen(args) -> int:
     table = synthetic_table(args.rows, args.cols, args.seed)
     sep = "," if args.format == "csv" else " "
     # %.17g round-trips every float64 exactly, so gen -> load is lossless.
-    np.savetxt(args.out, table.values, fmt="%.17g", delimiter=sep)
+    with _written(args.out) as f:
+        np.savetxt(f, table.values, fmt="%.17g", delimiter=sep)
     print(f"wrote {args.rows}x{args.cols} (seed {args.seed}) to {args.out}")
     return 0
 

@@ -112,14 +112,16 @@ class PartitionSpec:
         try:
             doc = json.loads(text)
             total = int(doc["total_cols"])
-            raw = list(doc["groups"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed partition spec: {exc}") from None
-        raw.sort(key=lambda e: e.get("site", 0))
-        for i, entry in enumerate(raw):
-            if entry.get("site") != i:
-                raise SpecMismatch(f"group site-ids must be 0..{len(raw) - 1} in order")
-        groups = tuple(tuple(int(c) for c in e["cols"]) for e in raw)
+            raw = sorted(doc["groups"], key=lambda e: e.get("site", 0))
+            sites = [e.get("site") for e in raw]
+            groups = tuple(tuple(int(c) for c in e["cols"]) for e in raw)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(
+                f"malformed partition spec: {type(exc).__name__}: {exc}; expected "
+                '{"total_cols": n, "groups": [{"site": i, "cols": [...]}, ...]}'
+            ) from None
+        if sites != list(range(len(raw))):
+            raise SpecMismatch(f"group site-ids must be 0..{len(raw) - 1} in order")
         return cls(total_cols=total, groups=groups)
 
 

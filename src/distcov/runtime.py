@@ -24,19 +24,22 @@ Both transports move the same encoded frames, so byte counts are real and
 the merged matrix is bit-identical either way: in-process appends frames
 straight to the receiver's inbox, TCP uses loopback sockets with one
 listener and one connection per directed edge, both of whose ends it
-opens. Each endpoint has one FIFO inbox of frames.
+opens. Each endpoint has one FIFO inbox of frames, and on either transport
+`send` returns only once its frame is in the receiver's inbox. So a send's
+time is encode plus delivery, and `recv` on an empty inbox raises
+TimeoutError at once: nothing could fill it while `recv` waited.
 
-A run starts no thread: TCP bytes move only inside `send` and `recv`, on
-the caller's thread. So any failure, in a site's turn, the coordinator's
-loop or the transport, raises on that thread; the transport is closed on
-the way out, which closes its sockets.
+A run starts no thread: TCP bytes move only inside `send`, on the caller's
+thread. So any failure, in a site's turn, the coordinator's loop or the
+transport, raises on that thread; the transport is closed on the way out,
+which closes its sockets.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import selectors
+import select
 import socket
 import time
 from collections import deque
@@ -105,9 +108,8 @@ def _deadline_ms(override: float | None) -> float:
 
 @dataclass(frozen=True)
 class TransferStat:
-    """One raw-data shipment: encoded frame size and send wall time. Over
-    TCP the send time includes the inbound reads made while the socket was
-    full."""
+    """One raw-data shipment: encoded frame size and send wall time, which
+    is encode plus delivery into the receiver's inbox on either transport."""
 
     bytes: int
     ms: float
@@ -125,10 +127,10 @@ class RunMetrics:
     neither reading counts another site's kernel; the CPU reading is what
     the site would spend on a processor of its own. `transfers` is keyed by
     directed edge (sender, receiver) and covers raw column shipments only;
-    over TCP a send's time includes the inbound reads made while its socket
-    was full. `merge_ms` is what assembly leaves after the last message: the
-    matrix's final checks. `eigen_ms` is 0.0 where a run stops before the
-    eigen-decomposition.
+    a send's time is encode plus delivery into the receiver's inbox, over
+    TCP the reads of the edge's receiving end included. `merge_ms` is what
+    assembly leaves after the last message: the matrix's final checks.
+    `eigen_ms` is 0.0 where a run stops before the eigen-decomposition.
     """
 
     site_cov_ms: tuple[float, ...]
@@ -176,6 +178,7 @@ class InProcessTransport:
 
     Only `send` fills an inbox, so `recv` on an empty one raises
     TimeoutError at once: nothing could fill it while `recv` waited.
+    `TcpTransport` replaces only the delivery.
     """
 
     def __init__(self, endpoints, log: list | None = None):
@@ -219,17 +222,16 @@ class InProcessTransport:
         """Nothing to release in-process."""
 
 
-class _Inbound:
-    """Read state of the receiving end of one edge, which `_connection`
-    accepted from the edge's own sending socket: a header buffer until the
-    header is complete, then one buffer of the declared frame size."""
+class _Edge:
+    """One directed edge: its sending socket, the receiving end the listener
+    accepted from it, and the receiving end's read state (a header buffer
+    until the header is complete, then one buffer of the declared size)."""
 
-    __slots__ = ("endpoint", "buf", "got")
+    __slots__ = ("name", "receiver", "sock", "conn", "buf", "got")
 
-    def __init__(self, endpoint: int):
-        self.endpoint = endpoint
-        self.buf = bytearray(HEADER.size)
-        self.got = 0
+    def __init__(self, name: str, receiver: int, sock: socket.socket, conn: socket.socket):
+        self.name, self.receiver, self.sock, self.conn = name, receiver, sock, conn
+        self.buf, self.got = bytearray(HEADER.size), 0
 
 
 class TcpTransport(InProcessTransport):
@@ -239,135 +241,104 @@ class TcpTransport(InProcessTransport):
 
     The transport owns both ends of every edge. The first send on an edge
     connects to the listener and accepts the receiving end at once; a
-    connection from any other peer is closed and the send raises
-    TransportError, so every frame read is one the transport sent. One
-    selector watches the receiving ends, and bytes move only inside `send`
-    and `recv`. `send` writes with non-blocking `socket.send`; whenever the
-    socket is full it selects, with the sending socket registered for
-    write, and reads whatever is ready, so a frame larger than the socket
-    buffers drains into the receiver's inbox while it is written. `recv`
-    selects until the endpoint's inbox has a frame or the deadline passes.
-    Each frame is received into one buffer of its declared size, filled
-    across reads; a declared size above `max_frame` bytes raises
-    TransportError before anything is allocated.
+    connection from any other peer fails the send with TransportError, so
+    every frame read is one the transport sent. `send` moves its frame all
+    the way: it writes without blocking and reads the edge's receiving end
+    in the same loop until every byte it wrote has been read, selecting on
+    the edge's two sockets only when neither end can move. So every frame
+    is in its receiver's inbox before `send` returns, and `recv` and
+    `require_drained` are the in-process ones. Each frame is received into
+    one buffer of its declared size; a declared size above `max_frame`
+    bytes, bytes that end inside a frame, and a receiving end that closes
+    each raise TransportError naming the edge.
     """
 
     def __init__(self, endpoints, log: list | None = None, max_frame: int | None = None):
         super().__init__(endpoints, log)
         self._max_frame = max_frame
-        self._conns: dict[tuple[int, int], socket.socket] = {}
-        self._selector = selectors.DefaultSelector()
+        self._edges: dict[tuple[int, int], _Edge] = {}
         self._listener = socket.create_server(("127.0.0.1", 0))
+        self._sockets = [self._listener]
 
-    def recv(self, endpoint: int, timeout_s: float) -> ProtocolMessage:
-        deadline = time.perf_counter() + timeout_s
-        while not self._inbox[endpoint] and (left := deadline - time.perf_counter()) > 0:
-            self._pump(left)
-        return super().recv(endpoint, timeout_s)
-
-    def require_drained(self) -> None:
-        # Bytes still queued at a sender come in only as reads make room:
-        # read until nothing more is ready.
-        while self._pump(0):
-            pass
-        super().require_drained()
-
-    def _pump(self, timeout: float | None) -> bool:
-        """One select: read whatever is ready within `timeout` s. False if
-        nothing was."""
-        ready = self._selector.select(timeout)
-        for key, _ in ready:
-            if key.data is not None:  # None: a sending socket waiting for room
-                self._read(key.fileobj, key.data)
-        return bool(ready)
-
-    def _read(self, conn: socket.socket, st: _Inbound) -> None:
-        """Take what the socket holds now; deliver every frame it completes."""
+    def _read(self, edge: _Edge) -> int:
+        """Take what the receiving end holds now and deliver every frame it
+        completes; returns the number of bytes taken."""
+        taken = 0
         while True:
             try:
-                got = conn.recv_into(memoryview(st.buf)[st.got :])
+                got = edge.conn.recv_into(memoryview(edge.buf)[edge.got :])
             except BlockingIOError:
-                return
-            except OSError:
-                got = 0
-            if not got:  # peer closed, mid-frame or not
-                self._drop(conn)
-                return
-            st.got += got
-            if st.got < len(st.buf):
+                return taken
+            if not got:
+                raise TransportError(f"{edge.name}: receiving end closed")
+            taken += got
+            edge.got += got
+            if edge.got < len(edge.buf):
                 continue
-            if st.got == HEADER.size:  # a full header; frame buffers are always longer
-                size = HEADER.size + HEADER.unpack_from(st.buf)[4]
+            if edge.got == HEADER.size:  # a full header; frame buffers are always longer
+                size = HEADER.size + HEADER.unpack_from(edge.buf)[4]
                 if self._max_frame is not None and size > self._max_frame:
-                    self._drop(conn)
                     raise TransportError(
-                        f"endpoint {st.endpoint}: frame of {size} bytes exceeds the "
+                        f"{edge.name}: frame of {size} bytes exceeds the "
                         f"largest legal frame of {self._max_frame} bytes"
                     )
                 if size > HEADER.size:
                     frame = bytearray(size)
-                    frame[: HEADER.size] = st.buf
-                    st.buf = frame
+                    frame[: HEADER.size] = edge.buf
+                    edge.buf = frame
                     continue
-            self._inbox[st.endpoint].append(st.buf)
-            st.buf, st.got = bytearray(HEADER.size), 0
+            self._inbox[edge.receiver].append(edge.buf)
+            edge.buf, edge.got = bytearray(HEADER.size), 0
 
-    def _drop(self, conn: socket.socket) -> None:
-        self._selector.unregister(conn)
-        conn.close()
-
-    def _connection(self, sender: int, receiver: int) -> socket.socket:
-        """The sending socket of edge sender->receiver; the first call
-        connects it and accepts its receiving end."""
-        key = (sender, receiver)
-        sock = self._conns.get(key)
-        if sock is None:
+    def _edge(self, sender: int, receiver: int) -> _Edge:
+        """Edge sender->receiver; the first call connects its sending socket
+        and accepts its receiving end."""
+        edge = self._edges.get((sender, receiver))
+        if edge is None:
+            name = f"edge {sender}->{receiver}"
             sock = socket.create_connection(self._listener.getsockname())
-            try:
-                conn, peer = self._listener.accept()
-            except OSError:
-                sock.close()
-                raise
+            self._sockets.append(sock)
+            conn, peer = self._listener.accept()
+            self._sockets.append(conn)
             if peer != sock.getsockname():
-                conn.close()
-                sock.close()
                 raise TransportError(
-                    f"edge {sender}->{receiver}: accepted a connection from {peer}, "
-                    f"not from the edge's own socket"
+                    f"{name}: accepted a connection from {peer}, not from the edge's own socket"
                 )
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.setblocking(False)
             conn.setblocking(False)
-            self._selector.register(conn, selectors.EVENT_READ, _Inbound(receiver))
-            self._conns[key] = sock
-        return sock
+            edge = self._edges[(sender, receiver)] = _Edge(name, receiver, sock, conn)
+        return edge
 
     def _deliver(self, msg: ProtocolMessage, frame) -> None:
         try:
-            sock = self._connection(msg.sender, msg.receiver)
-            view = memoryview(frame)
-            while view:
-                try:
-                    view = view[sock.send(view) :]
-                except BlockingIOError:  # full: read inbound until it takes more
-                    self._selector.register(sock, selectors.EVENT_WRITE)
+            edge = self._edge(msg.sender, msg.receiver)
+            view, unread = memoryview(frame), len(frame)
+            while unread:
+                sent = 0
+                if view:
                     try:
-                        self._pump(None)
-                    finally:
-                        self._selector.unregister(sock)
+                        sent = edge.sock.send(view)
+                    except BlockingIOError:  # full: only reading makes room
+                        pass
+                    view = view[sent:]
+                taken = self._read(edge)
+                unread -= taken
+                if unread and not (sent or taken):
+                    select.select([edge.conn], [edge.sock] if view else [], [])
         except OSError as exc:
             raise TransportError(
                 f"send {msg.sender}->{msg.receiver} failed: {exc}"
             ) from None
+        if edge.got:
+            raise TransportError(
+                f"{edge.name}: bytes end inside a frame, {edge.got} of {len(edge.buf)} read"
+            )
 
     def close(self) -> None:
-        """Close every socket this transport opened."""
-        for key in list(self._selector.get_map().values()):
-            key.fileobj.close()
-        self._selector.close()
-        for sock in self._conns.values():
+        """Close every socket this transport opened or accepted."""
+        for sock in self._sockets:
             sock.close()
-        self._listener.close()
 
 
 def _site_turn(
@@ -490,7 +461,7 @@ def _timed_exchange(
                     )
         net.require_drained()
         if assembler.missing:  # a site's blocks precede its DONE: these were never sent
-            raise _gather_timeout(assembler, done, t, deadline_s)
+            raise _gather_timeout(assembler, done, t, start, deadline_s)
         site_ms, site_cpu_ms = zip(*turns)
 
         t0 = time.perf_counter()
@@ -507,20 +478,23 @@ def _timed_exchange(
         )
         return merged, metrics
     except TimeoutError:  # a site's receive or the coordinator's
-        raise _gather_timeout(assembler, done, t, deadline_s) from None
+        raise _gather_timeout(assembler, done, t, start, deadline_s) from None
     finally:
         net.close()
 
 
 def _gather_timeout(
-    assembler: _Assembler, done: list[int], t: int, deadline_s: float
+    assembler: _Assembler, done: list[int], t: int, start: float, deadline_s: float
 ) -> TimeoutError:
-    """Name the (site_a, site_b) blocks and the DONE markers that never came."""
+    """Name the (site_a, site_b) blocks and the DONE markers that never came,
+    and how long the run waited since `start`, next to its deadline."""
     missing = sorted(assembler.missing)
     silent = sorted(set(range(t)) - set(done))
+    waited_s = time.perf_counter() - start
     return TimeoutError(
         f"coordinator: {assembler.expected - len(missing)}/{assembler.expected} blocks "
-        f"and {len(done)}/{t} completions within {deadline_s:.3f}s; missing blocks "
+        f"and {len(done)}/{t} completions after {waited_s:.3f}s (deadline "
+        f"{deadline_s:.3f}s); missing blocks "
         f"(site_a, site_b): {', '.join(map(str, missing)) or 'none'}; no DONE from "
         f"sites: {', '.join(map(str, silent)) or 'none'}"
     )

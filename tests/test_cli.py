@@ -191,6 +191,39 @@ def test_run_with_deadline_zero_names_the_missing_blocks(dataset, capsys, monkey
     assert "missing blocks (site_a, site_b): (0, 0), (0, 1), (1, 1);" in err
 
 
+@pytest.mark.parametrize(
+    "group",
+    [
+        [0, [0, 1, 2, 3, 4, 5, 6, 7, 8]],  # a list, not an object
+        {"site": 0},  # no "cols"
+        {"site": 0, "cols": ["a"]},  # a column that is not an integer
+        {"site": 0, "cols": 5},  # "cols" that is not a list
+    ],
+)
+def test_run_malformed_spec_is_parse_error(dataset, capsys, group):
+    spec_path = dataset.parent / "spec.json"
+    spec_path.write_text(json.dumps({"total_cols": 9, "groups": [group]}))
+    code = main(["run", "--inputs", str(dataset), "--spec", str(spec_path),
+                 "--mode", "centralized"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: malformed partition spec: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--inputs", "DATA", "--mode", "centralized", "--out", "OUT"],
+        ["compare", "--inputs", "DATA", "--plot-data", "OUT"],
+        ["gen", "--rows", "3", "--cols", "2", "--out", "OUT"],
+    ],
+)
+def test_unwritable_output_is_data_error(dataset, tmp_path, capsys, argv):
+    target = tmp_path / "missing-dir" / "out.txt"
+    paths = {"DATA": str(dataset), "OUT": str(target)}
+    assert main([paths.get(arg, arg) for arg in argv]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
 @pytest.mark.parametrize("command", [["run", "--mode", "centralized"], ["compare"]])
 def test_preset_and_spec_are_mutually_exclusive(dataset, tmp_path, capsys, command):
     spec_path = tmp_path / "spec.json"

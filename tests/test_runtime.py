@@ -160,14 +160,29 @@ def test_tcp_matches_in_process():
     assert cov_q.matrix.tobytes() == cov_t.matrix.tobytes()
 
 
-def test_tcp_refuses_oversized_frame_before_allocating():
+def test_tcp_refuses_oversized_frame_before_allocating(monkeypatch):
+    forged = HEADER.pack(MAGIC, int(MessageKind.DATA_BLOCK), 1, 0, 2**60)
+    monkeypatch.setattr(runtime, "encode_message", lambda msg: forged)
     net = TcpTransport([0, 1], max_frame=largest_frame(10, [3, 2]))
     try:
-        sock = net._connection(1, 0)
-        sock.sendall(HEADER.pack(MAGIC, int(MessageKind.DATA_BLOCK), 1, 0, 2**60))
         started = time.perf_counter()
-        with pytest.raises(TransportError, match="largest legal frame"):
-            net.recv(0, 5.0)
+        with pytest.raises(TransportError, match=r"^edge 1->0: .*largest legal frame"):
+            net.send(ProtocolMessage(MessageKind.DONE, 1, 0))
+        assert time.perf_counter() - started < 1.0
+    finally:
+        net.close()
+
+
+def test_tcp_refuses_a_frame_cut_short_of_its_declared_size(monkeypatch):
+    block = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (3, 2))),
+                        global_cols=(4, 7))
+    encode = runtime.encode_message
+    monkeypatch.setattr(runtime, "encode_message", lambda msg: encode(msg)[:-8])
+    net = TcpTransport([0, 1], max_frame=largest_frame(3, [2]))
+    try:
+        started = time.perf_counter()
+        with pytest.raises(TransportError, match=r"^edge 1->0: bytes end inside a frame"):
+            net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
         assert time.perf_counter() - started < 1.0
     finally:
         net.close()
@@ -326,6 +341,32 @@ def test_dropped_block_fails_before_the_deadline(monkeypatch, transport):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize(
+    "transport, cls", [("in-process", InProcessTransport), ("tcp", TcpTransport)]
+)
+def test_dropped_data_block_fails_before_the_deadline(monkeypatch, transport, cls):
+    # At t=3 site 1 takes site 0's columns; they never reach its inbox.
+    # Every frame sent is delivered inside its send, so the empty inbox
+    # fails at once instead of waiting out the default 60 s deadline.
+    monkeypatch.delenv("DCM_DEADLINE_MS", raising=False)
+    deliver = cls._deliver
+
+    def drop_0_to_1(self, msg, frame):
+        if (msg.kind, msg.sender, msg.receiver) != (MessageKind.DATA_BLOCK, 0, 1):
+            deliver(self, msg, frame)
+
+    monkeypatch.setattr(cls, "_deliver", drop_0_to_1)
+    rng = np.random.default_rng(53)
+    blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
+    started = time.perf_counter()
+    with pytest.raises(TimeoutError, match=r"no DONE from sites: 1, 2$") as exc:
+        run_distributed(blocks, build_schedule(3), transport=transport)
+    assert time.perf_counter() - started < 1.0
+    # The message tells how long the run waited, next to the deadline.
+    waited = re.search(r"completions after (\d+\.\d{3})s \(deadline 60\.000s\);", str(exc.value))
+    assert waited and float(waited.group(1)) < 1.0
+
+
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
 def test_late_stray_frame_is_refused(monkeypatch, transport):
     # At t=3 site 1 takes columns from site 0 only; site 2's columns reach
@@ -361,14 +402,19 @@ def test_tcp_round_trip_starts_no_thread():
 def test_tcp_sends_a_frame_larger_than_the_socket_buffers(monkeypatch):
     # 16 MB fills the loopback buffers, so send must read its own frame
     # into the inbox while writing it: a blocking sendall would never return.
-    waits = [0]
-    pump = TcpTransport._pump
+    waits = [0]  # writes that found the socket full, or took only part of the frame
+    send = socket.socket.send
 
-    def counted_pump(self, timeout):
-        waits[0] += 1
-        pump(self, timeout)
+    def counted_send(self, data, *flags):
+        try:
+            sent = send(self, data, *flags)
+        except BlockingIOError:
+            waits[0] += 1
+            raise
+        waits[0] += sent < len(data)
+        return sent
 
-    monkeypatch.setattr(TcpTransport, "_pump", counted_pump)
+    monkeypatch.setattr(socket.socket, "send", counted_send)
     rng = np.random.default_rng(50)
     block = ColumnBlock(
         site=1, data=DenseMatrix(rng.standard_normal((1000, 2000))), global_cols=tuple(range(2000))
@@ -385,14 +431,17 @@ def test_tcp_sends_a_frame_larger_than_the_socket_buffers(monkeypatch):
 
 
 def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time(monkeypatch):
+    send = socket.socket.send
+    monkeypatch.setattr(socket.socket, "send", lambda self, data, *flags: send(self, data[:1], *flags))
     header_reads = []  # bytes of the header held after each read inside it
     read = TcpTransport._read
 
-    def watched_read(self, conn, st):
-        in_header = len(st.buf) == HEADER.size
-        read(self, conn, st)
+    def watched_read(self, edge):
+        in_header = len(edge.buf) == HEADER.size
+        taken = read(self, edge)
         if in_header:
-            header_reads.append(st.got if len(st.buf) == HEADER.size else HEADER.size)
+            header_reads.append(edge.got if len(edge.buf) == HEADER.size else HEADER.size)
+        return taken
 
     monkeypatch.setattr(TcpTransport, "_read", watched_read)
     block = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (3, 2))),
@@ -400,11 +449,7 @@ def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time(monkeypatch):
     frame = encode_message(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
     net = TcpTransport([0, 1], max_frame=len(frame))
     try:
-        sock = net._connection(1, 0)
-        for i in range(len(frame)):
-            sock.sendall(frame[i : i + 1])
-            if i < HEADER.size:
-                net._pump(0)  # read what has arrived, inside the header
+        net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
         msg = net.recv(0, 5.0)
     finally:
         net.close()
