@@ -8,10 +8,10 @@ contract:
 
 - A column's mean, its power-of-two scale and its slices depend only on
   that column's values and the row count n, never on the block around it.
-- Each centered, scaled column is split into s integer slices of b bits,
-  b = floor((53 - ceil(log2 n)) / 2). A slice dot product is then an
-  integer of at most 53 bits, so BLAS computes it exactly in whatever order
-  it sums: block shape, tiling and thread count cannot change a bit.
+- Each centered, scaled column is split into s integer slices of about b
+  bits, b = floor((53 - ceil(log2 n)) / 2). A slice dot product, or a pair
+  X_i^T Y_j + X_j^T Y_i, is then an integer of at most 53 bits, so BLAS sums
+  it exactly in any order: block shape, tiling and thread count change no bit.
 - The slice products are combined in one fixed order that is symmetric in
   the two operands, so cov(a, b) and cov(b, a) are the same float.
 
@@ -181,9 +181,10 @@ _CHUNK_ROWS = 512
 def _slicing(n: int) -> tuple[int, int]:
     """(b, s): bits per slice and slice count for columns of n rows.
 
-    A dot product of two b-bit integer vectors of length n is bounded by
-    n * 2**(2b) <= 2**53, so every partial sum is an exact float64 integer.
-    s slices hold at least 53 bits, one full significand of the column peak.
+    Slices are at most 2**b (slice 0) or 2**(b-1) in magnitude, so a product
+    X_i^T Y_j or a pair sum X_i^T Y_j + X_j^T Y_i is bounded by n * 2**(2b)
+    <= 2**53 and every partial sum is an exact float64 integer. s slices
+    hold at least 53 bits, one full significand of the column peak.
     """
     b = (53 - (n - 1).bit_length()) // 2
     return b, -(-53 // b)
@@ -226,8 +227,9 @@ class _Operand:
         """Write the s integer slices of rows r0 .. r0 + len(out[0]) into out.
 
         Row p of column u equals 2**(exps[u] - b) * sum_k out[k, p, u] *
-        2**(-k b), down to 2**-54 of the column peak; every slice entry is an
-        integer below 2**b in magnitude.
+        2**(-k b), down to 2**-54 of the column peak. Slice 0 rounds a value
+        below 2**b, so it may reach 2**b in magnitude; each later slice is a
+        residue of at most 1/2 times 2**b, so at most 2**(b-1).
         """
         work = out[-1]
         np.subtract(self.values[r0 : r0 + len(work)], self.mean, out=work)
@@ -245,67 +247,61 @@ def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     entry (u, v) of block k is the covariance of xs[k]'s column u with y's
     column v. An entry of xs that is y itself gives y's own covariance.
 
-    y is prepared once and split once per chunk of rows, for every block.
     Columns are centered and split into s integer slices (`_Operand`), a
-    chunk of rows at a time. Every slice product X_i^T Y_j is an exact
-    integer in any BLAS summation order, so summing it over the chunks is
-    exact too. The products are then added level by level (i + j = s-1 down
-    to 0, dropping levels >= s, which lie below 2**-53 of the peaks), each
-    level scaled exactly by 2**-b, and inside a level X_i^T Y_j is always
-    paired with X_j^T Y_i before it is accumulated. The pair sum commutes,
-    so the block for (y, x) is the exact transpose of the block for (x, y).
-    For x is y only the products with i <= j are computed; the pair is
-    T + T^T.
+    chunk of rows at a time: y once per chunk for every block, each other
+    array in turn into one shared buffer. A slice product X_i^T Y_j and a
+    pair sum X_i^T Y_j + X_j^T Y_i are exact integers in any summation order
+    (`_slicing`), so each pair (i < j) sums into one accumulator over the
+    chunks, through one product buffer. The slices are then released and
+    each block is combined in place, level by level (i + j = s-1 down to 0,
+    dropping levels >= s, which lie below 2**-53 of the peaks), each level
+    scaled exactly by 2**-b. The pair sum commutes, so the block for (y, x)
+    is the exact transpose of the block for (x, y). For x is y only
+    X_i^T Y_j is computed; the pair is T + T^T.
     """
     n, wy = y.shape
     b, s = _slicing(n)
     chunk = min(n, _CHUNK_ROWS)
     yo = _Operand(y, b)
-    y_slices = np.empty((s, chunk, wy), dtype=np.float64)
-    parts = []
-    for x in xs:
-        same = x is y
-        wx = x.shape[1]
-        parts.append((
-            same,
-            yo if same else _Operand(x, b),
-            y_slices if same else np.empty((s, chunk, wx), dtype=np.float64),
-            {
-                (i, j): np.empty((wx, wy), dtype=np.float64)
-                for i in range(s)
-                for j in range(s - i)
-                if i <= j or not same
-            },
-            np.empty((wx, wy), dtype=np.float64),
-        ))
+    parts = [(x is y, yo if x is y else _Operand(x, b),
+              {(i, j): np.empty((x.shape[1], wy)) for i in range(s) for j in range(i, s - i)})
+             for x in xs]
+    y_slices = np.empty((s, chunk, wy))
+    x_buf = np.empty(s * chunk * max((x.shape[1] for x in xs if x is not y), default=0))
+    term_buf = np.empty(max(x.shape[1] for x in xs) * wy)
     for r0 in range(0, n, chunk):
         rows = min(chunk, n - r0)
         yo.split(r0, y_slices[:, :rows], b)
-        for same, xo, x_slices, products, term in parts:
+        for same, xo, totals in parts:
+            wx = len(xo.mean)
+            x_slices = y_slices if same else x_buf[: s * chunk * wx].reshape(s, chunk, wx)
             if not same:
                 xo.split(r0, x_slices[:, :rows], b)
-            for (i, j), total in products.items():
-                if r0 == 0:
-                    np.matmul(x_slices[i, :rows].T, y_slices[j, :rows], out=total)
-                else:
-                    np.matmul(x_slices[i, :rows].T, y_slices[j, :rows], out=term)
-                    total += term
+            term = term_buf[: wx * wy].reshape(wx, wy)
+            for (i, j), total in totals.items():
+                for p, q in ((i, j),) if same or i == j else ((i, j), (j, i)):
+                    prod = total if r0 == 0 and p == i else term
+                    np.matmul(x_slices[p, :rows].T, y_slices[q, :rows], out=prod)
+                    if prod is term:
+                        total += term
+    del y_slices, x_slices, x_buf
 
     blocks = []
-    for same, xo, _, products, term in parts:
-        out = np.zeros(term.shape, dtype=np.float64)
+    for same, xo, totals in parts:
+        wx = len(xo.mean)
+        term, out = term_buf[: wx * wy].reshape(wx, wy), totals[0, s - 1]
         for level in range(s - 1, -1, -1):
             if level < s - 1:
                 out *= 2.0**-b
             for i in range(level // 2 + 1):
-                j = level - i
-                if i == j:
-                    out += products[i, i]
-                    continue
-                mirror = products[i, j].T if same else products[j, i]
-                np.add(products[i, j], mirror, out=term)
-                out += term
-        np.ldexp(out, np.add.outer(xo.exps - b, yo.exps - b), out=out)
+                total = totals[i, level - i]
+                if same and 2 * i != level:
+                    total = np.add(total, total.T, out=term)
+                # The first term is added to 0.0, so a zero sum is +0.0.
+                np.add(total, 0.0 if (level, i) == (s - 1, 0) else out, out=out)
+        for r0 in range(0, wx, _CHUNK_ROWS):  # a panel of rows at a time
+            rows = slice(r0, r0 + _CHUNK_ROWS)
+            np.ldexp(out[rows], np.add.outer(xo.exps[rows] - b, yo.exps - b), out=out[rows])
         out /= n - 1
         blocks.append(out)
     return blocks

@@ -108,13 +108,18 @@ class PartitionSpec:
     @classmethod
     def from_json(cls, text: str) -> "PartitionSpec":
         """Parse `{"total_cols": n, "groups": [{"site": i, "cols": [...]}]}`;
-        any other key, such as a group's "name", is ignored."""
+        any other key, such as a group's "name", is ignored. Every number
+        must be a JSON integer: a float, a string or a bool is refused."""
         try:
             doc = json.loads(text)
-            total = int(doc["total_cols"])
+            total = _spec_value("total_cols", doc["total_cols"], int)
+            for i, e in enumerate(doc["groups"]):
+                _spec_value(f"group {i} site", e.get("site", 0), int)
+                for c in _spec_value(f"group {i} cols", e["cols"], list):
+                    _spec_value(f"group {i} column", c, int)
             raw = sorted(doc["groups"], key=lambda e: e.get("site", 0))
             sites = [e.get("site") for e in raw]
-            groups = tuple(tuple(int(c) for c in e["cols"]) for e in raw)
+            groups = tuple(tuple(e["cols"]) for e in raw)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(
                 f"malformed partition spec: {type(exc).__name__}: {exc}; expected "
@@ -123,6 +128,14 @@ class PartitionSpec:
         if sites != list(range(len(raw))):
             raise SpecMismatch(f"group site-ids must be 0..{len(raw) - 1} in order")
         return cls(total_cols=total, groups=groups)
+
+
+def _spec_value(where: str, value, kind: type):
+    # Exact JSON types: int() would take "3", 0.9 and true, and tuple() "012".
+    if type(value) is not kind:
+        raise ParseError(f"malformed partition spec: {where} is {json.dumps(value)}, "
+                         f"not {'an integer' if kind is int else 'a list'}")
+    return value
 
 
 def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:

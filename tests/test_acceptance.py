@@ -7,6 +7,7 @@ loosened; the equivalence criteria are exact bit equality, not approximate.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -50,13 +51,14 @@ def _mfeat_runs() -> dict:
     if not _MFEAT_CACHE:
         table = synthetic_table(2000, 649, seed=2026)
         oracle = centralized_covariance(table)
-        runs = {}
+        runs, blocks = {}, {}
         for t in (2, 3, 4, 5, 6):
-            blocks = partition_vertical(table, mfeat_preset(t))
-            cov, _, metrics = run_distributed(blocks, build_schedule(t))
+            blocks[t] = partition_vertical(table, mfeat_preset(t))
+            cov, _, metrics = run_distributed(blocks[t], build_schedule(t))
             runs[t] = (cov, metrics)
         _MFEAT_CACHE["oracle"] = oracle
         _MFEAT_CACHE["runs"] = runs
+        _MFEAT_CACHE["blocks"] = blocks
     return _MFEAT_CACHE
 
 
@@ -216,9 +218,15 @@ def test_criterion_7_speedup_model_and_trend(capsys):
                 speedup = distributed_cost([gamma] * t, build_schedule(t)).speedup
                 assert speedup >= t // 2, (t, gamma)
 
-        runs = _mfeat_runs()["runs"]
-        t2 = critical_path_ms(runs[2][1])
-        t6 = critical_path_ms(runs[6][1])
+        # Medians of three runs each, interleaved on the same blocks, so a
+        # burst of load from another process on a shared host decides none.
+        blocks = _mfeat_runs()["blocks"]
+        paths: dict[int, list[float]] = {2: [], 6: []}
+        for _ in range(3):
+            for t in paths:
+                _, _, metrics = run_distributed(blocks[t], build_schedule(t))
+                paths[t].append(critical_path_ms(metrics))
+        t2, t6 = (statistics.median(paths[t]) for t in (2, 6))
         assert t6 < t2, f"t=6 path {t6:.1f}ms not below t=2 path {t2:.1f}ms"
         ok = True
     finally:

@@ -210,6 +210,31 @@ def test_run_malformed_spec_is_parse_error(dataset, capsys, group):
 
 
 @pytest.mark.parametrize(
+    "spec, named",
+    [
+        # int() and tuple() made each of these a valid nine-column spec.
+        ({"total_cols": 9, "groups": [{"site": 0, "cols": "012345678"}]},
+         'group 0 cols is "012345678", not a list'),
+        ({"total_cols": 9, "groups": [{"site": 0, "cols": [0.9, True, 2, 3, 4, 5, 6, 7, 8]}]},
+         "group 0 column is 0.9, not an integer"),
+        ({"total_cols": "9", "groups": [{"site": 0, "cols": list(range(9))}]},
+         'total_cols is "9", not an integer'),
+        ({"total_cols": 9, "groups": [{"site": 0, "cols": [0, 1, 2, 3]},
+                                      {"site": True, "cols": [4, 5, 6, 7, 8]}]},
+         "group 1 site is true, not an integer"),
+    ],
+    ids=["cols-string", "cols-float-bool", "total-string", "site-bool"],
+)
+def test_run_spec_numbers_must_be_json_integers(dataset, capsys, spec, named):
+    spec_path = dataset.parent / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code = main(["run", "--inputs", str(dataset), "--spec", str(spec_path),
+                 "--mode", "centralized"])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: malformed partition spec: {named}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["run", "--inputs", "DATA", "--mode", "centralized", "--out", "OUT"],

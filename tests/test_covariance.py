@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,13 @@ from distcov import (
     cross_covariance,
     local_covariance,
     merge_blocks,
+    mfeat_preset,
+    partition_vertical,
     run_distributed,
     site_covariance,
+    synthetic_table,
 )
+from distcov.covariance import _CHUNK_ROWS, _Operand, _slicing
 from distcov.errors import (
     DimensionMismatch,
     InvalidCovariance,
@@ -388,6 +393,109 @@ def test_cross_block_is_exact_transpose_of_swapped_block():
         ab = cross_covariance(receiver=ba[1], sender=ba[0]).block.values
         swapped = cross_covariance(receiver=ba[0], sender=ba[1]).block.values
         assert ab.T.tobytes() == swapped.tobytes(), seed
+
+
+def _products_one_at_a_time(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The cross block of x against y with every slice product X_i^T Y_j
+    summed over all rows on its own and paired with X_j^T Y_i only in the
+    combine, which otherwise runs as the kernel's does."""
+    n = len(y)
+    b, s = _slicing(n)
+    xo, yo = _Operand(x, b), _Operand(y, b)
+    xs, ys = np.empty((s, *x.shape)), np.empty((s, *y.shape))
+    xo.split(0, xs, b)
+    yo.split(0, ys, b)
+    out = np.zeros((x.shape[1], y.shape[1]))
+    for level in range(s - 1, -1, -1):
+        if level < s - 1:
+            out *= 2.0**-b
+        for i in range(level // 2 + 1):
+            j = level - i
+            out += xs[i].T @ ys[j] if i == j else xs[i].T @ ys[j] + xs[j].T @ ys[i]
+    return np.ldexp(out, np.add.outer(xo.exps - b, yo.exps - b)) / (n - 1)
+
+
+def _at_the_slice_bound(rng: np.random.Generator, n: int, w: int) -> np.ndarray:
+    # Rows +v, -v: the mean is exactly 0 and the peak is below 1, so a column
+    # is scaled by 2**b. Scaled, v = 2**b + d1 2**-b + d2 2**-2b with d1, d2
+    # just above -2**(b-1): v lies above 2**b - 1/2 by less than 2**-8, so
+    # slice 0 rounds up to 2**b, each residue is just under 1/2 in magnitude,
+    # and slices 1 and 2 are d1 and d2. d2 is a multiple of 2**q, so v fits
+    # in 53 bits.
+    b, _ = _slicing(n)
+    q = max(3 * b - 53, 0)
+    d1 = rng.integers(1, 2 ** (b - 8), (n // 2, w)) - 2.0 ** (b - 1)
+    d2 = rng.integers(1, 2 ** (b - 8 - q), (n // 2, w)) * 2.0**q - 2.0 ** (b - 1)
+    v = (2.0**b + d1 * 2.0**-b + d2 * 2.0 ** (-2 * b)) * 2.0**-b
+    out = np.empty((n, w))
+    out[0::2], out[1::2] = v, -v
+    return out * 2.0 ** rng.integers(-40, 40, w)  # a column scale moves no slice
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_pair_sums_are_exact_at_the_slice_bound(n):
+    # Here n * 2**(2b) == 2**53: slice 0 is +-2**b and the lower slices are
+    # nearly +-2**(b-1), all with one sign per row, so X_0^T Y_0 is 2**53 and
+    # each pair sum X_0^T Y_j + X_j^T Y_0 lies within 1% of -2**53.
+    b, s = _slicing(n)
+    assert n * 2 ** (2 * b) == 2**53 and s == 3
+    rng = np.random.default_rng(n)
+    y = _at_the_slice_bound(rng, n, 4)
+    xs = [_at_the_slice_bound(rng, n, w) for w in (5, 2)]
+    slices = np.empty((s, n, 4))
+    _Operand(y, b).split(0, slices, b)
+    assert np.abs(slices[0]).min() == 2**b
+    assert np.abs(slices[1:]).min() > 2 ** (b - 1) - 2 ** (b - 8)
+
+    data = np.hstack([y, *xs])
+    own, *senders = blocks_for(data, [4, 5, 2])
+    _, crosses = site_covariance(own, senders)
+    for sender, cross in zip(senders, crosses):
+        x = sender.data.values
+        got = cross.block.values
+        swapped = cross_covariance(receiver=sender, sender=own).block.values
+        assert got.tobytes() == swapped.T.tobytes()
+        assert got.tobytes() == _products_one_at_a_time(y, x).tobytes()
+        assert swapped.tobytes() == _products_one_at_a_time(x, y).tobytes()
+
+
+def _kernel_scratch_bytes(n: int, wy: int, wxs: list[int]) -> int:
+    # The kernel's buffers: y's slices and one sender's slices, a chunk of
+    # rows each; an accumulator per slice pair (i <= j, i + j < s) per
+    # block, one of which becomes the block; one product buffer.
+    b, s = _slicing(n)
+    chunk = min(n, _CHUNK_ROWS)
+    pairs = sum(1 for i in range(s) for j in range(i, s - i))
+    return 8 * (
+        s * chunk * (wy + max(wxs, default=0))
+        + pairs * wy * (wy + sum(wxs))
+        + wy * max([wy, *wxs])
+    )
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_scratch_is_bounded():
+    # Besides the listed buffers only O(width) vectors and small objects are
+    # allocated; the margin is 2% of the 1000x649 oracle's buffers.
+    table = synthetic_table(1000, 649, seed=1)
+    margin = 2**19
+    peak = _traced_peak(lambda: centralized_covariance(table))
+    assert peak <= _kernel_scratch_bytes(1000, 649, []) + margin
+
+    blocks = partition_vertical(table, mfeat_preset(3))
+    own = blocks[2]
+    senders = [blocks[j] for j in build_schedule(3).senders_to(2)]
+    peak = _traced_peak(lambda: site_covariance(own, senders))
+    assert peak <= _kernel_scratch_bytes(1000, own.width, [s.width for s in senders]) + margin
 
 
 # --- one kernel call per site ----------------------------------------------
