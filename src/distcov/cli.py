@@ -39,7 +39,7 @@ from .ingest import (
 )
 from .report import REPORT_VERSION, dump_matrix, run_report
 from .report import compare_partitions as _compare_partitions
-from .runtime import _deadline_ms, run_centralized, run_distributed
+from .runtime import run_centralized, run_distributed
 from .schedule import build_schedule
 
 __all__ = ["main"]
@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _data_args(rp)
     rp.add_argument("--mode", choices=("centralized", "distributed"), required=True)
     rp.add_argument("--transport", choices=("in-process", "tcp"), default="in-process")
-    rp.add_argument("--deadline-ms", default=None)
     rp.add_argument("--out", type=Path, default=None, help="write the JSON report here")
     rp.add_argument("--dump-matrix", type=Path, default=None,
                     help="also write the full matrix (binary dump)")
@@ -94,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("compare", help="run both modes and assert bit-exact equality")
     _data_args(cp, repeatable_preset=True)
     cp.add_argument("--transport", choices=("in-process", "tcp"), default="in-process")
-    cp.add_argument("--deadline-ms", default=None)
     cp.add_argument("--out", type=Path, default=None)
     cp.add_argument("--plot-data", type=Path, default=None,
                     help="write partitions/centralized-ms/distributed-ms rows here")
@@ -200,9 +198,7 @@ def _cmd_run(args) -> int:
     blocks = partition_vertical(table, spec)
     if args.mode == "distributed":
         schedule = build_schedule(spec.sites)
-        cov, decomp, metrics = run_distributed(
-            blocks, schedule, transport=args.transport, deadline_ms=args.deadline_ms
-        )
+        cov, decomp, metrics = run_distributed(blocks, schedule, transport=args.transport)
     else:
         schedule = None
         cov, decomp, metrics = run_centralized(blocks)
@@ -216,9 +212,7 @@ def _cmd_compare(args) -> int:
     table, tables = _load_inputs(args)
     presets = args.preset if args.preset else [None]
     specs = [_resolve_spec(args, tables, name) for name in presets]
-    rows = _compare_partitions(
-        table, specs, transport=args.transport, deadline_ms=args.deadline_ms
-    )
+    rows = _compare_partitions(table, specs, transport=args.transport)
     doc = {"report_version": REPORT_VERSION, "comparisons": rows}
     _emit(doc, args.out)
     if args.plot_data is not None:
@@ -260,13 +254,6 @@ def _cmd_gen(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # Only run and compare take a deadline; an explicit --deadline-ms wins.
-    if "deadline_ms" in vars(args):
-        try:
-            args.deadline_ms = _deadline_ms(args.deadline_ms)
-        except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except MismatchError as exc:

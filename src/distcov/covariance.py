@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     InvalidCovariance,
     MissingPair,
+    NonFiniteValue,
     OverlappingPair,
     RowCountMismatch,
     SameSite,
@@ -142,17 +143,21 @@ class GlobalCovariance:
 
     @classmethod
     def _assembled(cls, arr: np.ndarray) -> "GlobalCovariance":
-        """What `__init__` makes of an arr whose triangles hold equal values,
-        without the mirror sum: arr itself is normalized in place and then
-        copied into the matrix. Equal values are equal bits but for the sign
-        of zero; + 0.0 makes -0.0 into +0.0, as the mirror sum in `__init__`
-        does.
+        """What `__init__` makes of a fresh C-contiguous arr whose triangles
+        hold equal values, without the mirror sum or a copy: arr itself is
+        normalized in place and becomes the matrix's read-only storage.
+        Equal values are equal bits but for the sign of zero; + 0.0 makes
+        -0.0 into +0.0, as the mirror sum in `__init__` does. A NaN makes
+        the minimum NaN, and an infinity is the minimum or the maximum, so
+        the two scan for non-finite values without an m x m mask.
         """
         arr += 0.0
         if np.any(np.diag(arr) < 0.0):
             raise InvalidCovariance("diagonal entries (variances) must be non-negative")
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise NonFiniteValue("matrix values must be finite (no NaN/Inf)")
         cov = cls.__new__(cls)
-        cov._matrix = DenseMatrix(arr)
+        cov._matrix = DenseMatrix._wrap(arr)
         return cov
 
     @property

@@ -104,7 +104,7 @@ class TransportError(DistCovError):
 
 
 class TimeoutError(TransportError):
-    """A site failed to deliver within the configured deadline."""
+    """A frame the run needed never reached its inbox."""
 
 
 # -- cost model -----------------------------------------------------------

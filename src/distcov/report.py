@@ -109,7 +109,6 @@ def compare_partitions(
     table: DenseMatrix,
     specs,
     transport: str = "in-process",
-    deadline_ms: float | None = None,
 ) -> list[dict]:
     """Run the distributed exchange once per partition spec and assert that
     each merged matrix is bit-identical to the one oracle of `table`.
@@ -134,7 +133,7 @@ def compare_partitions(
         blocks = partition_vertical(table, spec)
         t = len(blocks)
         schedule = build_schedule(t)
-        dist_cov, dist_metrics = _timed_exchange(blocks, schedule, transport, deadline_ms)
+        dist_cov, dist_metrics = _timed_exchange(blocks, schedule, transport)
         if not np.array_equal(dist_cov.matrix.values.view(np.uint64), cen_bits):
             raise MismatchError(
                 f"distributed and centralized matrices differ (t={t}, "

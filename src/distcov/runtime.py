@@ -8,10 +8,11 @@ every block and DONE to the coordinator (reserved endpoint id = t). The
 coordinator then takes frames until that site's DONE is in, writing each
 block into the m x m matrix, before the next site's turn starts. So a run
 holds one site's shipped columns at a time, a failing kernel ends the run
-before any later site ships, and a timeout names the site whose turn
-overran. Before any socket exists, the coordinator's `_Assembler` proves
-that the sites' columns partition the table and that the schedule's blocks
-cover every pair of sites exactly once. After the last turn every inbox
+before any later site ships, and a frame that never arrives fails the turn
+that wanted it, naming the blocks and DONE markers the coordinator lacks.
+Before any socket exists, the coordinator's `_Assembler` proves that the
+sites' columns partition the table and that the schedule's blocks cover
+every pair of sites exactly once. After the last turn every inbox
 must be empty: a frame nobody read, such as a DATA_BLOCK that reached a
 site after its turn, fails the run.
 
@@ -27,7 +28,8 @@ listener and one connection per directed edge, both of whose ends it
 opens. Each endpoint has one FIFO inbox of frames, and on either transport
 `send` returns only once its frame is in the receiver's inbox. So a send's
 time is encode plus delivery, and `recv` on an empty inbox raises
-TimeoutError at once: nothing could fill it while `recv` waited.
+TimeoutError at once: nothing could fill it while `recv` waited, so the
+protocol has no timer.
 
 A run starts no thread: TCP bytes move only inside `send`, on the caller's
 thread. So any failure, in a site's turn, the coordinator's loop or the
@@ -37,8 +39,6 @@ which closes its sockets.
 
 from __future__ import annotations
 
-import math
-import os
 import select
 import socket
 import time
@@ -84,26 +84,7 @@ __all__ = [
     "run_distributed",
     "run_centralized",
     "critical_path_ms",
-    "DEFAULT_DEADLINE_MS",
 ]
-
-DEFAULT_DEADLINE_MS = 60_000.0
-
-
-def _deadline_ms(override: float | None) -> float:
-    """The argument, else DCM_DEADLINE_MS, else 60 s; ValueError unless it
-    is a finite number >= 0."""
-    source, value = "deadline_ms", override
-    if value is None:
-        source = "DCM_DEADLINE_MS"
-        value = os.environ.get(source) or DEFAULT_DEADLINE_MS
-    try:
-        ms = float(value)
-    except ValueError:
-        ms = math.nan
-    if not (math.isfinite(ms) and ms >= 0):
-        raise ValueError(f"{source} must be a finite number >= 0, got {value!r}")
-    return ms
 
 
 @dataclass(frozen=True)
@@ -199,13 +180,12 @@ class InProcessTransport:
             self._log.append((msg.kind, msg.sender, msg.receiver, len(frame)))
         return TransferStat(bytes=len(frame), ms=ms)
 
-    def recv(self, endpoint: int, timeout_s: float) -> ProtocolMessage:
-        """Decode the endpoint's next frame. TimeoutError if its inbox is
-        empty, and also if `timeout_s <= 0`: the deadline has passed, even
-        when a frame waits."""
+    def recv(self, endpoint: int, _unused: float | None = None) -> ProtocolMessage:
+        """Decode the endpoint's next frame; TimeoutError if its inbox is
+        empty. The second argument has no effect."""
         inbox = self._inbox[endpoint]
-        if timeout_s <= 0 or not inbox:
-            raise TimeoutError(f"endpoint {endpoint}: no message within {timeout_s:.3f}s")
+        if not inbox:
+            raise TimeoutError(f"endpoint {endpoint}: no message in its inbox")
         return decode_message(inbox.popleft())
 
     def require_drained(self) -> None:
@@ -342,7 +322,7 @@ class TcpTransport(InProcessTransport):
 
 
 def _site_turn(
-    net, schedule: Schedule, blocks, site: int, deadline: float, transfers: dict
+    net, schedule: Schedule, blocks, site: int, transfers: dict
 ) -> tuple[float, float]:
     """Site `site`'s turn: its senders ship their raw columns, which it
     takes from its inbox at once; it makes its one kernel call and sends
@@ -352,7 +332,7 @@ def _site_turn(
     for j in schedule.senders_to(site):
         shipment = ProtocolMessage(MessageKind.DATA_BLOCK, j, site, blocks[j])
         transfers[(j, site)] = net.send(shipment)
-        msg = net.recv(site, deadline - time.perf_counter())
+        msg = net.recv(site)
         # A DATA_BLOCK comes from the site whose columns it carries.
         origin = msg.payload.site if msg.kind is MessageKind.DATA_BLOCK else msg.sender
         if (msg.kind, origin) != (MessageKind.DATA_BLOCK, j):
@@ -397,28 +377,21 @@ def run_distributed(
     blocks,
     schedule: Schedule,
     transport: str = "in-process",
-    deadline_ms: float | None = None,
     message_log: list | None = None,
 ) -> tuple[GlobalCovariance, EigenDecomposition, RunMetrics]:
     """Execute the full exchange protocol, then decompose the merged matrix.
 
-    `transport` is "in-process" or "tcp". Raises TimeoutError when a block
-    fails to arrive within the deadline (DCM_DEADLINE_MS or 60 s), and
-    TransportError when a frame is left unread after the last turn; it
-    propagates any other error from a site's turn or the coordinator, and a
-    kernel error that is not a DistCovError becomes TransportError.
+    `transport` is "in-process" or "tcp". Raises TimeoutError when a frame
+    the run needs is not in its inbox, and TransportError when a frame is
+    left unread after the last turn; it propagates any other error from a
+    site's turn or the coordinator, and a kernel error that is not a
+    DistCovError becomes TransportError.
     """
-    return _decomposed(
-        *_timed_exchange(blocks, schedule, transport, deadline_ms, message_log)
-    )
+    return _decomposed(*_timed_exchange(blocks, schedule, transport, message_log))
 
 
 def _timed_exchange(
-    blocks,
-    schedule: Schedule,
-    transport: str,
-    deadline_ms: float | None,
-    message_log: list | None = None,
+    blocks, schedule: Schedule, transport: str, message_log: list | None = None
 ) -> tuple[GlobalCovariance, RunMetrics]:
     """The exchange protocol up to the merged matrix, with its timings; the
     metrics leave the eigen-decomposition out (`eigen_ms` is 0.0)."""
@@ -428,7 +401,6 @@ def _timed_exchange(
     if schedule.t != t:
         raise DimensionMismatch(f"schedule is for {schedule.t} sites, got {t} blocks")
     assembler = _Assembler({b.site: b.global_cols for b in blocks}, schedule.blocks())
-    deadline_s = _deadline_ms(deadline_ms) / 1e3
     coordinator = t  # reserved endpoint id
     endpoints = list(range(t)) + [coordinator]
 
@@ -441,15 +413,14 @@ def _timed_exchange(
         raise TransportError(f"unknown transport {transport!r}")
 
     start = time.perf_counter()
-    deadline = start + deadline_s
     done: list[int] = []
     transfers: dict[tuple[int, int], TransferStat] = {}
     turns = []
     try:
         for site in range(t):
-            turns.append(_site_turn(net, schedule, blocks, site, deadline, transfers))
+            turns.append(_site_turn(net, schedule, blocks, site, transfers))
             while site not in done:
-                msg = net.recv(coordinator, deadline - time.perf_counter())
+                msg = net.recv(coordinator)
                 if msg.kind is MessageKind.DONE:
                     done.append(msg.sender)
                 elif msg.kind is MessageKind.COV_BLOCK:
@@ -461,7 +432,7 @@ def _timed_exchange(
                     )
         net.require_drained()
         if assembler.missing:  # a site's blocks precede its DONE: these were never sent
-            raise _gather_timeout(assembler, done, t, start, deadline_s)
+            raise _gather_timeout(assembler, done, t)
         site_ms, site_cpu_ms = zip(*turns)
 
         t0 = time.perf_counter()
@@ -478,25 +449,20 @@ def _timed_exchange(
         )
         return merged, metrics
     except TimeoutError:  # a site's receive or the coordinator's
-        raise _gather_timeout(assembler, done, t, start, deadline_s) from None
+        raise _gather_timeout(assembler, done, t) from None
     finally:
         net.close()
 
 
-def _gather_timeout(
-    assembler: _Assembler, done: list[int], t: int, start: float, deadline_s: float
-) -> TimeoutError:
-    """Name the (site_a, site_b) blocks and the DONE markers that never came,
-    and how long the run waited since `start`, next to its deadline."""
+def _gather_timeout(assembler: _Assembler, done: list[int], t: int) -> TimeoutError:
+    """Name the (site_a, site_b) blocks and the DONE markers that never came."""
     missing = sorted(assembler.missing)
     silent = sorted(set(range(t)) - set(done))
-    waited_s = time.perf_counter() - start
     return TimeoutError(
         f"coordinator: {assembler.expected - len(missing)}/{assembler.expected} blocks "
-        f"and {len(done)}/{t} completions after {waited_s:.3f}s (deadline "
-        f"{deadline_s:.3f}s); missing blocks "
-        f"(site_a, site_b): {', '.join(map(str, missing)) or 'none'}; no DONE from "
-        f"sites: {', '.join(map(str, silent)) or 'none'}"
+        f"and {len(done)}/{t} completions; missing blocks (site_a, site_b): "
+        f"{', '.join(map(str, missing)) or 'none'}; no DONE from sites: "
+        f"{', '.join(map(str, silent)) or 'none'}"
     )
 
 

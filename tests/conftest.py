@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,11 @@ def random_widths(rng: np.random.Generator, total: int, t: int) -> list[int]:
     cuts = np.sort(rng.choice(np.arange(1, total), size=t - 1, replace=False)) if t > 1 else []
     bounds = [0, *map(int, cuts), total]
     return [bounds[i + 1] - bounds[i] for i in range(t)]
+
+
+def open_fds():
+    """This process's open file descriptors, or None without /proc/self/fd."""
+    try:
+        return set(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None

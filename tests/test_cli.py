@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import distcov.runtime as runtime
 from distcov import (
     DenseMatrix,
     GlobalCovariance,
+    MessageKind,
     centralized_covariance,
     load_matrix_dump,
     load_table,
@@ -18,6 +20,8 @@ from distcov import (
     synthetic_table,
 )
 from distcov.cli import main
+from distcov.runtime import InProcessTransport, TcpTransport
+from conftest import open_fds
 
 
 @pytest.fixture
@@ -160,37 +164,6 @@ def test_run_ragged_file_is_data_error(tmp_path, capsys):
     assert main(["run", "--inputs", str(p), "--mode", "centralized"]) == 3
 
 
-@pytest.mark.parametrize("value", ["-5", "nan"])
-def test_run_rejects_bad_deadline_at_parse_time(dataset, capsys, value):
-    code = main(["run", "--inputs", str(dataset), "--mode", "distributed",
-                 "--deadline-ms", value])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == f"usage error: deadline_ms must be a finite number >= 0, got {value!r}\n"
-
-
-def test_run_rejects_bad_deadline_env(dataset, capsys, monkeypatch):
-    monkeypatch.setenv("DCM_DEADLINE_MS", "abc")
-    code = main(["run", "--inputs", str(dataset), "--mode", "distributed"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == "usage error: DCM_DEADLINE_MS must be a finite number >= 0, got 'abc'\n"
-
-
-def test_run_with_deadline_zero_names_the_missing_blocks(dataset, capsys, monkeypatch):
-    monkeypatch.delenv("DCM_DEADLINE_MS", raising=False)
-    spec = {"total_cols": 9, "groups": [{"site": 0, "cols": [0, 1, 2, 3]},
-                                        {"site": 1, "cols": [4, 5, 6, 7, 8]}]}
-    spec_path = dataset.parent / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    code = main(["run", "--inputs", str(dataset), "--spec", str(spec_path),
-                 "--mode", "distributed", "--deadline-ms", "0"])
-    assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith("protocol error: coordinator: 0/3 blocks")
-    assert "missing blocks (site_a, site_b): (0, 0), (0, 1), (1, 1);" in err
-
-
 @pytest.mark.parametrize(
     "group",
     [
@@ -331,6 +304,84 @@ def test_compare_corruption_hook_yields_mismatch_exit(tmp_path, capsys, monkeypa
         code = main(["compare", "--inputs", str(a)])
         assert code == 5
         assert capsys.readouterr().err.startswith("mismatch: distributed and centralized")
+
+
+# --- faults ----------------------------------------------------------------------
+
+@pytest.fixture
+def mfeat_data(tmp_path, capsys):
+    path = tmp_path / "mfeat.txt"
+    main(["gen", "--rows", "12", "--cols", "649", "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    return path
+
+
+def _failed_fast(capsys, argv) -> tuple[int, str]:
+    """main(argv)'s exit code and stderr, once it has ended within 1 s with
+    no file descriptor left open."""
+    before = open_fds()
+    started = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - started < 1.0
+    assert open_fds() == before
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "transport, cls", [("in-process", InProcessTransport), ("tcp", TcpTransport)]
+)
+def test_run_with_a_dropped_frame_names_what_never_came(mfeat_data, capsys, monkeypatch,
+                                                        transport, cls):
+    deliver = cls._deliver
+
+    def drop_0_to_1(self, msg, frame):
+        if (msg.kind, msg.sender, msg.receiver) != (MessageKind.DATA_BLOCK, 0, 1):
+            deliver(self, msg, frame)
+
+    monkeypatch.setattr(cls, "_deliver", drop_0_to_1)
+    code, err = _failed_fast(capsys, ["run", "--inputs", str(mfeat_data), "--preset", "mfeat-3",
+                                      "--mode", "distributed", "--transport", transport])
+    assert code == 4
+    assert err == (
+        "protocol error: coordinator: 2/6 blocks and 1/3 completions; missing blocks "
+        "(site_a, site_b): (0, 1), (1, 1), (1, 2), (2, 2); no DONE from sites: 1, 2\n"
+    )
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_run_with_a_raising_site_is_a_protocol_error(mfeat_data, capsys, monkeypatch,
+                                                     transport):
+    kernel = runtime.site_covariance
+
+    def site_1_fails(own, senders):
+        if own.site == 1:
+            raise RuntimeError("disk gone")
+        return kernel(own, senders)
+
+    monkeypatch.setattr(runtime, "site_covariance", site_1_fails)
+    code, err = _failed_fast(capsys, ["run", "--inputs", str(mfeat_data), "--preset", "mfeat-3",
+                                      "--mode", "distributed", "--transport", transport])
+    assert code == 4
+    assert err == "protocol error: site 1 worker failed: RuntimeError('disk gone')\n"
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_compare_catches_a_bit_flipped_on_the_wire(mfeat_data, capsys, monkeypatch, transport):
+    # A DCM1 frame carries no checksum, so a flipped value bit decodes
+    # cleanly; only the equality gate against the oracle can see it.
+    encode = runtime.encode_message
+
+    def flip_last_value_bit(msg):
+        frame = encode(msg)
+        if (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 0, 1):
+            frame[-8] ^= 1  # lowest mantissa bit of the last little-endian value
+        return frame
+
+    monkeypatch.setattr(runtime, "encode_message", flip_last_value_bit)
+    code, err = _failed_fast(capsys, ["compare", "--inputs", str(mfeat_data),
+                                      "--preset", "mfeat-3", "--transport", transport])
+    assert code == 5
+    assert err.startswith("mismatch: distributed and centralized matrices differ (t=3")
 
 
 # --- cost-model -------------------------------------------------------------------

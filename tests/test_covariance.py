@@ -29,6 +29,7 @@ from distcov.errors import (
     InvalidCovariance,
     LengthMismatch,
     MissingPair,
+    NonFiniteValue,
     OverlappingPair,
     RowCountMismatch,
     SameSite,
@@ -106,6 +107,20 @@ def test_global_covariance_rejects_negative_variance():
 def test_global_covariance_must_be_square():
     with pytest.raises(DimensionMismatch):
         GlobalCovariance([[1.0, 2.0]])
+
+
+def test_assembled_matrix_keeps_the_array_it_was_given():
+    arr = np.array([[2.0, -0.0], [-0.0, 3.0]])
+    cov = GlobalCovariance._assembled(arr)
+    assert np.shares_memory(cov.matrix.values, arr)
+    assert cov.matrix.tobytes() == GlobalCovariance([[2.0, 0.0], [0.0, 3.0]]).matrix.tobytes()
+
+
+def test_overflowing_covariance_is_not_finite():
+    # Finite input whose covariance overflows: (1e300)**2 is infinite.
+    values = np.column_stack([np.arange(6.0), [1e300, -1e300] * 3])
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+        centralized_covariance(DenseMatrix(values))
 
 
 # --- local / cross / centralized -------------------------------------------
