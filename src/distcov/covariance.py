@@ -143,19 +143,15 @@ class GlobalCovariance:
 
     @classmethod
     def _assembled(cls, arr: np.ndarray) -> "GlobalCovariance":
-        """What `__init__` makes of a fresh C-contiguous arr whose triangles
-        hold equal values, without the mirror sum or a copy: arr itself is
-        normalized in place and becomes the matrix's read-only storage.
-        Equal values are equal bits but for the sign of zero; + 0.0 makes
-        -0.0 into +0.0, as the mirror sum in `__init__` does. A NaN makes
-        the minimum NaN, and an infinity is the minimum or the maximum, so
-        the two scan for non-finite values without an m x m mask.
+        """What `__init__` makes of a fresh C-contiguous finite arr whose
+        triangles hold equal values, without the mirror sum or a copy: arr
+        itself is normalized in place and becomes the matrix's read-only
+        storage. Equal values are equal bits but for the sign of zero;
+        + 0.0 makes -0.0 into +0.0, as the mirror sum in `__init__` does.
         """
         arr += 0.0
         if np.any(np.diag(arr) < 0.0):
             raise InvalidCovariance("diagonal entries (variances) must be non-negative")
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-            raise NonFiniteValue("matrix values must be finite (no NaN/Inf)")
         cov = cls.__new__(cls)
         cov._matrix = DenseMatrix._wrap(arr)
         return cov
@@ -225,6 +221,8 @@ class _Operand:
         # Rounding is monotonic, so the centered peak is the rounded
         # distance from the mean to the column's max or min.
         peak = np.maximum(hi - self.mean, self.mean - lo)
+        if not np.isfinite(peak).all():
+            raise NonFiniteValue("a column's centered values overflow float64")
         _, self.exps = np.frexp(peak)  # peak < 2**exps
         self.scale = np.ldexp(1.0, b - self.exps)
 
@@ -247,6 +245,7 @@ class _Operand:
         np.rint(work, out=work)  # the last slice, in place
 
 
+@np.errstate(over="ignore")  # an overflow is refused below as NonFiniteValue
 def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Covariance blocks of several (n, w) arrays against one (n, wy) array:
     entry (u, v) of block k is the covariance of xs[k]'s column u with y's
@@ -263,6 +262,9 @@ def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     scaled exactly by 2**-b. The pair sum commutes, so the block for (y, x)
     is the exact transpose of the block for (x, y). For x is y only
     X_i^T Y_j is computed; the pair is T + T^T.
+
+    Raises NonFiniteValue, without a numpy warning, when a column's
+    centered values or a covariance overflow float64.
     """
     n, wy = y.shape
     b, s = _slicing(n)
@@ -308,6 +310,9 @@ def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
             rows = slice(r0, r0 + _CHUNK_ROWS)
             np.ldexp(out[rows], np.add.outer(xo.exps[rows] - b, yo.exps - b), out=out[rows])
         out /= n - 1
+        # An infinity is the minimum or the maximum: no (wx, wy) mask.
+        if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+            raise NonFiniteValue("a covariance overflows float64")
         blocks.append(out)
     return blocks
 
@@ -366,7 +371,10 @@ def site_covariance(
     """
     _check_senders(own, senders)
     values = own.data.values
-    local, *cross = _cov_blocks(values, [values, *(s.data.values for s in senders)])
+    try:
+        local, *cross = _cov_blocks(values, [values, *(s.data.values for s in senders)])
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"site {own.site}: {exc}") from None
     local_block = CovBlock(
         own.site, own.site, DenseMatrix._wrap(local),
         own.global_cols, own.global_cols,

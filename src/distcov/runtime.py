@@ -73,6 +73,7 @@ from .wire import (
     ProtocolMessage,
     decode_message,
     encode_message,
+    frame_size,
     largest_frame,
 )
 
@@ -256,7 +257,7 @@ class TcpTransport(InProcessTransport):
             if edge.got < len(edge.buf):
                 continue
             if edge.got == HEADER.size:  # a full header; frame buffers are always longer
-                size = HEADER.size + HEADER.unpack_from(edge.buf)[4]
+                size = frame_size(edge.buf)
                 if self._max_frame is not None and size > self._max_frame:
                     raise TransportError(
                         f"{edge.name}: frame of {size} bytes exceeds the "

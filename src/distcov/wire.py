@@ -8,11 +8,15 @@ Frame layout (all integers little-endian):
     receiver u32
     length u64      payload byte count
 
-DataBlock payload: u32 site, u32 rows, u32 cols, cols x u32 global column
-indices, then rows*cols IEEE-754 binary64 values row-major. CovBlockMsg
-payload: u32 site_a, u32 site_b, u32 rows, u32 cols, rows + cols u32 global
-indices, then the values. Done has an empty payload. Values survive a
-round trip bit-for-bit.
+A payload opens with u32 fields: DataBlock 3 (site, rows, cols), CovBlockMsg
+4 (site_a, site_b, rows, cols), Done none. Then come the u32 global column
+indices, cols of them for a DataBlock and rows + cols for a CovBlockMsg,
+then rows*cols IEEE-754 binary64 values row-major. So a payload is
+
+    4 * (fields + indices) + 8 * rows * cols  bytes
+
+(`_payload_size`), and a frame is accepted only if its payload is exactly
+that size. Values survive a round trip bit-for-bit.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "ProtocolMessage",
     "encode_message",
     "decode_message",
+    "frame_size",
     "largest_frame",
     "HEADER",
     "MAGIC",
@@ -47,6 +52,21 @@ class MessageKind(IntEnum):
     DONE = 3
 
 
+# Each kind's payload type and the number of u32 fields its payload opens
+# with; a block's last two fields are its rows and cols.
+_LAYOUT = {
+    MessageKind.DATA_BLOCK: (ColumnBlock, 3),  # site, rows, cols
+    MessageKind.COV_BLOCK: (CovBlock, 4),  # site_a, site_b, rows, cols
+    MessageKind.DONE: (type(None), 0),
+}
+
+
+def _payload_size(kind: MessageKind, rows: int, cols: int) -> int:
+    """Payload bytes of a `kind` frame carrying a rows x cols block."""
+    indices = rows + cols if kind is MessageKind.COV_BLOCK else cols
+    return 4 * (_LAYOUT[kind][1] + indices) + 8 * rows * cols
+
+
 @dataclass(frozen=True)
 class ProtocolMessage:
     """One frame of the exchange; payload type depends on the kind."""
@@ -57,11 +77,7 @@ class ProtocolMessage:
     payload: ColumnBlock | CovBlock | None = None
 
     def __post_init__(self) -> None:
-        want = {
-            MessageKind.DATA_BLOCK: ColumnBlock,
-            MessageKind.COV_BLOCK: CovBlock,
-            MessageKind.DONE: type(None),
-        }[self.kind]
+        want = _LAYOUT[self.kind][0]
         if not isinstance(self.payload, want):
             raise MalformedFrame(
                 f"{self.kind.name} payload must be {want.__name__}, "
@@ -73,89 +89,53 @@ _U32_LE = np.dtype("<u4")
 _F64_LE = np.dtype("<f8")
 
 
+def frame_size(header) -> int:
+    """Byte size of the whole frame whose header `header` holds, as the
+    header's payload length declares it."""
+    return HEADER.size + HEADER.unpack_from(header)[4]
+
+
 def largest_frame(rows: int, widths) -> int:
     """Byte size of the largest frame a run over blocks of `rows` rows and
     these column widths can send: a DataBlock of the widest block, or the
     widest block's local CovBlock."""
     w = max(widths)
-    data = 4 * (3 + w) + 8 * rows * w
-    cov = 4 * (4 + 2 * w) + 8 * w * w
-    return HEADER.size + max(data, cov)
-
-
-def _frame(msg: ProtocolMessage, fields: tuple[int, ...], values: np.ndarray | None) -> bytearray:
-    # Header, u32 fields and values go straight into one buffer: one copy.
-    nvalues = 0 if values is None else values.size
-    length = 4 * len(fields) + 8 * nvalues
-    frame = bytearray(HEADER.size + length)
-    HEADER.pack_into(frame, 0, MAGIC, int(msg.kind), msg.sender, msg.receiver, length)
-    np.frombuffer(frame, _U32_LE, len(fields), HEADER.size)[:] = fields
-    if nvalues:
-        out = np.frombuffer(frame, _F64_LE, nvalues, HEADER.size + 4 * len(fields))
-        out.reshape(values.shape)[...] = values
-    return frame
+    return HEADER.size + max(
+        _payload_size(MessageKind.DATA_BLOCK, rows, w),
+        _payload_size(MessageKind.COV_BLOCK, w, w),
+    )
 
 
 def encode_message(msg: ProtocolMessage) -> bytearray:
-    """Serialize a message into one self-delimiting frame."""
+    """Serialize a message into one self-delimiting frame. Header, u32
+    fields and values go straight into one buffer: one copy."""
+    p = msg.payload
     if msg.kind is MessageKind.DATA_BLOCK:
-        b = msg.payload
-        assert isinstance(b, ColumnBlock)
-        fields = (b.site, b.data.rows, b.data.cols, *b.global_cols)
-        return _frame(msg, fields, b.data.values)
-    if msg.kind is MessageKind.COV_BLOCK:
-        c = msg.payload
-        assert isinstance(c, CovBlock)
-        fields = (c.site_a, c.site_b, c.block.rows, c.block.cols,
-                  *c.rows_global_cols, *c.cols_global_cols)
-        return _frame(msg, fields, c.block.values)
-    return _frame(msg, (), None)
-
-
-class _Reader:
-    """Sequential cursor over a frame's payload; running past the end is a
-    frame error. Reads are views into the frame, never copies."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: memoryview, pos: int):
-        self.buf = buf
-        self.pos = pos
-
-    def _take(self, dtype: np.dtype, count: int, what: str) -> np.ndarray:
-        need = count * dtype.itemsize
-        if self.pos + need > len(self.buf):
-            raise MalformedFrame(
-                f"payload truncated: {what} need {need} bytes, "
-                f"{len(self.buf) - self.pos} remain"
-            )
-        out = np.frombuffer(self.buf, dtype, count, self.pos)
-        self.pos += need
-        return out
-
-    def u32(self) -> int:
-        return int(self._take(_U32_LE, 1, "a u32 field")[0])
-
-    def u32_list(self, n: int) -> tuple[int, ...]:
-        return tuple(self._take(_U32_LE, n, f"{n} u32 indices").tolist())
-
-    def f64_matrix(self, rows: int, cols: int) -> np.ndarray:
-        flat = self._take(_F64_LE, rows * cols, f"{rows}x{cols} values")
-        return flat.reshape(rows, cols)
-
-    def done(self) -> None:
-        if self.pos != len(self.buf):
-            raise MalformedFrame(f"{len(self.buf) - self.pos} trailing payload bytes")
+        fields, values = (p.site, p.data.rows, p.data.cols, *p.global_cols), p.data.values
+    elif msg.kind is MessageKind.COV_BLOCK:
+        fields = (p.site_a, p.site_b, p.block.rows, p.block.cols,
+                  *p.rows_global_cols, *p.cols_global_cols)
+        values = p.block.values
+    else:
+        fields, values = (), np.empty((0, 0))
+    length = _payload_size(msg.kind, *values.shape)
+    frame = bytearray(HEADER.size + length)
+    HEADER.pack_into(frame, 0, MAGIC, int(msg.kind), msg.sender, msg.receiver, length)
+    np.frombuffer(frame, _U32_LE, len(fields), HEADER.size)[:] = fields
+    out = np.frombuffer(frame, _F64_LE, values.size, HEADER.size + 4 * len(fields))
+    out.reshape(values.shape)[...] = values
+    return frame
 
 
 def decode_message(frame) -> ProtocolMessage:
     """Parse one complete frame (any bytes-like object) back into a message.
 
-    The payload is read through a view of the frame; the only copy is the
+    The payload is read through views of the frame; the only copy is the
     one `DenseMatrix` makes of the values.
 
     Raises:
-        MalformedFrame: bad magic, truncated header or payload, trailing bytes.
+        MalformedFrame: bad magic, a frame shorter than the header, or a
+            payload whose size is not `_payload_size` of its fields.
         UnknownKind: kind byte outside the defined set.
         LengthMismatch: frame size disagrees with the declared payload length.
     """
@@ -174,35 +154,32 @@ def decode_message(frame) -> ProtocolMessage:
             f"header declares {length} payload bytes, frame carries "
             f"{len(view) - HEADER.size}"
         )
-    r = _Reader(view, HEADER.size)
-
+    nfields = _LAYOUT[kind][1]
+    # A payload too short for its fields reads as a 0 x 0 block, whose size
+    # (the fields alone) it cannot have either.
+    fields = [0] * nfields
+    if length >= 4 * nfields:
+        fields = np.frombuffer(view, _U32_LE, nfields, HEADER.size).tolist()
+    rows, cols = fields[-2:] if fields else (0, 0)
+    need = _payload_size(kind, rows, cols)
+    if length != need:
+        raise MalformedFrame(f"{kind.name} payload of {length} bytes, its fields call for {need}")
     if kind is MessageKind.DONE:
-        r.done()
-        return ProtocolMessage(kind=kind, sender=sender, receiver=receiver)
+        return ProtocolMessage(kind, sender, receiver)
 
+    at = HEADER.size + 4 * nfields
+    values_at = len(view) - 8 * rows * cols
+    indices = np.frombuffer(view[at:values_at], _U32_LE).tolist()
+    # Full constructors, not the fast path: wire bytes are unvalidated.
+    values = DenseMatrix(np.frombuffer(view, _F64_LE, rows * cols, values_at).reshape(rows, cols))
     if kind is MessageKind.DATA_BLOCK:
-        site = r.u32()
-        rows, cols = r.u32(), r.u32()
-        global_cols = r.u32_list(cols)
-        values = r.f64_matrix(rows, cols)
-        r.done()
-        # Full constructor, not the fast path: wire bytes are unvalidated.
-        block = ColumnBlock(
-            site=site, data=DenseMatrix(values), global_cols=global_cols
+        payload = ColumnBlock(site=fields[0], data=values, global_cols=indices)
+    else:
+        payload = CovBlock(
+            site_a=fields[0],
+            site_b=fields[1],
+            block=values,
+            rows_global_cols=indices[:rows],
+            cols_global_cols=indices[rows:],
         )
-        return ProtocolMessage(kind=kind, sender=sender, receiver=receiver, payload=block)
-
-    site_a, site_b = r.u32(), r.u32()
-    rows, cols = r.u32(), r.u32()
-    rows_cols = r.u32_list(rows)
-    cols_cols = r.u32_list(cols)
-    values = r.f64_matrix(rows, cols)
-    r.done()
-    cov = CovBlock(
-        site_a=site_a,
-        site_b=site_b,
-        block=DenseMatrix(values),
-        rows_global_cols=rows_cols,
-        cols_global_cols=cols_cols,
-    )
-    return ProtocolMessage(kind=kind, sender=sender, receiver=receiver, payload=cov)
+    return ProtocolMessage(kind, sender, receiver, payload)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -117,10 +118,16 @@ def test_assembled_matrix_keeps_the_array_it_was_given():
 
 
 def test_overflowing_covariance_is_not_finite():
-    # Finite input whose covariance overflows: (1e300)**2 is infinite.
+    # Finite input whose covariance overflows: (1e300)**2 is infinite. It
+    # is refused without a numpy warning.
     values = np.column_stack([np.arange(6.0), [1e300, -1e300] * 3])
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
-        centralized_covariance(DenseMatrix(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="covariance overflows"):
+            centralized_covariance(DenseMatrix(values))
+        # The sum of this column, and so its mean, overflows.
+        with pytest.raises(NonFiniteValue, match="centered values overflow"):
+            centralized_covariance(DenseMatrix(np.full((6, 1), 1.7e308)))
 
 
 # --- local / cross / centralized -------------------------------------------

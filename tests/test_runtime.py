@@ -40,6 +40,7 @@ from distcov.errors import (
     CoverageError,
     DimensionMismatch,
     DistCovError,
+    NonFiniteValue,
     OverlappingPair,
     RowCountMismatch,
     TimeoutError,
@@ -642,6 +643,16 @@ def test_failing_site_ends_the_run_at_once(monkeypatch, transport):
     assert time.perf_counter() - started < 1.0
     assert str(exc.value).startswith(f"site {failed[0]} worker failed")
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_overflowing_site_is_refused_before_it_sends(transport):
+    # Site 1's column of +-1e300 has a variance of about 1e600.
+    data = np.column_stack([np.arange(6.0), [1e300, -1e300] * 3, np.arange(6.0) ** 2])
+    log: list = []
+    with pytest.raises(NonFiniteValue, match=r"^site 1: "):
+        run_distributed(blocks_for(data, [1, 1, 1]), build_schedule(3), transport, log)
+    assert (MessageKind.COV_BLOCK, 1) not in {(kind, sender) for kind, sender, *_ in log}
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])

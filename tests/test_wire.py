@@ -14,7 +14,7 @@ from distcov import (
     decode_message,
     encode_message,
 )
-from distcov.errors import LengthMismatch, MalformedFrame, NonFiniteValue, UnknownKind
+from distcov.errors import DistCovError, LengthMismatch, MalformedFrame, NonFiniteValue, UnknownKind
 from distcov.wire import HEADER, MAGIC
 
 
@@ -182,3 +182,30 @@ def test_roundtrip_is_bit_exact(msg):
         assert back.payload.rows_global_cols == msg.payload.rows_global_cols
         assert back.payload.cols_global_cols == msg.payload.cols_global_cols
         assert back.payload.block.tobytes() == msg.payload.block.tobytes()
+
+
+@st.composite
+def _damaged_frames(draw):
+    frame = bytearray(encode_message(draw(_messages())))
+    how = draw(st.sampled_from(["cut", "pad", "flip"]))
+    if how == "cut":
+        del frame[draw(st.integers(min_value=0, max_value=len(frame) - 1)):]
+    elif how == "pad":
+        frame += draw(st.binary(min_size=1, max_size=16))
+    else:
+        bit = draw(st.integers(min_value=0, max_value=8 * len(frame) - 1))
+        frame[bit // 8] ^= 1 << bit % 8
+    if draw(st.booleans()) and len(frame) >= HEADER.size:
+        # Restate the payload length, so the frame reaches the payload checks.
+        frame[13:21] = (len(frame) - HEADER.size).to_bytes(8, "little")
+    return bytes(frame)
+
+
+@given(_damaged_frames())
+@settings(max_examples=300)
+def test_damaged_frame_is_refused_or_reencodes_to_itself(frame):
+    try:
+        msg = decode_message(frame)
+    except DistCovError:
+        return
+    assert bytes(encode_message(msg)) == frame
