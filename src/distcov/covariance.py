@@ -200,6 +200,13 @@ class _Operand:
     added to the running total in chunk order. Neither step depends on the
     other columns of the block, so a column gets the same mean, peak and
     slices whichever block it sits in.
+
+    A finite column whose sum overflows is summed again, in the same
+    order, scaled by 2**-k <= 1/n, where no partial sum can overflow; its
+    mean is scaled back and kept between the column's min and max, where
+    the exact mean lies. Only a constant column can have a finite
+    covariance there, and the clamp makes its mean exact. Every other
+    column's sum is finite and takes no part in this.
     """
 
     __slots__ = ("values", "mean", "exps", "scale")
@@ -218,6 +225,11 @@ class _Operand:
             np.minimum(lo, part.min(axis=1), out=lo)
         self.values = values
         self.mean = total / n
+        wide = ~np.isfinite(total)
+        if wide.any():
+            k = (n - 1).bit_length()
+            mean = _Operand(np.ldexp(values[:, wide], -k), b).mean * 2.0**k
+            self.mean[wide] = np.clip(mean, lo[wide], hi[wide])
         # Rounding is monotonic, so the centered peak is the rounded
         # distance from the mean to the column's max or min.
         peak = np.maximum(hi - self.mean, self.mean - lo)

@@ -21,15 +21,18 @@ eigen-decomposes it on the caller's thread, as `run_centralized` does the
 oracle; `report.compare_partitions` runs the exchange alone, since its rows
 only prove the merged bytes equal to the oracle's and time the exchange.
 
-Both transports move the same encoded frames, so byte counts are real and
-the merged matrix is bit-identical either way: in-process appends frames
-straight to the receiver's inbox, TCP uses loopback sockets with one
-listener and one connection per directed edge, both of whose ends it
-opens. Each endpoint has one FIFO inbox of frames, and on either transport
-`send` returns only once its frame is in the receiver's inbox. So a send's
-time is encode plus delivery, and `recv` on an empty inbox raises
-TimeoutError at once: nothing could fill it while `recv` waited, so the
-protocol has no timer.
+Both transports move the same frame bytes, so byte counts are real and
+the merged matrix is bit-identical either way: in-process encodes each
+frame and appends it straight to the receiver's inbox, TCP uses loopback
+sockets with one listener and one connection per directed edge, both of
+whose ends it opens. TCP copies no block in user space on its way: the
+values go to the socket straight from the block's array, and the receiver
+decodes them as a read-only view of the buffer they were received into.
+Each endpoint has one FIFO inbox of frames, and on either transport `send`
+returns only once its frame is in the receiver's inbox. So a send's time
+is framing plus delivery, and `recv` on an empty inbox raises TimeoutError
+at once: nothing could fill it while `recv` waited, so the protocol has no
+timer.
 
 A run starts no thread: TCP bytes move only inside `send`, on the caller's
 thread. So any failure, in a site's turn, the coordinator's loop or the
@@ -73,6 +76,7 @@ from .wire import (
     ProtocolMessage,
     decode_message,
     encode_message,
+    frame_parts,
     frame_size,
     largest_frame,
 )
@@ -90,8 +94,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransferStat:
-    """One raw-data shipment: encoded frame size and send wall time, which
-    is encode plus delivery into the receiver's inbox on either transport."""
+    """One raw-data shipment: frame size and send wall time, which is
+    framing plus delivery into the receiver's inbox: the frame's encoding
+    in-process, only its header, fields and indices over TCP."""
 
     bytes: int
     ms: float
@@ -109,9 +114,10 @@ class RunMetrics:
     neither reading counts another site's kernel; the CPU reading is what
     the site would spend on a processor of its own. `transfers` is keyed by
     directed edge (sender, receiver) and covers raw column shipments only;
-    a send's time is encode plus delivery into the receiver's inbox, over
-    TCP the reads of the edge's receiving end included. `merge_ms` is what
-    assembly leaves after the last message: the matrix's final checks.
+    a send's time is framing plus delivery into the receiver's inbox (see
+    `TransferStat`), over TCP the reads of the edge's receiving end
+    included. `merge_ms` is what assembly leaves after the last message:
+    the matrix's final checks.
     `eigen_ms` is 0.0 where a run stops before the eigen-decomposition.
     """
 
@@ -155,31 +161,39 @@ def critical_path_ms(metrics: RunMetrics) -> float:
 
 
 class InProcessTransport:
-    """One FIFO inbox of encoded frames per endpoint; `send` encodes a frame
-    exactly as on TCP and appends it straight to the receiver's inbox.
+    """One FIFO inbox of frames per endpoint; `send` encodes a frame, the
+    same bytes TCP sends, and appends it straight to the receiver's inbox.
+    The inbox holds the writable encoded buffer, so `decode_message` copies
+    its values once.
 
     Only `send` fills an inbox, so `recv` on an empty one raises
     TimeoutError at once: nothing could fill it while `recv` waited.
-    `TcpTransport` replaces only the delivery.
+    `TcpTransport` replaces only how a frame is made and delivered.
     """
 
     def __init__(self, endpoints, log: list | None = None):
         self._inbox: dict[int, deque] = {e: deque() for e in endpoints}
         self._log = log
 
+    def _frame(self, msg: ProtocolMessage):
+        """`msg`'s frame in the form `_deliver` takes, and its byte size."""
+        frame = encode_message(msg)
+        return frame, len(frame)
+
     def _deliver(self, msg: ProtocolMessage, frame) -> None:
         self._inbox[msg.receiver].append(frame)
 
     def send(self, msg: ProtocolMessage) -> TransferStat:
+        """Frame `msg` and deliver it; its size and the time both took."""
         t0 = time.perf_counter()
-        frame = encode_message(msg)
         if msg.receiver not in self._inbox:
             raise TransportError(f"no endpoint {msg.receiver}")
+        frame, size = self._frame(msg)
         self._deliver(msg, frame)
         ms = (time.perf_counter() - t0) * 1e3
         if self._log is not None:
-            self._log.append((msg.kind, msg.sender, msg.receiver, len(frame)))
-        return TransferStat(bytes=len(frame), ms=ms)
+            self._log.append((msg.kind, msg.sender, msg.receiver, size))
+        return TransferStat(bytes=size, ms=ms)
 
     def recv(self, endpoint: int, _unused: float | None = None) -> ProtocolMessage:
         """Decode the endpoint's next frame; TimeoutError if its inbox is
@@ -201,6 +215,23 @@ class InProcessTransport:
 
     def close(self) -> None:
         """Nothing to release in-process."""
+
+
+def _aligned_end(size: int) -> memoryview:
+    """An uninitialised, writable buffer of `size` bytes whose end is 8-byte
+    aligned, so the values of a frame read into it are aligned."""
+    raw = np.empty(size + 7, np.uint8)
+    start = -(raw.ctypes.data + size) % 8
+    return memoryview(raw[start : start + size])
+
+
+def _advance(views: list, n: int) -> list:
+    """`views`, a list of non-empty byte views, without their first n bytes."""
+    while views and n >= len(views[0]):
+        n -= len(views.pop(0))
+    if n:
+        views[0] = views[0][n:]
+    return views
 
 
 class _Edge:
@@ -228,8 +259,14 @@ class TcpTransport(InProcessTransport):
     in the same loop until every byte it wrote has been read, selecting on
     the edge's two sockets only when neither end can move. So every frame
     is in its receiver's inbox before `send` returns, and `recv` and
-    `require_drained` are the in-process ones. Each frame is received into
-    one buffer of its declared size; a declared size above `max_frame`
+    `require_drained` are the in-process ones.
+
+    No block is copied on its way. `send` writes the frame's two parts
+    (`frame_parts`) with one `sendmsg`: header, fields and indices from one
+    small buffer, the values straight from the block's array. Each frame
+    is received into one uninitialised buffer of its declared size whose
+    end is 8-byte aligned, and queued read-only, so `decode_message` keeps
+    its values as a view of that buffer. A declared size above `max_frame`
     bytes, bytes that end inside a frame, and a receiving end that closes
     each raise TransportError naming the edge.
     """
@@ -264,11 +301,11 @@ class TcpTransport(InProcessTransport):
                         f"largest legal frame of {self._max_frame} bytes"
                     )
                 if size > HEADER.size:
-                    frame = bytearray(size)
+                    frame = _aligned_end(size)
                     frame[: HEADER.size] = edge.buf
                     edge.buf = frame
                     continue
-            self._inbox[edge.receiver].append(edge.buf)
+            self._inbox[edge.receiver].append(memoryview(edge.buf).toreadonly())
             edge.buf, edge.got = bytearray(HEADER.size), 0
 
     def _edge(self, sender: int, receiver: int) -> _Edge:
@@ -291,22 +328,28 @@ class TcpTransport(InProcessTransport):
             edge = self._edges[(sender, receiver)] = _Edge(name, receiver, sock, conn)
         return edge
 
+    def _frame(self, msg: ProtocolMessage):
+        """`msg`'s frame as its two parts, never joined, and its byte size."""
+        head, values = frame_parts(msg)
+        return (head, values), len(head) + len(values)
+
     def _deliver(self, msg: ProtocolMessage, frame) -> None:
         try:
             edge = self._edge(msg.sender, msg.receiver)
-            view, unread = memoryview(frame), len(frame)
+            unsent = [memoryview(part) for part in frame if len(part)]
+            unread = sum(map(len, unsent))
             while unread:
                 sent = 0
-                if view:
+                if unsent:
                     try:
-                        sent = edge.sock.send(view)
+                        sent = edge.sock.sendmsg(unsent)
                     except BlockingIOError:  # full: only reading makes room
                         pass
-                    view = view[sent:]
+                    unsent = _advance(unsent, sent)
                 taken = self._read(edge)
                 unread -= taken
                 if unread and not (sent or taken):
-                    select.select([edge.conn], [edge.sock] if view else [], [])
+                    select.select([edge.conn], [edge.sock] if unsent else [], [])
         except OSError as exc:
             raise TransportError(
                 f"send {msg.sender}->{msg.receiver} failed: {exc}"

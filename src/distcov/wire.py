@@ -17,6 +17,11 @@ then rows*cols IEEE-754 binary64 values row-major. So a payload is
 
 (`_payload_size`), and a frame is accepted only if its payload is exactly
 that size. Values survive a round trip bit-for-bit.
+
+The values are always a frame's last 8 * rows * cols bytes, so a frame held
+in a buffer whose end is 8-byte aligned holds them aligned. A sender can
+also write a frame in two parts (`frame_parts`): a small buffer of header,
+fields and indices, then the block's values straight from their array.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from enum import IntEnum
 import numpy as np
 
 from .covariance import ColumnBlock, CovBlock
-from .errors import LengthMismatch, MalformedFrame, UnknownKind
+from .errors import LengthMismatch, MalformedFrame, NonFiniteValue, UnknownKind
 from .matrix import DenseMatrix
 
 __all__ = [
@@ -36,6 +41,7 @@ __all__ = [
     "ProtocolMessage",
     "encode_message",
     "decode_message",
+    "frame_parts",
     "frame_size",
     "largest_frame",
     "HEADER",
@@ -106,9 +112,12 @@ def largest_frame(rows: int, widths) -> int:
     )
 
 
-def encode_message(msg: ProtocolMessage) -> bytearray:
-    """Serialize a message into one self-delimiting frame. Header, u32
-    fields and values go straight into one buffer: one copy."""
+def frame_parts(msg: ProtocolMessage) -> tuple[bytearray, np.ndarray]:
+    """A message's frame in two parts: one small buffer holding the header,
+    the u32 fields and the indices, then the values as a flat uint8 view of
+    the block's own array. The values are copied only where that array is
+    not C-contiguous little-endian float64 (on a big-endian host, say).
+    Joined, the parts are `encode_message(msg)`."""
     p = msg.payload
     if msg.kind is MessageKind.DATA_BLOCK:
         fields, values = (p.site, p.data.rows, p.data.cols, *p.global_cols), p.data.values
@@ -118,26 +127,40 @@ def encode_message(msg: ProtocolMessage) -> bytearray:
         values = p.block.values
     else:
         fields, values = (), np.empty((0, 0))
+    head = bytearray(HEADER.size + 4 * len(fields))
     length = _payload_size(msg.kind, *values.shape)
-    frame = bytearray(HEADER.size + length)
-    HEADER.pack_into(frame, 0, MAGIC, int(msg.kind), msg.sender, msg.receiver, length)
-    np.frombuffer(frame, _U32_LE, len(fields), HEADER.size)[:] = fields
-    out = np.frombuffer(frame, _F64_LE, values.size, HEADER.size + 4 * len(fields))
-    out.reshape(values.shape)[...] = values
+    HEADER.pack_into(head, 0, MAGIC, int(msg.kind), msg.sender, msg.receiver, length)
+    np.frombuffer(head, _U32_LE, len(fields), HEADER.size)[:] = fields
+    return head, np.ascontiguousarray(values, _F64_LE).reshape(-1).view(np.uint8)
+
+
+def encode_message(msg: ProtocolMessage) -> bytearray:
+    """Serialize a message into one self-delimiting frame: `frame_parts`
+    written into one buffer, so one copy of the values."""
+    head, values = frame_parts(msg)
+    frame = bytearray(len(head) + len(values))
+    view = memoryview(frame)
+    view[: len(head)] = head
+    view[len(head) :] = values
     return frame
 
 
 def decode_message(frame) -> ProtocolMessage:
     """Parse one complete frame (any bytes-like object) back into a message.
 
-    The payload is read through views of the frame; the only copy is the
-    one `DenseMatrix` makes of the values.
+    The payload is read through views of the frame. The values of a
+    read-only frame, aligned and native-endian, are checked for NaN and
+    infinity and kept as a read-only view of the frame: such a frame is
+    taken to stay unchanged, and it lives as long as the matrix. Any other
+    frame (a writable buffer such as `encode_message`'s, unaligned values,
+    a big-endian host) has its values copied by `DenseMatrix`, as before.
 
     Raises:
         MalformedFrame: bad magic, a frame shorter than the header, or a
             payload whose size is not `_payload_size` of its fields.
         UnknownKind: kind byte outside the defined set.
         LengthMismatch: frame size disagrees with the declared payload length.
+        NonFiniteValue: a value is NaN or infinite.
     """
     view = memoryview(frame).cast("B")
     if len(view) < HEADER.size:
@@ -170,8 +193,14 @@ def decode_message(frame) -> ProtocolMessage:
     at = HEADER.size + 4 * nfields
     values_at = len(view) - 8 * rows * cols
     indices = np.frombuffer(view[at:values_at], _U32_LE).tolist()
-    # Full constructors, not the fast path: wire bytes are unvalidated.
-    values = DenseMatrix(np.frombuffer(view, _F64_LE, rows * cols, values_at).reshape(rows, cols))
+    values = np.frombuffer(view, _F64_LE, rows * cols, values_at).reshape(rows, cols)
+    if view.readonly and values.dtype.isnative and values.flags.aligned:
+        if not np.isfinite(values).all():
+            raise NonFiniteValue("matrix values must be finite (no NaN/Inf)")
+        values = DenseMatrix._wrap(values)
+    else:
+        values = DenseMatrix(values)  # a copy, checked like the view
+    # Full payload constructors: wire bytes are unvalidated.
     if kind is MessageKind.DATA_BLOCK:
         payload = ColumnBlock(site=fields[0], data=values, global_cols=indices)
     else:

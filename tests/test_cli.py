@@ -368,16 +368,28 @@ def test_run_with_a_raising_site_is_a_protocol_error(mfeat_data, capsys, monkeyp
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
 def test_compare_catches_a_bit_flipped_on_the_wire(mfeat_data, capsys, monkeypatch, transport):
     # A DCM1 frame carries no checksum, so a flipped value bit decodes
-    # cleanly; only the equality gate against the oracle can see it.
-    encode = runtime.encode_message
-
-    def flip_last_value_bit(msg):
-        frame = encode(msg)
-        if (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 0, 1):
-            frame[-8] ^= 1  # lowest mantissa bit of the last little-endian value
+    # cleanly; only the equality gate against the oracle can see it. A
+    # frame ends with its values: in-process encodes it whole, TCP sends it
+    # as two parts (`frame_parts`), the second a view of the block's values.
+    def flip(frame):
+        frame[-8] ^= 1  # lowest mantissa bit of the last little-endian value
         return frame
 
-    monkeypatch.setattr(runtime, "encode_message", flip_last_value_bit)
+    def shipped_0_to_1(msg):
+        return (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 0, 1)
+
+    if transport == "in-process":
+        encode = runtime.encode_message
+        monkeypatch.setattr(runtime, "encode_message",
+                            lambda msg: flip(encode(msg)) if shipped_0_to_1(msg) else encode(msg))
+    else:
+        parts = runtime.frame_parts
+
+        def flipped_parts(msg):
+            head, values = parts(msg)
+            return (head, flip(values.copy())) if shipped_0_to_1(msg) else (head, values)
+
+        monkeypatch.setattr(runtime, "frame_parts", flipped_parts)
     code, err = _failed_fast(capsys, ["compare", "--inputs", str(mfeat_data),
                                       "--preset", "mfeat-3", "--transport", transport])
     assert code == 5

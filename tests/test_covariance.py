@@ -125,9 +125,12 @@ def test_overflowing_covariance_is_not_finite():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue, match="covariance overflows"):
             centralized_covariance(DenseMatrix(values))
-        # The sum of this column, and so its mean, overflows.
+        # The distance from this column's mean to its max overflows.
         with pytest.raises(NonFiniteValue, match="centered values overflow"):
-            centralized_covariance(DenseMatrix(np.full((6, 1), 1.7e308)))
+            centralized_covariance(DenseMatrix(np.reshape([1.7e308, -1.7e308, -1.7e308], (3, 1))))
+        # The sum of this column overflows, its mean and covariance do not.
+        cov = centralized_covariance(DenseMatrix(np.full((6, 1), 1.7e308)))
+    assert cov.matrix.values.tolist() == [[0.0]]
 
 
 # --- local / cross / centralized -------------------------------------------

@@ -6,6 +6,7 @@ import re
 import socket
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_tcp_matches_in_process():
 
 def test_tcp_refuses_oversized_frame_before_allocating(monkeypatch):
     forged = HEADER.pack(MAGIC, int(MessageKind.DATA_BLOCK), 1, 0, 2**60)
-    monkeypatch.setattr(runtime, "encode_message", lambda msg: forged)
+    monkeypatch.setattr(runtime, "frame_parts", lambda msg: (forged, np.empty(0, np.uint8)))
     net = TcpTransport([0, 1], max_frame=largest_frame(10, [3, 2]))
     try:
         started = time.perf_counter()
@@ -174,8 +175,13 @@ def test_tcp_refuses_oversized_frame_before_allocating(monkeypatch):
 def test_tcp_refuses_a_frame_cut_short_of_its_declared_size(monkeypatch):
     block = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (3, 2))),
                         global_cols=(4, 7))
-    encode = runtime.encode_message
-    monkeypatch.setattr(runtime, "encode_message", lambda msg: encode(msg)[:-8])
+    parts = runtime.frame_parts
+
+    def cut_parts(msg):
+        head, values = parts(msg)
+        return head, values[:-8]
+
+    monkeypatch.setattr(runtime, "frame_parts", cut_parts)
     net = TcpTransport([0, 1], max_frame=largest_frame(3, [2]))
     try:
         started = time.perf_counter()
@@ -184,6 +190,96 @@ def test_tcp_refuses_a_frame_cut_short_of_its_declared_size(monkeypatch):
         assert time.perf_counter() - started < 1.0
     finally:
         net.close()
+
+
+def _tcp_messages():
+    """A DATA_BLOCK, a COV_BLOCK and a DONE from endpoint 1 to endpoint 0."""
+    rng = np.random.default_rng(55)
+    block = ColumnBlock(site=1, data=DenseMatrix(rng.standard_normal((7, 3))), global_cols=(2, 5, 6))
+    cov = CovBlock(1, 0, DenseMatrix(rng.standard_normal((3, 2))), (2, 5, 6), (0, 1))
+    return [
+        ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block),
+        ProtocolMessage(MessageKind.COV_BLOCK, 1, 0, cov),
+        ProtocolMessage(MessageKind.DONE, 1, 0),
+    ]
+
+
+def test_tcp_frames_are_the_encoded_bytes():
+    # The values leave from the block's own array, apart from the header:
+    # what the receiving end reads is still encode_message's frame.
+    net = TcpTransport([0, 1])
+    try:
+        for msg in _tcp_messages():
+            stat = net.send(msg)
+            frame = net._inbox[0].popleft()
+            assert bytes(frame) == bytes(encode_message(msg))
+            assert stat.bytes == len(frame)
+    finally:
+        net.close()
+
+
+def test_tcp_decodes_values_as_a_read_only_view_of_the_received_frame():
+    net = TcpTransport([0, 1])
+    try:
+        for msg in _tcp_messages()[:2]:
+            net.send(msg)
+            frame = net._inbox[0][0]
+            got = net.recv(0)
+            values = (got.payload.data if msg.kind is MessageKind.DATA_BLOCK
+                      else got.payload.block).values
+            assert np.shares_memory(values, np.asarray(frame))
+            assert not values.flags.writeable
+            assert got == msg
+    finally:
+        net.close()
+
+
+def test_tcp_still_refuses_a_non_finite_value_at_recv():
+    values = np.arange(6.0).reshape(3, 2)
+    values[1, 1] = np.nan
+    block = ColumnBlock(site=1, data=DenseMatrix._wrap(values), global_cols=(0, 1))
+    net = TcpTransport([0, 1])
+    try:
+        net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
+        with pytest.raises(NonFiniteValue):
+            net.recv(0)
+    finally:
+        net.close()
+
+
+def test_tcp_sends_no_encoded_frame(monkeypatch):
+    def refuse(msg):
+        raise AssertionError(f"{msg.kind.name} encoded")
+
+    monkeypatch.setattr(runtime, "encode_message", refuse)
+    rng = np.random.default_rng(56)
+    blocks = blocks_for(rng.standard_normal((20, 9)), [2, 4, 3])
+    cov, _, _ = run_distributed(blocks, build_schedule(3), transport="tcp")
+    assert cov.matrix == _oracle(blocks).matrix
+
+
+def test_tcp_holds_each_inbound_byte_once():
+    # A tall t=6 exchange: a turn holds its senders' frames once, as
+    # received, and the kernel works 512 rows at a time, so the traced peak
+    # above the input stays below the largest turn's inbound frame bytes
+    # plus a fixed allowance for one site's kernel scratch (at most 9.1 MiB
+    # at these widths, at any row count). Holding a decoded copy of each
+    # frame besides it would go past that bound.
+    allowance = 12 * 2**20
+    blocks = partition_vertical(synthetic_table(8000, 649, seed=1), mfeat_preset(6))
+    log: list = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_distributed(blocks, build_schedule(6), transport="tcp", message_log=log)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    inbound = Counter()
+    for kind, _sender, receiver, size in log:
+        if kind is MessageKind.DATA_BLOCK:
+            inbound[receiver] += size
+    assert peak < max(inbound.values()) + allowance
 
 
 def test_largest_frame_is_the_largest_frame_a_run_sends():
@@ -414,18 +510,18 @@ def test_tcp_sends_a_frame_larger_than_the_socket_buffers(monkeypatch):
     # 16 MB fills the loopback buffers, so send must read its own frame
     # into the inbox while writing it: a blocking sendall would never return.
     waits = [0]  # writes that found the socket full, or took only part of the frame
-    send = socket.socket.send
+    sendmsg = socket.socket.sendmsg
 
-    def counted_send(self, data, *flags):
+    def counted_sendmsg(self, buffers, *args):
         try:
-            sent = send(self, data, *flags)
+            sent = sendmsg(self, buffers, *args)
         except BlockingIOError:
             waits[0] += 1
             raise
-        waits[0] += sent < len(data)
+        waits[0] += sent < sum(map(len, buffers))
         return sent
 
-    monkeypatch.setattr(socket.socket, "send", counted_send)
+    monkeypatch.setattr(socket.socket, "sendmsg", counted_sendmsg)
     rng = np.random.default_rng(50)
     block = ColumnBlock(
         site=1, data=DenseMatrix(rng.standard_normal((1000, 2000))), global_cols=tuple(range(2000))
@@ -442,8 +538,9 @@ def test_tcp_sends_a_frame_larger_than_the_socket_buffers(monkeypatch):
 
 
 def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time(monkeypatch):
-    send = socket.socket.send
-    monkeypatch.setattr(socket.socket, "send", lambda self, data, *flags: send(self, data[:1], *flags))
+    sendmsg = socket.socket.sendmsg
+    monkeypatch.setattr(socket.socket, "sendmsg",
+                        lambda self, buffers, *args: sendmsg(self, [buffers[0][:1]], *args))
     header_reads = []  # bytes of the header held after each read inside it
     read = TcpTransport._read
 

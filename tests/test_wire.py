@@ -15,7 +15,7 @@ from distcov import (
     encode_message,
 )
 from distcov.errors import DistCovError, LengthMismatch, MalformedFrame, NonFiniteValue, UnknownKind
-from distcov.wire import HEADER, MAGIC
+from distcov.wire import HEADER, MAGIC, frame_parts
 
 
 def _data_msg() -> ProtocolMessage:
@@ -119,6 +119,20 @@ def test_trailing_payload_bytes_rejected():
     frame[13] = 2
     with pytest.raises(MalformedFrame):
         decode_message(bytes(frame) + b"\x00\x00")
+
+
+def test_decoding_a_writable_frame_copies_its_values():
+    # A caller's bytearray may change after decoding; the matrix must not.
+    frame = encode_message(_data_msg())
+    back = decode_message(frame)
+    frame[-8:] = np.float64(7.0).tobytes()
+    assert back.payload.data.values.tolist() == [[1.0], [2.0]]
+    assert not np.shares_memory(back.payload.data.values, np.frombuffer(frame, np.uint8))
+
+
+def test_frame_parts_give_the_values_as_the_block_itself():
+    msg = _data_msg()
+    assert np.shares_memory(frame_parts(msg)[1], msg.payload.data.values)
 
 
 def test_non_finite_payload_rejected():
