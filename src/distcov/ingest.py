@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,11 +113,13 @@ class PartitionSpec:
             doc = json.loads(text)
             total = _spec_value("total_cols", doc["total_cols"], int)
             for i, e in enumerate(doc["groups"]):
-                _spec_value(f"group {i} site", e.get("site", 0), int)
+                if "site" not in e:
+                    raise ParseError(f'malformed partition spec: group {i} has no "site"')
+                _spec_value(f"group {i} site", e["site"], int)
                 for c in _spec_value(f"group {i} cols", e["cols"], list):
                     _spec_value(f"group {i} column", c, int)
-            raw = sorted(doc["groups"], key=lambda e: e.get("site", 0))
-            sites = [e.get("site") for e in raw]
+            raw = sorted(doc["groups"], key=lambda e: e["site"])
+            sites = [e["site"] for e in raw]
             groups = tuple(tuple(e["cols"]) for e in raw)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(
@@ -142,9 +143,10 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
     """Parse a numeric text file into a matrix.
 
     `format` is "whitespace" (runs of blanks between fields, the native
-    layout of the benchmark files) or "csv". A CSV first row that does not
-    parse as numbers is taken as a header and skipped; it must have as many
-    fields as the data rows. The matrix holds values only.
+    layout of the benchmark files) or "csv". A CSV first row with a field
+    that does not parse as a number is taken as a header and skipped; it
+    must have as many fields as the data rows. A NaN or infinity is data,
+    in any row. The matrix holds values only.
 
     Raises:
         IoError: the file cannot be read.
@@ -201,13 +203,11 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
 
 
 def _all_numeric(fields: Sequence[str]) -> bool:
-    for f in fields:
-        try:
-            v = float(f)
-        except ValueError:
-            return False
-        if not math.isfinite(v):
-            return False
+    try:
+        for f in fields:
+            float(f)
+    except ValueError:
+        return False
     return True
 
 

@@ -22,17 +22,16 @@ oracle; `report.compare_partitions` runs the exchange alone, since its rows
 only prove the merged bytes equal to the oracle's and time the exchange.
 
 Both transports move the same frame bytes, so byte counts are real and
-the merged matrix is bit-identical either way: in-process encodes each
-frame and appends it straight to the receiver's inbox, TCP uses loopback
-sockets with one listener and one connection per directed edge, both of
-whose ends it opens. TCP copies no block in user space on its way: the
-values go to the socket straight from the block's array, and the receiver
-decodes them as a read-only view of the buffer they were received into.
-Each endpoint has one FIFO inbox of frames, and on either transport `send`
-returns only once its frame is in the receiver's inbox. So a send's time
-is framing plus delivery, and `recv` on an empty inbox raises TimeoutError
-at once: nothing could fill it while `recv` waited, so the protocol has no
-timer.
+the merged matrix is bit-identical either way. Each endpoint has one FIFO
+inbox of frames, each a read-only `wire.frame_buffer` whose values
+`decode_message` keeps as a view. The transports differ only in how the
+bytes reach the inbox: in-process encodes each frame straight into it,
+TCP uses loopback sockets with one listener and one connection per
+directed edge, both of whose ends it opens, and copies no block in user
+space. On either transport `send` returns only once its frame is in the
+receiver's inbox. So a send's time is framing plus delivery, and `recv`
+on an empty inbox raises TimeoutError at once: nothing could fill it
+while `recv` waited, so the protocol has no timer.
 
 A run starts no thread: TCP bytes move only inside `send`, on the caller's
 thread. So any failure, in a site's turn, the coordinator's loop or the
@@ -76,6 +75,7 @@ from .wire import (
     ProtocolMessage,
     decode_message,
     encode_message,
+    frame_buffer,
     frame_parts,
     frame_size,
     largest_frame,
@@ -95,8 +95,7 @@ __all__ = [
 @dataclass(frozen=True)
 class TransferStat:
     """One raw-data shipment: frame size and send wall time, which is
-    framing plus delivery into the receiver's inbox: the frame's encoding
-    in-process, only its header, fields and indices over TCP."""
+    framing plus delivery into the receiver's inbox."""
 
     bytes: int
     ms: float
@@ -161,35 +160,31 @@ def critical_path_ms(metrics: RunMetrics) -> float:
 
 
 class InProcessTransport:
-    """One FIFO inbox of frames per endpoint; `send` encodes a frame, the
-    same bytes TCP sends, and appends it straight to the receiver's inbox.
-    The inbox holds the writable encoded buffer, so `decode_message` copies
-    its values once.
+    """One FIFO inbox of frames per endpoint; `send` appends `msg`'s
+    encoded frame, the same bytes TCP sends, straight to the receiver's
+    inbox, and the receiver decodes its values as a view of that frame.
 
     Only `send` fills an inbox, so `recv` on an empty one raises
     TimeoutError at once: nothing could fill it while `recv` waited.
-    `TcpTransport` replaces only how a frame is made and delivered.
+    `TcpTransport` replaces only `_deliver`, how the bytes reach the inbox.
     """
 
     def __init__(self, endpoints, log: list | None = None):
         self._inbox: dict[int, deque] = {e: deque() for e in endpoints}
         self._log = log
 
-    def _frame(self, msg: ProtocolMessage):
-        """`msg`'s frame in the form `_deliver` takes, and its byte size."""
+    def _deliver(self, msg: ProtocolMessage) -> int:
+        """Put `msg`'s frame in its receiver's inbox; returns its byte size."""
         frame = encode_message(msg)
-        return frame, len(frame)
-
-    def _deliver(self, msg: ProtocolMessage, frame) -> None:
         self._inbox[msg.receiver].append(frame)
+        return len(frame)
 
     def send(self, msg: ProtocolMessage) -> TransferStat:
         """Frame `msg` and deliver it; its size and the time both took."""
         t0 = time.perf_counter()
         if msg.receiver not in self._inbox:
             raise TransportError(f"no endpoint {msg.receiver}")
-        frame, size = self._frame(msg)
-        self._deliver(msg, frame)
+        size = self._deliver(msg)
         ms = (time.perf_counter() - t0) * 1e3
         if self._log is not None:
             self._log.append((msg.kind, msg.sender, msg.receiver, size))
@@ -215,14 +210,6 @@ class InProcessTransport:
 
     def close(self) -> None:
         """Nothing to release in-process."""
-
-
-def _aligned_end(size: int) -> memoryview:
-    """An uninitialised, writable buffer of `size` bytes whose end is 8-byte
-    aligned, so the values of a frame read into it are aligned."""
-    raw = np.empty(size + 7, np.uint8)
-    start = -(raw.ctypes.data + size) % 8
-    return memoryview(raw[start : start + size])
 
 
 def _advance(views: list, n: int) -> list:
@@ -264,11 +251,11 @@ class TcpTransport(InProcessTransport):
     No block is copied on its way. `send` writes the frame's two parts
     (`frame_parts`) with one `sendmsg`: header, fields and indices from one
     small buffer, the values straight from the block's array. Each frame
-    is received into one uninitialised buffer of its declared size whose
-    end is 8-byte aligned, and queued read-only, so `decode_message` keeps
-    its values as a view of that buffer. A declared size above `max_frame`
-    bytes, bytes that end inside a frame, and a receiving end that closes
-    each raise TransportError naming the edge.
+    is received into one `frame_buffer` of its declared size and queued
+    read-only, the form `encode_message` gives a frame in-process. A
+    declared size above `max_frame` bytes, bytes that end inside a frame,
+    and a receiving end that closes each raise TransportError naming the
+    edge.
     """
 
     def __init__(self, endpoints, log: list | None = None, max_frame: int | None = None):
@@ -293,19 +280,19 @@ class TcpTransport(InProcessTransport):
             edge.got += got
             if edge.got < len(edge.buf):
                 continue
-            if edge.got == HEADER.size:  # a full header; frame buffers are always longer
+            if edge.got == HEADER.size:  # a full header: move it into the frame's buffer
                 size = frame_size(edge.buf)
                 if self._max_frame is not None and size > self._max_frame:
                     raise TransportError(
                         f"{edge.name}: frame of {size} bytes exceeds the "
                         f"largest legal frame of {self._max_frame} bytes"
                     )
+                frame = frame_buffer(size)
+                frame[: HEADER.size] = edge.buf
+                edge.buf = frame
                 if size > HEADER.size:
-                    frame = _aligned_end(size)
-                    frame[: HEADER.size] = edge.buf
-                    edge.buf = frame
                     continue
-            self._inbox[edge.receiver].append(memoryview(edge.buf).toreadonly())
+            self._inbox[edge.receiver].append(edge.buf.toreadonly())
             edge.buf, edge.got = bytearray(HEADER.size), 0
 
     def _edge(self, sender: int, receiver: int) -> _Edge:
@@ -328,16 +315,13 @@ class TcpTransport(InProcessTransport):
             edge = self._edges[(sender, receiver)] = _Edge(name, receiver, sock, conn)
         return edge
 
-    def _frame(self, msg: ProtocolMessage):
-        """`msg`'s frame as its two parts, never joined, and its byte size."""
-        head, values = frame_parts(msg)
-        return (head, values), len(head) + len(values)
-
-    def _deliver(self, msg: ProtocolMessage, frame) -> None:
+    def _deliver(self, msg: ProtocolMessage) -> int:
+        """Write `msg`'s frame as its two parts, never joined, and read it
+        into the receiver's inbox; returns its byte size."""
+        unsent = [memoryview(part) for part in frame_parts(msg) if len(part)]
+        size = unread = sum(map(len, unsent))
         try:
             edge = self._edge(msg.sender, msg.receiver)
-            unsent = [memoryview(part) for part in frame if len(part)]
-            unread = sum(map(len, unsent))
             while unread:
                 sent = 0
                 if unsent:
@@ -358,6 +342,7 @@ class TcpTransport(InProcessTransport):
             raise TransportError(
                 f"{edge.name}: bytes end inside a frame, {edge.got} of {len(edge.buf)} read"
             )
+        return size
 
     def close(self) -> None:
         """Close every socket this transport opened or accepted."""

@@ -18,10 +18,12 @@ then rows*cols IEEE-754 binary64 values row-major. So a payload is
 (`_payload_size`), and a frame is accepted only if its payload is exactly
 that size. Values survive a round trip bit-for-bit.
 
-The values are always a frame's last 8 * rows * cols bytes, so a frame held
-in a buffer whose end is 8-byte aligned holds them aligned. A sender can
-also write a frame in two parts (`frame_parts`): a small buffer of header,
-fields and indices, then the block's values straight from their array.
+The values are always a frame's last 8 * rows * cols bytes, so a frame in
+a `frame_buffer`, whose end is 8-byte aligned, holds them aligned:
+`encode_message` returns one read-only, the TCP reader receives into one,
+and `decode_message` keeps such values as a view. A sender can also write
+a frame in two parts (`frame_parts`): header, fields and indices in one
+small buffer, then the block's values straight from their array.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from enum import IntEnum
 import numpy as np
 
 from .covariance import ColumnBlock, CovBlock
-from .errors import LengthMismatch, MalformedFrame, NonFiniteValue, UnknownKind
+from .errors import DimensionMismatch, InvalidCovariance, LengthMismatch, MalformedFrame
+from .errors import NonFiniteValue, UnknownKind
 from .matrix import DenseMatrix
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "ProtocolMessage",
     "encode_message",
     "decode_message",
+    "frame_buffer",
     "frame_parts",
     "frame_size",
     "largest_frame",
@@ -112,6 +116,14 @@ def largest_frame(rows: int, widths) -> int:
     )
 
 
+def frame_buffer(size: int) -> memoryview:
+    """An uninitialised, writable buffer of `size` bytes whose end is 8-byte
+    aligned, so the values of a frame written into it are aligned."""
+    raw = np.empty(size + 7, np.uint8)
+    start = -(raw.ctypes.data + size) % 8
+    return memoryview(raw[start : start + size])
+
+
 def frame_parts(msg: ProtocolMessage) -> tuple[bytearray, np.ndarray]:
     """A message's frame in two parts: one small buffer holding the header,
     the u32 fields and the indices, then the values as a flat uint8 view of
@@ -134,30 +146,30 @@ def frame_parts(msg: ProtocolMessage) -> tuple[bytearray, np.ndarray]:
     return head, np.ascontiguousarray(values, _F64_LE).reshape(-1).view(np.uint8)
 
 
-def encode_message(msg: ProtocolMessage) -> bytearray:
+def encode_message(msg: ProtocolMessage) -> memoryview:
     """Serialize a message into one self-delimiting frame: `frame_parts`
-    written into one buffer, so one copy of the values."""
+    written into one read-only `frame_buffer`, so one copy of the values."""
     head, values = frame_parts(msg)
-    frame = bytearray(len(head) + len(values))
-    view = memoryview(frame)
-    view[: len(head)] = head
-    view[len(head) :] = values
-    return frame
+    frame = frame_buffer(len(head) + len(values))
+    frame[: len(head)] = head
+    frame[len(head) :] = values
+    return frame.toreadonly()
 
 
 def decode_message(frame) -> ProtocolMessage:
     """Parse one complete frame (any bytes-like object) back into a message.
 
     The payload is read through views of the frame. The values of a
-    read-only frame, aligned and native-endian, are checked for NaN and
-    infinity and kept as a read-only view of the frame: such a frame is
-    taken to stay unchanged, and it lives as long as the matrix. Any other
-    frame (a writable buffer such as `encode_message`'s, unaligned values,
-    a big-endian host) has its values copied by `DenseMatrix`, as before.
+    read-only frame, aligned and native-endian, such as `encode_message`
+    returns, are checked for NaN and infinity and kept as a read-only view
+    of the frame: such a frame is taken to stay unchanged, and it lives as
+    long as the matrix. Any other frame (a caller's writable buffer,
+    unaligned values, a big-endian host) has its values copied.
 
     Raises:
-        MalformedFrame: bad magic, a frame shorter than the header, or a
-            payload whose size is not `_payload_size` of its fields.
+        MalformedFrame: bad magic, a frame shorter than the header, a
+            payload whose size is not `_payload_size` of its fields, or a
+            block its payload type refuses, naming kind and sender->receiver.
         UnknownKind: kind byte outside the defined set.
         LengthMismatch: frame size disagrees with the declared payload length.
         NonFiniteValue: a value is NaN or infinite.
@@ -201,14 +213,17 @@ def decode_message(frame) -> ProtocolMessage:
     else:
         values = DenseMatrix(values)  # a copy, checked like the view
     # Full payload constructors: wire bytes are unvalidated.
-    if kind is MessageKind.DATA_BLOCK:
-        payload = ColumnBlock(site=fields[0], data=values, global_cols=indices)
-    else:
-        payload = CovBlock(
-            site_a=fields[0],
-            site_b=fields[1],
-            block=values,
-            rows_global_cols=indices[:rows],
-            cols_global_cols=indices[rows:],
-        )
+    try:
+        if kind is MessageKind.DATA_BLOCK:
+            payload = ColumnBlock(site=fields[0], data=values, global_cols=indices)
+        else:
+            payload = CovBlock(
+                site_a=fields[0],
+                site_b=fields[1],
+                block=values,
+                rows_global_cols=indices[:rows],
+                cols_global_cols=indices[rows:],
+            )
+    except (DimensionMismatch, InvalidCovariance) as exc:
+        raise MalformedFrame(f"{kind.name} {sender}->{receiver}: {exc}") from None
     return ProtocolMessage(kind, sender, receiver, payload)

@@ -9,6 +9,7 @@ import pytest
 
 import distcov.report as report
 import distcov.runtime as runtime
+import distcov.wire as wire
 from distcov import (
     DenseMatrix,
     GlobalCovariance,
@@ -195,8 +196,9 @@ def test_run_malformed_spec_is_parse_error(dataset, capsys, group):
         ({"total_cols": 9, "groups": [{"site": 0, "cols": [0, 1, 2, 3]},
                                       {"site": True, "cols": [4, 5, 6, 7, 8]}]},
          "group 1 site is true, not an integer"),
+        ({"total_cols": 9, "groups": [{"cols": list(range(9))}]}, 'group 0 has no "site"'),
     ],
-    ids=["cols-string", "cols-float-bool", "total-string", "site-bool"],
+    ids=["cols-string", "cols-float-bool", "total-string", "site-bool", "site-missing"],
 )
 def test_run_spec_numbers_must_be_json_integers(dataset, capsys, spec, named):
     spec_path = dataset.parent / "spec.json"
@@ -334,9 +336,10 @@ def test_run_with_a_dropped_frame_names_what_never_came(mfeat_data, capsys, monk
                                                         transport, cls):
     deliver = cls._deliver
 
-    def drop_0_to_1(self, msg, frame):
-        if (msg.kind, msg.sender, msg.receiver) != (MessageKind.DATA_BLOCK, 0, 1):
-            deliver(self, msg, frame)
+    def drop_0_to_1(self, msg):
+        if (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 0, 1):
+            return 0
+        return deliver(self, msg)
 
     monkeypatch.setattr(cls, "_deliver", drop_0_to_1)
     code, err = _failed_fast(capsys, ["run", "--inputs", str(mfeat_data), "--preset", "mfeat-3",
@@ -365,35 +368,55 @@ def test_run_with_a_raising_site_is_a_protocol_error(mfeat_data, capsys, monkeyp
     assert err == "protocol error: site 1 worker failed: RuntimeError('disk gone')\n"
 
 
+def _damage_shipment_0_to_1(monkeypatch, damage):
+    """Both transports build every frame from `frame_parts` (in-process
+    through `encode_message`): the frame of site 0's columns shipped to
+    site 1 gets the parts `damage(head, values)` returns, given its header
+    buffer and a copy of its values as bytes."""
+    parts = wire.frame_parts
+
+    def damaged_parts(msg):
+        head, values = parts(msg)
+        if (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 0, 1):
+            return damage(head, values.copy())
+        return head, values
+
+    monkeypatch.setattr(wire, "frame_parts", damaged_parts)
+    monkeypatch.setattr(runtime, "frame_parts", damaged_parts)
+
+
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
 def test_compare_catches_a_bit_flipped_on_the_wire(mfeat_data, capsys, monkeypatch, transport):
     # A DCM1 frame carries no checksum, so a flipped value bit decodes
-    # cleanly; only the equality gate against the oracle can see it. A
-    # frame ends with its values: in-process encodes it whole, TCP sends it
-    # as two parts (`frame_parts`), the second a view of the block's values.
-    def flip(frame):
-        frame[-8] ^= 1  # lowest mantissa bit of the last little-endian value
-        return frame
+    # cleanly; only the equality gate against the oracle can see it.
+    def flip(head, values):
+        values[-8] ^= 1  # lowest mantissa bit of the last little-endian value
+        return head, values
 
-    def shipped_0_to_1(msg):
-        return (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 0, 1)
-
-    if transport == "in-process":
-        encode = runtime.encode_message
-        monkeypatch.setattr(runtime, "encode_message",
-                            lambda msg: flip(encode(msg)) if shipped_0_to_1(msg) else encode(msg))
-    else:
-        parts = runtime.frame_parts
-
-        def flipped_parts(msg):
-            head, values = parts(msg)
-            return (head, flip(values.copy())) if shipped_0_to_1(msg) else (head, values)
-
-        monkeypatch.setattr(runtime, "frame_parts", flipped_parts)
+    _damage_shipment_0_to_1(monkeypatch, flip)
     code, err = _failed_fast(capsys, ["compare", "--inputs", str(mfeat_data),
                                       "--preset", "mfeat-3", "--transport", transport])
     assert code == 5
     assert err.startswith("mismatch: distributed and centralized matrices differ (t=3")
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_compare_with_a_frame_its_block_refuses_is_a_protocol_error(mfeat_data, capsys,
+                                                                    monkeypatch, transport):
+    # The frame is well formed, but its first two column indices are
+    # swapped, which no ColumnBlock takes: the refusal names the frame's edge.
+    def swap_first_two_indices(head, values):
+        at = wire.HEADER.size + 4 * 3  # after the site, rows and cols fields
+        head[at : at + 8] = head[at + 4 : at + 8] + head[at : at + 4]
+        return head, values
+
+    _damage_shipment_0_to_1(monkeypatch, swap_first_two_indices)
+    code, err = _failed_fast(capsys, ["compare", "--inputs", str(mfeat_data),
+                                      "--preset", "mfeat-3", "--transport", transport])
+    assert code == 4
+    assert err == (
+        "protocol error: DATA_BLOCK 0->1: global column indices must be strictly increasing\n"
+    )
 
 
 # --- cost-model -------------------------------------------------------------------

@@ -48,6 +48,15 @@ def test_load_csv_without_header(tmp_path):
     assert m.values.tolist() == [[1, 2], [3, 4]]
 
 
+@pytest.mark.parametrize("text", ["1,nan,3\n4,5,6\n7,8,9\n", "inf,2,3\n4,5,6\n"])
+def test_load_csv_first_row_with_a_non_finite_value_is_data(tmp_path, text):
+    # Every field parses as a number, so the row is data, not a header to skip.
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(NonFiniteValue):
+        load_table(p, format="csv")
+
+
 def test_load_ragged(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 2\n3\n")

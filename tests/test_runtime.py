@@ -218,17 +218,23 @@ def test_tcp_frames_are_the_encoded_bytes():
         net.close()
 
 
-def test_tcp_decodes_values_as_a_read_only_view_of_the_received_frame():
-    net = TcpTransport([0, 1])
+@pytest.mark.parametrize("cls", [InProcessTransport, TcpTransport], ids=["in-process", "tcp"])
+def test_decodes_values_as_a_read_only_view_of_the_inbox_frame(cls):
+    # Either transport queues every frame read-only, its end and so its
+    # values 8-byte aligned, so decoding copies no block.
+    net = cls([0, 1])
     try:
-        for msg in _tcp_messages()[:2]:
+        for msg in _tcp_messages():
             net.send(msg)
             frame = net._inbox[0][0]
+            assert frame.readonly
+            assert (np.frombuffer(frame, np.uint8).ctypes.data + len(frame)) % 8 == 0
             got = net.recv(0)
-            values = (got.payload.data if msg.kind is MessageKind.DATA_BLOCK
-                      else got.payload.block).values
-            assert np.shares_memory(values, np.asarray(frame))
-            assert not values.flags.writeable
+            if msg.payload is not None:
+                values = (got.payload.data if msg.kind is MessageKind.DATA_BLOCK
+                          else got.payload.block).values
+                assert np.shares_memory(values, np.asarray(frame))
+                assert not values.flags.writeable
             assert got == msg
     finally:
         net.close()
@@ -351,10 +357,11 @@ def test_site_refuses_raw_columns_from_a_non_predecessor(monkeypatch):
     # site 2's inbox, ahead of the columns site 2 expects from site 1.
     deliver = InProcessTransport._deliver
 
-    def also_to_site_2(self, msg, frame):
-        deliver(self, msg, frame)
+    def also_to_site_2(self, msg):
+        size = deliver(self, msg)
         if msg.kind is MessageKind.DATA_BLOCK and msg.sender == 0:
-            self._inbox[2].append(frame)
+            self._inbox[2].append(self._inbox[msg.receiver][-1])
+        return size
 
     monkeypatch.setattr(InProcessTransport, "_deliver", also_to_site_2)
     rng = np.random.default_rng(47)
@@ -442,9 +449,10 @@ def test_dropped_data_block_fails_before_the_deadline(monkeypatch, transport, cl
     # fails site 1's turn at once, before sites 1 and 2 send their DONE.
     deliver = cls._deliver
 
-    def drop_0_to_1(self, msg, frame):
-        if (msg.kind, msg.sender, msg.receiver) != (MessageKind.DATA_BLOCK, 0, 1):
-            deliver(self, msg, frame)
+    def drop_0_to_1(self, msg):
+        if (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 0, 1):
+            return 0
+        return deliver(self, msg)
 
     monkeypatch.setattr(cls, "_deliver", drop_0_to_1)
     rng = np.random.default_rng(53)

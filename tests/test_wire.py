@@ -14,7 +14,7 @@ from distcov import (
     decode_message,
     encode_message,
 )
-from distcov.errors import DistCovError, LengthMismatch, MalformedFrame, NonFiniteValue, UnknownKind
+from distcov.errors import LengthMismatch, MalformedFrame, NonFiniteValue, UnknownKind
 from distcov.wire import HEADER, MAGIC, frame_parts
 
 
@@ -101,7 +101,7 @@ def test_unknown_kind():
 def test_declared_length_mismatch():
     frame = encode_message(_data_msg())
     with pytest.raises(LengthMismatch):
-        decode_message(frame + b"\x00")
+        decode_message(bytes(frame) + b"\x00")
 
 
 def test_truncated_payload_fields():
@@ -123,11 +123,21 @@ def test_trailing_payload_bytes_rejected():
 
 def test_decoding_a_writable_frame_copies_its_values():
     # A caller's bytearray may change after decoding; the matrix must not.
-    frame = encode_message(_data_msg())
+    frame = bytearray(encode_message(_data_msg()))
     back = decode_message(frame)
     frame[-8:] = np.float64(7.0).tobytes()
     assert back.payload.data.values.tolist() == [[1.0], [2.0]]
     assert not np.shares_memory(back.payload.data.values, np.frombuffer(frame, np.uint8))
+
+
+def test_a_block_its_payload_type_refuses_is_a_malformed_frame():
+    # A local block must be exactly symmetric; the frame's own bytes are
+    # well formed, so the refusal is the frame's, naming kind and edge.
+    blk = CovBlock(1, 1, DenseMatrix(np.reshape([2.0, 0.5, 0.5, 3.0], (2, 2))), (0, 1), (0, 1))
+    frame = bytearray(encode_message(ProtocolMessage(MessageKind.COV_BLOCK, 1, 4, blk)))
+    frame[-16:-8] = np.float64(0.25).tobytes()  # entry (1, 0)
+    with pytest.raises(MalformedFrame, match="^COV_BLOCK 1->4: a local covariance block must be "):
+        decode_message(bytes(frame))
 
 
 def test_frame_parts_give_the_values_as_the_block_itself():
@@ -220,6 +230,6 @@ def _damaged_frames(draw):
 def test_damaged_frame_is_refused_or_reencodes_to_itself(frame):
     try:
         msg = decode_message(frame)
-    except DistCovError:
+    except (MalformedFrame, UnknownKind, LengthMismatch, NonFiniteValue):
         return
     assert bytes(encode_message(msg)) == frame
