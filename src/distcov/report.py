@@ -39,7 +39,7 @@ __all__ = [
     "DUMP_MAGIC",
 ]
 
-REPORT_VERSION = 4
+REPORT_VERSION = 5
 DUMP_MAGIC = b"DCMM"
 _DUMP_HEADER = struct.Struct("<4sIQ")  # magic, dim, reserved
 
@@ -88,21 +88,23 @@ def run_report(
     partitions: int,
     cov: GlobalCovariance,
     decomp: EigenDecomposition,
+    eigen_ms: float,
     metrics: RunMetrics,
     schedule: Schedule | None = None,
 ) -> dict:
-    """The stable JSON document for one run."""
-    doc = {
+    """The stable JSON document for one run; `eigen_ms` is the wall time of
+    `decomp`, which `metrics` do not cover."""
+    return {
         "report_version": REPORT_VERSION,
         "mode": mode,
         "partitions": partitions,
         "dim": cov.dim,
         "matrix_checksum": matrix_checksum(cov.matrix),
         "top_eigenvalues": list(decomp.eigenvalues[:10]),
+        "eigen_ms": eigen_ms,
         "metrics": metrics.to_dict(),
         "schedule": None if schedule is None else schedule.to_dict(),
     }
-    return doc
 
 
 def compare_partitions(
@@ -114,9 +116,8 @@ def compare_partitions(
     each merged matrix is bit-identical to the one oracle of `table`.
 
     Returns one comparison row per spec. Every row reports the oracle's
-    `centralized_ms`. No matrix is eigen-decomposed, so
-    `centralized_metrics.eigen_ms` and `distributed_metrics.eigen_ms` are
-    0.0 and a row carries no eigenvalues.
+    `centralized_ms`. No matrix is eigen-decomposed, so a row carries no
+    eigenvalues and no eigen time.
 
     Raises:
         MismatchError: a merged matrix differs (never expected in real use).

@@ -16,9 +16,11 @@ every pair of sites exactly once. After the last turn every inbox
 must be empty: a frame nobody read, such as a DATA_BLOCK that reached a
 site after its turn, fails the run.
 
-The exchange ends with the merged matrix. `run_distributed` then
-eigen-decomposes it on the caller's thread, as `run_centralized` does the
-oracle; `report.compare_partitions` runs the exchange alone, since its rows
+The exchange ends with the merged matrix, and `RunMetrics` time the exchange
+alone. The public `run_distributed` then eigen-decomposes the matrix,
+untimed, on the caller's thread, as `run_centralized` does the oracle.
+`distcov run` times the decomposition itself and reports it beside the
+metrics; `report.compare_partitions` runs the exchange alone, since its rows
 only prove the merged bytes equal to the oracle's and time the exchange.
 
 Both transports move the same frame bytes, so byte counts are real and
@@ -45,7 +47,7 @@ import select
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,17 +118,14 @@ class RunMetrics:
     a send's time is framing plus delivery into the receiver's inbox (see
     `TransferStat`), over TCP the reads of the edge's receiving end
     included. `merge_ms` is what assembly leaves after the last message:
-    the matrix's final checks.
-    `eigen_ms` is 0.0 where a run stops before the eigen-decomposition.
+    the matrix's final checks. No reading covers an eigen-decomposition.
     """
 
     site_cov_ms: tuple[float, ...]
     site_cov_cpu_ms: tuple[float, ...]
     transfers: dict[tuple[int, int], TransferStat] = field(default_factory=dict)
     merge_ms: float = 0.0
-    eigen_ms: float = 0.0
     protocol_ms: float = 0.0
-    total_ms: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -137,9 +136,7 @@ class RunMetrics:
                 for (j, k), s in sorted(self.transfers.items())
             ],
             "merge_ms": self.merge_ms,
-            "eigen_ms": self.eigen_ms,
             "protocol_ms": self.protocol_ms,
-            "total_ms": self.total_ms,
         }
 
 
@@ -376,7 +373,7 @@ def _site_turn(
     except DistCovError:
         raise
     except Exception as exc:
-        raise TransportError(f"site {site} worker failed: {exc!r}") from exc
+        raise TransportError(f"site {site} kernel failed: {exc!r}") from exc
     ms, cpu_ms = (time.perf_counter() - t0) * 1e3, (time.thread_time() - c0) * 1e3
     for blk in (local, *crosses):
         net.send(ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, blk))
@@ -408,7 +405,8 @@ def run_distributed(
     transport: str = "in-process",
     message_log: list | None = None,
 ) -> tuple[GlobalCovariance, EigenDecomposition, RunMetrics]:
-    """Execute the full exchange protocol, then decompose the merged matrix.
+    """Execute the full exchange protocol, then decompose the merged matrix;
+    the metrics time the exchange, not the decomposition.
 
     `transport` is "in-process" or "tcp". Raises TimeoutError when a frame
     the run needs is not in its inbox, and TransportError when a frame is
@@ -416,14 +414,14 @@ def run_distributed(
     site's turn or the coordinator, and a kernel error that is not a
     DistCovError becomes TransportError.
     """
-    return _decomposed(*_timed_exchange(blocks, schedule, transport, message_log))
+    cov, metrics = _timed_exchange(blocks, schedule, transport, message_log)
+    return cov, symmetric_eigen(cov), metrics
 
 
 def _timed_exchange(
     blocks, schedule: Schedule, transport: str, message_log: list | None = None
 ) -> tuple[GlobalCovariance, RunMetrics]:
-    """The exchange protocol up to the merged matrix, with its timings; the
-    metrics leave the eigen-decomposition out (`eigen_ms` is 0.0)."""
+    """The exchange protocol up to the merged matrix, with its timings."""
     blocks = sorted(blocks, key=lambda b: b.site)
     rows = _check_blocks(blocks)
     t = len(blocks)
@@ -467,14 +465,12 @@ def _timed_exchange(
         t0 = time.perf_counter()
         merged = assembler.result()
         t1 = time.perf_counter()
-        protocol_ms = (t1 - start) * 1e3
         metrics = RunMetrics(
             site_cov_ms=site_ms,
             site_cov_cpu_ms=site_cpu_ms,
             transfers=transfers,
             merge_ms=(t1 - t0) * 1e3,
-            protocol_ms=protocol_ms,
-            total_ms=protocol_ms,
+            protocol_ms=(t1 - start) * 1e3,
         )
         return merged, metrics
     except TimeoutError:  # a site's receive or the coordinator's
@@ -496,8 +492,7 @@ def _gather_timeout(assembler: _Assembler, done: list[int], t: int) -> TimeoutEr
 
 
 def _timed_oracle(table: DenseMatrix) -> tuple[GlobalCovariance, RunMetrics]:
-    """The oracle matrix of a whole table, with its wall and CPU time; the
-    metrics leave the eigen-decomposition out (`eigen_ms` is 0.0)."""
+    """The oracle matrix of a whole table, with its wall and CPU time."""
     start, c0 = time.perf_counter(), time.thread_time()
     cov = centralized_covariance(table)
     cov_ms = (time.perf_counter() - start) * 1e3
@@ -505,7 +500,6 @@ def _timed_oracle(table: DenseMatrix) -> tuple[GlobalCovariance, RunMetrics]:
         site_cov_ms=(cov_ms,),
         site_cov_cpu_ms=((time.thread_time() - c0) * 1e3,),
         protocol_ms=cov_ms,
-        total_ms=cov_ms,
     )
     return cov, metrics
 
@@ -513,7 +507,9 @@ def _timed_oracle(table: DenseMatrix) -> tuple[GlobalCovariance, RunMetrics]:
 def run_centralized(
     blocks,
 ) -> tuple[GlobalCovariance, EigenDecomposition, RunMetrics]:
-    """Single-machine oracle: reassemble the full table, then compute.
+    """Single-machine oracle: reassemble the full table, compute its
+    covariance, then decompose it; the metrics time the oracle kernel, not
+    the decomposition.
 
     The reassembled matrix places every block's columns at their global
     positions, so the result is comparable entry-for-entry with the
@@ -527,17 +523,5 @@ def run_centralized(
     for b in blocks:
         full[:, list(b.global_cols)] = b.data.values
 
-    return _decomposed(*_timed_oracle(DenseMatrix._wrap(full)))
-
-
-def _decomposed(
-    cov: GlobalCovariance, metrics: RunMetrics
-) -> tuple[GlobalCovariance, EigenDecomposition, RunMetrics]:
-    """`cov`, its eigen-decomposition, and `metrics` with the decomposition's
-    wall time added as `eigen_ms` and to `total_ms`."""
-    t0 = time.perf_counter()
-    decomp = symmetric_eigen(cov)
-    eigen_ms = (time.perf_counter() - t0) * 1e3
-    return cov, decomp, replace(
-        metrics, eigen_ms=eigen_ms, total_ms=metrics.total_ms + eigen_ms
-    )
+    cov, metrics = _timed_oracle(DenseMatrix._wrap(full))
+    return cov, symmetric_eigen(cov), metrics

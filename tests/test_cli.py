@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import distcov.cli as cli
 import distcov.report as report
 import distcov.runtime as runtime
 import distcov.wire as wire
@@ -35,6 +36,32 @@ def dataset(tmp_path):
 def _run_json(capsys, argv) -> dict:
     assert main(argv) == 0
     return json.loads(capsys.readouterr().out)
+
+
+def _keys(doc):
+    """Every object key in a JSON document, at any depth."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _keys(value)
+
+
+def _count_calls(monkeypatch, calls: dict, *modules) -> None:
+    """Count in `calls` every call of each named function that `modules` hold."""
+    for module in modules:
+        for name in calls:
+            if not hasattr(module, name):
+                continue
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
 
 
 # --- schedule ----------------------------------------------------------------
@@ -86,11 +113,26 @@ def test_gen_csv(tmp_path, capsys):
 def test_run_both_modes_same_checksum(dataset, tmp_path, capsys):
     d = _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "distributed"])
     c = _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "centralized"])
-    assert d["report_version"] == 4 and c["report_version"] == 4
+    assert d["report_version"] == 5 and c["report_version"] == 5
     assert d["partitions"] == 1 and d["mode"] == "distributed"
     assert d["matrix_checksum"] == c["matrix_checksum"]
     assert len(d["top_eigenvalues"]) == 9
     assert c["schedule"] is None and d["schedule"]["t"] == 1
+
+
+@pytest.mark.parametrize("mode", ["centralized", "distributed"])
+def test_run_times_its_one_decomposition_and_compare_has_none(dataset, capsys, monkeypatch,
+                                                              mode):
+    calls = {"symmetric_eigen": 0}
+    _count_calls(monkeypatch, calls, runtime, cli)
+    doc = _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", mode])
+    assert calls == {"symmetric_eigen": 1}
+    assert doc["eigen_ms"] > 0
+    assert not {"eigen_ms", "total_ms"} & set(doc["metrics"])
+    compared = _run_json(capsys, ["compare", "--inputs", str(dataset)])
+    assert calls == {"symmetric_eigen": 1}
+    assert not any("eigen" in key for key in _keys(compared["comparisons"]))
+    assert compared["comparisons"][0]["matrix_checksum"] == doc["matrix_checksum"]
 
 
 def test_run_multifile_defaults_to_per_file_sites(tmp_path, capsys):
@@ -259,14 +301,7 @@ def test_compare_reports_equality(tmp_path, capsys):
 
 def test_compare_oracle_once_and_no_decomposition(tmp_path, capsys, monkeypatch):
     calls = {"centralized_covariance": 0, "symmetric_eigen": 0}
-    for name in calls:
-        real = getattr(runtime, name)
-
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(runtime, name, counted)
+    _count_calls(monkeypatch, calls, runtime, cli)
     data = tmp_path / "data.txt"
     main(["gen", "--rows", "12", "--cols", "649", "--seed", "2", "--out", str(data)])
     capsys.readouterr()
@@ -280,9 +315,7 @@ def test_compare_oracle_once_and_no_decomposition(tmp_path, capsys, monkeypatch)
     assert all(r["equal"] is True for r in rows)
     assert len({r["matrix_checksum"] for r in rows}) == 1
     assert len({r["centralized_ms"] for r in rows}) == 1
-    assert all(r["centralized_metrics"]["eigen_ms"] == 0.0 for r in rows)
-    assert all(r["distributed_metrics"]["eigen_ms"] == 0.0 for r in rows)
-    assert not any("eigen" in key for r in rows for key in r)
+    assert not any("eigen" in key for key in _keys(rows))
     assert rows[0]["matrix_checksum"] == matrix_checksum(
         centralized_covariance(load_table(data)).matrix
     )
@@ -365,7 +398,7 @@ def test_run_with_a_raising_site_is_a_protocol_error(mfeat_data, capsys, monkeyp
     code, err = _failed_fast(capsys, ["run", "--inputs", str(mfeat_data), "--preset", "mfeat-3",
                                       "--mode", "distributed", "--transport", transport])
     assert code == 4
-    assert err == "protocol error: site 1 worker failed: RuntimeError('disk gone')\n"
+    assert err == "protocol error: site 1 kernel failed: RuntimeError('disk gone')\n"
 
 
 def _damage_shipment_0_to_1(monkeypatch, damage):
