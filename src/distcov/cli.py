@@ -29,6 +29,7 @@ from .errors import (
     IoError,
     MalformedFrame,
     MismatchError,
+    SpecMismatch,
     TransportError,
     UnknownKind,
 )
@@ -40,7 +41,7 @@ from .ingest import (
     partition_vertical,
     synthetic_table,
 )
-from .report import REPORT_VERSION, dump_matrix, run_report
+from .report import REPORT_VERSION, _blas_threads_env, dump_matrix, run_report
 from .report import compare_partitions as _compare_partitions
 from .runtime import _timed_exchange, _timed_oracle
 from .schedule import build_schedule
@@ -102,12 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=_cmd_compare)
 
     mp = sub.add_parser("cost-model", help="analytical operation counts and speed-up")
-    g = mp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--widths", type=_width_list, default=None,
-                   help="comma-separated per-site column counts")
-    g.add_argument("--sites", type=_positive_int, default=None)
-    mp.add_argument("--gamma", type=_positive_int, default=None,
-                    help="equal per-site width (with --sites)")
+    mp.add_argument("--widths", type=_width_list, required=True,
+                    help="comma-separated per-site column counts")
     mp.add_argument("--out", type=Path, default=None)
     mp.set_defaults(func=_cmd_cost_model)
 
@@ -152,15 +149,21 @@ def _default_spec(tables) -> PartitionSpec:
 
 
 def _resolve_spec(args, tables, preset_name: str | None) -> PartitionSpec:
+    """The run's partition spec, checked against the inputs' width."""
     if preset_name is not None:
-        return mfeat_preset(int(preset_name.split("-")[1]))
-    if args.spec is not None:
+        spec = mfeat_preset(int(preset_name.split("-")[1]))
+    elif args.spec is not None:
         try:
             text = args.spec.read_text()
         except OSError as exc:
             raise DistCovError(f"cannot read {args.spec}: {exc}") from None
-        return PartitionSpec.from_json(text)
-    return _default_spec(tables)
+        spec = PartitionSpec.from_json(text)
+    else:
+        return _default_spec(tables)
+    cols = sum(t.cols for t in tables)
+    if spec.total_cols != cols:
+        raise SpecMismatch(f"spec covers {spec.total_cols} columns, the inputs have {cols}")
+    return spec
 
 
 @contextlib.contextmanager
@@ -198,11 +201,9 @@ def _cmd_schedule(args) -> int:
 def _cmd_run(args) -> int:
     table, tables = _load_inputs(args)
     spec = _resolve_spec(args, tables, args.preset)
-    # Partitioning checks the spec against the table, so both modes do it.
-    blocks = partition_vertical(table, spec)
     if args.mode == "distributed":
         schedule = build_schedule(spec.sites)
-        cov, metrics = _timed_exchange(blocks, schedule, args.transport)
+        cov, metrics = _timed_exchange(partition_vertical(table, spec), schedule, args.transport)
     else:
         schedule = None
         cov, metrics = _timed_oracle(table)
@@ -220,7 +221,8 @@ def _cmd_compare(args) -> int:
     presets = args.preset if args.preset else [None]
     specs = [_resolve_spec(args, tables, name) for name in presets]
     rows = _compare_partitions(table, specs, transport=args.transport)
-    doc = {"report_version": REPORT_VERSION, "comparisons": rows}
+    doc = {"report_version": REPORT_VERSION, "blas_threads_env": _blas_threads_env(),
+           "comparisons": rows}
     _emit(doc, args.out)
     if args.plot_data is not None:
         lines = ["# partitions centralized_ms distributed_ms"]
@@ -234,16 +236,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_cost_model(args) -> int:
-    if args.widths is not None:
-        widths = args.widths
-    else:
-        if args.gamma is None:
-            print("usage error: --sites needs --gamma", file=sys.stderr)
-            return 2
-        widths = [args.gamma] * args.sites
-    schedule = build_schedule(len(widths))
-    report = distributed_cost(widths, schedule)
-    doc = {"report_version": REPORT_VERSION, "widths": widths, **report.to_dict()}
+    report = distributed_cost(args.widths, build_schedule(len(args.widths)))
+    doc = {"report_version": REPORT_VERSION, "widths": args.widths, **report.to_dict()}
     _emit(doc, args.out)
     return 0
 

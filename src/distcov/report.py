@@ -15,6 +15,7 @@ eigenvalues of the same bytes.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from pathlib import Path
 
@@ -39,9 +40,16 @@ __all__ = [
     "DUMP_MAGIC",
 ]
 
-REPORT_VERSION = 5
+REPORT_VERSION = 6
 DUMP_MAGIC = b"DCMM"
 _DUMP_HEADER = struct.Struct("<4sIQ")  # magic, dim, reserved
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_threads_env() -> dict:
+    """The BLAS thread variables as found in the environment, None if unset:
+    the setting a report's CPU readings were taken at."""
+    return {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
 
 
 def matrix_checksum(m: DenseMatrix) -> str:
@@ -96,6 +104,7 @@ def run_report(
     `decomp`, which `metrics` do not cover."""
     return {
         "report_version": REPORT_VERSION,
+        "blas_threads_env": _blas_threads_env(),
         "mode": mode,
         "partitions": partitions,
         "dim": cov.dim,
@@ -126,8 +135,8 @@ def compare_partitions(
     # Bit patterns, not floats: == on floats would equate -0.0 and 0.0.
     cen_bits = cen_cov.matrix.values.view(np.uint64)
     checksum = matrix_checksum(cen_cov.matrix)
-    # CPU reading on both sides: the centralized run is single-threaded, the
-    # distributed aggregate assumes one processor per site.
+    # Thread CPU on both sides; the distributed aggregate assumes one processor
+    # per site, so both are one-processor times only at one BLAS thread.
     centralized_ms = cen_metrics.site_cov_cpu_ms[0]
     rows = []
     for spec in specs:

@@ -107,21 +107,20 @@ class TransferStat:
 class RunMetrics:
     """Timing breakdown of one run, all values in milliseconds.
 
-    Each site's one kernel call (its local block and all its cross blocks)
-    carries two readings: wall time (`site_cov_ms`) and CPU time
-    (`site_cov_cpu_ms`). The CPU reading is the calling thread's
-    `time.thread_time`, so it excludes the CPU of OpenBLAS's worker threads,
-    which the kernel's matrix products also use. The sites take turns, so
-    neither reading counts another site's kernel; the CPU reading is what
-    the site would spend on a processor of its own. `transfers` is keyed by
-    directed edge (sender, receiver) and covers raw column shipments only;
-    a send's time is framing plus delivery into the receiver's inbox (see
-    `TransferStat`), over TCP the reads of the edge's receiving end
-    included. `merge_ms` is what assembly leaves after the last message:
-    the matrix's final checks. No reading covers an eigen-decomposition.
+    `site_cov_cpu_ms` holds one reading per site: the CPU time of the
+    calling thread (`time.thread_time`) over the site's one kernel call (its
+    local block and all its cross blocks). It leaves out the CPU of BLAS's
+    worker threads, and at more than one BLAS thread it may count the calling
+    thread's waits for them, so it is a one-processor time only when BLAS
+    runs one thread. The sites take turns, so no reading counts another
+    site's kernel. `transfers` is keyed by directed edge (sender, receiver)
+    and covers raw column shipments only; a send's time is framing plus
+    delivery into the receiver's inbox (see `TransferStat`), over TCP the
+    reads of the edge's receiving end included. `merge_ms` is what assembly
+    leaves after the last message: the matrix's final checks. No reading
+    covers an eigen-decomposition.
     """
 
-    site_cov_ms: tuple[float, ...]
     site_cov_cpu_ms: tuple[float, ...]
     transfers: dict[tuple[int, int], TransferStat] = field(default_factory=dict)
     merge_ms: float = 0.0
@@ -129,7 +128,6 @@ class RunMetrics:
 
     def to_dict(self) -> dict:
         return {
-            "site_cov_ms": list(self.site_cov_ms),
             "site_cov_cpu_ms": list(self.site_cov_cpu_ms),
             "transfers": [
                 {"from": j, "to": k, "bytes": s.bytes, "ms": s.ms}
@@ -147,8 +145,8 @@ def critical_path_ms(metrics: RunMetrics) -> float:
     Each site receives its senders' columns, then makes its one kernel
     call, and the sites do so concurrently, so the protocol takes the
     slowest site's inbound transfers plus kernel. Kernel costs are the
-    per-thread CPU readings, which stay honest when one host runs every
-    site's kernel in turn.
+    per-thread CPU readings, so the sum is a one-processor time only when
+    BLAS runs one thread (see `RunMetrics`).
     """
     per_site = list(metrics.site_cov_cpu_ms)
     for (_, k), s in metrics.transfers.items():
@@ -349,11 +347,11 @@ class TcpTransport(InProcessTransport):
 
 def _site_turn(
     net, schedule: Schedule, blocks, site: int, transfers: dict
-) -> tuple[float, float]:
+) -> float:
     """Site `site`'s turn: its senders ship their raw columns, which it
     takes from its inbox at once; it makes its one kernel call and sends
     every block and DONE to the coordinator. Records each shipment in
-    `transfers`; returns the kernel call's wall and CPU time in ms."""
+    `transfers`; returns the kernel call's thread CPU time in ms."""
     coordinator, senders = schedule.t, []
     for j in schedule.senders_to(site):
         shipment = ProtocolMessage(MessageKind.DATA_BLOCK, j, site, blocks[j])
@@ -367,18 +365,18 @@ def _site_turn(
             )
         senders.append(msg.payload)
 
-    t0, c0 = time.perf_counter(), time.thread_time()
+    c0 = time.thread_time()
     try:
         local, crosses = site_covariance(blocks[site], senders)
     except DistCovError:
         raise
     except Exception as exc:
         raise TransportError(f"site {site} kernel failed: {exc!r}") from exc
-    ms, cpu_ms = (time.perf_counter() - t0) * 1e3, (time.thread_time() - c0) * 1e3
+    cpu_ms = (time.thread_time() - c0) * 1e3
     for blk in (local, *crosses):
         net.send(ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, blk))
     net.send(ProtocolMessage(MessageKind.DONE, site, coordinator))
-    return ms, cpu_ms
+    return cpu_ms
 
 
 def _check_blocks(blocks) -> int:
@@ -442,10 +440,10 @@ def _timed_exchange(
     start = time.perf_counter()
     done: list[int] = []
     transfers: dict[tuple[int, int], TransferStat] = {}
-    turns = []
+    site_cpu_ms: list[float] = []
     try:
         for site in range(t):
-            turns.append(_site_turn(net, schedule, blocks, site, transfers))
+            site_cpu_ms.append(_site_turn(net, schedule, blocks, site, transfers))
             while site not in done:
                 msg = net.recv(coordinator)
                 if msg.kind is MessageKind.DONE:
@@ -460,14 +458,12 @@ def _timed_exchange(
         net.require_drained()
         if assembler.missing:  # a site's blocks precede its DONE: these were never sent
             raise _gather_timeout(assembler, done, t)
-        site_ms, site_cpu_ms = zip(*turns)
 
         t0 = time.perf_counter()
         merged = assembler.result()
         t1 = time.perf_counter()
         metrics = RunMetrics(
-            site_cov_ms=site_ms,
-            site_cov_cpu_ms=site_cpu_ms,
+            site_cov_cpu_ms=tuple(site_cpu_ms),
             transfers=transfers,
             merge_ms=(t1 - t0) * 1e3,
             protocol_ms=(t1 - start) * 1e3,
@@ -492,14 +488,13 @@ def _gather_timeout(assembler: _Assembler, done: list[int], t: int) -> TimeoutEr
 
 
 def _timed_oracle(table: DenseMatrix) -> tuple[GlobalCovariance, RunMetrics]:
-    """The oracle matrix of a whole table, with its wall and CPU time."""
+    """The oracle matrix of a whole table: its thread CPU time is the one
+    site reading, its wall time `protocol_ms`."""
     start, c0 = time.perf_counter(), time.thread_time()
     cov = centralized_covariance(table)
-    cov_ms = (time.perf_counter() - start) * 1e3
+    cpu_ms = (time.thread_time() - c0) * 1e3
     metrics = RunMetrics(
-        site_cov_ms=(cov_ms,),
-        site_cov_cpu_ms=((time.thread_time() - c0) * 1e3,),
-        protocol_ms=cov_ms,
+        site_cov_cpu_ms=(cpu_ms,), protocol_ms=(time.perf_counter() - start) * 1e3
     )
     return cov, metrics
 

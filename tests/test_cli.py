@@ -113,7 +113,7 @@ def test_gen_csv(tmp_path, capsys):
 def test_run_both_modes_same_checksum(dataset, tmp_path, capsys):
     d = _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "distributed"])
     c = _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "centralized"])
-    assert d["report_version"] == 5 and c["report_version"] == 5
+    assert d["report_version"] == 6 and c["report_version"] == 6
     assert d["partitions"] == 1 and d["mode"] == "distributed"
     assert d["matrix_checksum"] == c["matrix_checksum"]
     assert len(d["top_eigenvalues"]) == 9
@@ -133,6 +133,17 @@ def test_run_times_its_one_decomposition_and_compare_has_none(dataset, capsys, m
     assert calls == {"symmetric_eigen": 1}
     assert not any("eigen" in key for key in _keys(compared["comparisons"]))
     assert compared["comparisons"][0]["matrix_checksum"] == doc["matrix_checksum"]
+
+
+def test_reports_name_the_blas_thread_setting(dataset, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    found = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+    for argv in (["run", "--mode", "distributed"], ["run", "--mode", "centralized"],
+                 ["compare"]):
+        doc = _run_json(capsys, [*argv, "--inputs", str(dataset)])
+        assert doc["blas_threads_env"] == found
 
 
 def test_run_multifile_defaults_to_per_file_sites(tmp_path, capsys):
@@ -199,6 +210,26 @@ def test_run_preset_on_wrong_width_is_data_error(dataset, capsys):
     code = main(["run", "--inputs", str(dataset), "--preset", "mfeat-3",
                  "--mode", "centralized"])
     assert code == 3
+
+
+def test_spec_width_is_checked_before_any_partition_or_oracle(dataset, tmp_path, capsys,
+                                                               monkeypatch):
+    """A centralized run partitions nothing, and a spec of the wrong width is
+    refused before `compare` computes its oracle."""
+    oracles, partitions = {"_timed_oracle": 0}, {"partition_vertical": 0}
+    _count_calls(monkeypatch, oracles, report)
+    _count_calls(monkeypatch, partitions, cli)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"total_cols": 8, "groups": [{"site": 0, "cols": list(range(8))}]}
+    ))
+    _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "centralized"])
+    for argv in (["run", "--mode", "centralized", "--spec", str(spec_path)],
+                 ["compare", "--spec", str(spec_path)],
+                 ["compare", "--preset", "mfeat-6"]):
+        assert main([*argv, "--inputs", str(dataset)]) == 3
+        assert capsys.readouterr().err.startswith("error: spec covers ")
+    assert oracles == {"_timed_oracle": 0} and partitions == {"partition_vertical": 0}
 
 
 def test_run_ragged_file_is_data_error(tmp_path, capsys):
@@ -462,18 +493,13 @@ def test_cost_model_widths(capsys):
 
 
 def test_cost_model_equal_widths(capsys):
-    doc = _run_json(capsys, ["cost-model", "--sites", "4", "--gamma", "100"])
+    doc = _run_json(capsys, ["cost-model", "--widths", "100,100,100,100"])
     assert doc["distributed_ops"] == 25_150
     assert doc["speedup"] == pytest.approx(79_800 / 25_150)
 
 
 def test_cost_model_one_site_one_column(capsys):
     # No pairs at all: the one-site run is the centralized run.
-    for argv in (["--widths", "1"], ["--sites", "1", "--gamma", "1"]):
-        doc = _run_json(capsys, ["cost-model", *argv])
-        assert doc["distributed_ops"] == 0
-        assert doc["speedup"] == 1.0
-
-
-def test_cost_model_sites_without_gamma(capsys):
-    assert main(["cost-model", "--sites", "4"]) == 2
+    doc = _run_json(capsys, ["cost-model", "--widths", "1"])
+    assert doc["distributed_ops"] == 0
+    assert doc["speedup"] == 1.0

@@ -921,7 +921,6 @@ def test_any_orientation_of_the_site_pairs_equals_the_oracle(transport, data):
 
 def test_critical_path_aggregation():
     metrics = RunMetrics(
-        site_cov_ms=(50.0, 50.0, 50.0),  # wall readings are not used
         site_cov_cpu_ms=(9.0, 7.0, 12.0),
         transfers={
             (2, 0): TransferStat(bytes=10, ms=1.0),
@@ -935,16 +934,14 @@ def test_critical_path_aggregation():
 
 def test_metrics_serialization():
     metrics = RunMetrics(
-        site_cov_ms=(1.0, 2.0),
         site_cov_cpu_ms=(0.9, 1.8),
         transfers={(0, 1): TransferStat(bytes=5, ms=0.5)},
         merge_ms=0.1,
         protocol_ms=1.5,
     )
     doc = metrics.to_dict()
-    assert doc["site_cov_ms"] == [1.0, 2.0]
     assert doc["site_cov_cpu_ms"] == [0.9, 1.8]
     assert doc["transfers"] == [{"from": 0, "to": 1, "bytes": 5, "ms": 0.5}]
     assert doc["merge_ms"] == 0.1
     assert doc["protocol_ms"] == 1.5
-    assert list(doc) == ["site_cov_ms", "site_cov_cpu_ms", "transfers", "merge_ms", "protocol_ms"]
+    assert list(doc) == ["site_cov_cpu_ms", "transfers", "merge_ms", "protocol_ms"]
