@@ -23,16 +23,7 @@ import numpy as np
 
 from .costmodel import distributed_cost
 from .eigen import symmetric_eigen
-from .errors import (
-    CoverageError,
-    DistCovError,
-    IoError,
-    MalformedFrame,
-    MismatchError,
-    SpecMismatch,
-    TransportError,
-    UnknownKind,
-)
+from .errors import DistCovError, MismatchError, ProtocolError
 from .ingest import (
     PartitionSpec,
     hjoin,
@@ -49,7 +40,6 @@ from .schedule import build_schedule
 __all__ = ["main"]
 
 _PRESETS = tuple(f"mfeat-{n}" for n in range(2, 7))
-_PROTOCOL_ERRORS = (TransportError, CoverageError, MalformedFrame, UnknownKind)
 
 
 def _positive_int(text: str) -> int:
@@ -134,21 +124,23 @@ def _data_args(sp: argparse.ArgumentParser, repeatable_preset: bool = False) -> 
 
 
 def _load_inputs(args) -> tuple:
+    """The input files joined column-wise, and each file's width. Only the
+    joined table stays referenced."""
     tables = [load_table(p, format=args.format) for p in args.inputs]
-    return hjoin(tables), tables
+    return hjoin(tables), [t.cols for t in tables]
 
 
-def _default_spec(tables) -> PartitionSpec:
+def _default_spec(widths) -> PartitionSpec:
     # One site per input file, columns in file order.
     groups = []
     start = 0
-    for t in tables:
-        groups.append(tuple(range(start, start + t.cols)))
-        start += t.cols
+    for w in widths:
+        groups.append(tuple(range(start, start + w)))
+        start += w
     return PartitionSpec(total_cols=start, groups=tuple(groups))
 
 
-def _resolve_spec(args, tables, preset_name: str | None) -> PartitionSpec:
+def _resolve_spec(args, widths, preset_name: str | None) -> PartitionSpec:
     """The run's partition spec, checked against the inputs' width."""
     if preset_name is not None:
         spec = mfeat_preset(int(preset_name.split("-")[1]))
@@ -159,22 +151,22 @@ def _resolve_spec(args, tables, preset_name: str | None) -> PartitionSpec:
             raise DistCovError(f"cannot read {args.spec}: {exc}") from None
         spec = PartitionSpec.from_json(text)
     else:
-        return _default_spec(tables)
-    cols = sum(t.cols for t in tables)
+        return _default_spec(widths)
+    cols = sum(widths)
     if spec.total_cols != cols:
-        raise SpecMismatch(f"spec covers {spec.total_cols} columns, the inputs have {cols}")
+        raise DistCovError(f"spec covers {spec.total_cols} columns, the inputs have {cols}")
     return spec
 
 
 @contextlib.contextmanager
 def _written(path: Path):
     """The CLI's one file writer: a text handle on `path`. Any OSError in
-    opening or writing it raises IoError (exit 3)."""
+    opening or writing it raises DistCovError (exit 3)."""
     try:
         with open(path, "w") as f:
             yield f
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
+        raise DistCovError(f"cannot write {path}: {exc}") from None
 
 
 def _emit(doc: dict, out: Path | None) -> None:
@@ -199,8 +191,8 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    table, tables = _load_inputs(args)
-    spec = _resolve_spec(args, tables, args.preset)
+    table, widths = _load_inputs(args)
+    spec = _resolve_spec(args, widths, args.preset)
     if args.mode == "distributed":
         schedule = build_schedule(spec.sites)
         cov, metrics = _timed_exchange(partition_vertical(table, spec), schedule, args.transport)
@@ -217,9 +209,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    table, tables = _load_inputs(args)
+    table, widths = _load_inputs(args)
     presets = args.preset if args.preset else [None]
-    specs = [_resolve_spec(args, tables, name) for name in presets]
+    specs = [_resolve_spec(args, widths, name) for name in presets]
     rows = _compare_partitions(table, specs, transport=args.transport)
     doc = {"report_version": REPORT_VERSION, "blas_threads_env": _blas_threads_env(),
            "comparisons": rows}
@@ -260,7 +252,7 @@ def main(argv=None) -> int:
     except MismatchError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 5
-    except _PROTOCOL_ERRORS as exc:
+    except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return 4
     except DistCovError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import WidthMismatch
+from .errors import DistCovError
 from .schedule import Schedule
 
 __all__ = ["CostReport", "distributed_cost"]
@@ -52,9 +52,9 @@ def distributed_cost(widths, schedule: Schedule) -> CostReport:
     """
     w = [int(x) for x in widths]
     if len(w) != schedule.t:
-        raise WidthMismatch(f"{len(w)} widths for a {schedule.t}-site schedule")
+        raise DistCovError(f"{len(w)} widths for a {schedule.t}-site schedule")
     if any(x < 1 for x in w):
-        raise WidthMismatch("every site must hold at least one column")
+        raise DistCovError("every site must hold at least one column")
 
     local = tuple(m * (m - 1) // 2 for m in w)
     cross = tuple(

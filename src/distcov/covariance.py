@@ -16,9 +16,15 @@ contract:
   the two operands, so cov(a, b) and cov(b, a) are the same float.
 
 Hence a merged matrix is bit-identical to the matrix a single-machine
-computation produces. Entries are accurate to about one rounding of the
-centered data: products below 2**-53 of the column peaks are dropped, and
-the final sum is rounded once.
+computation produces. The kernel sums the products of the columns centered
+at their rounded means exactly, but for products below 2**-53 of the
+column peaks, and rounds the sum once. Centering at a rounded mean mu^
+rather than the exact mean mu shifts that sum by n (mu_i - mu^_i)(mu_j -
+mu^_j), which is not small for a column whose mean is large against its
+spread. `test_kernel_matches_exact_rational_reference` checks every entry
+to within 2**-52 * sqrt(var_i * var_j) of the exact covariance on a
+120 x 6 table whose mean-to-spread ratios are at most about 2e3; no bound
+is claimed beyond such tables (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -28,16 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidCovariance,
-    MissingPair,
-    NonFiniteValue,
-    OverlappingPair,
-    RowCountMismatch,
-    SameSite,
-    TooFewRows,
-)
+from .errors import DistCovError, ProtocolError
 from .matrix import DenseMatrix
 from .schedule import pair_coverage
 
@@ -68,17 +65,17 @@ class ColumnBlock:
     def __post_init__(self) -> None:
         object.__setattr__(self, "global_cols", tuple(int(c) for c in self.global_cols))
         if self.site < 0:
-            raise DimensionMismatch(f"site id must be non-negative, got {self.site}")
+            raise DistCovError(f"site id must be non-negative, got {self.site}")
         if self.data.cols < 1:
-            raise DimensionMismatch("a column block must hold at least one column")
+            raise DistCovError("a column block must hold at least one column")
         if len(self.global_cols) != self.data.cols:
-            raise DimensionMismatch(
+            raise DistCovError(
                 f"{len(self.global_cols)} global indices for {self.data.cols} columns"
             )
         if any(b <= a for a, b in zip(self.global_cols, self.global_cols[1:])):
-            raise DimensionMismatch("global column indices must be strictly increasing")
+            raise DistCovError("global column indices must be strictly increasing")
         if self.global_cols and self.global_cols[0] < 0:
-            raise DimensionMismatch("global column indices must be non-negative")
+            raise DistCovError("global column indices must be non-negative")
 
     @property
     def width(self) -> int:
@@ -105,19 +102,19 @@ class CovBlock:
         object.__setattr__(self, "rows_global_cols", tuple(int(c) for c in self.rows_global_cols))
         object.__setattr__(self, "cols_global_cols", tuple(int(c) for c in self.cols_global_cols))
         if self.block.rows != len(self.rows_global_cols):
-            raise DimensionMismatch(
+            raise DistCovError(
                 f"block has {self.block.rows} rows but {len(self.rows_global_cols)} row indices"
             )
         if self.block.cols != len(self.cols_global_cols):
-            raise DimensionMismatch(
+            raise DistCovError(
                 f"block has {self.block.cols} cols but {len(self.cols_global_cols)} col indices"
             )
         if self.site_a == self.site_b:
             v = self.block.values
             if v.shape[0] != v.shape[1]:
-                raise DimensionMismatch("a local covariance block must be square")
+                raise DistCovError("a local covariance block must be square")
             if not np.array_equal(v, v.T):
-                raise InvalidCovariance("a local covariance block must be exactly symmetric")
+                raise DistCovError("a local covariance block must be exactly symmetric")
 
 
 class GlobalCovariance:
@@ -133,12 +130,12 @@ class GlobalCovariance:
     def __init__(self, values):
         arr = np.array(values, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatch(f"covariance matrix must be square, got {arr.shape}")
+            raise DistCovError(f"covariance matrix must be square, got {arr.shape}")
         if arr.shape[0] < 1:
-            raise DimensionMismatch("covariance matrix must have dimension >= 1")
+            raise DistCovError("covariance matrix must have dimension >= 1")
         sym = np.triu(arr) + np.triu(arr, 1).T
         if np.any(np.diag(sym) < 0.0):
-            raise InvalidCovariance("diagonal entries (variances) must be non-negative")
+            raise DistCovError("diagonal entries (variances) must be non-negative")
         self._matrix = DenseMatrix(sym)
 
     @classmethod
@@ -151,7 +148,7 @@ class GlobalCovariance:
         """
         arr += 0.0
         if np.any(np.diag(arr) < 0.0):
-            raise InvalidCovariance("diagonal entries (variances) must be non-negative")
+            raise DistCovError("diagonal entries (variances) must be non-negative")
         cov = cls.__new__(cls)
         cov._matrix = DenseMatrix._wrap(arr)
         return cov
@@ -234,7 +231,7 @@ class _Operand:
         # distance from the mean to the column's max or min.
         peak = np.maximum(hi - self.mean, self.mean - lo)
         if not np.isfinite(peak).all():
-            raise NonFiniteValue("a column's centered values overflow float64")
+            raise DistCovError("a column's centered values overflow float64")
         _, self.exps = np.frexp(peak)  # peak < 2**exps
         self.scale = np.ldexp(1.0, b - self.exps)
 
@@ -257,7 +254,7 @@ class _Operand:
         np.rint(work, out=work)  # the last slice, in place
 
 
-@np.errstate(over="ignore")  # an overflow is refused below as NonFiniteValue
+@np.errstate(over="ignore")  # an overflow is refused below as DistCovError
 def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Covariance blocks of several (n, w) arrays against one (n, wy) array:
     entry (u, v) of block k is the covariance of xs[k]'s column u with y's
@@ -275,7 +272,7 @@ def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     is the exact transpose of the block for (x, y). For x is y only
     X_i^T Y_j is computed; the pair is T + T^T.
 
-    Raises NonFiniteValue, without a numpy warning, when a column's
+    Raises DistCovError, without a numpy warning, when a column's
     centered values or a covariance overflow float64.
     """
     n, wy = y.shape
@@ -324,7 +321,7 @@ def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
         out /= n - 1
         # An infinity is the minimum or the maximum: no (wx, wy) mask.
         if not (np.isfinite(out.min()) and np.isfinite(out.max())):
-            raise NonFiniteValue("a covariance overflows float64")
+            raise DistCovError("a covariance overflows float64")
         blocks.append(out)
     return blocks
 
@@ -338,15 +335,15 @@ def _check_senders(receiver: ColumnBlock, senders: Sequence[ColumnBlock]) -> Non
     n = receiver.data.rows
     for sender in senders:
         if receiver.site == sender.site:
-            raise SameSite(
+            raise DistCovError(
                 f"cross covariance needs two distinct sites, both are {receiver.site}"
             )
         if n != sender.data.rows:
-            raise RowCountMismatch(
+            raise DistCovError(
                 f"row counts differ: sender {sender.data.rows}, receiver {n}"
             )
     if n < 2:
-        raise TooFewRows("sample covariance needs at least 2 rows")
+        raise DistCovError("sample covariance needs at least 2 rows")
 
 
 def _cross_block(receiver: ColumnBlock, sender: ColumnBlock, values: np.ndarray) -> CovBlock:
@@ -385,8 +382,8 @@ def site_covariance(
     values = own.data.values
     try:
         local, *cross = _cov_blocks(values, [values, *(s.data.values for s in senders)])
-    except NonFiniteValue as exc:
-        raise NonFiniteValue(f"site {own.site}: {exc}") from None
+    except DistCovError as exc:
+        raise DistCovError(f"site {own.site}: {exc}") from None
     local_block = CovBlock(
         own.site, own.site, DenseMatrix._wrap(local),
         own.global_cols, own.global_cols,
@@ -402,9 +399,9 @@ def centralized_covariance(m: DenseMatrix) -> GlobalCovariance:
     """
     n = m.rows
     if n < 2:
-        raise TooFewRows("sample covariance needs at least 2 rows")
+        raise DistCovError("sample covariance needs at least 2 rows")
     if m.cols < 1:
-        raise DimensionMismatch("covariance needs at least one column")
+        raise DistCovError("covariance needs at least one column")
     (block,) = _cov_blocks(m.values, [m.values])
     return GlobalCovariance._assembled(block)
 
@@ -415,11 +412,11 @@ def _column_count(owners: Iterable[Sequence[int]]) -> int:
     for cols in owners:
         for c in cols:
             if c in seen:
-                raise DimensionMismatch(f"column {c} held by two sites")
+                raise DistCovError(f"column {c} held by two sites")
             seen.add(c)
     missing = set(range(len(seen) or 1)) - seen  # no columns at all misses column 0
     if missing:
-        raise DimensionMismatch(f"column {min(missing)} held by no site")
+        raise DistCovError(f"column {min(missing)} held by no site")
     return len(seen)
 
 
@@ -436,9 +433,9 @@ class _Assembler:
         self.dim = _column_count(owners.values())
         surplus, gaps = pair_coverage(owners, pairs)
         if gaps:
-            raise MissingPair(f"site pair {gaps[0]} not covered by any block")
+            raise ProtocolError(f"site pair {gaps[0]} not covered by any block")
         if surplus:
-            raise OverlappingPair(f"site pair {surplus[0]} covered twice or by an unknown site")
+            raise ProtocolError(f"site pair {surplus[0]} covered twice or by an unknown site")
         self.expected, self.missing = len(pairs), set(pairs)
         self._owners = owners
         self._out = np.empty((self.dim, self.dim), dtype=np.float64)
@@ -446,12 +443,12 @@ class _Assembler:
     def add(self, blk: CovBlock) -> None:
         a, b = blk.site_a, blk.site_b
         if (a, b) not in self.missing:
-            raise OverlappingPair(f"block ({a},{b}) came before or was never expected")
+            raise ProtocolError(f"block ({a},{b}) came before or was never expected")
         if (
             blk.rows_global_cols != self._owners[a]
             or blk.cols_global_cols != self._owners[b]
         ):
-            raise DimensionMismatch(
+            raise DistCovError(
                 f"block ({a},{b}) indices are not the columns of sites {a} and {b}"
             )
         rg, cg = list(blk.rows_global_cols), list(blk.cols_global_cols)
@@ -478,19 +475,18 @@ def merge_blocks(
     produce a wrong matrix, so gaps and overlaps are hard errors.
 
     Raises:
-        MissingPair: some pair of sites has no block.
-        OverlappingPair: some pair of sites has two blocks, or a cross
-            block names a site with no local block.
-        DimensionMismatch: the local blocks' columns do not partition
+        ProtocolError: some pair of sites has no block or two blocks, or a
+            cross block names a site with no local block.
+        DistCovError (no subclass): the local blocks' columns do not partition
             0 .. total_cols-1, a cross block's columns are not its sites'
             columns, or a block is filed as the other kind.
     """
     for blk in cross_blocks:
         if blk.site_a == blk.site_b:
-            raise DimensionMismatch(f"local block of site {blk.site_a} passed as a cross block")
+            raise DistCovError(f"local block of site {blk.site_a} passed as a cross block")
     for blk in local_blocks:
         if blk.site_a != blk.site_b:
-            raise DimensionMismatch(
+            raise DistCovError(
                 f"cross block ({blk.site_a},{blk.site_b}) passed as a local block"
             )
     blocks = (*local_blocks, *cross_blocks)
@@ -499,7 +495,7 @@ def merge_blocks(
         [(b.site_a, b.site_b) for b in blocks],
     )
     if assembler.dim != total_cols:
-        raise DimensionMismatch(
+        raise DistCovError(
             f"the blocks hold {assembler.dim} columns, total_cols is {total_cols}"
         )
     for blk in blocks:

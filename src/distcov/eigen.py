@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import GlobalCovariance
-from .errors import NonConvergence
+from .errors import DistCovError
 from .matrix import DenseMatrix
 
 __all__ = ["EigenDecomposition", "symmetric_eigen"]
@@ -30,20 +30,20 @@ def symmetric_eigen(a: GlobalCovariance) -> EigenDecomposition:
     largest absolute value is made positive (ties broken by lowest index).
 
     Raises:
-        NonConvergence: the underlying iteration failed to converge.
+        DistCovError: the underlying iteration failed to converge.
     """
     sym = a.matrix.values
     try:
         vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigen-decomposition did not converge: {exc}") from None
+        raise DistCovError(f"eigen-decomposition did not converge: {exc}") from None
     # eigh sorts ascending; flip to descending and re-pair the columns.
     vals = vals[::-1]
     vecs = np.ascontiguousarray(vecs[:, ::-1])
     # argmax returns the first maximum, so ties go to the lowest index.
     lead = np.argmax(np.abs(vecs), axis=0)
     flip = vecs[lead, np.arange(vecs.shape[1])] < 0.0
-    np.negative(vecs, out=vecs, where=flip)
+    vecs *= np.where(flip, -1.0, 1.0)
     return EigenDecomposition(
         eigenvalues=tuple(float(v) for v in vals),
         eigenvectors=DenseMatrix._wrap(vecs),

@@ -19,14 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .covariance import ColumnBlock
-from .errors import (
-    IoError,
-    ParseError,
-    RaggedRows,
-    RowCountMismatch,
-    SpecMismatch,
-    UnsupportedPartitionCount,
-)
+from .errors import DistCovError
 from .matrix import DenseMatrix, column_slice
 
 __all__ = [
@@ -80,25 +73,25 @@ class PartitionSpec:
             self, "groups", tuple(tuple(int(c) for c in g) for g in self.groups)
         )
         if self.total_cols < 1:
-            raise SpecMismatch(f"total_cols must be >= 1, got {self.total_cols}")
+            raise DistCovError(f"total_cols must be >= 1, got {self.total_cols}")
         if not self.groups:
-            raise SpecMismatch("a partition needs at least one group")
+            raise DistCovError("a partition needs at least one group")
         seen: set[int] = set()
         for i, g in enumerate(self.groups):
             if not g:
-                raise SpecMismatch(f"group {i} is empty")
+                raise DistCovError(f"group {i} is empty")
             for c in g:
                 if not 0 <= c < self.total_cols:
-                    raise SpecMismatch(
+                    raise DistCovError(
                         f"group {i} references column {c}, valid range is "
                         f"[0, {self.total_cols})"
                     )
                 if c in seen:
-                    raise SpecMismatch(f"column {c} assigned to more than one group")
+                    raise DistCovError(f"column {c} assigned to more than one group")
                 seen.add(c)
         if len(seen) != self.total_cols:
             missing = next(c for c in range(self.total_cols) if c not in seen)
-            raise SpecMismatch(f"column {missing} not assigned to any group")
+            raise DistCovError(f"column {missing} not assigned to any group")
 
     @property
     def sites(self) -> int:
@@ -114,7 +107,7 @@ class PartitionSpec:
             total = _spec_value("total_cols", doc["total_cols"], int)
             for i, e in enumerate(doc["groups"]):
                 if "site" not in e:
-                    raise ParseError(f'malformed partition spec: group {i} has no "site"')
+                    raise DistCovError(f'malformed partition spec: group {i} has no "site"')
                 _spec_value(f"group {i} site", e["site"], int)
                 for c in _spec_value(f"group {i} cols", e["cols"], list):
                     _spec_value(f"group {i} column", c, int)
@@ -122,20 +115,20 @@ class PartitionSpec:
             sites = [e["site"] for e in raw]
             groups = tuple(tuple(e["cols"]) for e in raw)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(
+            raise DistCovError(
                 f"malformed partition spec: {type(exc).__name__}: {exc}; expected "
                 '{"total_cols": n, "groups": [{"site": i, "cols": [...]}, ...]}'
             ) from None
         if sites != list(range(len(raw))):
-            raise SpecMismatch(f"group site-ids must be 0..{len(raw) - 1} in order")
+            raise DistCovError(f"group site-ids must be 0..{len(raw) - 1} in order")
         return cls(total_cols=total, groups=groups)
 
 
 def _spec_value(where: str, value, kind: type):
     # Exact JSON types: int() would take "3", 0.9 and true, and tuple() "012".
     if type(value) is not kind:
-        raise ParseError(f"malformed partition spec: {where} is {json.dumps(value)}, "
-                         f"not {'an integer' if kind is int else 'a list'}")
+        raise DistCovError(f"malformed partition spec: {where} is {json.dumps(value)}, "
+                           f"not {'an integer' if kind is int else 'a list'}")
     return value
 
 
@@ -149,13 +142,12 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
     in any row. The matrix holds values only.
 
     Raises:
-        IoError: the file cannot be read.
-        RaggedRows: rows disagree on field count.
-        ParseError: a field is not a number, or the file has no data rows.
-        NonFiniteValue: a field parses but is NaN or infinite.
+        DistCovError: the file cannot be read, rows disagree on field
+            count, a field is not a number, the file has no data rows, or a
+            field parses but is NaN or infinite.
     """
     if format not in ("whitespace", "csv"):
-        raise ParseError(f"unknown format {format!r}, expected 'whitespace' or 'csv'")
+        raise DistCovError(f"unknown format {format!r}, expected 'whitespace' or 'csv'")
     p = Path(path)
     if format == "whitespace":
         # Fast path for well-formed files; anything numpy rejects is parsed
@@ -165,7 +157,7 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
                 warnings.simplefilter("ignore")  # an empty file is reported below
                 data = np.loadtxt(p, dtype=np.float64, comments=None, ndmin=2)
         except OSError as exc:
-            raise IoError(f"cannot read {p}: {exc}") from None
+            raise DistCovError(f"cannot read {p}: {exc}") from None
         except ValueError:
             data = None
         if data is not None and data.size:
@@ -174,7 +166,7 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
     try:
         text = p.read_text()
     except OSError as exc:
-        raise IoError(f"cannot read {p}: {exc}") from None
+        raise DistCovError(f"cannot read {p}: {exc}") from None
 
     if format == "csv":
         rows = [r for r in csv.reader(text.splitlines()) if r]
@@ -183,13 +175,13 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
 
     skip = 1 if format == "csv" and rows and not _all_numeric(rows[0]) else 0
     if len(rows) == skip:
-        raise ParseError(f"{p}: no data rows")
+        raise DistCovError(f"{p}: no data rows")
 
     width = len(rows[skip])
     data = np.empty((len(rows) - skip, width), dtype=np.float64)
     for i, fields in enumerate(rows):
         if len(fields) != width:
-            raise RaggedRows(
+            raise DistCovError(
                 f"{p}: row {i + 1} has {len(fields)} fields, expected {width}"
             )
         if i < skip:
@@ -198,7 +190,7 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
             try:
                 data[i - skip, j] = float(f)
             except ValueError:
-                raise ParseError(f"{p}: row {i + 1} field {j + 1}: {f!r} is not a number") from None
+                raise DistCovError(f"{p}: row {i + 1} field {j + 1}: {f!r} is not a number") from None
     return DenseMatrix(data)
 
 
@@ -215,11 +207,11 @@ def hjoin(tables: Sequence[DenseMatrix]) -> DenseMatrix:
     """Concatenate tables column-wise; they must share the row count. A
     single table comes back as it is."""
     if not tables:
-        raise RowCountMismatch("hjoin needs at least one table")
+        raise DistCovError("hjoin needs at least one table")
     rows = tables[0].rows
     for i, tbl in enumerate(tables):
         if tbl.rows != rows:
-            raise RowCountMismatch(
+            raise DistCovError(
                 f"table {i} has {tbl.rows} rows, expected {rows}"
             )
     if len(tables) == 1:
@@ -230,7 +222,7 @@ def hjoin(tables: Sequence[DenseMatrix]) -> DenseMatrix:
 def partition_vertical(m: DenseMatrix, spec: PartitionSpec) -> list[ColumnBlock]:
     """Split a matrix into per-site column blocks according to the spec."""
     if spec.total_cols != m.cols:
-        raise SpecMismatch(
+        raise DistCovError(
             f"spec covers {spec.total_cols} columns, matrix has {m.cols}"
         )
     blocks = []
@@ -249,7 +241,7 @@ def mfeat_preset(partitions: int) -> PartitionSpec:
     6: one file per site.
     """
     if partitions not in _MFEAT_GROUPINGS:
-        raise UnsupportedPartitionCount(
+        raise DistCovError(
             f"no preset for {partitions} partitions, supported: 2..6"
         )
     starts = np.concatenate(([0], np.cumsum(MFEAT_WIDTHS)))
@@ -265,7 +257,7 @@ def mfeat_preset(partitions: int) -> PartitionSpec:
 def even_preset(total_cols: int, partitions: int) -> PartitionSpec:
     """Near-even contiguous split of `total_cols` columns across sites."""
     if partitions < 1 or partitions > total_cols:
-        raise SpecMismatch(
+        raise DistCovError(
             f"cannot split {total_cols} columns across {partitions} sites"
         )
     bounds = np.linspace(0, total_cols, partitions + 1).astype(int)
@@ -296,15 +288,15 @@ def load_mfeat(root: str | Path) -> DenseMatrix:
     mfeat-mor, mfeat-pix, mfeat-zer) as distributed by the UCI repository.
 
     Raises:
-        IoError: a file is missing or unreadable.
-        SpecMismatch: a file has an unexpected column count.
+        DistCovError: a file is missing or unreadable, or has an unexpected
+            column count.
     """
     rootp = Path(root)
     tables = []
     for name, fname, width in MFEAT_FILES:
         t = load_table(rootp / fname, format="whitespace")
         if t.cols != width:
-            raise SpecMismatch(
+            raise DistCovError(
                 f"{fname}: expected {width} columns ({name}), found {t.cols}"
             )
         tables.append(t)

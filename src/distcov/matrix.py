@@ -7,12 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DuplicateIndex,
-    IndexOutOfRange,
-    NonFiniteValue,
-)
+from .errors import DistCovError
 
 __all__ = [
     "DenseMatrix",
@@ -32,9 +27,9 @@ class DenseMatrix:
     def __init__(self, values):
         arr = np.array(values, dtype=np.float64, order="C")
         if arr.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D value array, got {arr.ndim}-D")
+            raise DistCovError(f"expected a 2-D value array, got {arr.ndim}-D")
         if not np.isfinite(arr).all():
-            raise NonFiniteValue("matrix values must be finite (no NaN/Inf)")
+            raise DistCovError("matrix values must be finite (no NaN/Inf)")
         arr.setflags(write=False)
         self._values = arr
 
@@ -83,8 +78,8 @@ def column_slice(m: DenseMatrix, cols: Sequence[int]) -> DenseMatrix:
     idx = list(cols)
     for c in idx:
         if not 0 <= c < m.cols:
-            raise IndexOutOfRange(f"column {c} out of range for {m.cols} columns")
+            raise DistCovError(f"column {c} out of range for {m.cols} columns")
     if len(set(idx)) != len(idx):
-        raise DuplicateIndex(f"duplicate column index in {idx}")
+        raise DistCovError(f"duplicate column index in {idx}")
     picked = np.ascontiguousarray(m.values[:, idx]) if idx else np.empty((m.rows, 0))
     return DenseMatrix._wrap(picked)

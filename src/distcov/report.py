@@ -24,7 +24,7 @@ import numpy as np
 from .costmodel import distributed_cost
 from .covariance import GlobalCovariance
 from .eigen import EigenDecomposition
-from .errors import IoError, MalformedFrame, MismatchError
+from .errors import DistCovError, MismatchError, ProtocolError
 from .matrix import DenseMatrix
 from .ingest import partition_vertical
 from .runtime import RunMetrics, _timed_exchange, _timed_oracle, critical_path_ms
@@ -67,7 +67,7 @@ def dump_matrix(cov: GlobalCovariance, path: str | Path) -> None:
             fh.write(_DUMP_HEADER.pack(DUMP_MAGIC, cov.dim, 0))
             fh.write(cov.matrix.tobytes())
     except OSError as exc:
-        raise IoError(f"cannot write {p}: {exc}") from None
+        raise DistCovError(f"cannot write {p}: {exc}") from None
 
 
 def load_matrix_dump(path: str | Path) -> DenseMatrix:
@@ -76,15 +76,15 @@ def load_matrix_dump(path: str | Path) -> DenseMatrix:
     try:
         raw = p.read_bytes()
     except OSError as exc:
-        raise IoError(f"cannot read {p}: {exc}") from None
+        raise DistCovError(f"cannot read {p}: {exc}") from None
     if len(raw) < _DUMP_HEADER.size:
-        raise MalformedFrame(f"{p}: shorter than the dump header")
+        raise ProtocolError(f"{p}: shorter than the dump header")
     magic, dim, _ = _DUMP_HEADER.unpack_from(raw)
     if magic != DUMP_MAGIC:
-        raise MalformedFrame(f"{p}: bad magic {magic!r}")
+        raise ProtocolError(f"{p}: bad magic {magic!r}")
     body = raw[_DUMP_HEADER.size :]
     if len(body) != dim * dim * 8:
-        raise MalformedFrame(
+        raise ProtocolError(
             f"{p}: dim {dim} needs {dim * dim * 8} value bytes, found {len(body)}"
         )
     values = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(dim, dim)

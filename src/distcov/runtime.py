@@ -32,7 +32,7 @@ TCP uses loopback sockets with one listener and one connection per
 directed edge, both of whose ends it opens, and copies no block in user
 space. On either transport `send` returns only once its frame is in the
 receiver's inbox. So a send's time is framing plus delivery, and `recv`
-on an empty inbox raises TimeoutError at once: nothing could fill it
+on an empty inbox raises MissingFrame at once: nothing could fill it
 while `recv` waited, so the protocol has no timer.
 
 A run starts no thread: TCP bytes move only inside `send`, on the caller's
@@ -61,14 +61,7 @@ from .covariance import (
     site_covariance,
 )
 from .eigen import EigenDecomposition, symmetric_eigen
-from .errors import (
-    DimensionMismatch,
-    DistCovError,
-    RowCountMismatch,
-    TimeoutError,
-    TooFewRows,
-    TransportError,
-)
+from .errors import DistCovError, MissingFrame, ProtocolError
 from .matrix import DenseMatrix
 from .schedule import Schedule
 from .wire import (
@@ -160,7 +153,7 @@ class InProcessTransport:
     inbox, and the receiver decodes its values as a view of that frame.
 
     Only `send` fills an inbox, so `recv` on an empty one raises
-    TimeoutError at once: nothing could fill it while `recv` waited.
+    MissingFrame at once: nothing could fill it while `recv` waited.
     `TcpTransport` replaces only `_deliver`, how the bytes reach the inbox.
     """
 
@@ -178,7 +171,7 @@ class InProcessTransport:
         """Frame `msg` and deliver it; its size and the time both took."""
         t0 = time.perf_counter()
         if msg.receiver not in self._inbox:
-            raise TransportError(f"no endpoint {msg.receiver}")
+            raise ProtocolError(f"no endpoint {msg.receiver}")
         size = self._deliver(msg)
         ms = (time.perf_counter() - t0) * 1e3
         if self._log is not None:
@@ -186,19 +179,19 @@ class InProcessTransport:
         return TransferStat(bytes=size, ms=ms)
 
     def recv(self, endpoint: int, _unused: float | None = None) -> ProtocolMessage:
-        """Decode the endpoint's next frame; TimeoutError if its inbox is
+        """Decode the endpoint's next frame; MissingFrame if its inbox is
         empty. The second argument has no effect."""
         inbox = self._inbox[endpoint]
         if not inbox:
-            raise TimeoutError(f"endpoint {endpoint}: no message in its inbox")
+            raise MissingFrame(f"endpoint {endpoint}: no message in its inbox")
         return decode_message(inbox.popleft())
 
     def require_drained(self) -> None:
-        """TransportError naming a frame that waits unread in any inbox."""
+        """ProtocolError naming a frame that waits unread in any inbox."""
         for endpoint, inbox in self._inbox.items():
             if inbox:
                 msg = decode_message(inbox[0])
-                raise TransportError(
+                raise ProtocolError(
                     f"endpoint {endpoint}: unread {msg.kind.name} from {msg.sender} "
                     f"to {msg.receiver} after the last turn"
                 )
@@ -235,7 +228,7 @@ class TcpTransport(InProcessTransport):
 
     The transport owns both ends of every edge. The first send on an edge
     connects to the listener and accepts the receiving end at once; a
-    connection from any other peer fails the send with TransportError, so
+    connection from any other peer fails the send with ProtocolError, so
     every frame read is one the transport sent. `send` moves its frame all
     the way: it writes without blocking and reads the edge's receiving end
     in the same loop until every byte it wrote has been read, selecting on
@@ -249,7 +242,7 @@ class TcpTransport(InProcessTransport):
     is received into one `frame_buffer` of its declared size and queued
     read-only, the form `encode_message` gives a frame in-process. A
     declared size above `max_frame` bytes, bytes that end inside a frame,
-    and a receiving end that closes each raise TransportError naming the
+    and a receiving end that closes each raise ProtocolError naming the
     edge.
     """
 
@@ -270,7 +263,7 @@ class TcpTransport(InProcessTransport):
             except BlockingIOError:
                 return taken
             if not got:
-                raise TransportError(f"{edge.name}: receiving end closed")
+                raise ProtocolError(f"{edge.name}: receiving end closed")
             taken += got
             edge.got += got
             if edge.got < len(edge.buf):
@@ -278,7 +271,7 @@ class TcpTransport(InProcessTransport):
             if edge.got == HEADER.size:  # a full header: move it into the frame's buffer
                 size = frame_size(edge.buf)
                 if self._max_frame is not None and size > self._max_frame:
-                    raise TransportError(
+                    raise ProtocolError(
                         f"{edge.name}: frame of {size} bytes exceeds the "
                         f"largest legal frame of {self._max_frame} bytes"
                     )
@@ -301,7 +294,7 @@ class TcpTransport(InProcessTransport):
             conn, peer = self._listener.accept()
             self._sockets.append(conn)
             if peer != sock.getsockname():
-                raise TransportError(
+                raise ProtocolError(
                     f"{name}: accepted a connection from {peer}, not from the edge's own socket"
                 )
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -330,11 +323,11 @@ class TcpTransport(InProcessTransport):
                 if unread and not (sent or taken):
                     select.select([edge.conn], [edge.sock] if unsent else [], [])
         except OSError as exc:
-            raise TransportError(
+            raise ProtocolError(
                 f"send {msg.sender}->{msg.receiver} failed: {exc}"
             ) from None
         if edge.got:
-            raise TransportError(
+            raise ProtocolError(
                 f"{edge.name}: bytes end inside a frame, {edge.got} of {len(edge.buf)} read"
             )
         return size
@@ -360,7 +353,7 @@ def _site_turn(
         # A DATA_BLOCK comes from the site whose columns it carries.
         origin = msg.payload.site if msg.kind is MessageKind.DATA_BLOCK else msg.sender
         if (msg.kind, origin) != (MessageKind.DATA_BLOCK, j):
-            raise TransportError(
+            raise ProtocolError(
                 f"site {site} expected DATA_BLOCK from {j}, received {msg.kind.name} from {origin}"
             )
         senders.append(msg.payload)
@@ -371,7 +364,7 @@ def _site_turn(
     except DistCovError:
         raise
     except Exception as exc:
-        raise TransportError(f"site {site} kernel failed: {exc!r}") from exc
+        raise ProtocolError(f"site {site} kernel failed: {exc!r}") from exc
     cpu_ms = (time.thread_time() - c0) * 1e3
     for blk in (local, *crosses):
         net.send(ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, blk))
@@ -382,18 +375,18 @@ def _site_turn(
 def _check_blocks(blocks) -> int:
     """Validate blocks sorted by site, but for their columns; returns the row count."""
     if not blocks:
-        raise DimensionMismatch("need at least one column block")
+        raise DistCovError("need at least one column block")
     sites = [b.site for b in blocks]
     if sites != list(range(len(blocks))):
-        raise DimensionMismatch(f"block sites must be 0..{len(blocks) - 1}, got {sites}")
+        raise DistCovError(f"block sites must be 0..{len(blocks) - 1}, got {sites}")
     rows = blocks[0].data.rows
     for b in blocks:
         if b.data.rows != rows:
-            raise RowCountMismatch(
+            raise DistCovError(
                 f"site {b.site} has {b.data.rows} rows, site {blocks[0].site} has {rows}"
             )
     if rows < 2:
-        raise TooFewRows("sample covariance needs at least 2 rows")
+        raise DistCovError("sample covariance needs at least 2 rows")
     return rows
 
 
@@ -406,11 +399,15 @@ def run_distributed(
     """Execute the full exchange protocol, then decompose the merged matrix;
     the metrics time the exchange, not the decomposition.
 
-    `transport` is "in-process" or "tcp". Raises TimeoutError when a frame
-    the run needs is not in its inbox, and TransportError when a frame is
-    left unread after the last turn; it propagates any other error from a
-    site's turn or the coordinator, and a kernel error that is not a
-    DistCovError becomes TransportError.
+    `transport` is "in-process" or "tcp".
+
+    Raises:
+        MissingFrame: a frame the run needs is not in its inbox.
+        ProtocolError: a frame is malformed, unexpected or left unread after
+            the last turn, the blocks do not cover every pair of sites once,
+            the transport fails, or a kernel error is not a DistCovError.
+        DistCovError (no subclass): the blocks or the schedule do not
+            describe one table, or a site's kernel refuses its data.
     """
     cov, metrics = _timed_exchange(blocks, schedule, transport, message_log)
     return cov, symmetric_eigen(cov), metrics
@@ -424,7 +421,7 @@ def _timed_exchange(
     rows = _check_blocks(blocks)
     t = len(blocks)
     if schedule.t != t:
-        raise DimensionMismatch(f"schedule is for {schedule.t} sites, got {t} blocks")
+        raise DistCovError(f"schedule is for {schedule.t} sites, got {t} blocks")
     assembler = _Assembler({b.site: b.global_cols for b in blocks}, schedule.blocks())
     coordinator = t  # reserved endpoint id
     endpoints = list(range(t)) + [coordinator]
@@ -435,7 +432,7 @@ def _timed_exchange(
         max_frame = largest_frame(rows, [b.width for b in blocks])
         net = TcpTransport(endpoints, log=message_log, max_frame=max_frame)
     else:
-        raise TransportError(f"unknown transport {transport!r}")
+        raise ProtocolError(f"unknown transport {transport!r}")
 
     start = time.perf_counter()
     done: list[int] = []
@@ -452,12 +449,12 @@ def _timed_exchange(
                     assert isinstance(msg.payload, CovBlock)
                     assembler.add(msg.payload)
                 else:
-                    raise TransportError(
+                    raise ProtocolError(
                         f"coordinator received unexpected {msg.kind.name} from {msg.sender}"
                     )
         net.require_drained()
         if assembler.missing:  # a site's blocks precede its DONE: these were never sent
-            raise _gather_timeout(assembler, done, t)
+            raise _missing_frames(assembler, done, t)
 
         t0 = time.perf_counter()
         merged = assembler.result()
@@ -469,17 +466,17 @@ def _timed_exchange(
             protocol_ms=(t1 - start) * 1e3,
         )
         return merged, metrics
-    except TimeoutError:  # a site's receive or the coordinator's
-        raise _gather_timeout(assembler, done, t) from None
+    except MissingFrame:  # a site's receive or the coordinator's
+        raise _missing_frames(assembler, done, t) from None
     finally:
         net.close()
 
 
-def _gather_timeout(assembler: _Assembler, done: list[int], t: int) -> TimeoutError:
+def _missing_frames(assembler: _Assembler, done: list[int], t: int) -> MissingFrame:
     """Name the (site_a, site_b) blocks and the DONE markers that never came."""
     missing = sorted(assembler.missing)
     silent = sorted(set(range(t)) - set(done))
-    return TimeoutError(
+    return MissingFrame(
         f"coordinator: {assembler.expected - len(missing)}/{assembler.expected} blocks "
         f"and {len(done)}/{t} completions; missing blocks (site_a, site_b): "
         f"{', '.join(map(str, missing)) or 'none'}; no DONE from sites: "

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import IndexOutOfRange
+from .errors import DistCovError
 
 __all__ = ["Schedule", "build_schedule"]
 
@@ -40,7 +40,7 @@ class Schedule:
     def senders_to(self, k: int) -> tuple[int, ...]:
         """Sites whose raw columns site k receives."""
         if not 0 <= k < self.t:
-            raise IndexOutOfRange(f"site {k} out of range for t={self.t}")
+            raise DistCovError(f"site {k} out of range for t={self.t}")
         return self.predecessors[k]
 
     def blocks(self) -> list[tuple[int, int]]:
@@ -58,7 +58,7 @@ def build_schedule(t: int) -> Schedule:
     sites r to t-1 list r of them. Odd t = 2r+1: every site lists r.
     """
     if t < 1:
-        raise IndexOutOfRange(f"site count must be >= 1, got t={t}")
+        raise DistCovError(f"site count must be >= 1, got t={t}")
     r = t // 2
     lists: list[tuple[int, ...]] = []
     for k in range(t):

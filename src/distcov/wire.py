@@ -35,8 +35,7 @@ from enum import IntEnum
 import numpy as np
 
 from .covariance import ColumnBlock, CovBlock
-from .errors import DimensionMismatch, InvalidCovariance, LengthMismatch, MalformedFrame
-from .errors import NonFiniteValue, UnknownKind
+from .errors import DistCovError, ProtocolError
 from .matrix import DenseMatrix
 
 __all__ = [
@@ -89,7 +88,7 @@ class ProtocolMessage:
     def __post_init__(self) -> None:
         want = _LAYOUT[self.kind][0]
         if not isinstance(self.payload, want):
-            raise MalformedFrame(
+            raise ProtocolError(
                 f"{self.kind.name} payload must be {want.__name__}, "
                 f"got {type(self.payload).__name__}"
             )
@@ -167,25 +166,25 @@ def decode_message(frame) -> ProtocolMessage:
     unaligned values, a big-endian host) has its values copied.
 
     Raises:
-        MalformedFrame: bad magic, a frame shorter than the header, a
-            payload whose size is not `_payload_size` of its fields, or a
-            block its payload type refuses, naming kind and sender->receiver.
-        UnknownKind: kind byte outside the defined set.
-        LengthMismatch: frame size disagrees with the declared payload length.
-        NonFiniteValue: a value is NaN or infinite.
+        ProtocolError: bad magic, a frame shorter than the header, a kind
+            byte outside the defined set, a payload whose size is not
+            `_payload_size` of its fields, or a block its payload type
+            refuses, naming kind and sender->receiver.
+        DistCovError (no subclass): frame size disagrees with the declared
+            payload length, or a value is NaN or infinite.
     """
     view = memoryview(frame).cast("B")
     if len(view) < HEADER.size:
-        raise MalformedFrame(f"frame of {len(view)} bytes is shorter than the header")
+        raise ProtocolError(f"frame of {len(view)} bytes is shorter than the header")
     magic, kind_byte, sender, receiver, length = HEADER.unpack_from(view)
     if magic != MAGIC:
-        raise MalformedFrame(f"bad magic {magic!r}")
+        raise ProtocolError(f"bad magic {magic!r}")
     try:
         kind = MessageKind(kind_byte)
     except ValueError:
-        raise UnknownKind(f"unknown message kind {kind_byte:#x}") from None
+        raise ProtocolError(f"unknown message kind {kind_byte:#x}") from None
     if len(view) != HEADER.size + length:
-        raise LengthMismatch(
+        raise DistCovError(
             f"header declares {length} payload bytes, frame carries "
             f"{len(view) - HEADER.size}"
         )
@@ -198,7 +197,7 @@ def decode_message(frame) -> ProtocolMessage:
     rows, cols = fields[-2:] if fields else (0, 0)
     need = _payload_size(kind, rows, cols)
     if length != need:
-        raise MalformedFrame(f"{kind.name} payload of {length} bytes, its fields call for {need}")
+        raise ProtocolError(f"{kind.name} payload of {length} bytes, its fields call for {need}")
     if kind is MessageKind.DONE:
         return ProtocolMessage(kind, sender, receiver)
 
@@ -208,7 +207,7 @@ def decode_message(frame) -> ProtocolMessage:
     values = np.frombuffer(view, _F64_LE, rows * cols, values_at).reshape(rows, cols)
     if view.readonly and values.dtype.isnative and values.flags.aligned:
         if not np.isfinite(values).all():
-            raise NonFiniteValue("matrix values must be finite (no NaN/Inf)")
+            raise DistCovError("matrix values must be finite (no NaN/Inf)")
         values = DenseMatrix._wrap(values)
     else:
         values = DenseMatrix(values)  # a copy, checked like the view
@@ -224,6 +223,6 @@ def decode_message(frame) -> ProtocolMessage:
                 rows_global_cols=indices[:rows],
                 cols_global_cols=indices[rows:],
             )
-    except (DimensionMismatch, InvalidCovariance) as exc:
-        raise MalformedFrame(f"{kind.name} {sender}->{receiver}: {exc}") from None
+    except DistCovError as exc:
+        raise ProtocolError(f"{kind.name} {sender}->{receiver}: {exc}") from None
     return ProtocolMessage(kind, sender, receiver, payload)

@@ -35,7 +35,7 @@ from distcov import (
     symmetric_eigen,
     synthetic_table,
 )
-from distcov.errors import MissingPair
+from distcov.errors import ProtocolError
 from distcov.schedule import pair_coverage
 from conftest import blocks_for, random_widths, schedule_blocks
 
@@ -280,7 +280,7 @@ def test_criterion_8_three_site_merge_fixture(capsys):
         # spot-check two hand-derived entries: cov(x,y)=7, cov(x,w)=1.6
         assert merged.matrix.values[0, 1] == 7.0
         assert merged.matrix.values[0, 3] == 1.6
-        with pytest.raises(MissingPair):
+        with pytest.raises(ProtocolError, match="not covered by any block"):
             merge_blocks(locals_, crosses[:-1], 5)
         ok = True
     finally:

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+import distcov
 import distcov.cli as cli
+import distcov.errors as errors
 import distcov.report as report
 import distcov.runtime as runtime
 import distcov.wire as wire
@@ -62,6 +67,37 @@ def _count_calls(monkeypatch, calls: dict, *modules) -> None:
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counted)
+
+
+# --- errors and exit codes ---------------------------------------------------
+
+def test_one_exception_class_per_exit_code(monkeypatch, capsys):
+    """`distcov.errors` holds one class per failure outcome, no other module
+    defines one, and `main` turns each into its exit code and prefix."""
+
+    def exception_classes(module):
+        return {name for name, obj in vars(module).items()
+                if isinstance(obj, type) and issubclass(obj, BaseException)
+                and obj.__module__ == module.__name__}
+
+    assert exception_classes(errors) == {
+        "DistCovError", "ProtocolError", "MissingFrame", "MismatchError"}
+    for info in pkgutil.iter_modules(distcov.__path__):
+        if info.name != "errors":
+            module = importlib.import_module(f"distcov.{info.name}")
+            assert exception_classes(module) == set(), info.name
+    for cls, code, prefix in [
+        (errors.DistCovError, 3, "error: "),
+        (errors.ProtocolError, 4, "protocol error: "),
+        (errors.MissingFrame, 4, "protocol error: "),
+        (errors.MismatchError, 5, "mismatch: "),
+    ]:
+        def fail(args, _cls=cls):
+            raise _cls("what went wrong")
+
+        monkeypatch.setattr(cli, "_cmd_schedule", fail)
+        assert main(["schedule", "--sites", "2"]) == code
+        assert capsys.readouterr().err == f"{prefix}what went wrong\n"
 
 
 # --- schedule ----------------------------------------------------------------
@@ -155,6 +191,32 @@ def test_run_multifile_defaults_to_per_file_sites(tmp_path, capsys):
     assert d["partitions"] == 2
     assert d["schedule"] == {"t": 2, "predecessors": [[], [0]]}
     assert d["dim"] == 9
+
+
+@pytest.mark.parametrize("command", [["run", "--mode", "centralized"], ["compare"]])
+def test_multifile_run_holds_its_data_once(tmp_path, capsys, monkeypatch, command):
+    """Once the input files are joined, only the joined table stays alive:
+    no per-file values are left when the oracle starts."""
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for seed, p in enumerate(paths):
+        main(["gen", "--rows", "30", "--cols", "4", "--seed", str(seed), "--out", str(p)])
+    capsys.readouterr()
+    loaded, alive = [], []
+
+    def tracked_load(*args, **kwargs):
+        table = load_table(*args, **kwargs)
+        loaded.append(weakref.ref(table.values))
+        return table
+
+    def checked_oracle(table, _real=runtime._timed_oracle):
+        alive.append(sum(ref() is not None for ref in loaded))
+        return _real(table)
+
+    monkeypatch.setattr(cli, "load_table", tracked_load)
+    for module in (cli, report):
+        monkeypatch.setattr(module, "_timed_oracle", checked_oracle)
+    _run_json(capsys, [*command, "--inputs", *map(str, paths)])
+    assert len(loaded) == 2 and alive == [0]
 
 
 def test_run_with_spec_file(dataset, tmp_path, capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from distcov import build_schedule, distributed_cost
-from distcov.errors import WidthMismatch
+from distcov.errors import DistCovError
 
 
 def test_centralized_count():
@@ -52,9 +52,9 @@ def test_per_site_breakdown_uneven():
 
 
 def test_width_count_must_match_schedule():
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(DistCovError, match="3 widths for a 2-site schedule"):
         distributed_cost([10, 10, 10], build_schedule(2))
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(DistCovError, match="every site must hold at least one column"):
         distributed_cost([10, 0], build_schedule(2))
 
 

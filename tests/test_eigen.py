@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distcov import GlobalCovariance, symmetric_eigen
-from distcov.errors import NonConvergence
+from distcov.errors import DistCovError
 
 
 def _random_psd(rng: np.random.Generator, dim: int) -> GlobalCovariance:
@@ -79,5 +79,5 @@ def test_nonconvergence_is_mapped(monkeypatch):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", explode)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(DistCovError, match="eigen-decomposition did not converge"):
         symmetric_eigen(GlobalCovariance([[1.0]]))

@@ -12,15 +12,7 @@ from distcov import (
     synthetic_table,
 )
 from distcov.cli import main as cli_main
-from distcov.errors import (
-    IoError,
-    NonFiniteValue,
-    ParseError,
-    RaggedRows,
-    RowCountMismatch,
-    SpecMismatch,
-    UnsupportedPartitionCount,
-)
+from distcov.errors import DistCovError
 from distcov.ingest import MFEAT_TOTAL_COLS, MFEAT_WIDTHS, PartitionSpec, even_preset
 
 
@@ -53,28 +45,28 @@ def test_load_csv_first_row_with_a_non_finite_value_is_data(tmp_path, text):
     # Every field parses as a number, so the row is data, not a header to skip.
     p = tmp_path / "d.csv"
     p.write_text(text)
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(DistCovError, match='must be finite'):
         load_table(p, format="csv")
 
 
 def test_load_ragged(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 2\n3\n")
-    with pytest.raises(RaggedRows):
+    with pytest.raises(DistCovError, match="row 2 has 1 fields, expected 2"):
         load_table(p)
 
 
 def test_load_parse_error(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 2\n3 oops\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(DistCovError, match="row 2 field 2: 'oops' is not a number"):
         load_table(p)
 
 
 def test_load_non_finite(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 2\n3 nan\n")
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(DistCovError, match='must be finite'):
         load_table(p)
 
 
@@ -96,33 +88,33 @@ def test_load_whitespace_falls_back_to_per_field_parse(tmp_path):
 def test_load_errors_name_row_and_field(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 2\n3\n")
-    with pytest.raises(RaggedRows, match="row 2 has 1 fields, expected 2"):
+    with pytest.raises(DistCovError, match="row 2 has 1 fields, expected 2"):
         load_table(p)
     p.write_text("1 2\n3 oops\n")
-    with pytest.raises(ParseError, match="row 2 field 2: 'oops' is not a number"):
+    with pytest.raises(DistCovError, match="row 2 field 2: 'oops' is not a number"):
         load_table(p)
     p.write_text("a,b,c\n1,2\n3,4\n")  # a header is a row too
-    with pytest.raises(RaggedRows, match="row 1 has 3 fields, expected 2"):
+    with pytest.raises(DistCovError, match="row 1 has 3 fields, expected 2"):
         load_table(p, format="csv")
     p.write_text("a,b\n1,2\n3,oops\n")
-    with pytest.raises(ParseError, match="row 3 field 2: 'oops' is not a number"):
+    with pytest.raises(DistCovError, match="row 3 field 2: 'oops' is not a number"):
         load_table(p, format="csv")
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(IoError):
+    with pytest.raises(DistCovError, match="cannot read"):
         load_table(tmp_path / "absent.txt")
 
 
 def test_load_empty_file(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("")
-    with pytest.raises(ParseError):
+    with pytest.raises(DistCovError, match="no data rows"):
         load_table(p)
 
 
 def test_load_unknown_format(tmp_path):
-    with pytest.raises(ParseError):
+    with pytest.raises(DistCovError, match="unknown format 'parquet'"):
         load_table(tmp_path / "d.txt", format="parquet")
 
 
@@ -137,7 +129,7 @@ def test_hjoin_concatenates(tmp_path):
 
 
 def test_hjoin_row_mismatch():
-    with pytest.raises(RowCountMismatch):
+    with pytest.raises(DistCovError, match="table 1 has 3 rows, expected 2"):
         hjoin([synthetic_table(2, 1), synthetic_table(3, 1)])
 
 
@@ -150,11 +142,11 @@ def test_hjoin_single_table_is_bit_identical():
 
 def test_spec_validation():
     PartitionSpec(total_cols=3, groups=((0, 2), (1,)))  # disjoint exact cover: fine
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(DistCovError, match="column 1 assigned to more than one group"):
         PartitionSpec(total_cols=3, groups=((0, 1), (1, 2)))  # overlap
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(DistCovError, match="column 2 not assigned to any group"):
         PartitionSpec(total_cols=3, groups=((0, 1),))  # gap
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(DistCovError, match="group 1 is empty"):
         PartitionSpec(total_cols=2, groups=((0, 1), ()))  # empty group
 
 
@@ -168,11 +160,11 @@ def test_spec_json_roundtrip():
 
 
 def test_spec_from_json_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(DistCovError, match="malformed partition spec: JSONDecodeError"):
         PartitionSpec.from_json("not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(DistCovError, match="malformed partition spec: KeyError"):
         PartitionSpec.from_json('{"groups": []}')
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(DistCovError, match=r"group site-ids must be 0\.\.1 in order"):
         PartitionSpec.from_json(
             '{"total_cols": 2, "groups": [{"site": 1, "cols": [0]}, {"site": 3, "cols": [1]}]}'
         )
@@ -190,7 +182,7 @@ def test_partition_trivial_spec():
 
 def test_partition_spec_mismatch():
     m = synthetic_table(5, 4, seed=3)
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(DistCovError, match="spec covers 3 columns, matrix has 4"):
         partition_vertical(m, PartitionSpec(total_cols=3, groups=((0, 1, 2),)))
 
 
@@ -227,16 +219,16 @@ def test_preset_group_widths(partitions, widths):
 
 
 def test_preset_unsupported_count():
-    with pytest.raises(UnsupportedPartitionCount):
+    with pytest.raises(DistCovError, match="no preset for 7 partitions"):
         mfeat_preset(7)
-    with pytest.raises(UnsupportedPartitionCount):
+    with pytest.raises(DistCovError, match="no preset for 1 partitions"):
         mfeat_preset(1)
 
 
 def test_even_preset():
     spec = even_preset(10, 4)
     assert [len(g) for g in spec.groups] == [2, 3, 2, 3]
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(DistCovError, match="cannot split 2 columns across 3 sites"):
         even_preset(2, 3)
 
 
@@ -261,7 +253,7 @@ def test_synthetic_columns_have_distinct_scales():
 def test_load_mfeat_missing_file(tmp_path):
     from distcov import load_mfeat
 
-    with pytest.raises(IoError):
+    with pytest.raises(DistCovError, match="cannot read"):
         load_mfeat(tmp_path)
 
 
@@ -269,5 +261,5 @@ def test_load_mfeat_rejects_wrong_width(tmp_path):
     from distcov import load_mfeat
 
     (tmp_path / "mfeat-fac").write_text("1 2\n3 4\n")  # 2 cols, expected 216
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(DistCovError, match="mfeat-fac: expected 216 columns"):
         load_mfeat(tmp_path)

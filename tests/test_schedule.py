@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from distcov import Schedule, build_schedule
-from distcov.errors import IndexOutOfRange
+from distcov.errors import DistCovError
 from distcov.schedule import pair_coverage
 
 
@@ -40,7 +40,7 @@ def test_schedule_single_site_is_empty():
 
 
 def test_schedule_rejects_bad_count():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DistCovError, match=r"site count must be >= 1, got t=0"):
         build_schedule(0)
 
 

@@ -14,7 +14,7 @@ from distcov import (
     decode_message,
     encode_message,
 )
-from distcov.errors import LengthMismatch, MalformedFrame, NonFiniteValue, UnknownKind
+from distcov.errors import DistCovError, ProtocolError
 from distcov.wire import HEADER, MAGIC, frame_parts
 
 
@@ -72,35 +72,35 @@ def test_done_roundtrip():
 
 
 def test_payload_kind_enforced():
-    with pytest.raises(MalformedFrame):
+    with pytest.raises(ProtocolError, match="DONE payload must be NoneType, got ColumnBlock"):
         ProtocolMessage(MessageKind.DONE, 0, 1, payload=_data_msg().payload)
-    with pytest.raises(MalformedFrame):
+    with pytest.raises(ProtocolError, match="DATA_BLOCK payload must be ColumnBlock, got NoneType"):
         ProtocolMessage(MessageKind.DATA_BLOCK, 0, 1, payload=None)
 
 
 def test_truncated_frame():
     frame = encode_message(_data_msg())
-    with pytest.raises(MalformedFrame):
+    with pytest.raises(ProtocolError, match="frame of 10 bytes is shorter than the header"):
         decode_message(frame[:10])
 
 
 def test_bad_magic():
     frame = bytearray(encode_message(_data_msg()))
     frame[0:4] = b"NOPE"
-    with pytest.raises(MalformedFrame):
+    with pytest.raises(ProtocolError, match="bad magic"):
         decode_message(bytes(frame))
 
 
 def test_unknown_kind():
     frame = bytearray(encode_message(_data_msg()))
     frame[4] = 0xFF
-    with pytest.raises(UnknownKind):
+    with pytest.raises(ProtocolError, match="unknown message kind 0xff"):
         decode_message(bytes(frame))
 
 
 def test_declared_length_mismatch():
     frame = encode_message(_data_msg())
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DistCovError, match="header declares"):
         decode_message(bytes(frame) + b"\x00")
 
 
@@ -110,14 +110,14 @@ def test_truncated_payload_fields():
     bad = bytearray(frame)
     bad[4] = 1  # relabel as DataBlock
     bad[13] = 4
-    with pytest.raises(MalformedFrame):
+    with pytest.raises(ProtocolError, match="DATA_BLOCK payload of 4 bytes, its fields call for"):
         decode_message(bytes(bad) + b"\x00" * 4)
 
 
 def test_trailing_payload_bytes_rejected():
     frame = bytearray(encode_message(ProtocolMessage(MessageKind.DONE, 0, 1)))
     frame[13] = 2
-    with pytest.raises(MalformedFrame):
+    with pytest.raises(ProtocolError, match="DONE payload of 2 bytes, its fields call for 0"):
         decode_message(bytes(frame) + b"\x00\x00")
 
 
@@ -136,7 +136,7 @@ def test_a_block_its_payload_type_refuses_is_a_malformed_frame():
     blk = CovBlock(1, 1, DenseMatrix(np.reshape([2.0, 0.5, 0.5, 3.0], (2, 2))), (0, 1), (0, 1))
     frame = bytearray(encode_message(ProtocolMessage(MessageKind.COV_BLOCK, 1, 4, blk)))
     frame[-16:-8] = np.float64(0.25).tobytes()  # entry (1, 0)
-    with pytest.raises(MalformedFrame, match="^COV_BLOCK 1->4: a local covariance block must be "):
+    with pytest.raises(ProtocolError, match="^COV_BLOCK 1->4: a local covariance block must be "):
         decode_message(bytes(frame))
 
 
@@ -149,7 +149,7 @@ def test_non_finite_payload_rejected():
     frame = bytearray(encode_message(_data_msg()))
     nan = np.float64("nan").tobytes()
     frame[-8:] = nan
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(DistCovError, match='must be finite'):
         decode_message(bytes(frame))
 
 
@@ -230,6 +230,6 @@ def _damaged_frames(draw):
 def test_damaged_frame_is_refused_or_reencodes_to_itself(frame):
     try:
         msg = decode_message(frame)
-    except (MalformedFrame, UnknownKind, LengthMismatch, NonFiniteValue):
+    except DistCovError:
         return
     assert bytes(encode_message(msg)) == frame
