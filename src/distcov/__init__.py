@@ -30,7 +30,7 @@ from .ingest import (
     partition_vertical,
     synthetic_table,
 )
-from .matrix import DenseMatrix, column_slice
+from .matrix import DenseMatrix
 from .report import compare_partitions, dump_matrix, load_matrix_dump, matrix_checksum
 from .runtime import (
     RunMetrics,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DenseMatrix",
-    "column_slice",
     "ColumnBlock",
     "CovBlock",
     "GlobalCovariance",

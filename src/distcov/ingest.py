@@ -20,7 +20,7 @@ import numpy as np
 
 from .covariance import ColumnBlock
 from .errors import DistCovError
-from .matrix import DenseMatrix, column_slice
+from .matrix import DenseMatrix
 
 __all__ = [
     "PartitionSpec",
@@ -225,12 +225,14 @@ def partition_vertical(m: DenseMatrix, spec: PartitionSpec) -> list[ColumnBlock]
         raise DistCovError(
             f"spec covers {spec.total_cols} columns, matrix has {m.cols}"
         )
-    blocks = []
-    for site, group in enumerate(spec.groups):
-        blocks.append(
-            ColumnBlock(site=site, data=column_slice(m, group), global_cols=group)
+    return [
+        ColumnBlock(
+            site=site,
+            data=DenseMatrix._wrap(np.ascontiguousarray(m.values[:, list(group)])),
+            global_cols=group,
         )
-    return blocks
+        for site, group in enumerate(spec.groups)
+    ]
 
 
 def mfeat_preset(partitions: int) -> PartitionSpec:

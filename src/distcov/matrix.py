@@ -1,18 +1,13 @@
 """Dense row-major matrix storage: the immutable, finite float64 matrix every
-other module passes around, and column selection."""
+other module passes around."""
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DistCovError
 
-__all__ = [
-    "DenseMatrix",
-    "column_slice",
-]
+__all__ = ["DenseMatrix"]
 
 
 class DenseMatrix:
@@ -72,14 +67,3 @@ class DenseMatrix:
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
-
-def column_slice(m: DenseMatrix, cols: Sequence[int]) -> DenseMatrix:
-    """New matrix holding the selected columns, in the given order."""
-    idx = list(cols)
-    for c in idx:
-        if not 0 <= c < m.cols:
-            raise DistCovError(f"column {c} out of range for {m.cols} columns")
-    if len(set(idx)) != len(idx):
-        raise DistCovError(f"duplicate column index in {idx}")
-    picked = np.ascontiguousarray(m.values[:, idx]) if idx else np.empty((m.rows, 0))
-    return DenseMatrix._wrap(picked)

@@ -28,12 +28,12 @@ the merged matrix is bit-identical either way. Each endpoint has one FIFO
 inbox of frames, each a read-only `wire.frame_buffer` whose values
 `decode_message` keeps as a view. The transports differ only in how the
 bytes reach the inbox: in-process encodes each frame straight into it,
-TCP uses loopback sockets with one listener and one connection per
-directed edge, both of whose ends it opens, and copies no block in user
-space. On either transport `send` returns only once its frame is in the
-receiver's inbox. So a send's time is framing plus delivery, and `recv`
-on an empty inbox raises MissingFrame at once: nothing could fill it
-while `recv` waited, so the protocol has no timer.
+TCP moves every frame over one loopback connection, both of whose ends it
+opens, and copies no block in user space. On either transport `send`
+returns only once its frame is in the receiver's inbox. So a send's time
+is framing plus delivery, and `recv` on an empty inbox raises MissingFrame
+at once: nothing could fill it while `recv` waited, so the protocol has
+no timer.
 
 A run starts no thread: TCP bytes move only inside `send`, on the caller's
 thread. So any failure, in a site's turn, the coordinator's loop or the
@@ -109,9 +109,9 @@ class RunMetrics:
     site's kernel. `transfers` is keyed by directed edge (sender, receiver)
     and covers raw column shipments only; a send's time is framing plus
     delivery into the receiver's inbox (see `TransferStat`), over TCP the
-    reads of the edge's receiving end included. `merge_ms` is what assembly
-    leaves after the last message: the matrix's final checks. No reading
-    covers an eigen-decomposition.
+    reads of the connection's receiving end included. `merge_ms` is what
+    assembly leaves after the last message: the matrix's final checks. No
+    reading covers an eigen-decomposition.
     """
 
     site_cov_cpu_ms: tuple[float, ...]
@@ -209,32 +209,20 @@ def _advance(views: list, n: int) -> list:
     return views
 
 
-class _Edge:
-    """One directed edge: its sending socket, the receiving end the listener
-    accepted from it, and the receiving end's read state (a header buffer
-    until the header is complete, then one buffer of the declared size)."""
-
-    __slots__ = ("name", "receiver", "sock", "conn", "buf", "got")
-
-    def __init__(self, name: str, receiver: int, sock: socket.socket, conn: socket.socket):
-        self.name, self.receiver, self.sock, self.conn = name, receiver, sock, conn
-        self.buf, self.got = bytearray(HEADER.size), 0
-
-
 class TcpTransport(InProcessTransport):
-    """Loopback sockets: one listener for the whole transport and one
-    TCP_NODELAY connection per directed edge, all moved on the caller's
-    thread.
+    """One loopback TCP_NODELAY connection for the whole transport, both of
+    whose ends it owns, moved on the caller's thread.
 
-    The transport owns both ends of every edge. The first send on an edge
-    connects to the listener and accepts the receiving end at once; a
-    connection from any other peer fails the send with ProtocolError, so
-    every frame read is one the transport sent. `send` moves its frame all
-    the way: it writes without blocking and reads the edge's receiving end
-    in the same loop until every byte it wrote has been read, selecting on
-    the edge's two sockets only when neither end can move. So every frame
-    is in its receiver's inbox before `send` returns, and `recv` and
-    `require_drained` are the in-process ones.
+    Construction connects to a listener of the transport's own, accepts
+    that one connection and closes the listener; an accepted peer that is
+    not the transport's own socket raises ProtocolError, so no other peer
+    can reach the reader. Every frame travels over the one connection: the
+    sites take turns on one thread and each `send` moves its frame all the
+    way, so frames never interleave on the wire. `send` writes without
+    blocking and reads the receiving end in the same loop until every byte
+    it wrote has been read, selecting on the two sockets only when neither
+    end can move. So every frame is in its receiver's inbox before `send`
+    returns, and `recv` and `require_drained` are the in-process ones.
 
     No block is copied on its way. `send` writes the frame's two parts
     (`frame_parts`) with one `sendmsg`: header, fields and indices from one
@@ -243,65 +231,61 @@ class TcpTransport(InProcessTransport):
     read-only, the form `encode_message` gives a frame in-process. A
     declared size above `max_frame` bytes, bytes that end inside a frame,
     and a receiving end that closes each raise ProtocolError naming the
-    edge.
+    edge of the message being sent.
     """
 
     def __init__(self, endpoints, log: list | None = None, max_frame: int | None = None):
         super().__init__(endpoints, log)
         self._max_frame = max_frame
-        self._edges: dict[tuple[int, int], _Edge] = {}
-        self._listener = socket.create_server(("127.0.0.1", 0))
-        self._sockets = [self._listener]
+        # The read state: a header buffer until the header is complete,
+        # then one buffer of the declared frame size.
+        self._buf, self._got = bytearray(HEADER.size), 0
+        self._sock = self._conn = None
+        try:
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                self._sock = socket.create_connection(listener.getsockname())
+                self._conn, peer = listener.accept()
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock.setblocking(False)
+            self._conn.setblocking(False)
+        except OSError as exc:
+            self.close()
+            raise ProtocolError(f"loopback connection failed: {exc}") from None
+        if peer != self._sock.getsockname():
+            self.close()
+            raise ProtocolError(
+                f"accepted a connection from {peer}, not from the transport's own socket"
+            )
 
-    def _read(self, edge: _Edge) -> int:
+    def _read(self, msg: ProtocolMessage) -> int:
         """Take what the receiving end holds now and deliver every frame it
-        completes; returns the number of bytes taken."""
+        completes to `msg`'s receiver; returns the number of bytes taken."""
         taken = 0
         while True:
             try:
-                got = edge.conn.recv_into(memoryview(edge.buf)[edge.got :])
+                got = self._conn.recv_into(memoryview(self._buf)[self._got :])
             except BlockingIOError:
                 return taken
             if not got:
-                raise ProtocolError(f"{edge.name}: receiving end closed")
+                raise ProtocolError(f"edge {msg.sender}->{msg.receiver}: receiving end closed")
             taken += got
-            edge.got += got
-            if edge.got < len(edge.buf):
+            self._got += got
+            if self._got < len(self._buf):
                 continue
-            if edge.got == HEADER.size:  # a full header: move it into the frame's buffer
-                size = frame_size(edge.buf)
+            if self._got == HEADER.size:  # a full header: move it into the frame's buffer
+                size = frame_size(self._buf)
                 if self._max_frame is not None and size > self._max_frame:
                     raise ProtocolError(
-                        f"{edge.name}: frame of {size} bytes exceeds the "
-                        f"largest legal frame of {self._max_frame} bytes"
+                        f"edge {msg.sender}->{msg.receiver}: frame of {size} bytes exceeds "
+                        f"the largest legal frame of {self._max_frame} bytes"
                     )
                 frame = frame_buffer(size)
-                frame[: HEADER.size] = edge.buf
-                edge.buf = frame
+                frame[: HEADER.size] = self._buf
+                self._buf = frame
                 if size > HEADER.size:
                     continue
-            self._inbox[edge.receiver].append(edge.buf.toreadonly())
-            edge.buf, edge.got = bytearray(HEADER.size), 0
-
-    def _edge(self, sender: int, receiver: int) -> _Edge:
-        """Edge sender->receiver; the first call connects its sending socket
-        and accepts its receiving end."""
-        edge = self._edges.get((sender, receiver))
-        if edge is None:
-            name = f"edge {sender}->{receiver}"
-            sock = socket.create_connection(self._listener.getsockname())
-            self._sockets.append(sock)
-            conn, peer = self._listener.accept()
-            self._sockets.append(conn)
-            if peer != sock.getsockname():
-                raise ProtocolError(
-                    f"{name}: accepted a connection from {peer}, not from the edge's own socket"
-                )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.setblocking(False)
-            conn.setblocking(False)
-            edge = self._edges[(sender, receiver)] = _Edge(name, receiver, sock, conn)
-        return edge
+            self._inbox[msg.receiver].append(self._buf.toreadonly())
+            self._buf, self._got = bytearray(HEADER.size), 0
 
     def _deliver(self, msg: ProtocolMessage) -> int:
         """Write `msg`'s frame as its two parts, never joined, and read it
@@ -309,33 +293,34 @@ class TcpTransport(InProcessTransport):
         unsent = [memoryview(part) for part in frame_parts(msg) if len(part)]
         size = unread = sum(map(len, unsent))
         try:
-            edge = self._edge(msg.sender, msg.receiver)
             while unread:
                 sent = 0
                 if unsent:
                     try:
-                        sent = edge.sock.sendmsg(unsent)
+                        sent = self._sock.sendmsg(unsent)
                     except BlockingIOError:  # full: only reading makes room
                         pass
                     unsent = _advance(unsent, sent)
-                taken = self._read(edge)
+                taken = self._read(msg)
                 unread -= taken
                 if unread and not (sent or taken):
-                    select.select([edge.conn], [edge.sock] if unsent else [], [])
+                    select.select([self._conn], [self._sock] if unsent else [], [])
         except OSError as exc:
             raise ProtocolError(
                 f"send {msg.sender}->{msg.receiver} failed: {exc}"
             ) from None
-        if edge.got:
+        if self._got:
             raise ProtocolError(
-                f"{edge.name}: bytes end inside a frame, {edge.got} of {len(edge.buf)} read"
+                f"edge {msg.sender}->{msg.receiver}: bytes end inside a frame, "
+                f"{self._got} of {len(self._buf)} read"
             )
         return size
 
     def close(self) -> None:
-        """Close every socket this transport opened or accepted."""
-        for sock in self._sockets:
-            sock.close()
+        """Close the connection's two ends."""
+        for sock in (self._sock, self._conn):
+            if sock is not None:
+                sock.close()
 
 
 def _site_turn(

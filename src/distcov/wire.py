@@ -167,11 +167,11 @@ def decode_message(frame) -> ProtocolMessage:
 
     Raises:
         ProtocolError: bad magic, a frame shorter than the header, a kind
-            byte outside the defined set, a payload whose size is not
+            byte outside the defined set, a frame size that disagrees with
+            the declared payload length, a payload whose size is not
             `_payload_size` of its fields, or a block its payload type
-            refuses, naming kind and sender->receiver.
-        DistCovError (no subclass): frame size disagrees with the declared
-            payload length, or a value is NaN or infinite.
+            refuses or a NaN or infinite value, these two naming kind and
+            sender->receiver.
     """
     view = memoryview(frame).cast("B")
     if len(view) < HEADER.size:
@@ -184,7 +184,7 @@ def decode_message(frame) -> ProtocolMessage:
     except ValueError:
         raise ProtocolError(f"unknown message kind {kind_byte:#x}") from None
     if len(view) != HEADER.size + length:
-        raise DistCovError(
+        raise ProtocolError(
             f"header declares {length} payload bytes, frame carries "
             f"{len(view) - HEADER.size}"
         )
@@ -205,14 +205,14 @@ def decode_message(frame) -> ProtocolMessage:
     values_at = len(view) - 8 * rows * cols
     indices = np.frombuffer(view[at:values_at], _U32_LE).tolist()
     values = np.frombuffer(view, _F64_LE, rows * cols, values_at).reshape(rows, cols)
-    if view.readonly and values.dtype.isnative and values.flags.aligned:
-        if not np.isfinite(values).all():
-            raise DistCovError("matrix values must be finite (no NaN/Inf)")
-        values = DenseMatrix._wrap(values)
-    else:
-        values = DenseMatrix(values)  # a copy, checked like the view
     # Full payload constructors: wire bytes are unvalidated.
     try:
+        if view.readonly and values.dtype.isnative and values.flags.aligned:
+            if not np.isfinite(values).all():
+                raise DistCovError("matrix values must be finite (no NaN/Inf)")
+            values = DenseMatrix._wrap(values)
+        else:
+            values = DenseMatrix(values)  # a copy, checked like the view
         if kind is MessageKind.DATA_BLOCK:
             payload = ColumnBlock(site=fields[0], data=values, global_cols=indices)
         else:

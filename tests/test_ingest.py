@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from distcov import (
     DenseMatrix,
@@ -148,6 +150,8 @@ def test_spec_validation():
         PartitionSpec(total_cols=3, groups=((0, 1),))  # gap
     with pytest.raises(DistCovError, match="group 1 is empty"):
         PartitionSpec(total_cols=2, groups=((0, 1), ()))  # empty group
+    with pytest.raises(DistCovError, match=r"group 0 references column 2, valid range is \[0, 2\)"):
+        PartitionSpec(total_cols=2, groups=((0, 2), (1,)))  # out of range
 
 
 def test_spec_json_roundtrip():
@@ -178,6 +182,26 @@ def test_partition_trivial_spec():
     [block] = partition_vertical(m, spec)
     assert block.site == 0
     assert block.data.tobytes() == m.tobytes()
+
+
+@given(
+    st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_one_site_partition_preserves_column_bytes(xs):
+    m = DenseMatrix(np.array(xs).reshape(-1, 1))
+    [block] = partition_vertical(m, PartitionSpec(total_cols=1, groups=((0,),)))
+    assert block.data.tobytes() == m.tobytes()
+
+
+def test_partition_selects_a_group_of_non_adjacent_columns():
+    m = DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (2, 3)))
+    blocks = partition_vertical(m, PartitionSpec(total_cols=3, groups=((0, 2), (1,))))
+    assert [b.data.values.tolist() for b in blocks] == [[[1.0, 3.0], [4.0, 6.0]], [[2.0], [5.0]]]
+    assert [b.global_cols for b in blocks] == [(0, 2), (1,)]
 
 
 def test_partition_spec_mismatch():

@@ -2,10 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from distcov import DenseMatrix, column_slice
+from distcov import DenseMatrix
 from distcov.errors import DistCovError
 
 
@@ -57,36 +55,3 @@ def test_equality_covers_values_and_labels():
 def test_matrices_are_unhashable():
     with pytest.raises(TypeError):
         hash(DenseMatrix(np.reshape([1.0], (1, 1))))
-
-
-def test_column_slice_reorders_and_keeps_labels():
-    m = DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (2, 3)))
-    s = column_slice(m, [2, 0])
-    assert s.values.tolist() == [[3.0, 1.0], [6.0, 4.0]]
-
-
-def test_column_slice_errors():
-    m = DenseMatrix(np.reshape([1, 2, 3, 4], (2, 2)))
-    with pytest.raises(DistCovError, match="column 2 out of range for 2 columns"):
-        column_slice(m, [0, 2])
-    with pytest.raises(DistCovError, match="duplicate column index"):
-        column_slice(m, [1, 1])
-
-
-def test_column_slice_empty_selection():
-    m = DenseMatrix(np.reshape([1, 2, 3, 4], (2, 2)))
-    s = column_slice(m, [])
-    assert s.rows == 2 and s.cols == 0
-
-
-@given(
-    st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=1,
-        max_size=60,
-    )
-)
-def test_slice_preserves_column_bytes(xs):
-    m = DenseMatrix(np.array(xs).reshape(-1, 1))
-    s = column_slice(m, [0])
-    assert s.tobytes() == m.tobytes()

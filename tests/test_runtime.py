@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -237,7 +240,7 @@ def test_tcp_still_refuses_a_non_finite_value_at_recv():
     net = TcpTransport([0, 1])
     try:
         net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
-        with pytest.raises(DistCovError, match='must be finite'):
+        with pytest.raises(ProtocolError, match='^DATA_BLOCK 1->0: matrix values must be finite'):
             net.recv(0)
     finally:
         net.close()
@@ -542,11 +545,11 @@ def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time(monkeypatch):
     header_reads = []  # bytes of the header held after each read inside it
     read = TcpTransport._read
 
-    def watched_read(self, edge):
-        in_header = len(edge.buf) == HEADER.size
-        taken = read(self, edge)
+    def watched_read(self, msg):
+        in_header = len(self._buf) == HEADER.size
+        taken = read(self, msg)
         if in_header:
-            header_reads.append(edge.got if len(edge.buf) == HEADER.size else HEADER.size)
+            header_reads.append(self._got if len(self._buf) == HEADER.size else HEADER.size)
         return taken
 
     monkeypatch.setattr(TcpTransport, "_read", watched_read)
@@ -565,23 +568,68 @@ def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time(monkeypatch):
     assert msg.payload.data.tobytes() == block.data.tobytes()
 
 
-def test_tcp_refuses_a_connection_it_did_not_open():
-    block = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (3, 2))),
-                        global_cols=(4, 7))
-    frame = encode_message(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
+def test_tcp_refuses_a_peer_that_connects_before_its_own_socket(monkeypatch):
     before = open_fds()
-    net = TcpTransport([0, 1], max_frame=len(frame))
+    foreign = []
+    connect = socket.create_connection
+
+    def foreign_first(address, *args, **kwargs):
+        foreign.append(connect(address))
+        return connect(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", foreign_first)
     try:
-        with socket.create_connection(net._listener.getsockname()) as foreign:
-            foreign.sendall(frame)
-            started = time.perf_counter()
-            with pytest.raises(ProtocolError, match=r"^edge 1->0: accepted a connection from"):
-                net.send(ProtocolMessage(MessageKind.DONE, 1, 0))
-            assert time.perf_counter() - started < 1.0
-            net.require_drained()  # reads what has arrived; raises on a frame in any inbox
+        with pytest.raises(ProtocolError, match="^accepted a connection from .* not from "
+                                                 "the transport's own socket"):
+            TcpTransport([0, 1])
     finally:
-        net.close()
+        for sock in foreign:
+            sock.close()
+    assert len(foreign) == 1
     assert open_fds() == before
+
+
+def test_tcp_holds_one_connection_whatever_the_site_count():
+    before = open_fds()
+    if before is None:
+        pytest.skip("no /proc/self/fd to list")
+    for t in (2, 6, 12):
+        net = TcpTransport(range(t + 1))
+        try:
+            for j in range(t):
+                for k in range(t + 1):
+                    net.send(ProtocolMessage(MessageKind.DONE, j, k))
+            assert len(open_fds() - before) == 2
+        finally:
+            net.close()
+    assert open_fds() == before
+
+
+# At t=32 a connection per directed edge would need 1,057 descriptors: a
+# limit of 64 holds only if a run's sockets do not grow with t.
+_T32_UNDER_64_FDS = """
+import resource
+from distcov import (build_schedule, matrix_checksum, partition_vertical, run_distributed,
+                     synthetic_table)
+from distcov.ingest import even_preset
+blocks = partition_vertical(synthetic_table(50, 64, seed=3), even_preset(64, 32))
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+cov, _, _ = run_distributed(blocks, build_schedule(32), transport="tcp")
+print(matrix_checksum(cov.matrix))
+"""
+
+
+def test_tcp_run_at_32_sites_fits_in_64_descriptors():
+    pytest.importorskip("resource")
+    blocks = partition_vertical(synthetic_table(50, 64, seed=3), even_preset(64, 32))
+    cov, _, _ = run_distributed(blocks, build_schedule(32), transport="in-process")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # the distcov this test imports
+    child = subprocess.run(
+        [sys.executable, "-c", _T32_UNDER_64_FDS], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == matrix_checksum(cov.matrix)
 
 
 def test_tcp_runs_leave_no_file_descriptor_open(monkeypatch):

@@ -14,7 +14,7 @@ from distcov import (
     decode_message,
     encode_message,
 )
-from distcov.errors import DistCovError, ProtocolError
+from distcov.errors import ProtocolError
 from distcov.wire import HEADER, MAGIC, frame_parts
 
 
@@ -100,7 +100,7 @@ def test_unknown_kind():
 
 def test_declared_length_mismatch():
     frame = encode_message(_data_msg())
-    with pytest.raises(DistCovError, match="header declares"):
+    with pytest.raises(ProtocolError, match="header declares"):
         decode_message(bytes(frame) + b"\x00")
 
 
@@ -149,7 +149,7 @@ def test_non_finite_payload_rejected():
     frame = bytearray(encode_message(_data_msg()))
     nan = np.float64("nan").tobytes()
     frame[-8:] = nan
-    with pytest.raises(DistCovError, match='must be finite'):
+    with pytest.raises(ProtocolError, match='^DATA_BLOCK 0->1: matrix values must be finite'):
         decode_message(bytes(frame))
 
 
@@ -230,6 +230,6 @@ def _damaged_frames(draw):
 def test_damaged_frame_is_refused_or_reencodes_to_itself(frame):
     try:
         msg = decode_message(frame)
-    except DistCovError:
+    except ProtocolError:
         return
     assert bytes(encode_message(msg)) == frame
