@@ -130,16 +130,6 @@ def _load_inputs(args) -> tuple:
     return hjoin(tables), [t.cols for t in tables]
 
 
-def _default_spec(widths) -> PartitionSpec:
-    # One site per input file, columns in file order.
-    groups = []
-    start = 0
-    for w in widths:
-        groups.append(tuple(range(start, start + w)))
-        start += w
-    return PartitionSpec(total_cols=start, groups=tuple(groups))
-
-
 def _resolve_spec(args, widths, preset_name: str | None) -> PartitionSpec:
     """The run's partition spec, checked against the inputs' width."""
     if preset_name is not None:
@@ -151,7 +141,7 @@ def _resolve_spec(args, widths, preset_name: str | None) -> PartitionSpec:
             raise DistCovError(f"cannot read {args.spec}: {exc}") from None
         spec = PartitionSpec.from_json(text)
     else:
-        return _default_spec(widths)
+        return PartitionSpec.from_widths(widths)  # one site per input file
     cols = sum(widths)
     if spec.total_cols != cols:
         raise DistCovError(f"spec covers {spec.total_cols} columns, the inputs have {cols}")

@@ -10,6 +10,7 @@ across 2..6 sites along the file boundaries.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariance import ColumnBlock
+from .covariance import ColumnBlock, _column_count
 from .errors import DistCovError
 from .matrix import DenseMatrix
 
@@ -45,7 +46,6 @@ MFEAT_FILES: tuple[tuple[str, str, int], ...] = (
     ("Zer", "mfeat-zer", 47),
 )
 MFEAT_WIDTHS: tuple[int, ...] = tuple(w for _, _, w in MFEAT_FILES)
-MFEAT_TOTAL_COLS: int = sum(MFEAT_WIDTHS)  # 649
 
 # File-boundary groupings per site count; indices into MFEAT_FILES.
 _MFEAT_GROUPINGS: dict[int, tuple[tuple[int, ...], ...]] = {
@@ -61,8 +61,10 @@ _MFEAT_GROUPINGS: dict[int, tuple[tuple[int, ...], ...]] = {
 class PartitionSpec:
     """Assignment of every global column to exactly one site.
 
-    Group i belongs to site i. The groups must be disjoint and together
-    cover [0, total_cols) exactly.
+    Group i belongs to site i. A group is a set of columns: it may be given
+    in any order, and is stored in increasing order, the order its
+    `ColumnBlock` holds. The groups must partition [0, total_cols); the
+    proof is the runners' own, `covariance._column_count`.
     """
 
     total_cols: int
@@ -70,28 +72,29 @@ class PartitionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "groups", tuple(tuple(int(c) for c in g) for g in self.groups)
+            self, "groups", tuple(tuple(sorted(int(c) for c in g)) for g in self.groups)
         )
         if self.total_cols < 1:
             raise DistCovError(f"total_cols must be >= 1, got {self.total_cols}")
         if not self.groups:
             raise DistCovError("a partition needs at least one group")
-        seen: set[int] = set()
         for i, g in enumerate(self.groups):
             if not g:
                 raise DistCovError(f"group {i} is empty")
-            for c in g:
-                if not 0 <= c < self.total_cols:
-                    raise DistCovError(
-                        f"group {i} references column {c}, valid range is "
-                        f"[0, {self.total_cols})"
-                    )
-                if c in seen:
-                    raise DistCovError(f"column {c} assigned to more than one group")
-                seen.add(c)
-        if len(seen) != self.total_cols:
-            missing = next(c for c in range(self.total_cols) if c not in seen)
-            raise DistCovError(f"column {missing} not assigned to any group")
+            if g[0] < 0 or g[-1] >= self.total_cols:
+                c = g[0] if g[0] < 0 else g[-1]
+                raise DistCovError(f"group {i} references column {c}, "
+                                   f"valid range is [0, {self.total_cols})")
+        held = _column_count(self.groups)  # every column is in range: held <= total_cols
+        if held < self.total_cols:
+            raise DistCovError(f"column {held} held by no site")
+
+    @classmethod
+    def from_widths(cls, widths: Sequence[int]) -> "PartitionSpec":
+        """Consecutive column ranges: site i holds the next widths[i] columns."""
+        bounds = [0, *itertools.accumulate(int(w) for w in widths)]
+        groups = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+        return cls(total_cols=bounds[-1], groups=groups)
 
     @property
     def sites(self) -> int:
@@ -228,7 +231,7 @@ def partition_vertical(m: DenseMatrix, spec: PartitionSpec) -> list[ColumnBlock]
     return [
         ColumnBlock(
             site=site,
-            data=DenseMatrix._wrap(np.ascontiguousarray(m.values[:, list(group)])),
+            data=DenseMatrix._wrap(np.take(m.values, group, axis=1)),
             global_cols=group,
         )
         for site, group in enumerate(spec.groups)
@@ -246,14 +249,9 @@ def mfeat_preset(partitions: int) -> PartitionSpec:
         raise DistCovError(
             f"no preset for {partitions} partitions, supported: 2..6"
         )
-    starts = np.concatenate(([0], np.cumsum(MFEAT_WIDTHS)))
-    groups = []
-    for file_idxs in _MFEAT_GROUPINGS[partitions]:
-        cols: list[int] = []
-        for fi in file_idxs:
-            cols.extend(range(int(starts[fi]), int(starts[fi + 1])))
-        groups.append(tuple(cols))
-    return PartitionSpec(total_cols=MFEAT_TOTAL_COLS, groups=tuple(groups))
+    return PartitionSpec.from_widths(
+        [sum(MFEAT_WIDTHS[f] for f in files) for files in _MFEAT_GROUPINGS[partitions]]
+    )
 
 
 def even_preset(total_cols: int, partitions: int) -> PartitionSpec:
@@ -263,10 +261,7 @@ def even_preset(total_cols: int, partitions: int) -> PartitionSpec:
             f"cannot split {total_cols} columns across {partitions} sites"
         )
     bounds = np.linspace(0, total_cols, partitions + 1).astype(int)
-    groups = tuple(
-        tuple(range(int(bounds[i]), int(bounds[i + 1]))) for i in range(partitions)
-    )
-    return PartitionSpec(total_cols=total_cols, groups=groups)
+    return PartitionSpec.from_widths(np.diff(bounds))
 
 
 def synthetic_table(rows: int, cols: int, seed: int = 0) -> DenseMatrix:

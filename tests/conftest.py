@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -83,3 +84,13 @@ def open_fds():
         return set(os.listdir("/proc/self/fd"))
     except FileNotFoundError:
         return None
+
+
+@contextlib.contextmanager
+def raises_exactly(cls, match=None):
+    """`pytest.raises` that also refuses a subclass of `cls`. Each distcov
+    error class is one CLI exit code, so a subclass would be another outcome
+    (a `ProtocolError` exits 4, its base `DistCovError` 3)."""
+    with pytest.raises(cls, match=match) as info:
+        yield info
+    assert type(info.value) is cls, f"raised {type(info.value).__name__}, not {cls.__name__}"

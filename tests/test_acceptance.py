@@ -37,7 +37,7 @@ from distcov import (
 )
 from distcov.errors import ProtocolError
 from distcov.schedule import pair_coverage
-from conftest import blocks_for, random_widths, schedule_blocks
+from conftest import blocks_for, raises_exactly, random_widths, schedule_blocks
 
 
 def _report(capsys, n: int, name: str, ok: bool) -> None:
@@ -280,7 +280,7 @@ def test_criterion_8_three_site_merge_fixture(capsys):
         # spot-check two hand-derived entries: cov(x,y)=7, cov(x,w)=1.6
         assert merged.matrix.values[0, 1] == 7.0
         assert merged.matrix.values[0, 3] == 1.6
-        with pytest.raises(ProtocolError, match="not covered by any block"):
+        with raises_exactly(ProtocolError, match="not covered by any block"):
             merge_blocks(locals_, crosses[:-1], 5)
         ok = True
     finally:

@@ -238,6 +238,25 @@ def test_run_with_spec_file(dataset, tmp_path, capsys):
     assert d["matrix_checksum"] == c["matrix_checksum"]
 
 
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_a_spec_group_in_any_order_runs_in_every_mode(dataset, tmp_path, capsys, transport):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "total_cols": 9,
+        "groups": [
+            {"site": 0, "cols": [3, 1, 0, 2]},
+            {"site": 1, "cols": [5, 4]},
+            {"site": 2, "cols": [6, 7, 8]},
+        ],
+    }))
+    data = ["--inputs", str(dataset), "--spec", str(spec_path)]
+    c = _run_json(capsys, ["run", *data, "--mode", "centralized"])
+    d = _run_json(capsys, ["run", *data, "--mode", "distributed", "--transport", transport])
+    [row] = _run_json(capsys, ["compare", *data, "--transport", transport])["comparisons"]
+    assert row["equal"] is True
+    assert d["matrix_checksum"] == row["matrix_checksum"] == c["matrix_checksum"]
+
+
 def test_run_writes_report_and_dump(dataset, tmp_path, capsys):
     out = tmp_path / "report.json"
     dump = tmp_path / "matrix.bin"

@@ -5,6 +5,8 @@ import pytest
 from distcov import build_schedule, distributed_cost
 from distcov.errors import DistCovError
 
+from conftest import raises_exactly
+
 
 def test_centralized_count():
     assert distributed_cost([649], build_schedule(1)).t_c == 210_276
@@ -52,9 +54,9 @@ def test_per_site_breakdown_uneven():
 
 
 def test_width_count_must_match_schedule():
-    with pytest.raises(DistCovError, match="3 widths for a 2-site schedule"):
+    with raises_exactly(DistCovError, match="3 widths for a 2-site schedule"):
         distributed_cost([10, 10, 10], build_schedule(2))
-    with pytest.raises(DistCovError, match="every site must hold at least one column"):
+    with raises_exactly(DistCovError, match="every site must hold at least one column"):
         distributed_cost([10, 0], build_schedule(2))
 
 

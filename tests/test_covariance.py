@@ -26,7 +26,7 @@ from distcov import (
 )
 from distcov.covariance import _CHUNK_ROWS, _Operand, _slicing
 from distcov.errors import DistCovError, ProtocolError
-from conftest import blocks_for, random_widths, schedule_blocks
+from conftest import blocks_for, raises_exactly, random_widths, schedule_blocks
 from distcov.schedule import build_schedule
 
 
@@ -54,14 +54,14 @@ def test_one_column_constant_column_is_zero():
 
 
 def test_one_column_length_mismatch():
-    with pytest.raises(DistCovError, match="row counts differ: sender 2, receiver 3"):
+    with raises_exactly(DistCovError, match="row counts differ: sender 2, receiver 3"):
         cross_covariance(receiver=_col(1, [1, 2, 3], 1), sender=_col(0, [1, 2]))
 
 
 def test_one_column_too_few_rows():
-    with pytest.raises(DistCovError, match='sample covariance needs at least 2 rows'):
+    with raises_exactly(DistCovError, match='sample covariance needs at least 2 rows'):
         local_covariance(_col(0, [1]))
-    with pytest.raises(DistCovError, match='sample covariance needs at least 2 rows'):
+    with raises_exactly(DistCovError, match='sample covariance needs at least 2 rows'):
         cross_covariance(receiver=_col(1, [2], 1), sender=_col(0, [1]))
 
 
@@ -69,17 +69,17 @@ def test_one_column_too_few_rows():
 
 def test_column_block_validation():
     data = DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (3, 2)))
-    with pytest.raises(DistCovError, match="1 global indices for 2 columns"):
+    with raises_exactly(DistCovError, match="1 global indices for 2 columns"):
         ColumnBlock(site=0, data=data, global_cols=(1,))  # wrong index count
-    with pytest.raises(DistCovError, match="must be strictly increasing"):
+    with raises_exactly(DistCovError, match="must be strictly increasing"):
         ColumnBlock(site=0, data=data, global_cols=(3, 1))  # not increasing
-    with pytest.raises(DistCovError, match="site id must be non-negative, got -1"):
+    with raises_exactly(DistCovError, match="site id must be non-negative, got -1"):
         ColumnBlock(site=-1, data=data, global_cols=(0, 1))
 
 
 def test_local_cov_block_must_be_symmetric():
     asym = DenseMatrix(np.reshape([1, 2, 3, 4], (2, 2)))
-    with pytest.raises(DistCovError, match="must be exactly symmetric"):
+    with raises_exactly(DistCovError, match="must be exactly symmetric"):
         CovBlock(site_a=0, site_b=0, block=asym,
                  rows_global_cols=(0, 1), cols_global_cols=(0, 1))
 
@@ -91,12 +91,12 @@ def test_global_covariance_mirrors_upper_triangle():
 
 
 def test_global_covariance_rejects_negative_variance():
-    with pytest.raises(DistCovError, match=r"diagonal entries \(variances\) must be non-negative"):
+    with raises_exactly(DistCovError, match=r"diagonal entries \(variances\) must be non-negative"):
         GlobalCovariance([[-1.0, 0.0], [0.0, 1.0]])
 
 
 def test_global_covariance_must_be_square():
-    with pytest.raises(DistCovError, match="covariance matrix must be square"):
+    with raises_exactly(DistCovError, match="covariance matrix must be square"):
         GlobalCovariance([[1.0, 2.0]])
 
 
@@ -113,10 +113,10 @@ def test_overflowing_covariance_is_not_finite():
     values = np.column_stack([np.arange(6.0), [1e300, -1e300] * 3])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DistCovError, match="covariance overflows"):
+        with raises_exactly(DistCovError, match="covariance overflows"):
             centralized_covariance(DenseMatrix(values))
         # The distance from this column's mean to its max overflows.
-        with pytest.raises(DistCovError, match="centered values overflow"):
+        with raises_exactly(DistCovError, match="centered values overflow"):
             centralized_covariance(DenseMatrix(np.reshape([1.7e308, -1.7e308, -1.7e308], (3, 1))))
         # The sum of this column overflows, its mean and covariance do not.
         cov = centralized_covariance(DenseMatrix(np.full((6, 1), 1.7e308)))
@@ -174,10 +174,10 @@ def test_cross_constant_sender_gives_zero_row():
 def test_cross_rejects_same_site_and_row_mismatch():
     a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
     b = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(1,))
-    with pytest.raises(DistCovError, match="two distinct sites, both are 0"):
+    with raises_exactly(DistCovError, match="two distinct sites, both are 0"):
         cross_covariance(receiver=a, sender=b)
     c = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2], (2, 1))), global_cols=(1,))
-    with pytest.raises(DistCovError, match="row counts differ: sender 3, receiver 2"):
+    with raises_exactly(DistCovError, match="row counts differ: sender 3, receiver 2"):
         cross_covariance(receiver=c, sender=a)
 
 
@@ -198,7 +198,7 @@ def test_centralized_identical_columns():
 
 
 def test_centralized_too_few_rows():
-    with pytest.raises(DistCovError, match='sample covariance needs at least 2 rows'):
+    with raises_exactly(DistCovError, match='sample covariance needs at least 2 rows'):
         centralized_covariance(DenseMatrix(np.reshape([1, 2], (1, 2))))
 
 
@@ -234,34 +234,34 @@ def test_merge_single_site(three_site_matrix):
 def test_merge_missing_cross_block(three_site_blocks):
     sched = build_schedule(3)
     locals_, crosses = schedule_blocks(three_site_blocks, sched)
-    with pytest.raises(ProtocolError, match="not covered by any block"):
+    with raises_exactly(ProtocolError, match="not covered by any block"):
         merge_blocks(locals_, crosses[:-1], 5)
 
 
 def test_merge_duplicated_cross_block(three_site_blocks):
     sched = build_schedule(3)
     locals_, crosses = schedule_blocks(three_site_blocks, sched)
-    with pytest.raises(ProtocolError, match="covered twice or by an unknown site"):
+    with raises_exactly(ProtocolError, match="covered twice or by an unknown site"):
         merge_blocks(locals_, crosses + [crosses[0]], 5)
 
 
 def test_merge_rejects_out_of_range_indices(three_site_blocks):
     sched = build_schedule(3)
     locals_, crosses = schedule_blocks(three_site_blocks, sched)
-    with pytest.raises(DistCovError, match="the blocks hold 5 columns, total_cols is 4"):
+    with raises_exactly(DistCovError, match="the blocks hold 5 columns, total_cols is 4"):
         merge_blocks(locals_, crosses, 4)
     first = locals_[0]  # site 0 claims column -1 in place of column 0
     negative = CovBlock(0, 0, first.block, (-1, 1), (-1, 1))
-    with pytest.raises(DistCovError, match="^column 0 held by no site$"):
+    with raises_exactly(DistCovError, match="^column 0 held by no site$"):
         merge_blocks([negative, *locals_[1:]], crosses, 5)
 
 
 def test_merge_rejects_misfiled_blocks(three_site_blocks):
     sched = build_schedule(3)
     locals_, crosses = schedule_blocks(three_site_blocks, sched)
-    with pytest.raises(DistCovError, match="passed as a local block"):
+    with raises_exactly(DistCovError, match="passed as a local block"):
         merge_blocks(locals_ + [crosses[0]], crosses[1:], 5)
-    with pytest.raises(DistCovError, match="local block of site 0 passed as a cross block"):
+    with raises_exactly(DistCovError, match="local block of site 0 passed as a cross block"):
         merge_blocks(locals_[1:], crosses + [locals_[0]], 5)
 
 
@@ -549,11 +549,11 @@ def test_site_covariance_checks_its_senders():
     a, b = _col(0, [1, 2, 3]), _col(1, [3, 1, 2], 1)
     local, crosses = site_covariance(a, [])
     assert local.block.values.tolist() == [[1.0]] and crosses == []
-    with pytest.raises(DistCovError, match="two distinct sites, both are 0"):
+    with raises_exactly(DistCovError, match="two distinct sites, both are 0"):
         site_covariance(a, [b, a])
-    with pytest.raises(DistCovError, match="row counts differ: sender 2, receiver 3"):
+    with raises_exactly(DistCovError, match="row counts differ: sender 2, receiver 3"):
         site_covariance(a, [_col(1, [1, 2], 1)])
-    with pytest.raises(DistCovError, match='sample covariance needs at least 2 rows'):
+    with raises_exactly(DistCovError, match='sample covariance needs at least 2 rows'):
         site_covariance(_col(0, [1]), [_col(1, [2], 1)])
 
 

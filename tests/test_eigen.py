@@ -6,6 +6,8 @@ import pytest
 from distcov import GlobalCovariance, symmetric_eigen
 from distcov.errors import DistCovError
 
+from conftest import raises_exactly
+
 
 def _random_psd(rng: np.random.Generator, dim: int) -> GlobalCovariance:
     # Gram matrix of a random tall factor: PSD by construction.
@@ -79,5 +81,5 @@ def test_nonconvergence_is_mapped(monkeypatch):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", explode)
-    with pytest.raises(DistCovError, match="eigen-decomposition did not converge"):
+    with raises_exactly(DistCovError, match="eigen-decomposition did not converge"):
         symmetric_eigen(GlobalCovariance([[1.0]]))

@@ -7,15 +7,20 @@ from hypothesis import strategies as st
 
 from distcov import (
     DenseMatrix,
+    build_schedule,
+    centralized_covariance,
     hjoin,
     load_table,
     mfeat_preset,
     partition_vertical,
+    run_distributed,
     synthetic_table,
 )
 from distcov.cli import main as cli_main
 from distcov.errors import DistCovError
-from distcov.ingest import MFEAT_TOTAL_COLS, MFEAT_WIDTHS, PartitionSpec, even_preset
+from distcov.ingest import MFEAT_WIDTHS, PartitionSpec, even_preset
+
+from conftest import raises_exactly
 
 
 # --- load_table -------------------------------------------------------------
@@ -47,28 +52,28 @@ def test_load_csv_first_row_with_a_non_finite_value_is_data(tmp_path, text):
     # Every field parses as a number, so the row is data, not a header to skip.
     p = tmp_path / "d.csv"
     p.write_text(text)
-    with pytest.raises(DistCovError, match='must be finite'):
+    with raises_exactly(DistCovError, match='must be finite'):
         load_table(p, format="csv")
 
 
 def test_load_ragged(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 2\n3\n")
-    with pytest.raises(DistCovError, match="row 2 has 1 fields, expected 2"):
+    with raises_exactly(DistCovError, match="row 2 has 1 fields, expected 2"):
         load_table(p)
 
 
 def test_load_parse_error(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 2\n3 oops\n")
-    with pytest.raises(DistCovError, match="row 2 field 2: 'oops' is not a number"):
+    with raises_exactly(DistCovError, match="row 2 field 2: 'oops' is not a number"):
         load_table(p)
 
 
 def test_load_non_finite(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 2\n3 nan\n")
-    with pytest.raises(DistCovError, match='must be finite'):
+    with raises_exactly(DistCovError, match='must be finite'):
         load_table(p)
 
 
@@ -90,33 +95,33 @@ def test_load_whitespace_falls_back_to_per_field_parse(tmp_path):
 def test_load_errors_name_row_and_field(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 2\n3\n")
-    with pytest.raises(DistCovError, match="row 2 has 1 fields, expected 2"):
+    with raises_exactly(DistCovError, match="row 2 has 1 fields, expected 2"):
         load_table(p)
     p.write_text("1 2\n3 oops\n")
-    with pytest.raises(DistCovError, match="row 2 field 2: 'oops' is not a number"):
+    with raises_exactly(DistCovError, match="row 2 field 2: 'oops' is not a number"):
         load_table(p)
     p.write_text("a,b,c\n1,2\n3,4\n")  # a header is a row too
-    with pytest.raises(DistCovError, match="row 1 has 3 fields, expected 2"):
+    with raises_exactly(DistCovError, match="row 1 has 3 fields, expected 2"):
         load_table(p, format="csv")
     p.write_text("a,b\n1,2\n3,oops\n")
-    with pytest.raises(DistCovError, match="row 3 field 2: 'oops' is not a number"):
+    with raises_exactly(DistCovError, match="row 3 field 2: 'oops' is not a number"):
         load_table(p, format="csv")
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(DistCovError, match="cannot read"):
+    with raises_exactly(DistCovError, match="cannot read"):
         load_table(tmp_path / "absent.txt")
 
 
 def test_load_empty_file(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("")
-    with pytest.raises(DistCovError, match="no data rows"):
+    with raises_exactly(DistCovError, match="no data rows"):
         load_table(p)
 
 
 def test_load_unknown_format(tmp_path):
-    with pytest.raises(DistCovError, match="unknown format 'parquet'"):
+    with raises_exactly(DistCovError, match="unknown format 'parquet'"):
         load_table(tmp_path / "d.txt", format="parquet")
 
 
@@ -131,7 +136,7 @@ def test_hjoin_concatenates(tmp_path):
 
 
 def test_hjoin_row_mismatch():
-    with pytest.raises(DistCovError, match="table 1 has 3 rows, expected 2"):
+    with raises_exactly(DistCovError, match="table 1 has 3 rows, expected 2"):
         hjoin([synthetic_table(2, 1), synthetic_table(3, 1)])
 
 
@@ -144,14 +149,35 @@ def test_hjoin_single_table_is_bit_identical():
 
 def test_spec_validation():
     PartitionSpec(total_cols=3, groups=((0, 2), (1,)))  # disjoint exact cover: fine
-    with pytest.raises(DistCovError, match="column 1 assigned to more than one group"):
+    with raises_exactly(DistCovError, match="column 1 held by two sites"):
         PartitionSpec(total_cols=3, groups=((0, 1), (1, 2)))  # overlap
-    with pytest.raises(DistCovError, match="column 2 not assigned to any group"):
+    with raises_exactly(DistCovError, match="column 2 held by no site"):
         PartitionSpec(total_cols=3, groups=((0, 1),))  # gap
-    with pytest.raises(DistCovError, match="group 1 is empty"):
+    with raises_exactly(DistCovError, match="group 1 is empty"):
         PartitionSpec(total_cols=2, groups=((0, 1), ()))  # empty group
-    with pytest.raises(DistCovError, match=r"group 0 references column 2, valid range is \[0, 2\)"):
+    with raises_exactly(DistCovError, match=r"group 0 references column 2, valid range is \[0, 2\)"):
         PartitionSpec(total_cols=2, groups=((0, 2), (1,)))  # out of range
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_a_group_in_any_order_is_stored_sorted_and_runs_to_the_oracle(transport):
+    # A group is a set of columns: the order it is listed in changes nothing.
+    spec = PartitionSpec(total_cols=7, groups=((5, 0, 3), (6, 1), (4, 2)))
+    assert spec.groups == ((0, 3, 5), (1, 6), (2, 4))
+    table = synthetic_table(30, 7, seed=8)
+    cov, _, _ = run_distributed(partition_vertical(table, spec), build_schedule(3),
+                                transport=transport)
+    assert cov.matrix.tobytes() == centralized_covariance(table).matrix.tobytes()
+
+
+def test_spec_from_widths():
+    assert PartitionSpec.from_widths([2, 1, 3]) == PartitionSpec(
+        total_cols=6, groups=((0, 1), (2,), (3, 4, 5))
+    )
+    with raises_exactly(DistCovError, match="group 1 is empty"):
+        PartitionSpec.from_widths([2, 0, 3])
+    with raises_exactly(DistCovError, match="total_cols must be >= 1, got 0"):
+        PartitionSpec.from_widths([])
 
 
 def test_spec_json_roundtrip():
@@ -164,11 +190,11 @@ def test_spec_json_roundtrip():
 
 
 def test_spec_from_json_errors():
-    with pytest.raises(DistCovError, match="malformed partition spec: JSONDecodeError"):
+    with raises_exactly(DistCovError, match="malformed partition spec: JSONDecodeError"):
         PartitionSpec.from_json("not json")
-    with pytest.raises(DistCovError, match="malformed partition spec: KeyError"):
+    with raises_exactly(DistCovError, match="malformed partition spec: KeyError"):
         PartitionSpec.from_json('{"groups": []}')
-    with pytest.raises(DistCovError, match=r"group site-ids must be 0\.\.1 in order"):
+    with raises_exactly(DistCovError, match=r"group site-ids must be 0\.\.1 in order"):
         PartitionSpec.from_json(
             '{"total_cols": 2, "groups": [{"site": 1, "cols": [0]}, {"site": 3, "cols": [1]}]}'
         )
@@ -206,7 +232,7 @@ def test_partition_selects_a_group_of_non_adjacent_columns():
 
 def test_partition_spec_mismatch():
     m = synthetic_table(5, 4, seed=3)
-    with pytest.raises(DistCovError, match="spec covers 3 columns, matrix has 4"):
+    with raises_exactly(DistCovError, match="spec covers 3 columns, matrix has 4"):
         partition_vertical(m, PartitionSpec(total_cols=3, groups=((0, 1, 2),)))
 
 
@@ -219,7 +245,7 @@ def test_partition_round_trip():
 
 
 def test_partition_mfeat_layout_widths():
-    m = synthetic_table(5, MFEAT_TOTAL_COLS, seed=5)
+    m = synthetic_table(5, sum(MFEAT_WIDTHS), seed=5)
     blocks = partition_vertical(m, mfeat_preset(6))
     assert [b.data.cols for b in blocks] == list(MFEAT_WIDTHS)
 
@@ -239,20 +265,21 @@ def test_partition_mfeat_layout_widths():
 def test_preset_group_widths(partitions, widths):
     spec = mfeat_preset(partitions)
     assert [len(g) for g in spec.groups] == widths
+    assert [c for g in spec.groups for c in g] == list(range(649))
     assert spec.total_cols == 649
 
 
 def test_preset_unsupported_count():
-    with pytest.raises(DistCovError, match="no preset for 7 partitions"):
+    with raises_exactly(DistCovError, match="no preset for 7 partitions"):
         mfeat_preset(7)
-    with pytest.raises(DistCovError, match="no preset for 1 partitions"):
+    with raises_exactly(DistCovError, match="no preset for 1 partitions"):
         mfeat_preset(1)
 
 
 def test_even_preset():
     spec = even_preset(10, 4)
     assert [len(g) for g in spec.groups] == [2, 3, 2, 3]
-    with pytest.raises(DistCovError, match="cannot split 2 columns across 3 sites"):
+    with raises_exactly(DistCovError, match="cannot split 2 columns across 3 sites"):
         even_preset(2, 3)
 
 
@@ -277,7 +304,7 @@ def test_synthetic_columns_have_distinct_scales():
 def test_load_mfeat_missing_file(tmp_path):
     from distcov import load_mfeat
 
-    with pytest.raises(DistCovError, match="cannot read"):
+    with raises_exactly(DistCovError, match="cannot read"):
         load_mfeat(tmp_path)
 
 
@@ -285,5 +312,5 @@ def test_load_mfeat_rejects_wrong_width(tmp_path):
     from distcov import load_mfeat
 
     (tmp_path / "mfeat-fac").write_text("1 2\n3 4\n")  # 2 cols, expected 216
-    with pytest.raises(DistCovError, match="mfeat-fac: expected 216 columns"):
+    with raises_exactly(DistCovError, match="mfeat-fac: expected 216 columns"):
         load_mfeat(tmp_path)

@@ -6,6 +6,8 @@ import pytest
 from distcov import DenseMatrix
 from distcov.errors import DistCovError
 
+from conftest import raises_exactly
+
 
 def test_new_matrix_shape_and_values():
     m = DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (2, 3)))
@@ -15,13 +17,13 @@ def test_new_matrix_shape_and_values():
 
 
 def test_one_dimensional_input_rejected():
-    with pytest.raises(DistCovError, match="expected a 2-D value array, got 1-D"):
+    with raises_exactly(DistCovError, match="expected a 2-D value array, got 1-D"):
         DenseMatrix(np.array([1.0, 2.0, 3.0]))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_rejected(bad):
-    with pytest.raises(DistCovError, match='must be finite'):
+    with raises_exactly(DistCovError, match='must be finite'):
         DenseMatrix(np.reshape([1.0, bad], (1, 2)))
 
 

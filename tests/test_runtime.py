@@ -52,7 +52,7 @@ from distcov.runtime import (
 from distcov.ingest import even_preset
 from distcov.schedule import pair_coverage
 from distcov.wire import HEADER, MAGIC, largest_frame
-from conftest import blocks_for, open_fds
+from conftest import blocks_for, open_fds, raises_exactly
 
 
 def _oracle(blocks):
@@ -124,7 +124,7 @@ def test_frames_follow_the_turns(monkeypatch, transport):
 
     monkeypatch.setattr(runtime, "site_covariance", fails)
     log.clear()
-    with pytest.raises(ProtocolError, match="^site 0 kernel failed"):
+    with raises_exactly(ProtocolError, match="^site 0 kernel failed"):
         run_distributed(blocks, sched, transport=transport, message_log=log)
     assert [entry[:3] for entry in log] == [
         (MessageKind.DATA_BLOCK, j, 0) for j in sched.senders_to(0)
@@ -158,7 +158,7 @@ def test_tcp_refuses_oversized_frame_before_allocating(monkeypatch):
     net = TcpTransport([0, 1], max_frame=largest_frame(10, [3, 2]))
     try:
         started = time.perf_counter()
-        with pytest.raises(ProtocolError, match=r"^edge 1->0: .*largest legal frame"):
+        with raises_exactly(ProtocolError, match=r"^edge 1->0: .*largest legal frame"):
             net.send(ProtocolMessage(MessageKind.DONE, 1, 0))
         assert time.perf_counter() - started < 1.0
     finally:
@@ -178,7 +178,7 @@ def test_tcp_refuses_a_frame_cut_short_of_its_declared_size(monkeypatch):
     net = TcpTransport([0, 1], max_frame=largest_frame(3, [2]))
     try:
         started = time.perf_counter()
-        with pytest.raises(ProtocolError, match=r"^edge 1->0: bytes end inside a frame"):
+        with raises_exactly(ProtocolError, match=r"^edge 1->0: bytes end inside a frame"):
             net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
         assert time.perf_counter() - started < 1.0
     finally:
@@ -240,7 +240,7 @@ def test_tcp_still_refuses_a_non_finite_value_at_recv():
     net = TcpTransport([0, 1])
     try:
         net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
-        with pytest.raises(ProtocolError, match='^DATA_BLOCK 1->0: matrix values must be finite'):
+        with raises_exactly(ProtocolError, match='^DATA_BLOCK 1->0: matrix values must be finite'):
             net.recv(0)
     finally:
         net.close()
@@ -361,7 +361,7 @@ def test_site_refuses_raw_columns_from_a_non_predecessor(monkeypatch):
     blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
     before = threading.active_count()
     started = time.perf_counter()
-    with pytest.raises(
+    with raises_exactly(
         ProtocolError, match="^site 2 expected DATA_BLOCK from 1, received DATA_BLOCK from 0$"
     ):
         run_distributed(blocks, build_schedule(3))
@@ -400,7 +400,7 @@ def _run_with_site_0_blocks(monkeypatch, tamper, **kwargs):
 
 
 def test_coordinator_refuses_a_duplicated_block(monkeypatch):
-    with pytest.raises(ProtocolError, match=r"block \(2,0\)"):
+    with raises_exactly(ProtocolError, match=r"block \(2,0\)"):
         _run_with_site_0_blocks(monkeypatch, lambda crosses: crosses + crosses)
 
 
@@ -412,12 +412,12 @@ def test_coordinator_refuses_a_relabelled_block(monkeypatch):
             for c in crosses
         ]
 
-    with pytest.raises(DistCovError, match="not the columns of sites 2 and 0"):
+    with raises_exactly(DistCovError, match="not the columns of sites 2 and 0"):
         _run_with_site_0_blocks(monkeypatch, relabel)
 
 
 def test_coordinator_names_a_missing_block(monkeypatch):
-    with pytest.raises(MissingFrame, match="^coordinator: ") as exc:
+    with raises_exactly(MissingFrame, match="^coordinator: ") as exc:
         _run_with_site_0_blocks(monkeypatch, lambda crosses: [])
     text = str(exc.value)
     assert text.split("missing blocks (site_a, site_b): ")[1].split(";")[0] == "(2, 0)"
@@ -428,7 +428,7 @@ def test_coordinator_names_a_missing_block(monkeypatch):
 def test_dropped_block_fails_before_the_deadline(monkeypatch, transport):
     # Every DONE is in, so the block was never sent: the run fails at once.
     started = time.perf_counter()
-    with pytest.raises(MissingFrame, match=r"missing blocks \(site_a, site_b\): \(2, 0\);"):
+    with raises_exactly(MissingFrame, match=r"missing blocks \(site_a, site_b\): \(2, 0\);"):
         _run_with_site_0_blocks(monkeypatch, lambda crosses: [], transport=transport)
     assert time.perf_counter() - started < 1.0
 
@@ -451,7 +451,7 @@ def test_dropped_data_block_fails_before_the_deadline(monkeypatch, transport, cl
     rng = np.random.default_rng(53)
     blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
     started = time.perf_counter()
-    with pytest.raises(MissingFrame, match=r"no DONE from sites: 1, 2$"):
+    with raises_exactly(MissingFrame, match=r"no DONE from sites: 1, 2$"):
         run_distributed(blocks, build_schedule(3), transport=transport)
     assert time.perf_counter() - started < 1.0
 
@@ -471,7 +471,7 @@ def test_late_stray_frame_is_refused(monkeypatch, transport):
     monkeypatch.setattr(runtime, "_site_turn", also_ship_to_site_1)
     rng = np.random.default_rng(51)
     blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
-    with pytest.raises(ProtocolError, match=r"^endpoint 1: unread DATA_BLOCK from 2 to 1 "):
+    with raises_exactly(ProtocolError, match=r"^endpoint 1: unread DATA_BLOCK from 2 to 1 "):
         run_distributed(blocks, build_schedule(3), transport=transport)
 
 
@@ -579,7 +579,7 @@ def test_tcp_refuses_a_peer_that_connects_before_its_own_socket(monkeypatch):
 
     monkeypatch.setattr(socket, "create_connection", foreign_first)
     try:
-        with pytest.raises(ProtocolError, match="^accepted a connection from .* not from "
+        with raises_exactly(ProtocolError, match="^accepted a connection from .* not from "
                                                  "the transport's own socket"):
             TcpTransport([0, 1])
     finally:
@@ -649,7 +649,7 @@ def test_tcp_runs_leave_no_file_descriptor_open(monkeypatch):
         return kernel(own, senders)
 
     monkeypatch.setattr(runtime, "site_covariance", site_3_fails)
-    with pytest.raises(ProtocolError, match="^site 3 kernel failed"):
+    with raises_exactly(ProtocolError, match="^site 3 kernel failed"):
         run_distributed(blocks, sched, transport="tcp")
     assert open_fds() == before
 
@@ -716,7 +716,7 @@ def test_csv_header_does_not_split_distributed_from_centralized(tmp_path, transp
 
 def test_unknown_transport():
     b = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2], (2, 1))), global_cols=(0,))
-    with pytest.raises(ProtocolError, match="unknown transport 'carrier-pigeon'"):
+    with raises_exactly(ProtocolError, match="unknown transport 'carrier-pigeon'"):
         run_distributed([b], build_schedule(1), transport="carrier-pigeon")
 
 
@@ -733,24 +733,24 @@ def test_transfer_bytes_are_encoded_frame_sizes():
 def test_site_validation():
     a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
     b = ColumnBlock(site=2, data=DenseMatrix(np.reshape([4, 5, 6], (3, 1))), global_cols=(1,))
-    with pytest.raises(DistCovError, match=r"block sites must be 0\.\.1, got \[0, 2\]"):
+    with raises_exactly(DistCovError, match=r"block sites must be 0\.\.1, got \[0, 2\]"):
         run_distributed([a, b], build_schedule(2))  # sites 0,2 not 0,1
-    with pytest.raises(DistCovError, match="schedule is for 2 sites, got 1 blocks"):
+    with raises_exactly(DistCovError, match="schedule is for 2 sites, got 1 blocks"):
         run_distributed([a], build_schedule(2))  # schedule size mismatch
 
 
 def test_row_count_validation():
     a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
     b = ColumnBlock(site=1, data=DenseMatrix(np.reshape([4, 5], (2, 1))), global_cols=(1,))
-    with pytest.raises(DistCovError, match="site 1 has 2 rows, site 0 has 3"):
+    with raises_exactly(DistCovError, match="site 1 has 2 rows, site 0 has 3"):
         run_distributed([a, b], build_schedule(2))
-    with pytest.raises(DistCovError, match="site 1 has 2 rows, site 0 has 3"):
+    with raises_exactly(DistCovError, match="site 1 has 2 rows, site 0 has 3"):
         run_centralized([a, b])
 
 
 def test_too_few_rows():
     a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1], (1, 1))), global_cols=(0,))
-    with pytest.raises(DistCovError, match='sample covariance needs at least 2 rows'):
+    with raises_exactly(DistCovError, match='sample covariance needs at least 2 rows'):
         run_centralized([a])
 
 
@@ -765,7 +765,7 @@ def test_centralized_single_column():
 def test_centralized_detects_column_gaps():
     a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1, 2, 3], (3, 1))), global_cols=(0,))
     b = ColumnBlock(site=1, data=DenseMatrix(np.reshape([4, 5, 6], (3, 1))), global_cols=(2,))
-    with pytest.raises(DistCovError, match="column 1 held by no site"):
+    with raises_exactly(DistCovError, match="column 1 held by no site"):
         run_centralized([a, b])
 
 
@@ -788,7 +788,7 @@ def test_failing_site_ends_the_run_at_once(monkeypatch, transport):
     blocks = blocks_for(rng.standard_normal((20, 12)), [2] * t)
     before = threading.active_count()
     started = time.perf_counter()
-    with pytest.raises(ProtocolError, match="kernel failed: RuntimeError") as exc:
+    with raises_exactly(ProtocolError, match="kernel failed: RuntimeError") as exc:
         run_distributed(blocks, build_schedule(t), transport=transport)
     assert time.perf_counter() - started < 1.0
     assert str(exc.value).startswith(f"site {failed[0]} kernel failed")
@@ -800,7 +800,7 @@ def test_overflowing_site_is_refused_before_it_sends(transport):
     # Site 1's column of +-1e300 has a variance of about 1e600.
     data = np.column_stack([np.arange(6.0), [1e300, -1e300] * 3, np.arange(6.0) ** 2])
     log: list = []
-    with pytest.raises(DistCovError, match=r"^site 1: "):
+    with raises_exactly(DistCovError, match=r"^site 1: "):
         run_distributed(blocks_for(data, [1, 1, 1]), build_schedule(3), transport, log)
     assert (MessageKind.COV_BLOCK, 1) not in {(kind, sender) for kind, sender, *_ in log}
 
@@ -820,7 +820,7 @@ def test_first_failure_stops_the_other_kernels(monkeypatch, transport):
     monkeypatch.setattr(runtime, "site_covariance", first_fails)
     before = threading.active_count()
     started = time.perf_counter()
-    with pytest.raises(ProtocolError, match="kernel failed: RuntimeError") as exc:
+    with raises_exactly(ProtocolError, match="kernel failed: RuntimeError") as exc:
         run_distributed(blocks, build_schedule(6), transport=transport)
     assert time.perf_counter() - started < 1.0
     assert len(calls) == 1
@@ -848,12 +848,12 @@ def test_column_ownership_is_checked_before_any_kernel(monkeypatch, cols, messag
         ColumnBlock(site=k, data=DenseMatrix(rng.standard_normal((6, len(c)))), global_cols=c)
         for k, c in enumerate(cols)
     ]
-    with pytest.raises(DistCovError, match=f"^{message}$"):
+    with raises_exactly(DistCovError, match=f"^{message}$"):
         run_distributed(blocks, build_schedule(2))
-    with pytest.raises(DistCovError, match=f"^{message}$"):
+    with raises_exactly(DistCovError, match=f"^{message}$"):
         run_centralized(blocks)
     assert calls[0] == 0
-    with pytest.raises(DistCovError, match=f"^{message}$"):
+    with raises_exactly(DistCovError, match=f"^{message}$"):
         merge_blocks([local_covariance(b) for b in blocks], [], 4)
 
 
@@ -932,7 +932,7 @@ def test_bad_schedule_fails_before_any_thread(monkeypatch, transport, t, lists, 
         error, message = DistCovError, f"schedule is for {schedule.t} sites, got {t} blocks"
     before = threading.active_count()
     started = time.perf_counter()
-    with pytest.raises(error, match=re.escape(message)):
+    with raises_exactly(error, match=re.escape(message)):
         run_distributed(blocks, schedule, transport=transport)
     assert time.perf_counter() - started < 1.0
     assert threading.active_count() == before

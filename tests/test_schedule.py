@@ -8,6 +8,8 @@ from distcov import Schedule, build_schedule
 from distcov.errors import DistCovError
 from distcov.schedule import pair_coverage
 
+from conftest import raises_exactly
+
 
 def test_schedule_five_sites():
     s = build_schedule(5)
@@ -40,7 +42,7 @@ def test_schedule_single_site_is_empty():
 
 
 def test_schedule_rejects_bad_count():
-    with pytest.raises(DistCovError, match=r"site count must be >= 1, got t=0"):
+    with raises_exactly(DistCovError, match=r"site count must be >= 1, got t=0"):
         build_schedule(0)
 
 

@@ -17,6 +17,8 @@ from distcov import (
 from distcov.errors import ProtocolError
 from distcov.wire import HEADER, MAGIC, frame_parts
 
+from conftest import raises_exactly
+
 
 def _data_msg() -> ProtocolMessage:
     block = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1.0, 2.0], (2, 1))), global_cols=(4,))
@@ -72,35 +74,35 @@ def test_done_roundtrip():
 
 
 def test_payload_kind_enforced():
-    with pytest.raises(ProtocolError, match="DONE payload must be NoneType, got ColumnBlock"):
+    with raises_exactly(ProtocolError, match="DONE payload must be NoneType, got ColumnBlock"):
         ProtocolMessage(MessageKind.DONE, 0, 1, payload=_data_msg().payload)
-    with pytest.raises(ProtocolError, match="DATA_BLOCK payload must be ColumnBlock, got NoneType"):
+    with raises_exactly(ProtocolError, match="DATA_BLOCK payload must be ColumnBlock, got NoneType"):
         ProtocolMessage(MessageKind.DATA_BLOCK, 0, 1, payload=None)
 
 
 def test_truncated_frame():
     frame = encode_message(_data_msg())
-    with pytest.raises(ProtocolError, match="frame of 10 bytes is shorter than the header"):
+    with raises_exactly(ProtocolError, match="frame of 10 bytes is shorter than the header"):
         decode_message(frame[:10])
 
 
 def test_bad_magic():
     frame = bytearray(encode_message(_data_msg()))
     frame[0:4] = b"NOPE"
-    with pytest.raises(ProtocolError, match="bad magic"):
+    with raises_exactly(ProtocolError, match="bad magic"):
         decode_message(bytes(frame))
 
 
 def test_unknown_kind():
     frame = bytearray(encode_message(_data_msg()))
     frame[4] = 0xFF
-    with pytest.raises(ProtocolError, match="unknown message kind 0xff"):
+    with raises_exactly(ProtocolError, match="unknown message kind 0xff"):
         decode_message(bytes(frame))
 
 
 def test_declared_length_mismatch():
     frame = encode_message(_data_msg())
-    with pytest.raises(ProtocolError, match="header declares"):
+    with raises_exactly(ProtocolError, match="header declares"):
         decode_message(bytes(frame) + b"\x00")
 
 
@@ -110,14 +112,14 @@ def test_truncated_payload_fields():
     bad = bytearray(frame)
     bad[4] = 1  # relabel as DataBlock
     bad[13] = 4
-    with pytest.raises(ProtocolError, match="DATA_BLOCK payload of 4 bytes, its fields call for"):
+    with raises_exactly(ProtocolError, match="DATA_BLOCK payload of 4 bytes, its fields call for"):
         decode_message(bytes(bad) + b"\x00" * 4)
 
 
 def test_trailing_payload_bytes_rejected():
     frame = bytearray(encode_message(ProtocolMessage(MessageKind.DONE, 0, 1)))
     frame[13] = 2
-    with pytest.raises(ProtocolError, match="DONE payload of 2 bytes, its fields call for 0"):
+    with raises_exactly(ProtocolError, match="DONE payload of 2 bytes, its fields call for 0"):
         decode_message(bytes(frame) + b"\x00\x00")
 
 
@@ -136,7 +138,7 @@ def test_a_block_its_payload_type_refuses_is_a_malformed_frame():
     blk = CovBlock(1, 1, DenseMatrix(np.reshape([2.0, 0.5, 0.5, 3.0], (2, 2))), (0, 1), (0, 1))
     frame = bytearray(encode_message(ProtocolMessage(MessageKind.COV_BLOCK, 1, 4, blk)))
     frame[-16:-8] = np.float64(0.25).tobytes()  # entry (1, 0)
-    with pytest.raises(ProtocolError, match="^COV_BLOCK 1->4: a local covariance block must be "):
+    with raises_exactly(ProtocolError, match="^COV_BLOCK 1->4: a local covariance block must be "):
         decode_message(bytes(frame))
 
 
@@ -149,7 +151,7 @@ def test_non_finite_payload_rejected():
     frame = bytearray(encode_message(_data_msg()))
     nan = np.float64("nan").tobytes()
     frame[-8:] = nan
-    with pytest.raises(ProtocolError, match='^DATA_BLOCK 0->1: matrix values must be finite'):
+    with raises_exactly(ProtocolError, match='^DATA_BLOCK 0->1: matrix values must be finite'):
         decode_message(bytes(frame))
 
 
