@@ -31,7 +31,7 @@ from .ingest import (
     synthetic_table,
 )
 from .matrix import DenseMatrix
-from .report import compare_partitions, dump_matrix, load_matrix_dump, matrix_checksum
+from .report import compare_partitions, matrix_checksum
 from .runtime import (
     RunMetrics,
     TransferStat,
@@ -77,8 +77,6 @@ __all__ = [
     "run_centralized",
     "critical_path_ms",
     "matrix_checksum",
-    "dump_matrix",
-    "load_matrix_dump",
     "compare_partitions",
     "DistCovError",
     "__version__",

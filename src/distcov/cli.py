@@ -32,7 +32,7 @@ from .ingest import (
     partition_vertical,
     synthetic_table,
 )
-from .report import REPORT_VERSION, _blas_threads_env, dump_matrix, run_report
+from .report import REPORT_VERSION, _blas_threads_env, run_report
 from .report import compare_partitions as _compare_partitions
 from .runtime import _timed_exchange, _timed_oracle
 from .schedule import build_schedule
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--transport", choices=("in-process", "tcp"), default="in-process")
     rp.add_argument("--out", type=Path, default=None, help="write the JSON report here")
     rp.add_argument("--dump-matrix", type=Path, default=None,
-                    help="also write the full matrix (binary dump)")
+                    help="also write the full matrix (.npy)")
     rp.set_defaults(func=_cmd_run)
 
     cp = sub.add_parser("compare", help="run both modes and assert bit-exact equality")
@@ -149,11 +149,12 @@ def _resolve_spec(args, widths, preset_name: str | None) -> PartitionSpec:
 
 
 @contextlib.contextmanager
-def _written(path: Path):
-    """The CLI's one file writer: a text handle on `path`. Any OSError in
-    opening or writing it raises DistCovError (exit 3)."""
+def _written(path: Path, mode: str = "w"):
+    """The CLI's one file writer: a handle on `path` opened in `mode`, text
+    by default. Any OSError in opening or writing it raises DistCovError
+    (exit 3)."""
     try:
-        with open(path, "w") as f:
+        with open(path, mode) as f:
             yield f
     except OSError as exc:
         raise DistCovError(f"cannot write {path}: {exc}") from None
@@ -193,7 +194,8 @@ def _cmd_run(args) -> int:
     decomp = symmetric_eigen(cov)
     eigen_ms = (time.perf_counter() - t0) * 1e3
     if args.dump_matrix is not None:
-        dump_matrix(cov, args.dump_matrix)
+        with _written(args.dump_matrix, "wb") as f:
+            np.save(f, cov.matrix.values, allow_pickle=False)
     _emit(run_report(args.mode, spec.sites, cov, decomp, eigen_ms, metrics, schedule), args.out)
     return 0
 

@@ -88,8 +88,8 @@ class CovBlock:
 
     Entry (u, v) is the covariance of global column ``rows_global_cols[u]``
     with global column ``cols_global_cols[v]``. A block with
-    ``site_a == site_b`` is a site's local covariance and must be square and
-    bit-symmetric.
+    ``site_a == site_b`` is a site's local covariance and must be square,
+    bit-symmetric and free of negative variances.
     """
 
     site_a: int
@@ -115,14 +115,14 @@ class CovBlock:
                 raise DistCovError("a local covariance block must be square")
             if not np.array_equal(v, v.T):
                 raise DistCovError("a local covariance block must be exactly symmetric")
+            if np.any(np.diag(v) < 0.0):
+                raise DistCovError("a local covariance block's variances must be non-negative")
 
 
 class GlobalCovariance:
-    """The full m x m covariance matrix, exactly symmetric by construction.
-
-    Each unordered pair is stored once (the upper triangle) and mirrored, so
-    entry (i, j) bit-equals entry (j, i). Diagonal entries are variances and
-    must be non-negative.
+    """The full m x m covariance matrix, exactly symmetric: entry (i, j)
+    bit-equals entry (j, i), and no entry is -0.0. Diagonal entries are
+    variances and must be non-negative.
     """
 
     __slots__ = ("_matrix",)
@@ -133,18 +133,18 @@ class GlobalCovariance:
             raise DistCovError(f"covariance matrix must be square, got {arr.shape}")
         if arr.shape[0] < 1:
             raise DistCovError("covariance matrix must have dimension >= 1")
-        sym = np.triu(arr) + np.triu(arr, 1).T
-        if np.any(np.diag(sym) < 0.0):
-            raise DistCovError("diagonal entries (variances) must be non-negative")
-        self._matrix = DenseMatrix(sym)
+        if not np.isfinite(arr).all():
+            raise DistCovError("matrix values must be finite (no NaN/Inf)")
+        if not np.array_equal(arr, arr.T):
+            raise DistCovError("covariance matrix must be exactly symmetric")
+        self._matrix = self._assembled(arr)._matrix
 
     @classmethod
     def _assembled(cls, arr: np.ndarray) -> "GlobalCovariance":
-        """What `__init__` makes of a fresh C-contiguous finite arr whose
-        triangles hold equal values, without the mirror sum or a copy: arr
-        itself is normalized in place and becomes the matrix's read-only
-        storage. Equal values are equal bits but for the sign of zero;
-        + 0.0 makes -0.0 into +0.0, as the mirror sum in `__init__` does.
+        """The matrix of a fresh C-contiguous finite arr whose triangles hold
+        equal values, without a copy: arr itself is normalized in place and
+        becomes the matrix's read-only storage. Equal values are equal bits
+        but for the sign of zero; + 0.0 makes -0.0 into +0.0.
         """
         arr += 0.0
         if np.any(np.diag(arr) < 0.0):

@@ -1,8 +1,8 @@
-"""Machine-readable run reports, matrix dumps, and the dual-mode comparison.
+"""Machine-readable run reports and the dual-mode comparison.
 
 A report never carries the full matrix — at benchmark scale that is 649x649
 values — so equality is asserted via a checksum over the canonical byte
-encoding, and `dump_matrix` exists for anyone who wants the actual numbers.
+encoding; `distcov run --dump-matrix` writes the actual numbers as `.npy`.
 
 `compare_partitions` checks one table under several partitionings: it
 computes the centralized oracle once from the table, then runs the
@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import struct
-from pathlib import Path
 
 import numpy as np
 
 from .costmodel import distributed_cost
 from .covariance import GlobalCovariance
 from .eigen import EigenDecomposition
-from .errors import DistCovError, MismatchError, ProtocolError
+from .errors import MismatchError
 from .matrix import DenseMatrix
 from .ingest import partition_vertical
 from .runtime import RunMetrics, _timed_exchange, _timed_oracle, critical_path_ms
@@ -33,16 +31,11 @@ from .schedule import Schedule, build_schedule
 __all__ = [
     "REPORT_VERSION",
     "matrix_checksum",
-    "dump_matrix",
-    "load_matrix_dump",
     "run_report",
     "compare_partitions",
-    "DUMP_MAGIC",
 ]
 
 REPORT_VERSION = 6
-DUMP_MAGIC = b"DCMM"
-_DUMP_HEADER = struct.Struct("<4sIQ")  # magic, dim, reserved
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -56,39 +49,6 @@ def matrix_checksum(m: DenseMatrix) -> str:
     """SHA-256 over the row-major binary64 little-endian matrix bytes,
     hashed from the matrix's own buffer (a copy only on a big-endian host)."""
     return hashlib.sha256(memoryview(m.values.astype("<f8", copy=False))).hexdigest()
-
-
-def dump_matrix(cov: GlobalCovariance, path: str | Path) -> None:
-    """Write the full matrix: 16-byte header (magic, u32 dim, u64 reserved)
-    followed by dim^2 binary64 little-endian values, row-major."""
-    p = Path(path)
-    try:
-        with open(p, "wb") as fh:
-            fh.write(_DUMP_HEADER.pack(DUMP_MAGIC, cov.dim, 0))
-            fh.write(cov.matrix.tobytes())
-    except OSError as exc:
-        raise DistCovError(f"cannot write {p}: {exc}") from None
-
-
-def load_matrix_dump(path: str | Path) -> DenseMatrix:
-    """Read a matrix dump back, bit-exactly."""
-    p = Path(path)
-    try:
-        raw = p.read_bytes()
-    except OSError as exc:
-        raise DistCovError(f"cannot read {p}: {exc}") from None
-    if len(raw) < _DUMP_HEADER.size:
-        raise ProtocolError(f"{p}: shorter than the dump header")
-    magic, dim, _ = _DUMP_HEADER.unpack_from(raw)
-    if magic != DUMP_MAGIC:
-        raise ProtocolError(f"{p}: bad magic {magic!r}")
-    body = raw[_DUMP_HEADER.size :]
-    if len(body) != dim * dim * 8:
-        raise ProtocolError(
-            f"{p}: dim {dim} needs {dim * dim * 8} value bytes, found {len(body)}"
-        )
-    values = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(dim, dim)
-    return DenseMatrix(values)
 
 
 def run_report(

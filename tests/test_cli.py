@@ -21,7 +21,6 @@ from distcov import (
     GlobalCovariance,
     MessageKind,
     centralized_covariance,
-    load_matrix_dump,
     load_table,
     matrix_checksum,
     synthetic_table,
@@ -259,15 +258,16 @@ def test_a_spec_group_in_any_order_runs_in_every_mode(dataset, tmp_path, capsys,
 
 def test_run_writes_report_and_dump(dataset, tmp_path, capsys):
     out = tmp_path / "report.json"
-    dump = tmp_path / "matrix.bin"
+    dump = tmp_path / "matrix.npy"
     code = main([
         "run", "--inputs", str(dataset), "--mode", "centralized",
         "--out", str(out), "--dump-matrix", str(dump),
     ])
     assert code == 0
     doc = json.loads(out.read_text())
-    m = load_matrix_dump(dump)
-    assert matrix_checksum(m) == doc["matrix_checksum"]
+    values = np.load(dump, allow_pickle=False)
+    assert values.dtype == np.float64 and values.shape == (doc["dim"], doc["dim"])
+    assert matrix_checksum(DenseMatrix(values)) == doc["matrix_checksum"]
 
 
 def test_matrix_checksum_hashes_the_canonical_bytes_without_copying(monkeypatch):
@@ -369,6 +369,7 @@ def test_run_spec_numbers_must_be_json_integers(dataset, capsys, spec, named):
         ["run", "--inputs", "DATA", "--mode", "centralized", "--out", "OUT"],
         ["compare", "--inputs", "DATA", "--plot-data", "OUT"],
         ["gen", "--rows", "3", "--cols", "2", "--out", "OUT"],
+        ["run", "--inputs", "DATA", "--mode", "centralized", "--dump-matrix", "OUT"],
     ],
 )
 def test_unwritable_output_is_data_error(dataset, tmp_path, capsys, argv):
@@ -513,21 +514,24 @@ def test_run_with_a_raising_site_is_a_protocol_error(mfeat_data, capsys, monkeyp
     assert err == "protocol error: site 1 kernel failed: RuntimeError('disk gone')\n"
 
 
-def _damage_shipment_0_to_1(monkeypatch, damage):
+def _damage_frames(monkeypatch, edge, damage):
     """Both transports build every frame from `frame_parts` (in-process
-    through `encode_message`): the frame of site 0's columns shipped to
-    site 1 gets the parts `damage(head, values)` returns, given its header
+    through `encode_message`): each frame whose (kind, sender, receiver) is
+    `edge` gets the parts `damage(head, values)` returns, given its header
     buffer and a copy of its values as bytes."""
     parts = wire.frame_parts
 
     def damaged_parts(msg):
         head, values = parts(msg)
-        if (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 0, 1):
+        if (msg.kind, msg.sender, msg.receiver) == edge:
             return damage(head, values.copy())
         return head, values
 
     monkeypatch.setattr(wire, "frame_parts", damaged_parts)
     monkeypatch.setattr(runtime, "frame_parts", damaged_parts)
+
+
+_SHIPMENT_0_TO_1 = (MessageKind.DATA_BLOCK, 0, 1)
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
@@ -538,7 +542,7 @@ def test_compare_catches_a_bit_flipped_on_the_wire(mfeat_data, capsys, monkeypat
         values[-8] ^= 1  # lowest mantissa bit of the last little-endian value
         return head, values
 
-    _damage_shipment_0_to_1(monkeypatch, flip)
+    _damage_frames(monkeypatch, _SHIPMENT_0_TO_1, flip)
     code, err = _failed_fast(capsys, ["compare", "--inputs", str(mfeat_data),
                                       "--preset", "mfeat-3", "--transport", transport])
     assert code == 5
@@ -555,12 +559,31 @@ def test_compare_with_a_frame_its_block_refuses_is_a_protocol_error(mfeat_data, 
         head[at : at + 8] = head[at + 4 : at + 8] + head[at : at + 4]
         return head, values
 
-    _damage_shipment_0_to_1(monkeypatch, swap_first_two_indices)
+    _damage_frames(monkeypatch, _SHIPMENT_0_TO_1, swap_first_two_indices)
     code, err = _failed_fast(capsys, ["compare", "--inputs", str(mfeat_data),
                                       "--preset", "mfeat-3", "--transport", transport])
     assert code == 4
     assert err == (
         "protocol error: DATA_BLOCK 0->1: global column indices must be strictly increasing\n"
+    )
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_run_with_a_negative_variance_on_the_wire_is_a_protocol_error(mfeat_data, capsys,
+                                                                      monkeypatch, transport):
+    # Site 0 sends its local block first; its entry (0, 0), a variance,
+    # arrives with the sign bit flipped. The refusal names the frame's edge.
+    def negate_first_value(head, values):
+        values[7] ^= 0x80  # sign bit of the first little-endian value
+        return head, values
+
+    _damage_frames(monkeypatch, (MessageKind.COV_BLOCK, 0, 3), negate_first_value)
+    code, err = _failed_fast(capsys, ["run", "--inputs", str(mfeat_data), "--preset", "mfeat-3",
+                                      "--mode", "distributed", "--transport", transport])
+    assert code == 4
+    assert err == (
+        "protocol error: COV_BLOCK 0->3: "
+        "a local covariance block's variances must be non-negative\n"
     )
 
 

@@ -84,10 +84,31 @@ def test_local_cov_block_must_be_symmetric():
                  rows_global_cols=(0, 1), cols_global_cols=(0, 1))
 
 
-def test_global_covariance_mirrors_upper_triangle():
-    g = GlobalCovariance([[1.0, 5.0], [999.0, 2.0]])  # lower triangle ignored
-    assert g.matrix.values[1, 0] == 5.0
-    assert g.matrix.values.tobytes() == g.matrix.values.T.copy().tobytes()
+def test_local_cov_block_refuses_a_negative_variance():
+    block = DenseMatrix([[1.0, 0.5], [0.5, -2.0]])
+    with raises_exactly(DistCovError, match="block's variances must be non-negative"):
+        CovBlock(site_a=0, site_b=0, block=block,
+                 rows_global_cols=(0, 1), cols_global_cols=(0, 1))
+    # A cross block holds covariances, not variances: its diagonal may be negative.
+    CovBlock(site_a=0, site_b=1, block=block, rows_global_cols=(0, 1), cols_global_cols=(2, 3))
+
+
+def test_global_covariance_refuses_an_asymmetric_matrix():
+    with raises_exactly(DistCovError, match="covariance matrix must be exactly symmetric"):
+        GlobalCovariance([[1.0, 5.0], [999.0, 2.0]])
+
+
+def test_global_covariance_copies_and_clears_signed_zeros():
+    values = np.array([[2.0, -0.0], [0.0, -0.0]])
+    g = GlobalCovariance(values)
+    assert not np.shares_memory(g.matrix.values, values)
+    assert g.matrix.tobytes() == np.array([[2.0, 0.0], [0.0, 0.0]]).tobytes()
+    assert values[0, 1].tobytes() == np.float64(-0.0).tobytes()
+
+
+def test_global_covariance_must_be_finite():
+    with raises_exactly(DistCovError, match=r"matrix values must be finite \(no NaN/Inf\)"):
+        GlobalCovariance([[1.0, np.nan], [np.nan, 1.0]])
 
 
 def test_global_covariance_rejects_negative_variance():
@@ -557,10 +578,10 @@ def test_site_covariance_checks_its_senders():
         site_covariance(_col(0, [1]), [_col(1, [2], 1)])
 
 
-def test_merge_matches_the_mirrored_constructor_on_signed_zeros():
+def test_merge_matches_the_constructor_on_signed_zeros():
     # A local block may hold -0.0 above its diagonal and +0.0 below it (equal
-    # values); the merged matrix must still be the one GlobalCovariance's
-    # upper-triangle mirror makes of it, bit for bit.
+    # values); the merged matrix must still be the one GlobalCovariance
+    # makes of the same values, bit for bit.
     local_a = CovBlock(0, 0, DenseMatrix([[2.0, -0.0], [0.0, 3.0]]), (0, 1), (0, 1))
     local_b = CovBlock(1, 1, DenseMatrix([[-0.0]]), (2,), (2,))
     cross = CovBlock(1, 0, DenseMatrix([[-0.0, 1.5]]), (2,), (0, 1))

@@ -18,7 +18,7 @@ from distcov import (
 )
 from distcov.cli import main as cli_main
 from distcov.errors import DistCovError
-from distcov.ingest import MFEAT_WIDTHS, PartitionSpec, even_preset
+from distcov.ingest import MFEAT_FILES, MFEAT_WIDTHS, PartitionSpec, even_preset
 
 from conftest import raises_exactly
 
@@ -300,6 +300,20 @@ def test_synthetic_columns_have_distinct_scales():
 
 
 # --- real feature files -------------------------------------------------------
+
+def test_load_mfeat_joins_the_six_files_in_canonical_order(tmp_path):
+    from distcov import load_mfeat
+
+    table = synthetic_table(3, sum(MFEAT_WIDTHS), seed=9)
+    edges = np.cumsum((0, *MFEAT_WIDTHS))
+    paths = [tmp_path / fname for _, fname, _ in MFEAT_FILES]
+    for path, lo, hi in reversed(list(zip(paths, edges, edges[1:]))):  # written last to first
+        np.savetxt(path, table.values[:, lo:hi], fmt="%.17g")
+    loaded = load_mfeat(tmp_path)
+    assert (loaded.rows, loaded.cols) == (3, 649)
+    assert loaded == hjoin([load_table(p, format="whitespace") for p in paths])
+    assert loaded == table
+
 
 def test_load_mfeat_missing_file(tmp_path):
     from distcov import load_mfeat

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import re
+import select
 import socket
 import subprocess
 import sys
@@ -476,6 +477,24 @@ def test_late_stray_frame_is_refused(monkeypatch, transport):
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_coordinator_refuses_raw_columns(monkeypatch, transport):
+    # Site 1 ships its own columns to the coordinator before its turn: the
+    # coordinator takes only blocks and DONE markers.
+    turn = runtime._site_turn
+
+    def also_ship_to_the_coordinator(net, schedule, blocks, site, transfers):
+        if site == 1:
+            net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, schedule.t, blocks[1]))
+        return turn(net, schedule, blocks, site, transfers)
+
+    monkeypatch.setattr(runtime, "_site_turn", also_ship_to_the_coordinator)
+    rng = np.random.default_rng(55)
+    blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
+    with raises_exactly(ProtocolError, match="^coordinator received unexpected DATA_BLOCK from 1$"):
+        run_distributed(blocks, build_schedule(3), transport=transport)
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
 def test_slow_site_is_not_a_failure(monkeypatch, transport):
     # A run has no timer: a slow kernel is waited for, and a deadline left
     # in the environment by an older version changes nothing.
@@ -534,6 +553,43 @@ def test_tcp_sends_a_frame_larger_than_the_socket_buffers(monkeypatch):
         msg = net.recv(0, 5.0)
     finally:
         net.close()
+    assert msg.payload.global_cols == block.global_cols
+    assert msg.payload.data.tobytes() == block.data.tobytes()
+
+
+def test_tcp_waits_on_a_full_socket_and_delivers_the_block_intact(monkeypatch):
+    # Fixed socket buffers, not the host's autotuned ones: the small sending
+    # end fills with bytes that the receiving end has read but not yet
+    # acknowledged, so send finds neither end able to move and waits in select.
+    full, waits = [0], [0]
+    sendmsg, wait = socket.socket.sendmsg, select.select
+
+    def counted_sendmsg(self, buffers, *args):
+        try:
+            return sendmsg(self, buffers, *args)
+        except BlockingIOError:
+            full[0] += 1
+            raise
+
+    def counted_select(*args):
+        waits[0] += 1
+        return wait(*args)
+
+    monkeypatch.setattr(socket.socket, "sendmsg", counted_sendmsg)
+    monkeypatch.setattr(select, "select", counted_select)
+    rng = np.random.default_rng(52)
+    block = ColumnBlock(site=1, data=DenseMatrix(rng.standard_normal((1000, 40))),
+                        global_cols=tuple(range(40)))
+    net = TcpTransport([0, 1])
+    try:
+        for sock in (net._sock, net._conn):
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 131072)
+        stat = net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
+        msg = net.recv(0)
+    finally:
+        net.close()
+    assert stat.bytes > 300_000 and full[0] > 0 and waits[0] > 0
     assert msg.payload.global_cols == block.global_cols
     assert msg.payload.data.tobytes() == block.data.tobytes()
 
