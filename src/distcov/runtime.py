@@ -65,15 +65,12 @@ from .errors import DistCovError, MissingFrame, ProtocolError
 from .matrix import DenseMatrix
 from .schedule import Schedule
 from .wire import (
-    HEADER,
     MessageKind,
     ProtocolMessage,
     decode_message,
     encode_message,
     frame_buffer,
     frame_parts,
-    frame_size,
-    largest_frame,
 )
 
 __all__ = [
@@ -200,6 +197,13 @@ class InProcessTransport:
         """Nothing to release in-process."""
 
 
+# Each TCP socket buffer's least size in bytes, as `getsockopt` reads it.
+# Below it a send can stall on the kernel's ACK timers: for ~88 ms on the
+# delayed ACK with an 8 KiB send buffer, for ~6.5 s on the zero-window
+# probe with a 4 KiB receive buffer.
+_BUFFER_FLOOR = 256 * 1024
+
+
 def _advance(views: list, n: int) -> list:
     """`views`, a list of non-empty byte views, without their first n bytes."""
     while views and n >= len(views[0]):
@@ -216,38 +220,41 @@ class TcpTransport(InProcessTransport):
     Construction connects to a listener of the transport's own, accepts
     that one connection and closes the listener; an accepted peer that is
     not the transport's own socket raises ProtocolError, so no other peer
-    can reach the reader. Every frame travels over the one connection: the
-    sites take turns on one thread and each `send` moves its frame all the
-    way, so frames never interleave on the wire. `send` writes without
-    blocking and reads the receiving end in the same loop until every byte
-    it wrote has been read, selecting on the two sockets only when neither
-    end can move. So every frame is in its receiver's inbox before `send`
-    returns, and `recv` and `require_drained` are the in-process ones.
+    can reach the receiving end. Both ends' send and receive buffers are
+    raised to at least `_BUFFER_FLOOR`, so on a host whose defaults are
+    small a send does not stall on the kernel's ACK timers. Every frame
+    travels over the one connection: the sites take turns on one thread and
+    each `send` moves its frame all the way, so frames never interleave on
+    the wire. `send` writes without blocking and reads the receiving end in
+    the same loop until every byte it wrote has been read, selecting on the
+    two sockets only when neither end can move. So every frame is in its
+    receiver's inbox before `send` returns, and `recv` and
+    `require_drained` are the in-process ones.
 
     No block is copied on its way. `send` writes the frame's two parts
     (`frame_parts`) with one `sendmsg`: header, fields and indices from one
-    small buffer, the values straight from the block's array. Each frame
-    is received into one `frame_buffer` of its declared size and queued
-    read-only, the form `encode_message` gives a frame in-process. A
-    declared size above `max_frame` bytes, bytes that end inside a frame,
-    and a receiving end that closes each raise ProtocolError naming the
-    edge of the message being sent.
+    small buffer, the values straight from the block's array. It reads the
+    frame back into one `frame_buffer` of the size it writes, never of a
+    size a header declares, and queues it read-only, the form
+    `encode_message` gives a frame in-process; `decode_message` checks the
+    header at `recv`, as in-process. A receiving end that closes, or a
+    socket error, raises ProtocolError naming the edge of the message being
+    sent.
     """
 
-    def __init__(self, endpoints, log: list | None = None, max_frame: int | None = None):
+    def __init__(self, endpoints, log: list | None = None):
         super().__init__(endpoints, log)
-        self._max_frame = max_frame
-        # The read state: a header buffer until the header is complete,
-        # then one buffer of the declared frame size.
-        self._buf, self._got = bytearray(HEADER.size), 0
         self._sock = self._conn = None
         try:
             with socket.create_server(("127.0.0.1", 0)) as listener:
                 self._sock = socket.create_connection(listener.getsockname())
                 self._conn, peer = listener.accept()
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._sock.setblocking(False)
-            self._conn.setblocking(False)
+            for sock in (self._sock, self._conn):
+                for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                    if sock.getsockopt(socket.SOL_SOCKET, option) < _BUFFER_FLOOR:
+                        sock.setsockopt(socket.SOL_SOCKET, option, _BUFFER_FLOOR)
+                sock.setblocking(False)
         except OSError as exc:
             self.close()
             raise ProtocolError(f"loopback connection failed: {exc}") from None
@@ -257,64 +264,38 @@ class TcpTransport(InProcessTransport):
                 f"accepted a connection from {peer}, not from the transport's own socket"
             )
 
-    def _read(self, msg: ProtocolMessage) -> int:
-        """Take what the receiving end holds now and deliver every frame it
-        completes to `msg`'s receiver; returns the number of bytes taken."""
-        taken = 0
-        while True:
-            try:
-                got = self._conn.recv_into(memoryview(self._buf)[self._got :])
-            except BlockingIOError:
-                return taken
-            if not got:
-                raise ProtocolError(f"edge {msg.sender}->{msg.receiver}: receiving end closed")
-            taken += got
-            self._got += got
-            if self._got < len(self._buf):
-                continue
-            if self._got == HEADER.size:  # a full header: move it into the frame's buffer
-                size = frame_size(self._buf)
-                if self._max_frame is not None and size > self._max_frame:
-                    raise ProtocolError(
-                        f"edge {msg.sender}->{msg.receiver}: frame of {size} bytes exceeds "
-                        f"the largest legal frame of {self._max_frame} bytes"
-                    )
-                frame = frame_buffer(size)
-                frame[: HEADER.size] = self._buf
-                self._buf = frame
-                if size > HEADER.size:
-                    continue
-            self._inbox[msg.receiver].append(self._buf.toreadonly())
-            self._buf, self._got = bytearray(HEADER.size), 0
-
     def _deliver(self, msg: ProtocolMessage) -> int:
         """Write `msg`'s frame as its two parts, never joined, and read it
-        into the receiver's inbox; returns its byte size."""
+        back into its receiver's inbox; returns its byte size."""
         unsent = [memoryview(part) for part in frame_parts(msg) if len(part)]
-        size = unread = sum(map(len, unsent))
+        frame = frame_buffer(sum(map(len, unsent)))
+        got = 0
         try:
-            while unread:
-                sent = 0
+            while got < len(frame):
+                sent = taken = 0
                 if unsent:
                     try:
                         sent = self._sock.sendmsg(unsent)
                     except BlockingIOError:  # full: only reading makes room
                         pass
                     unsent = _advance(unsent, sent)
-                taken = self._read(msg)
-                unread -= taken
-                if unread and not (sent or taken):
+                try:
+                    taken = self._conn.recv_into(frame[got:])
+                    if not taken:
+                        raise ProtocolError(
+                            f"edge {msg.sender}->{msg.receiver}: receiving end closed"
+                        )
+                except BlockingIOError:  # nothing arrived yet
+                    pass
+                got += taken
+                if got < len(frame) and not (sent or taken):
                     select.select([self._conn], [self._sock] if unsent else [], [])
         except OSError as exc:
             raise ProtocolError(
                 f"send {msg.sender}->{msg.receiver} failed: {exc}"
             ) from None
-        if self._got:
-            raise ProtocolError(
-                f"edge {msg.sender}->{msg.receiver}: bytes end inside a frame, "
-                f"{self._got} of {len(self._buf)} read"
-            )
-        return size
+        self._inbox[msg.receiver].append(frame.toreadonly())
+        return len(frame)
 
     def close(self) -> None:
         """Close the connection's two ends."""
@@ -403,7 +384,7 @@ def _timed_exchange(
 ) -> tuple[GlobalCovariance, RunMetrics]:
     """The exchange protocol up to the merged matrix, with its timings."""
     blocks = sorted(blocks, key=lambda b: b.site)
-    rows = _check_blocks(blocks)
+    _check_blocks(blocks)
     t = len(blocks)
     if schedule.t != t:
         raise DistCovError(f"schedule is for {schedule.t} sites, got {t} blocks")
@@ -414,8 +395,7 @@ def _timed_exchange(
     if transport == "in-process":
         net = InProcessTransport(endpoints, log=message_log)
     elif transport == "tcp":
-        max_frame = largest_frame(rows, [b.width for b in blocks])
-        net = TcpTransport(endpoints, log=message_log, max_frame=max_frame)
+        net = TcpTransport(endpoints, log=message_log)
     else:
         raise ProtocolError(f"unknown transport {transport!r}")
 

@@ -20,10 +20,11 @@ that size. Values survive a round trip bit-for-bit.
 
 The values are always a frame's last 8 * rows * cols bytes, so a frame in
 a `frame_buffer`, whose end is 8-byte aligned, holds them aligned:
-`encode_message` returns one read-only, the TCP reader receives into one,
-and `decode_message` keeps such values as a view. A sender can also write
-a frame in two parts (`frame_parts`): header, fields and indices in one
-small buffer, then the block's values straight from their array.
+`encode_message` returns one read-only, a TCP send reads its frame back
+into one, and `decode_message` keeps such values as a view. A sender can
+also write a frame in two parts (`frame_parts`): header, fields and
+indices in one small buffer, then the block's values straight from their
+array.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ __all__ = [
     "decode_message",
     "frame_buffer",
     "frame_parts",
-    "frame_size",
-    "largest_frame",
     "HEADER",
     "MAGIC",
 ]
@@ -96,23 +95,6 @@ class ProtocolMessage:
 
 _U32_LE = np.dtype("<u4")
 _F64_LE = np.dtype("<f8")
-
-
-def frame_size(header) -> int:
-    """Byte size of the whole frame whose header `header` holds, as the
-    header's payload length declares it."""
-    return HEADER.size + HEADER.unpack_from(header)[4]
-
-
-def largest_frame(rows: int, widths) -> int:
-    """Byte size of the largest frame a run over blocks of `rows` rows and
-    these column widths can send: a DataBlock of the widest block, or the
-    widest block's local CovBlock."""
-    w = max(widths)
-    return HEADER.size + max(
-        _payload_size(MessageKind.DATA_BLOCK, rows, w),
-        _payload_size(MessageKind.COV_BLOCK, w, w),
-    )
 
 
 def frame_buffer(size: int) -> memoryview:
@@ -166,12 +148,12 @@ def decode_message(frame) -> ProtocolMessage:
     unaligned values, a big-endian host) has its values copied.
 
     Raises:
-        ProtocolError: bad magic, a frame shorter than the header, a kind
-            byte outside the defined set, a frame size that disagrees with
-            the declared payload length, a payload whose size is not
-            `_payload_size` of its fields, or a block its payload type
-            refuses or a NaN or infinite value, these two naming kind and
-            sender->receiver.
+        ProtocolError: bad magic, a frame shorter than the header or a kind
+            byte outside the defined set; or, naming kind and
+            sender->receiver, a frame size that disagrees with the declared
+            payload length, a payload whose size is not `_payload_size` of
+            its fields, a block its payload type refuses or a NaN or
+            infinite value.
     """
     view = memoryview(frame).cast("B")
     if len(view) < HEADER.size:
@@ -183,9 +165,10 @@ def decode_message(frame) -> ProtocolMessage:
         kind = MessageKind(kind_byte)
     except ValueError:
         raise ProtocolError(f"unknown message kind {kind_byte:#x}") from None
+    edge = f"{kind.name} {sender}->{receiver}"
     if len(view) != HEADER.size + length:
         raise ProtocolError(
-            f"header declares {length} payload bytes, frame carries "
+            f"{edge}: header declares {length} payload bytes, frame carries "
             f"{len(view) - HEADER.size}"
         )
     nfields = _LAYOUT[kind][1]
@@ -197,7 +180,7 @@ def decode_message(frame) -> ProtocolMessage:
     rows, cols = fields[-2:] if fields else (0, 0)
     need = _payload_size(kind, rows, cols)
     if length != need:
-        raise ProtocolError(f"{kind.name} payload of {length} bytes, its fields call for {need}")
+        raise ProtocolError(f"{edge}: payload of {length} bytes, its fields call for {need}")
     if kind is MessageKind.DONE:
         return ProtocolMessage(kind, sender, receiver)
 
@@ -224,5 +207,5 @@ def decode_message(frame) -> ProtocolMessage:
                 cols_global_cols=indices[rows:],
             )
     except DistCovError as exc:
-        raise ProtocolError(f"{kind.name} {sender}->{receiver}: {exc}") from None
+        raise ProtocolError(f"{edge}: {exc}") from None
     return ProtocolMessage(kind, sender, receiver, payload)

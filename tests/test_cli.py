@@ -569,6 +569,30 @@ def test_compare_with_a_frame_its_block_refuses_is_a_protocol_error(mfeat_data, 
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_compare_with_a_damaged_header_names_its_edge(mfeat_data, capsys, monkeypatch,
+                                                      transport):
+    # The header declares 8 payload bytes more than the frame carries. Each
+    # transport delivers the bytes written, so decoding refuses them alike.
+    declared = []
+
+    def lengthen(head, values):
+        length = int.from_bytes(head[13:21], "little")
+        declared.append(length)
+        head[13:21] = (length + 8).to_bytes(8, "little")
+        return head, values
+
+    _damage_frames(monkeypatch, _SHIPMENT_0_TO_1, lengthen)
+    code, err = _failed_fast(capsys, ["compare", "--inputs", str(mfeat_data),
+                                      "--preset", "mfeat-3", "--transport", transport])
+    assert code == 4
+    [length] = declared
+    assert err == (
+        f"protocol error: DATA_BLOCK 0->1: header declares {length + 8} payload bytes, "
+        f"frame carries {length}\n"
+    )
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
 def test_run_with_a_negative_variance_on_the_wire_is_a_protocol_error(mfeat_data, capsys,
                                                                       monkeypatch, transport):
     # Site 0 sends its local block first; its entry (0, 0), a variance,

@@ -52,7 +52,7 @@ from distcov.runtime import (
 )
 from distcov.ingest import even_preset
 from distcov.schedule import pair_coverage
-from distcov.wire import HEADER, MAGIC, largest_frame
+from distcov.wire import HEADER, MAGIC
 from conftest import blocks_for, open_fds, raises_exactly
 
 
@@ -153,37 +153,53 @@ def test_tcp_matches_in_process():
     assert cov_q.matrix.tobytes() == cov_t.matrix.tobytes()
 
 
-def test_tcp_refuses_oversized_frame_before_allocating(monkeypatch):
-    forged = HEADER.pack(MAGIC, int(MessageKind.DATA_BLOCK), 1, 0, 2**60)
-    monkeypatch.setattr(runtime, "frame_parts", lambda msg: (forged, np.empty(0, np.uint8)))
-    net = TcpTransport([0, 1], max_frame=largest_frame(10, [3, 2]))
+def _refused_at_recv(monkeypatch, damage, msg):
+    """Send `msg` over TCP with its frame's parts replaced by
+    `damage(head, values)`, and return the ProtocolError `recv` raises.
+    The send must ask for one frame buffer, of exactly the bytes it wrote,
+    and send and recv together must end within 1 s."""
+    parts, buffer = runtime.frame_parts, runtime.frame_buffer
+    written, asked = [], []
+
+    def damaged_parts(m):
+        head, values = damage(*parts(m))
+        written.append(len(head) + len(values))
+        return head, values
+
+    def counted_buffer(size):
+        asked.append(size)
+        return buffer(size)
+
+    monkeypatch.setattr(runtime, "frame_parts", damaged_parts)
+    monkeypatch.setattr(runtime, "frame_buffer", counted_buffer)
+    net = TcpTransport([0, 1])
     try:
         started = time.perf_counter()
-        with raises_exactly(ProtocolError, match=r"^edge 1->0: .*largest legal frame"):
-            net.send(ProtocolMessage(MessageKind.DONE, 1, 0))
+        net.send(msg)
+        with raises_exactly(ProtocolError, match=r"^DATA_BLOCK 1->0: header declares ") as exc:
+            net.recv(0)
         assert time.perf_counter() - started < 1.0
     finally:
         net.close()
+    assert asked == written
+    return exc.value
+
+
+def test_tcp_refuses_oversized_frame_before_allocating(monkeypatch):
+    # The header declares 2**60 bytes; only the 21 bytes sent are allocated.
+    forged = HEADER.pack(MAGIC, int(MessageKind.DATA_BLOCK), 1, 0, 2**60)
+    exc = _refused_at_recv(monkeypatch, lambda head, values: (forged, values),
+                           ProtocolMessage(MessageKind.DONE, 1, 0))
+    assert str(exc).endswith(f"declares {2**60} payload bytes, frame carries 0")
 
 
 def test_tcp_refuses_a_frame_cut_short_of_its_declared_size(monkeypatch):
     block = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (3, 2))),
                         global_cols=(4, 7))
-    parts = runtime.frame_parts
-
-    def cut_parts(msg):
-        head, values = parts(msg)
-        return head, values[:-8]
-
-    monkeypatch.setattr(runtime, "frame_parts", cut_parts)
-    net = TcpTransport([0, 1], max_frame=largest_frame(3, [2]))
-    try:
-        started = time.perf_counter()
-        with raises_exactly(ProtocolError, match=r"^edge 1->0: bytes end inside a frame"):
-            net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
-        assert time.perf_counter() - started < 1.0
-    finally:
-        net.close()
+    msg = ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block)
+    payload = len(encode_message(msg)) - HEADER.size
+    exc = _refused_at_recv(monkeypatch, lambda head, values: (head, values[:-8]), msg)
+    assert str(exc).endswith(f"declares {payload} payload bytes, frame carries {payload - 8}")
 
 
 def _tcp_messages():
@@ -280,14 +296,6 @@ def test_tcp_holds_each_inbound_byte_once():
         if kind is MessageKind.DATA_BLOCK:
             inbound[receiver] += size
     assert peak < max(inbound.values()) + allowance
-
-
-def test_largest_frame_is_the_largest_frame_a_run_sends():
-    rng = np.random.default_rng(35)
-    blocks = blocks_for(rng.standard_normal((20, 9)), [2, 5, 2])
-    log: list = []
-    run_distributed(blocks, build_schedule(3), transport="tcp", message_log=log)
-    assert max(size for *_, size in log) == largest_frame(20, [2, 5, 2])
 
 
 def test_tcp_runs_leave_no_threads_behind():
@@ -595,33 +603,84 @@ def test_tcp_waits_on_a_full_socket_and_delivers_the_block_intact(monkeypatch):
 
 
 def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time(monkeypatch):
-    sendmsg = socket.socket.sendmsg
+    sendmsg, recv_into = socket.socket.sendmsg, socket.socket.recv_into
+    reads = []  # bytes taken by each read that took any
+
+    def counted_recv_into(self, buffer, *args):
+        got = recv_into(self, buffer, *args)
+        reads.append(got)
+        return got
+
     monkeypatch.setattr(socket.socket, "sendmsg",
                         lambda self, buffers, *args: sendmsg(self, [buffers[0][:1]], *args))
-    header_reads = []  # bytes of the header held after each read inside it
-    read = TcpTransport._read
-
-    def watched_read(self, msg):
-        in_header = len(self._buf) == HEADER.size
-        taken = read(self, msg)
-        if in_header:
-            header_reads.append(self._got if len(self._buf) == HEADER.size else HEADER.size)
-        return taken
-
-    monkeypatch.setattr(TcpTransport, "_read", watched_read)
+    monkeypatch.setattr(socket.socket, "recv_into", counted_recv_into)
     block = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2, 3, 4, 5, 6], (3, 2))),
                         global_cols=(4, 7))
-    frame = encode_message(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
-    net = TcpTransport([0, 1], max_frame=len(frame))
+    net = TcpTransport([0, 1])
     try:
         net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, block))
         msg = net.recv(0, 5.0)
     finally:
         net.close()
-    assert any(0 < got < HEADER.size for got in header_reads)
+    assert len(reads) > 1 and reads[0] < HEADER.size
     assert (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 1, 0)
     assert msg.payload.global_cols == (4, 7)
     assert msg.payload.data.tobytes() == block.data.tobytes()
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("recv_into", "^edge 1->0: receiving end closed$"),
+    ("sendmsg", "^send 1->0 failed: peer gone$"),
+])
+def test_tcp_send_fails_fast_when_an_end_fails(monkeypatch, patch, message):
+    # A read of 0 bytes is end of file: without its check the loop would
+    # select on a readable socket forever, so a second read fails the test.
+    reads = []
+
+    def fails(self, *args):
+        if patch == "sendmsg":
+            raise ConnectionResetError("peer gone")
+        reads.append(0)
+        assert len(reads) == 1, "read again after end of file"
+        return 0
+
+    before = open_fds()
+    net = TcpTransport([0, 1])
+    monkeypatch.setattr(socket.socket, patch, fails)
+    try:
+        started = time.perf_counter()
+        with raises_exactly(ProtocolError, match=message):
+            net.send(ProtocolMessage(MessageKind.DONE, 1, 0))
+        assert time.perf_counter() - started < 1.0
+    finally:
+        net.close()
+    assert open_fds() == before
+
+
+def test_tcp_raises_small_socket_buffers_to_the_floor(monkeypatch):
+    # Both ends start with an 8 KiB send and a 4 KiB receive buffer, which
+    # stall a send on the kernel's delayed-ACK and zero-window timers; each
+    # buffer must read at least 256 KiB once the transport is built.
+    def small(sock):
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        return sock
+
+    connect, accept = socket.create_connection, socket.socket.accept
+
+    def small_accept(self):
+        conn, peer = accept(self)
+        return small(conn), peer
+
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **kw: small(connect(*a, **kw)))
+    monkeypatch.setattr(socket.socket, "accept", small_accept)
+    net = TcpTransport([0, 1])
+    try:
+        for sock in (net._sock, net._conn):
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                assert sock.getsockopt(socket.SOL_SOCKET, option) >= 256 * 1024
+    finally:
+        net.close()
 
 
 def test_tcp_refuses_a_peer_that_connects_before_its_own_socket(monkeypatch):

@@ -102,7 +102,8 @@ def test_unknown_kind():
 
 def test_declared_length_mismatch():
     frame = encode_message(_data_msg())
-    with raises_exactly(ProtocolError, match="header declares"):
+    with raises_exactly(ProtocolError, match="^DATA_BLOCK 0->1: header declares 32 payload bytes, "
+                                             "frame carries 33$"):
         decode_message(bytes(frame) + b"\x00")
 
 
@@ -112,14 +113,14 @@ def test_truncated_payload_fields():
     bad = bytearray(frame)
     bad[4] = 1  # relabel as DataBlock
     bad[13] = 4
-    with raises_exactly(ProtocolError, match="DATA_BLOCK payload of 4 bytes, its fields call for"):
+    with raises_exactly(ProtocolError, match="^DATA_BLOCK 0->1: payload of 4 bytes, its fields call for"):
         decode_message(bytes(bad) + b"\x00" * 4)
 
 
 def test_trailing_payload_bytes_rejected():
     frame = bytearray(encode_message(ProtocolMessage(MessageKind.DONE, 0, 1)))
     frame[13] = 2
-    with raises_exactly(ProtocolError, match="DONE payload of 2 bytes, its fields call for 0"):
+    with raises_exactly(ProtocolError, match="^DONE 0->1: payload of 2 bytes, its fields call for 0$"):
         decode_message(bytes(frame) + b"\x00\x00")
 
 
