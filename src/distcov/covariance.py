@@ -24,7 +24,7 @@ mu^_j), which is not small for a column whose mean is large against its
 spread. `test_kernel_matches_exact_rational_reference` checks every entry
 to within 2**-52 * sqrt(var_i * var_j) of the exact covariance on a
 120 x 6 table whose mean-to-spread ratios are at most about 2e3; no bound
-is claimed beyond such tables (ROADMAP item 5).
+is claimed beyond such tables (ROADMAP item 7).
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ class ColumnBlock:
             raise DistCovError("global column indices must be strictly increasing")
         if self.global_cols and self.global_cols[0] < 0:
             raise DistCovError("global column indices must be non-negative")
-
-    @property
-    def width(self) -> int:
-        return self.data.cols
 
 
 @dataclass(frozen=True)
@@ -206,7 +202,7 @@ class _Operand:
     column's sum is finite and takes no part in this.
     """
 
-    __slots__ = ("values", "mean", "exps", "scale")
+    __slots__ = ("values", "mean", "exps")
 
     def __init__(self, values: np.ndarray, b: int):
         n, w = values.shape
@@ -233,7 +229,6 @@ class _Operand:
         if not np.isfinite(peak).all():
             raise DistCovError("a column's centered values overflow float64")
         _, self.exps = np.frexp(peak)  # peak < 2**exps
-        self.scale = np.ldexp(1.0, b - self.exps)
 
     def split(self, r0: int, out: np.ndarray, b: int) -> None:
         """Write the s integer slices of rows r0 .. r0 + len(out[0]) into out.
@@ -245,7 +240,7 @@ class _Operand:
         """
         work = out[-1]
         np.subtract(self.values[r0 : r0 + len(work)], self.mean, out=work)
-        work *= self.scale  # exact: |work| < 2**b
+        np.ldexp(work, b - self.exps, out=work)  # exact, < 2**b, at any exponent
         lift = float(2**b)
         for k in range(len(out) - 1):
             np.rint(work, out=out[k])
@@ -254,7 +249,9 @@ class _Operand:
         np.rint(work, out=work)  # the last slice, in place
 
 
-@np.errstate(over="ignore")  # an overflow is refused below as DistCovError
+# A column sum may overflow, to inf or, with +inf and -inf, to nan; such a
+# column is summed again (`_Operand`). Any other overflow is refused below.
+@np.errstate(over="ignore", invalid="ignore")
 def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Covariance blocks of several (n, w) arrays against one (n, wy) array:
     entry (u, v) of block k is the covariance of xs[k]'s column u with y's
@@ -272,10 +269,12 @@ def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     is the exact transpose of the block for (x, y). For x is y only
     X_i^T Y_j is computed; the pair is T + T^T.
 
-    Raises DistCovError, without a numpy warning, when a column's
-    centered values or a covariance overflow float64.
+    Raises DistCovError, without a numpy warning, for fewer than 2 rows or
+    when a column's centered values or a covariance overflow float64.
     """
     n, wy = y.shape
+    if n < 2:
+        raise DistCovError("sample covariance needs at least 2 rows")
     b, s = _slicing(n)
     chunk = min(n, _CHUNK_ROWS)
     yo = _Operand(y, b)
@@ -315,10 +314,10 @@ def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
                     total = np.add(total, total.T, out=term)
                 # The first term is added to 0.0, so a zero sum is +0.0.
                 np.add(total, 0.0 if (level, i) == (s - 1, 0) else out, out=out)
+        out /= n - 1  # before the scaling: only a covariance past float64's range overflows
         for r0 in range(0, wx, _CHUNK_ROWS):  # a panel of rows at a time
             rows = slice(r0, r0 + _CHUNK_ROWS)
             np.ldexp(out[rows], np.add.outer(xo.exps[rows] - b, yo.exps - b), out=out[rows])
-        out /= n - 1
         # An infinity is the minimum or the maximum: no (wx, wy) mask.
         if not (np.isfinite(out.min()) and np.isfinite(out.max())):
             raise DistCovError("a covariance overflows float64")
@@ -326,31 +325,38 @@ def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     return blocks
 
 
+def _row_count(blocks: Sequence[ColumnBlock]) -> int:
+    """The row count every block shares, that of blocks[0]."""
+    rows = blocks[0].data.rows
+    for b in blocks:
+        if b.data.rows != rows:
+            raise DistCovError(
+                f"site {b.site} has {b.data.rows} rows, site {blocks[0].site} has {rows}"
+            )
+    return rows
+
+
+def _site_blocks(own: ColumnBlock, xs: Sequence[ColumnBlock]) -> list[CovBlock]:
+    """The blocks of each of xs against own's columns, from one kernel call,
+    each oriented (x.site, own.site): entry (u, v) pairs x's column u with
+    own's column v. xs may hold own's site once, as own itself, which gives
+    own's local block. A kernel error names own's site.
+    """
+    if sum(x.site == own.site for x in xs) > any(x is own for x in xs):
+        raise DistCovError(f"cross covariance needs two distinct sites, both are {own.site}")
+    _row_count([own, *xs])
+    try:
+        values = _cov_blocks(own.data.values, [x.data.values for x in xs])
+    except DistCovError as exc:
+        raise DistCovError(f"site {own.site}: {exc}") from None
+    return [CovBlock(x.site, own.site, DenseMatrix._wrap(v), x.global_cols, own.global_cols)
+            for x, v in zip(xs, values)]
+
+
 def local_covariance(b: ColumnBlock) -> CovBlock:
     """Covariance block of one site's own columns, exactly symmetric."""
-    return site_covariance(b, [])[0]
-
-
-def _check_senders(receiver: ColumnBlock, senders: Sequence[ColumnBlock]) -> None:
-    n = receiver.data.rows
-    for sender in senders:
-        if receiver.site == sender.site:
-            raise DistCovError(
-                f"cross covariance needs two distinct sites, both are {receiver.site}"
-            )
-        if n != sender.data.rows:
-            raise DistCovError(
-                f"row counts differ: sender {sender.data.rows}, receiver {n}"
-            )
-    if n < 2:
-        raise DistCovError("sample covariance needs at least 2 rows")
-
-
-def _cross_block(receiver: ColumnBlock, sender: ColumnBlock, values: np.ndarray) -> CovBlock:
-    return CovBlock(
-        sender.site, receiver.site, DenseMatrix._wrap(values),
-        sender.global_cols, receiver.global_cols,
-    )
+    (block,) = _site_blocks(b, [b])
+    return block
 
 
 def cross_covariance(receiver: ColumnBlock, sender: ColumnBlock) -> CovBlock:
@@ -361,9 +367,8 @@ def cross_covariance(receiver: ColumnBlock, sender: ColumnBlock) -> CovBlock:
     recomputes the sender's means from the raw data, which the kernel makes
     identical to sender-side means.
     """
-    _check_senders(receiver, [sender])
-    (block,) = _cov_blocks(receiver.data.values, [sender.data.values])
-    return _cross_block(receiver, sender, block)
+    (block,) = _site_blocks(receiver, [sender])
+    return block
 
 
 def site_covariance(
@@ -378,17 +383,8 @@ def site_covariance(
     block bit-equals the block `local_covariance` or `cross_covariance`
     computes.
     """
-    _check_senders(own, senders)
-    values = own.data.values
-    try:
-        local, *cross = _cov_blocks(values, [values, *(s.data.values for s in senders)])
-    except DistCovError as exc:
-        raise DistCovError(f"site {own.site}: {exc}") from None
-    local_block = CovBlock(
-        own.site, own.site, DenseMatrix._wrap(local),
-        own.global_cols, own.global_cols,
-    )
-    return local_block, [_cross_block(own, s, c) for s, c in zip(senders, cross)]
+    local, *cross = _site_blocks(own, [own, *senders])
+    return local, cross
 
 
 def centralized_covariance(m: DenseMatrix) -> GlobalCovariance:
@@ -397,9 +393,6 @@ def centralized_covariance(m: DenseMatrix) -> GlobalCovariance:
     This is the oracle every distributed result is checked against: the same
     kernel, run on all columns at once.
     """
-    n = m.rows
-    if n < 2:
-        raise DistCovError("sample covariance needs at least 2 rows")
     if m.cols < 1:
         raise DistCovError("covariance needs at least one column")
     (block,) = _cov_blocks(m.values, [m.values])

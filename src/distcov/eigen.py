@@ -22,6 +22,7 @@ class EigenDecomposition:
     eigenvectors: DenseMatrix
 
 
+@np.errstate(over="ignore")  # an eigenvalue past float64's range is refused below
 def symmetric_eigen(a: GlobalCovariance) -> EigenDecomposition:
     """Full eigen-decomposition of a symmetric covariance matrix.
 
@@ -30,15 +31,21 @@ def symmetric_eigen(a: GlobalCovariance) -> EigenDecomposition:
     largest absolute value is made positive (ties broken by lowest index).
 
     Raises:
-        DistCovError: the underlying iteration failed to converge.
+        DistCovError: the underlying iteration failed to converge, or an
+            eigenvalue overflows float64.
     """
     sym = a.matrix.values
+    # Scaled exactly so that its largest entry is in [0.5, 1): unscaled, eigh
+    # may not converge on entries spread over float64's range.
+    _, e = np.frexp(max(sym.max(), -sym.min()))
     try:
-        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = np.linalg.eigh(np.ldexp(sym, -e))
     except np.linalg.LinAlgError as exc:
         raise DistCovError(f"eigen-decomposition did not converge: {exc}") from None
     # eigh sorts ascending; flip to descending and re-pair the columns.
-    vals = vals[::-1]
+    vals = np.ldexp(vals[::-1], e)
+    if not np.isfinite(vals).all():
+        raise DistCovError("an eigenvalue overflows float64")
     vecs = np.ascontiguousarray(vecs[:, ::-1])
     # argmax returns the first maximum, so ties go to the lowest index.
     lead = np.argmax(np.abs(vecs), axis=0)

@@ -57,9 +57,9 @@ class DenseMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DenseMatrix):
             return NotImplemented
-        return (
-            self._values.shape == other._values.shape
-            and self.tobytes() == other.tobytes()
+        # Bit patterns, not floats: == on floats would equate -0.0 and 0.0.
+        return self._values.shape == other._values.shape and np.array_equal(
+            self._values.view(np.uint64), other._values.view(np.uint64)
         )
 
     __hash__ = None  # type: ignore[assignment]

@@ -17,8 +17,6 @@ from __future__ import annotations
 import hashlib
 import os
 
-import numpy as np
-
 from .costmodel import distributed_cost
 from .covariance import GlobalCovariance
 from .eigen import EigenDecomposition
@@ -92,8 +90,6 @@ def compare_partitions(
         MismatchError: a merged matrix differs (never expected in real use).
     """
     cen_cov, cen_metrics = _timed_oracle(table)
-    # Bit patterns, not floats: == on floats would equate -0.0 and 0.0.
-    cen_bits = cen_cov.matrix.values.view(np.uint64)
     checksum = matrix_checksum(cen_cov.matrix)
     # Thread CPU on both sides; the distributed aggregate assumes one processor
     # per site, so both are one-processor times only at one BLAS thread.
@@ -104,7 +100,7 @@ def compare_partitions(
         t = len(blocks)
         schedule = build_schedule(t)
         dist_cov, dist_metrics = _timed_exchange(blocks, schedule, transport)
-        if not np.array_equal(dist_cov.matrix.values.view(np.uint64), cen_bits):
+        if dist_cov != cen_cov:  # bit for bit
             raise MismatchError(
                 f"distributed and centralized matrices differ (t={t}, "
                 f"distributed {matrix_checksum(dist_cov.matrix)[:16]}…, "

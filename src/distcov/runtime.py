@@ -57,6 +57,7 @@ from .covariance import (
     GlobalCovariance,
     _Assembler,
     _column_count,
+    _row_count,
     centralized_covariance,
     site_covariance,
 )
@@ -345,15 +346,7 @@ def _check_blocks(blocks) -> int:
     sites = [b.site for b in blocks]
     if sites != list(range(len(blocks))):
         raise DistCovError(f"block sites must be 0..{len(blocks) - 1}, got {sites}")
-    rows = blocks[0].data.rows
-    for b in blocks:
-        if b.data.rows != rows:
-            raise DistCovError(
-                f"site {b.site} has {b.data.rows} rows, site {blocks[0].site} has {rows}"
-            )
-    if rows < 2:
-        raise DistCovError("sample covariance needs at least 2 rows")
-    return rows
+    return _row_count(blocks)
 
 
 def run_distributed(

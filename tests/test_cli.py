@@ -156,6 +156,17 @@ def test_run_both_modes_same_checksum(dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["centralized", "distributed"])
+def test_a_table_of_tiny_values_runs_without_a_warning(tmp_path, capsys, mode):
+    # Column 0 is ~1e-305: its slices are scaled up by ~2**1037.
+    path = tmp_path / "tiny.txt"
+    path.write_text("1e-305 1\n-2e-305 2\n3e-306 4\n")
+    assert main(["run", "--inputs", str(path), "--mode", mode]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["dim"] == 2
+
+
+@pytest.mark.parametrize("mode", ["centralized", "distributed"])
 def test_run_times_its_one_decomposition_and_compare_has_none(dataset, capsys, monkeypatch,
                                                               mode):
     calls = {"symmetric_eigen": 0}

@@ -26,6 +26,7 @@ from distcov import (
 )
 from distcov.covariance import _CHUNK_ROWS, _Operand, _slicing
 from distcov.errors import DistCovError, ProtocolError
+from distcov.runtime import _timed_exchange
 from conftest import blocks_for, raises_exactly, random_widths, schedule_blocks
 from distcov.schedule import build_schedule
 
@@ -54,7 +55,7 @@ def test_one_column_constant_column_is_zero():
 
 
 def test_one_column_length_mismatch():
-    with raises_exactly(DistCovError, match="row counts differ: sender 2, receiver 3"):
+    with raises_exactly(DistCovError, match="^site 0 has 2 rows, site 1 has 3$"):
         cross_covariance(receiver=_col(1, [1, 2, 3], 1), sender=_col(0, [1, 2]))
 
 
@@ -139,9 +140,28 @@ def test_overflowing_covariance_is_not_finite():
         # The distance from this column's mean to its max overflows.
         with raises_exactly(DistCovError, match="centered values overflow"):
             centralized_covariance(DenseMatrix(np.reshape([1.7e308, -1.7e308, -1.7e308], (3, 1))))
+        # Summed pairwise, this column's partial sums reach +inf and -inf, and
+        # their sum is nan; the column is summed again, scaled.
+        spread = np.zeros((16, 1))
+        spread[[0, 8]], spread[[1, 9]] = 1.7e308, -1.7e308
+        with raises_exactly(DistCovError, match="covariance overflows"):
+            centralized_covariance(DenseMatrix(spread))
         # The sum of this column overflows, its mean and covariance do not.
         cov = centralized_covariance(DenseMatrix(np.full((6, 1), 1.7e308)))
     assert cov.matrix.values.tolist() == [[0.0]]
+
+
+def test_every_site_kernel_error_names_its_site():
+    # Columns of +-1e300 have covariances of about 1e600.
+    big = [1e300, -1e300, 1e300]
+    a, b = _col(0, big), _col(1, big, 1)
+    for call in (lambda: cross_covariance(receiver=b, sender=a),
+                 lambda: local_covariance(b),
+                 lambda: site_covariance(b, [a])):
+        with raises_exactly(DistCovError, match="^site 1: a covariance overflows float64$"):
+            call()
+    with raises_exactly(DistCovError, match="^site 0: sample covariance needs at least 2 rows$"):
+        local_covariance(_col(0, [1]))
 
 
 # --- local / cross / centralized -------------------------------------------
@@ -198,7 +218,7 @@ def test_cross_rejects_same_site_and_row_mismatch():
     with raises_exactly(DistCovError, match="two distinct sites, both are 0"):
         cross_covariance(receiver=a, sender=b)
     c = ColumnBlock(site=1, data=DenseMatrix(np.reshape([1, 2], (2, 1))), global_cols=(1,))
-    with raises_exactly(DistCovError, match="row counts differ: sender 3, receiver 2"):
+    with raises_exactly(DistCovError, match="^site 0 has 3 rows, site 1 has 2$"):
         cross_covariance(receiver=c, sender=a)
 
 
@@ -368,6 +388,64 @@ def test_kernel_matches_exact_rational_reference():
     assert worst <= 2.0**-52
 
 
+def test_tiny_columns_match_exact_rational_reference():
+    # Column 1 is ~1e-305, beside a normal column 0 and a ~1e-15 column 2.
+    # Its variance (~1e-610) underflows to 0, and its covariance with column
+    # 2 (~1e-320) is subnormal, where float64's spacing is 2**-1074. So each
+    # entry may miss by the kernel's 2**-52 * sqrt(var_i * var_j) plus half
+    # that spacing, the rounding of the result to the subnormal grid.
+    rng = np.random.default_rng(8)
+    data = rng.standard_normal((50, 4)) * [1.0, 1e-305, 1e-15, 3e-306]
+    data[:, 3] += 0.5 * data[:, 1]
+    exact = _exact_covariance(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = centralized_covariance(DenseMatrix(data)).matrix.values
+    for i in range(4):
+        for j in range(4):
+            over = abs(Fraction(float(got[i, j])) - exact[i][j]) - Fraction(1, 2**1075)
+            assert over <= 0 or over**2 <= Fraction(1, 2**104) * exact[i][i] * exact[j][j]
+    assert got[1, 1] == 0.0 and 0.0 < abs(got[1, 2]) < np.finfo(np.float64).tiny
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_a_variance_near_float64s_maximum_is_accepted(transport):
+    # Values ~1e153: the sum of squares, ~1e309, overflows, the variance,
+    # ~1e306, does not.
+    rng = np.random.default_rng(9)
+    data = rng.standard_normal((1000, 2)) * [1e153, 1.0]
+    oracle = centralized_covariance(DenseMatrix(data))
+    assert 1e305 < oracle.matrix.values[0, 0] < 1e307
+    cov, _, _ = run_distributed(blocks_for(data, [1, 1]), build_schedule(2), transport)
+    assert cov == oracle
+
+
+# A column exponent anywhere in float64's range, but most often one whose
+# covariances fit it: at most 2**511 in magnitude.
+_exponents = st.one_of(st.integers(-1074, 511), st.integers(-1074, 1023))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 17, 513]),
+       st.lists(_exponents, min_size=2, max_size=6), st.sampled_from(["in-process", "tcp"]))
+@settings(max_examples=40, deadline=None)
+def test_columns_across_float64s_range_match_the_oracle(seed, n, exps, transport):
+    # Each column spans one binade, 2**(e-1) .. 2**e in magnitude, from
+    # subnormal to float64's largest. The oracle and the distributed run
+    # refuse the same tables, and a RuntimeWarning fails the test.
+    rng = np.random.default_rng(seed)
+    magnitude = np.ldexp(rng.uniform(0.5, 1.0, (n, len(exps))), exps)
+    data = np.where(rng.random((n, len(exps))) < 0.5, -magnitude, magnitude)
+    blocks = blocks_for(data, random_widths(rng, len(exps), int(rng.integers(1, len(exps) + 1))))
+    try:
+        oracle = centralized_covariance(DenseMatrix(data))
+    except DistCovError:
+        with raises_exactly(DistCovError, match="^site [0-9]+: "):
+            _timed_exchange(blocks, build_schedule(len(blocks)), transport)
+        return
+    cov, _ = _timed_exchange(blocks, build_schedule(len(blocks)), transport)
+    assert cov == oracle
+
+
 def _assert_partitions_match_oracle(data: np.ndarray, widths: list[int]) -> None:
     oracle = centralized_covariance(DenseMatrix(data)).matrix.tobytes()
     blocks = blocks_for(data, widths)
@@ -531,7 +609,7 @@ def test_kernel_scratch_is_bounded():
     own = blocks[2]
     senders = [blocks[j] for j in build_schedule(3).senders_to(2)]
     peak = _traced_peak(lambda: site_covariance(own, senders))
-    assert peak <= _kernel_scratch_bytes(1000, own.width, [s.width for s in senders]) + margin
+    assert peak <= _kernel_scratch_bytes(1000, own.data.cols, [s.data.cols for s in senders]) + margin
 
 
 # --- one kernel call per site ----------------------------------------------
@@ -572,7 +650,7 @@ def test_site_covariance_checks_its_senders():
     assert local.block.values.tolist() == [[1.0]] and crosses == []
     with raises_exactly(DistCovError, match="two distinct sites, both are 0"):
         site_covariance(a, [b, a])
-    with raises_exactly(DistCovError, match="row counts differ: sender 2, receiver 3"):
+    with raises_exactly(DistCovError, match="^site 1 has 2 rows, site 0 has 3$"):
         site_covariance(a, [_col(1, [1, 2], 1)])
     with raises_exactly(DistCovError, match='sample covariance needs at least 2 rows'):
         site_covariance(_col(0, [1]), [_col(1, [2], 1)])

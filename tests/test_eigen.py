@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from distcov import GlobalCovariance, symmetric_eigen
+from distcov import DenseMatrix, GlobalCovariance, centralized_covariance, symmetric_eigen
 from distcov.errors import DistCovError
 
 from conftest import raises_exactly
@@ -83,3 +83,35 @@ def test_nonconvergence_is_mapped(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", explode)
     with raises_exactly(DistCovError, match="eigen-decomposition did not converge"):
         symmetric_eigen(GlobalCovariance([[1.0]]))
+
+
+# A 3x6 table whose columns lie near 2**-998, 2**413, 2**195, 2**-929,
+# 2**158 and 2**-123. Its covariances run from subnormal to ~2e249, and two
+# variances underflow to 0 beside nonzero cross terms.
+_SPREAD_TABLE = [
+    ["0x1.4fd9e70c2efcap-999", "-0x1.9e4cfe07a97bbp+411", "0x1.d6012e98de8fep+195",
+     "-0x1.21c56bb431822p-930", "-0x1.bf7af6560badap+157", "-0x1.04c0bd8970cbbp-121"],
+    ["-0x1.3073be4c51f36p-998", "0x1.09324b7a7d9b0p+415", "-0x1.5791b03c82423p+196",
+     "-0x1.3aa7d3cfdd08ap-929", "0x1.2b05e7a3258b4p+160", "0x1.6243fc3704babp-123"],
+    ["-0x1.3b6421633a13ep-998", "0x1.8491fbcfac466p+413", "0x1.62c284994123fp+195",
+     "0x1.c358714aa904dp-929", "0x1.237bd214abb2cp+158", "0x1.015bd6004ed28p-124"],
+]
+
+
+def test_entries_spread_over_float64s_range_decompose():
+    # Unscaled, eigh does not converge on this matrix.
+    table = DenseMatrix([[float.fromhex(v) for v in row] for row in _SPREAD_TABLE])
+    cov = centralized_covariance(table)
+    a = cov.matrix.values
+    e = symmetric_eigen(cov)
+    vals = np.array(e.eigenvalues)
+    assert abs(vals.sum() - np.trace(a)) <= 1e-12 * np.trace(a)
+    assert vals[0] == pytest.approx(a.max(), rel=1e-12)
+    assert np.abs(np.linalg.norm(e.eigenvectors.values, axis=0) - 1.0).max() <= 1e-12
+
+
+def test_an_eigenvalue_past_float64s_range_is_refused():
+    # Both eigenvalues of [[v, v], [v, v]] are 2v and 0; 2v overflows.
+    v = 1.5e308
+    with raises_exactly(DistCovError, match="^an eigenvalue overflows float64$"):
+        symmetric_eigen(GlobalCovariance([[v, v], [v, v]]))

@@ -54,6 +54,15 @@ def test_equality_covers_values_and_labels():
     assert a != DenseMatrix(np.reshape([1, 2], (2, 1)))
 
 
+def test_equality_is_bit_equality():
+    # -0.0 == 0.0 as floats, but not as bits; a NaN never gets this far.
+    assert DenseMatrix([[0.0]]) != DenseMatrix([[-0.0]])
+    assert DenseMatrix([[-0.0]]) == DenseMatrix([[-0.0]])
+    assert DenseMatrix(np.zeros((2, 3))) != DenseMatrix(np.zeros((3, 2)))
+    assert DenseMatrix(np.zeros((2, 3))) != DenseMatrix(np.zeros((2, 2)))
+    assert DenseMatrix(np.zeros((0, 2))) != DenseMatrix(np.zeros((2, 0)))
+
+
 def test_matrices_are_unhashable():
     with pytest.raises(TypeError):
         hash(DenseMatrix(np.reshape([1.0], (1, 1))))

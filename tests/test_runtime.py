@@ -867,6 +867,10 @@ def test_too_few_rows():
     a = ColumnBlock(site=0, data=DenseMatrix(np.reshape([1], (1, 1))), global_cols=(0,))
     with raises_exactly(DistCovError, match='sample covariance needs at least 2 rows'):
         run_centralized([a])
+    # A distributed run refuses it in site 0's turn, by site 0's kernel.
+    b = ColumnBlock(site=1, data=DenseMatrix(np.reshape([2], (1, 1))), global_cols=(1,))
+    with raises_exactly(DistCovError, match='^site 0: sample covariance needs at least 2 rows$'):
+        run_distributed([a, b], build_schedule(2))
 
 
 def test_centralized_single_column():
