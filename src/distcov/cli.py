@@ -136,10 +136,9 @@ def _resolve_spec(args, widths, preset_name: str | None) -> PartitionSpec:
         spec = mfeat_preset(int(preset_name.split("-")[1]))
     elif args.spec is not None:
         try:
-            text = args.spec.read_text()
-        except OSError as exc:
+            spec = PartitionSpec.from_json(args.spec.read_text())
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:
             raise DistCovError(f"cannot read {args.spec}: {exc}") from None
-        spec = PartitionSpec.from_json(text)
     else:
         return PartitionSpec.from_widths(widths)  # one site per input file
     cols = sum(widths)

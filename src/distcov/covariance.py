@@ -124,13 +124,11 @@ class GlobalCovariance:
     __slots__ = ("_matrix",)
 
     def __init__(self, values):
-        arr = np.array(values, dtype=np.float64, order="C")
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = DenseMatrix(values).values.copy()  # 2-D and finite; writable
+        if arr.shape[0] != arr.shape[1]:
             raise DistCovError(f"covariance matrix must be square, got {arr.shape}")
         if arr.shape[0] < 1:
             raise DistCovError("covariance matrix must have dimension >= 1")
-        if not np.isfinite(arr).all():
-            raise DistCovError("matrix values must be finite (no NaN/Inf)")
         if not np.array_equal(arr, arr.T):
             raise DistCovError("covariance matrix must be exactly symmetric")
         self._matrix = self._assembled(arr)._matrix

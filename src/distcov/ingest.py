@@ -139,71 +139,74 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
     """Parse a numeric text file into a matrix.
 
     `format` is "whitespace" (runs of blanks between fields, the native
-    layout of the benchmark files) or "csv". A CSV first row with a field
-    that does not parse as a number is taken as a header and skipped; it
-    must have as many fields as the data rows. A NaN or infinity is data,
-    in any row. The matrix holds values only.
+    layout of the benchmark files) or "csv", whose fields may be quoted.
+    Both read numbers by numpy's grammar. A CSV's first non-blank row with
+    a field that does not parse as a number is taken as a header and
+    skipped; it must have as many fields as the data rows. A NaN or
+    infinity is data, in any row. The matrix holds values only.
 
     Raises:
-        DistCovError: the file cannot be read, rows disagree on field
-            count, a field is not a number, the file has no data rows, or a
-            field parses but is NaN or infinite.
+        DistCovError: the file cannot be read or decoded, rows disagree on
+            field count, a field is not a number, the file has no data
+            rows, or a field parses but is NaN or infinite.
     """
     if format not in ("whitespace", "csv"):
         raise DistCovError(f"unknown format {format!r}, expected 'whitespace' or 'csv'")
     p = Path(path)
-    if format == "whitespace":
-        # Fast path for well-formed files; anything numpy rejects is parsed
-        # again field by field below, which names the offending row and field.
+    try:
+        header, csv_args = _csv_header(p) if format == "csv" else (0, {})
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty file is reported below
-                data = np.loadtxt(p, dtype=np.float64, comments=None, ndmin=2)
-        except OSError as exc:
-            raise DistCovError(f"cannot read {p}: {exc}") from None
-        except ValueError:
-            data = None
-        if data is not None and data.size:
-            # _wrap skips the constructor's copy; the constructor reports NaN/Inf.
-            return DenseMatrix._wrap(data) if np.isfinite(data).all() else DenseMatrix(data)
-    try:
-        text = p.read_text()
-    except OSError as exc:
+                data = np.loadtxt(p, dtype=np.float64, comments=None, ndmin=2, **csv_args)
+        except ValueError as exc:
+            raise _fault(p, format, header > 0, exc) from None
+        if not data.size or header not in (0, data.shape[1]):
+            raise _fault(p, format, header > 0, "no data rows")  # or a header of another width
+    except (OSError, UnicodeDecodeError) as exc:
         raise DistCovError(f"cannot read {p}: {exc}") from None
+    return DenseMatrix._checked(data)
 
+
+def _csv_header(p: Path) -> tuple[int, dict]:
+    """The field count of a CSV's header, 0 if it has none, and numpy's
+    arguments for the file. The header is the first non-blank row, if one
+    of its fields does not parse; the lines skipped count blank ones."""
+    with open(p, newline="") as f:
+        rows = csv.reader(f)
+        row = next((r for r in rows if r), [])
+        header = 0 if _not_a_number(row) is None else len(row)
+        return header, {"delimiter": ",", "quotechar": '"', "skiprows": header and rows.line_num}
+
+
+def _fault(p: Path, format: str, header: bool, reason: object) -> DistCovError:
+    """Why `p` was refused, found by a pass over its non-blank rows,
+    numbered from 1 with the header: the first row whose field count
+    differs from the first data row's, or the first field that Python's
+    float() cannot read. Failing both, `reason`: numpy's message."""
+    text = p.read_text()
     if format == "csv":
         rows = [r for r in csv.reader(text.splitlines()) if r]
     else:
         rows = [line.split() for line in text.splitlines() if line.strip()]
-
-    skip = 1 if format == "csv" and rows and not _all_numeric(rows[0]) else 0
-    if len(rows) == skip:
-        raise DistCovError(f"{p}: no data rows")
-
-    width = len(rows[skip])
-    data = np.empty((len(rows) - skip, width), dtype=np.float64)
-    for i, fields in enumerate(rows):
+    width = len(rows[header]) if len(rows) > header else None  # None: no data rows
+    for i, fields in enumerate(rows if width else []):
         if len(fields) != width:
-            raise DistCovError(
-                f"{p}: row {i + 1} has {len(fields)} fields, expected {width}"
-            )
-        if i < skip:
-            continue
-        for j, f in enumerate(fields):
-            try:
-                data[i - skip, j] = float(f)
-            except ValueError:
-                raise DistCovError(f"{p}: row {i + 1} field {j + 1}: {f!r} is not a number") from None
-    return DenseMatrix(data)
+            return DistCovError(f"{p}: row {i + 1} has {len(fields)} fields, expected {width}")
+        j = _not_a_number(fields) if i >= header else None
+        if j is not None:
+            return DistCovError(f"{p}: row {i + 1} field {j + 1}: {fields[j]!r} is not a number")
+    return DistCovError(f"{p}: {reason}")
 
 
-def _all_numeric(fields: Sequence[str]) -> bool:
-    try:
-        for f in fields:
+def _not_a_number(fields: Sequence[str]) -> int | None:
+    """The index of the first field that float() cannot read, if any."""
+    for j, f in enumerate(fields):
+        try:
             float(f)
-    except ValueError:
-        return False
-    return True
+        except ValueError:
+            return j
+    return None
 
 
 def hjoin(tables: Sequence[DenseMatrix]) -> DenseMatrix:

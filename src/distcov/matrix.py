@@ -23,10 +23,15 @@ class DenseMatrix:
         arr = np.array(values, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise DistCovError(f"expected a 2-D value array, got {arr.ndim}-D")
+        self._values = self._checked(arr)._values
+
+    @classmethod
+    def _checked(cls, arr: np.ndarray) -> "DenseMatrix":
+        # The one NaN/Inf check, then _wrap: no copy, so the caller guarantees
+        # all that _wrap asks but finiteness.
         if not np.isfinite(arr).all():
             raise DistCovError("matrix values must be finite (no NaN/Inf)")
-        arr.setflags(write=False)
-        self._values = arr
+        return cls._wrap(arr)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "DenseMatrix":
@@ -49,10 +54,6 @@ class DenseMatrix:
     def values(self) -> np.ndarray:
         """The (rows, cols) float64 array; read-only."""
         return self._values
-
-    def tobytes(self) -> bytes:
-        """Canonical encoding: row-major IEEE-754 binary64, little-endian."""
-        return self._values.astype("<f8", copy=False).tobytes()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DenseMatrix):

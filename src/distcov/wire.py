@@ -191,9 +191,7 @@ def decode_message(frame) -> ProtocolMessage:
     # Full payload constructors: wire bytes are unvalidated.
     try:
         if view.readonly and values.dtype.isnative and values.flags.aligned:
-            if not np.isfinite(values).all():
-                raise DistCovError("matrix values must be finite (no NaN/Inf)")
-            values = DenseMatrix._wrap(values)
+            values = DenseMatrix._checked(values)
         else:
             values = DenseMatrix(values)  # a copy, checked like the view
         if kind is MessageKind.DATA_BLOCK:

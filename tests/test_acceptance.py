@@ -77,9 +77,9 @@ def test_criterion_1_oracle_equivalence(capsys):
                 widths = random_widths(rng, 25, t)
                 blocks = blocks_for(data, widths)
                 cov, _, _ = run_distributed(blocks, build_schedule(t))
-                assert cov.matrix.tobytes() == oracle.matrix.tobytes(), (seed, t, widths)
+                assert cov.matrix == oracle.matrix, (seed, t, widths)
                 cen, _, _ = run_centralized(blocks)
-                assert cen.matrix.tobytes() == oracle.matrix.tobytes(), (seed, t, widths)
+                assert cen.matrix == oracle.matrix, (seed, t, widths)
         assert time.perf_counter() - started < 5.0
         ok = True
     finally:
@@ -95,7 +95,7 @@ def test_criterion_2_benchmark_scale_equivalence(capsys):
         cache = _mfeat_runs()
         oracle = cache["oracle"]
         for t, (cov, _) in cache["runs"].items():
-            assert cov.matrix.tobytes() == oracle.matrix.tobytes(), f"preset t={t}"
+            assert cov.matrix == oracle.matrix, f"preset t={t}"
         assert time.perf_counter() - started < 60.0
         ok = True
     finally:
@@ -157,7 +157,7 @@ def test_criterion_5_transport_equivalence(capsys):
             sched = build_schedule(len(blocks))
             cov_q, _, _ = run_distributed(blocks, sched, transport="in-process")
             cov_t, _, _ = run_distributed(blocks, sched, transport="tcp")
-            assert cov_q.matrix.tobytes() == cov_t.matrix.tobytes()
+            assert cov_q.matrix == cov_t.matrix
 
         rng = np.random.default_rng(4242)
         for _ in range(100):
@@ -175,7 +175,7 @@ def test_criterion_5_transport_equivalence(capsys):
                 payload=block,
             )
             back = decode_message(encode_message(msg))
-            assert back.payload.data.tobytes() == block.data.tobytes()
+            assert back.payload.data == block.data
             assert back.payload.global_cols == block.global_cols
         ok = True
     finally:
@@ -276,7 +276,7 @@ def test_criterion_8_three_site_merge_fixture(capsys):
         locals_, crosses = schedule_blocks(blocks, sched)
         merged = merge_blocks(locals_, crosses, 5)
         oracle = centralized_covariance(data)
-        assert merged.matrix.tobytes() == oracle.matrix.tobytes()
+        assert merged.matrix == oracle.matrix
         # spot-check two hand-derived entries: cov(x,y)=7, cov(x,w)=1.6
         assert merged.matrix.values[0, 1] == 7.0
         assert merged.matrix.values[0, 3] == 1.6

@@ -5,6 +5,7 @@ import importlib
 import json
 import pkgutil
 import time
+import types
 import weakref
 
 import numpy as np
@@ -128,12 +129,13 @@ def test_schedule_zero_sites_is_usage_error():
 
 # --- gen ----------------------------------------------------------------------
 
-def test_gen_round_trips_exactly(dataset):
-    m = load_table(dataset)
-    assert m.rows == 40 and m.cols == 9
-    from distcov import synthetic_table
-
-    assert m.tobytes() == synthetic_table(40, 9, seed=7).tobytes()
+def test_gen_round_trips_exactly(dataset, tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    assert main(["gen", "--rows", "40", "--cols", "9", "--seed", "7", "--format", "csv",
+                 "--out", str(csv_path)]) == 0
+    expected = synthetic_table(40, 9, seed=7)
+    assert load_table(dataset) == expected
+    assert load_table(csv_path, format="csv") == expected
 
 
 def test_gen_csv(tmp_path, capsys):
@@ -285,17 +287,39 @@ def test_matrix_checksum_hashes_the_canonical_bytes_without_copying(monkeypatch)
     values = np.array(synthetic_table(6, 5, seed=8).values)
     values[1, 2] = -0.0
     matrices = [DenseMatrix(values), centralized_covariance(DenseMatrix(values)).matrix]
-    expected = [hashlib.sha256(m.tobytes()).hexdigest() for m in matrices]
+    expected = [hashlib.sha256(m.values.astype("<f8").tobytes()).hexdigest() for m in matrices]
+    hashed = []
 
-    def no_copy(self):
-        raise AssertionError("matrix_checksum copied the matrix to bytes")
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
 
-    monkeypatch.setattr(DenseMatrix, "tobytes", no_copy)
+    monkeypatch.setattr(report, "hashlib", types.SimpleNamespace(sha256=sha256))
     assert [matrix_checksum(m) for m in matrices] == expected
+    # What was hashed is each matrix's own buffer, not a copy of it.
+    assert [np.shares_memory(np.asarray(h), m.values) for h, m in zip(hashed, matrices)] == [
+        True, True]
 
 
 def test_run_missing_file_is_data_error(tmp_path, capsys):
     assert main(["run", "--inputs", str(tmp_path / "nope.txt"), "--mode", "centralized"]) == 3
+
+
+@pytest.mark.parametrize("data, spec", [
+    (b"\xff\xfe1 2\n3 4\n", None),
+    (b"1 2\n3 4\n", b'{"total_cols": 2}\xff'),
+    (b"1 2\n3 4\n", b"[" * 100000 + b"]" * 100000),  # past the recursion limit
+], ids=["undecodable-data", "undecodable-spec", "over-nested-spec"])
+def test_an_unreadable_input_is_a_data_error_naming_its_file(tmp_path, capsys, data, spec):
+    bad = tmp_path / "data.txt"
+    bad.write_bytes(data)
+    argv = ["run", "--inputs", str(bad), "--mode", "centralized"]
+    if spec is not None:
+        bad = tmp_path / "spec.json"
+        bad.write_bytes(spec)
+        argv += ["--spec", str(bad)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
 
 
 def test_run_preset_on_wrong_width_is_data_error(dataset, capsys):

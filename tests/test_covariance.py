@@ -103,7 +103,7 @@ def test_global_covariance_copies_and_clears_signed_zeros():
     values = np.array([[2.0, -0.0], [0.0, -0.0]])
     g = GlobalCovariance(values)
     assert not np.shares_memory(g.matrix.values, values)
-    assert g.matrix.tobytes() == np.array([[2.0, 0.0], [0.0, 0.0]]).tobytes()
+    assert g.matrix == DenseMatrix([[2.0, 0.0], [0.0, 0.0]])
     assert values[0, 1].tobytes() == np.float64(-0.0).tobytes()
 
 
@@ -126,7 +126,7 @@ def test_assembled_matrix_keeps_the_array_it_was_given():
     arr = np.array([[2.0, -0.0], [-0.0, 3.0]])
     cov = GlobalCovariance._assembled(arr)
     assert np.shares_memory(cov.matrix.values, arr)
-    assert cov.matrix.tobytes() == GlobalCovariance([[2.0, 0.0], [0.0, 3.0]]).matrix.tobytes()
+    assert cov.matrix == GlobalCovariance([[2.0, 0.0], [0.0, 3.0]]).matrix
 
 
 def test_overflowing_covariance_is_not_finite():
@@ -262,14 +262,14 @@ def test_merge_reproduces_oracle_on_fixture(three_site_blocks, three_site_matrix
     locals_, crosses = schedule_blocks(three_site_blocks, sched)
     merged = merge_blocks(locals_, crosses, 5)
     oracle = centralized_covariance(three_site_matrix)
-    assert merged.matrix.tobytes() == oracle.matrix.tobytes()
+    assert merged.matrix == oracle.matrix
 
 
 def test_merge_single_site(three_site_matrix):
     b = ColumnBlock(site=0, data=three_site_matrix, global_cols=tuple(range(5)))
     merged = merge_blocks([local_covariance(b)], [], 5)
     oracle = centralized_covariance(three_site_matrix)
-    assert merged.matrix.tobytes() == oracle.matrix.tobytes()
+    assert merged.matrix == oracle.matrix
 
 
 def test_merge_missing_cross_block(three_site_blocks):
@@ -313,7 +313,7 @@ def test_merge_is_arrival_order_independent(three_site_blocks, three_site_matrix
     locals_, crosses = schedule_blocks(three_site_blocks, sched)
     a = merge_blocks(locals_, crosses, 5)
     b = merge_blocks(list(reversed(locals_)), list(reversed(crosses)), 5)
-    assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert a.matrix == b.matrix
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
@@ -326,7 +326,7 @@ def test_oracle_equivalence_random_partitions(t):
     locals_, crosses = schedule_blocks(blocks, sched)
     merged = merge_blocks(locals_, crosses, 12)
     oracle = centralized_covariance(DenseMatrix(data))
-    assert merged.matrix.tobytes() == oracle.matrix.tobytes()
+    assert merged.matrix == oracle.matrix
 
 
 def test_symmetry_and_diagonal(three_site_matrix):
@@ -447,12 +447,12 @@ def test_columns_across_float64s_range_match_the_oracle(seed, n, exps, transport
 
 
 def _assert_partitions_match_oracle(data: np.ndarray, widths: list[int]) -> None:
-    oracle = centralized_covariance(DenseMatrix(data)).matrix.tobytes()
+    oracle = centralized_covariance(DenseMatrix(data)).matrix
     blocks = blocks_for(data, widths)
     locals_, crosses = schedule_blocks(blocks, build_schedule(len(widths)))
-    assert merge_blocks(locals_, crosses, data.shape[1]).matrix.tobytes() == oracle
+    assert merge_blocks(locals_, crosses, data.shape[1]).matrix == oracle
     cov, _, _ = run_distributed(blocks, build_schedule(len(widths)))
-    assert cov.matrix.tobytes() == oracle
+    assert cov.matrix == oracle
 
 
 def test_bit_identity_with_width_one_blocks():
@@ -665,4 +665,4 @@ def test_merge_matches_the_constructor_on_signed_zeros():
     cross = CovBlock(1, 0, DenseMatrix([[-0.0, 1.5]]), (2,), (0, 1))
     merged = merge_blocks([local_a, local_b], [cross], 3)
     dense = np.array([[2.0, -0.0, -0.0], [0.0, 3.0, 1.5], [-0.0, 1.5, -0.0]])
-    assert merged.matrix.tobytes() == GlobalCovariance(dense).matrix.tobytes()
+    assert merged.matrix == GlobalCovariance(dense).matrix

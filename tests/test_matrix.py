@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from distcov import DenseMatrix
+from distcov import DenseMatrix, matrix_checksum
 from distcov.errors import DistCovError
 
 from conftest import raises_exactly
@@ -40,10 +42,10 @@ def test_construction_copies_input():
     assert m.values[0, 0] == 1.0
 
 
-def test_tobytes_is_little_endian_row_major():
-    m = DenseMatrix(np.reshape([1.0, 2.0], (1, 2)))
-    expected = np.array([1.0, 2.0]).astype("<f8").tobytes()
-    assert m.tobytes() == expected
+def test_checksum_hashes_little_endian_row_major_bytes():
+    m = DenseMatrix(np.reshape([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], (2, 3)))
+    expected = hashlib.sha256(np.arange(1.0, 7.0).astype("<f8").tobytes()).hexdigest()
+    assert matrix_checksum(m) == expected
 
 
 def test_equality_covers_values_and_labels():

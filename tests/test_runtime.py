@@ -65,7 +65,7 @@ def _oracle(blocks):
 def test_three_site_fixture_matches_oracle(three_site_blocks, three_site_matrix):
     cov, decomp, metrics = run_distributed(three_site_blocks, build_schedule(3))
     oracle = centralized_covariance(three_site_matrix)
-    assert cov.matrix.tobytes() == oracle.matrix.tobytes()
+    assert cov.matrix == oracle.matrix
     assert len(decomp.eigenvalues) == 5
     assert metrics.protocol_ms > 0
 
@@ -150,7 +150,7 @@ def test_tcp_matches_in_process():
     sched = build_schedule(3)
     cov_q, _, _ = run_distributed(blocks, sched, transport="in-process")
     cov_t, _, _ = run_distributed(blocks, sched, transport="tcp")
-    assert cov_q.matrix.tobytes() == cov_t.matrix.tobytes()
+    assert cov_q.matrix == cov_t.matrix
 
 
 def _refused_at_recv(monkeypatch, damage, msg):
@@ -333,7 +333,7 @@ def test_one_kernel_in_flight_per_run(monkeypatch, transport):
     cov_d, _, _ = run_distributed(blocks, build_schedule(6), transport=transport)
     cov_c, _, _ = run_centralized(blocks)
     assert most[0] == 1
-    assert cov_d.matrix.tobytes() == cov_c.matrix.tobytes()
+    assert cov_d.matrix == cov_c.matrix
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
@@ -351,7 +351,7 @@ def test_sites_start_no_threads(monkeypatch, transport):
     cov_d, _, _ = run_distributed(blocks, build_schedule(6), transport=transport)
     assert starts[0] == 0
     cov_c, _, _ = run_centralized(blocks)
-    assert cov_d.matrix.tobytes() == cov_c.matrix.tobytes()
+    assert cov_d.matrix == cov_c.matrix
 
 
 def test_site_refuses_raw_columns_from_a_non_predecessor(monkeypatch):
@@ -518,7 +518,7 @@ def test_slow_site_is_not_a_failure(monkeypatch, transport):
     rng = np.random.default_rng(54)
     blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
     cov, _, _ = run_distributed(blocks, build_schedule(3), transport=transport)
-    assert cov.matrix.tobytes() == run_centralized(blocks)[0].matrix.tobytes()
+    assert cov.matrix == run_centralized(blocks)[0].matrix
 
 
 def test_tcp_round_trip_starts_no_thread():
@@ -562,7 +562,7 @@ def test_tcp_sends_a_frame_larger_than_the_socket_buffers(monkeypatch):
     finally:
         net.close()
     assert msg.payload.global_cols == block.global_cols
-    assert msg.payload.data.tobytes() == block.data.tobytes()
+    assert msg.payload.data == block.data
 
 
 def test_tcp_waits_on_a_full_socket_and_delivers_the_block_intact(monkeypatch):
@@ -599,7 +599,7 @@ def test_tcp_waits_on_a_full_socket_and_delivers_the_block_intact(monkeypatch):
         net.close()
     assert stat.bytes > 300_000 and full[0] > 0 and waits[0] > 0
     assert msg.payload.global_cols == block.global_cols
-    assert msg.payload.data.tobytes() == block.data.tobytes()
+    assert msg.payload.data == block.data
 
 
 def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time(monkeypatch):
@@ -625,7 +625,7 @@ def test_tcp_reassembles_a_frame_sent_one_byte_at_a_time(monkeypatch):
     assert len(reads) > 1 and reads[0] < HEADER.size
     assert (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 1, 0)
     assert msg.payload.global_cols == (4, 7)
-    assert msg.payload.data.tobytes() == block.data.tobytes()
+    assert msg.payload.data == block.data
 
 
 @pytest.mark.parametrize("patch, message", [
@@ -789,8 +789,8 @@ def test_distributed_matches_centralized_runner():
     blocks = blocks_for(rng.standard_normal((25, 7)), [2, 2, 3])
     cov_d, _, _ = run_distributed(blocks, build_schedule(3))
     cov_c, _, metrics = run_centralized(blocks)
-    assert cov_d.matrix.tobytes() == cov_c.matrix.tobytes()
-    assert cov_c.matrix.tobytes() == _oracle(blocks).matrix.tobytes()
+    assert cov_d.matrix == cov_c.matrix
+    assert cov_c.matrix == _oracle(blocks).matrix
     assert metrics.transfers == {}
 
 
@@ -811,10 +811,11 @@ def test_run_distributed_is_the_exchange_then_the_decomposition(monkeypatch, tra
     assert decompositions == [cov]
     again = symmetric_eigen(cov)
     assert np.array(decomp.eigenvalues).tobytes() == np.array(again.eigenvalues).tobytes()
-    assert decomp.eigenvectors.tobytes() == again.eigenvectors.tobytes()
+    assert decomp.eigenvectors == again.eigenvectors
     assert not any("eigen" in key for key in metrics.to_dict())
     [row] = compare_partitions(table, [spec], transport=transport)
-    assert hashlib.sha256(cov.matrix.tobytes()).hexdigest() == row["matrix_checksum"]
+    canonical = cov.matrix.values.astype("<f8").tobytes()
+    assert hashlib.sha256(canonical).hexdigest() == row["matrix_checksum"]
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
@@ -1006,7 +1007,7 @@ def test_schedule_proof_agrees_with_validate_schedule(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     rng = np.random.default_rng(44)
     blocks = blocks_for(rng.standard_normal((8, 5)), [2, 2, 1])
-    oracle = run_centralized(blocks)[0].matrix.tobytes()
+    oracle = run_centralized(blocks)[0].matrix
     every_pair = Counter({(0, 1): 1, (0, 2): 1, (1, 2): 1})
     refused, accepted = 0, 0
     for lists in _three_site_lists():
@@ -1023,9 +1024,9 @@ def test_schedule_proof_agrees_with_validate_schedule(monkeypatch):
             refused += 1
         else:
             assert covered == every_pair, lists
-            assert cov.matrix.tobytes() == oracle, lists
+            assert cov.matrix == oracle, lists
             tcp = run_distributed(blocks, schedule, transport="tcp")[0]
-            assert tcp.matrix.tobytes() == oracle, lists
+            assert tcp.matrix == oracle, lists
             accepted += 1
     # 14 of the 125 cover each pair once: the two ring orientations, and 12
     # where one site receives from both others, such as ((1, 2), (2,), ()).
@@ -1071,9 +1072,9 @@ def test_any_orientation_of_the_site_pairs_equals_the_oracle(transport, data):
     lists = [tuple(data.draw(st.permutations(senders))) for senders in lists]
     rng = np.random.default_rng(46)
     blocks = blocks_for(rng.standard_normal((7, 2 * t)), [2] * t)
-    oracle = run_centralized(blocks)[0].matrix.tobytes()
+    oracle = run_centralized(blocks)[0].matrix
     cov = run_distributed(blocks, Schedule(predecessors=tuple(lists)), transport=transport)[0]
-    assert cov.matrix.tobytes() == oracle, lists
+    assert cov.matrix == oracle, lists
 
 
 def test_critical_path_aggregation():

@@ -49,7 +49,7 @@ def test_datablock_roundtrip():
     assert (back.sender, back.receiver) == (0, 1)
     assert back.payload.site == 0
     assert back.payload.global_cols == (4,)
-    assert back.payload.data.tobytes() == msg.payload.data.tobytes()
+    assert back.payload.data == msg.payload.data
 
 
 def test_covblock_roundtrip():
@@ -65,7 +65,7 @@ def test_covblock_roundtrip():
     assert back.payload.site_a == 2 and back.payload.site_b == 0
     assert back.payload.rows_global_cols == (5, 6)
     assert back.payload.cols_global_cols == (0, 1, 2)
-    assert back.payload.block.tobytes() == blk.block.tobytes()
+    assert back.payload.block == blk.block
 
 
 def test_done_roundtrip():
@@ -202,13 +202,13 @@ def test_roundtrip_is_bit_exact(msg):
     elif msg.kind is MessageKind.DATA_BLOCK:
         assert back.payload.site == msg.payload.site
         assert back.payload.global_cols == msg.payload.global_cols
-        assert back.payload.data.tobytes() == msg.payload.data.tobytes()
+        assert back.payload.data == msg.payload.data
     else:
         assert back.payload.site_a == msg.payload.site_a
         assert back.payload.site_b == msg.payload.site_b
         assert back.payload.rows_global_cols == msg.payload.rows_global_cols
         assert back.payload.cols_global_cols == msg.payload.cols_global_cols
-        assert back.payload.block.tobytes() == msg.payload.block.tobytes()
+        assert back.payload.block == msg.payload.block
 
 
 @st.composite
