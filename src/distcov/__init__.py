@@ -30,8 +30,7 @@ from .ingest import (
     partition_vertical,
     synthetic_table,
 )
-from .matrix import DenseMatrix
-from .report import compare_partitions, matrix_checksum
+from .matrix import DenseMatrix, matrix_checksum
 from .runtime import (
     RunMetrics,
     TransferStat,
@@ -77,7 +76,6 @@ __all__ = [
     "run_centralized",
     "critical_path_ms",
     "matrix_checksum",
-    "compare_partitions",
     "DistCovError",
     "__version__",
 ]

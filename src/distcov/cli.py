@@ -6,6 +6,12 @@ centralized oracle per table, one distributed run per partitioning,
 bit-exact equality gate, plot data), `cost-model` (analytical speed-up),
 `gen` (reproducible synthetic dataset).
 
+No report carries the matrix, which at benchmark scale is 649x649 values:
+equality is shown by `matrix_checksum`, and `run --dump-matrix` writes the
+numbers as `.npy`. `compare` decomposes nothing: a row only proves the
+merged bytes equal to the oracle's and times both sides, and `run`
+reports the eigenvalues of the same bytes.
+
 Exit codes: 0 success, 2 usage, 3 data error, 4 protocol error, 5 matrix
 mismatch.
 """
@@ -15,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -26,20 +33,27 @@ from .eigen import symmetric_eigen
 from .errors import DistCovError, MismatchError, ProtocolError
 from .ingest import (
     PartitionSpec,
-    hjoin,
+    _hjoin,
     load_table,
     mfeat_preset,
     partition_vertical,
     synthetic_table,
 )
-from .report import REPORT_VERSION, _blas_threads_env, run_report
-from .report import compare_partitions as _compare_partitions
-from .runtime import _timed_exchange, _timed_oracle
+from .matrix import matrix_checksum
+from .runtime import _timed_exchange, _timed_oracle, critical_path_ms
 from .schedule import build_schedule
 
 __all__ = ["main"]
 
 _PRESETS = tuple(f"mfeat-{n}" for n in range(2, 7))
+_REPORT_VERSION = 6
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_threads_env() -> dict:
+    """The BLAS thread variables as found in the environment, None if unset:
+    the setting a report's CPU readings were taken at."""
+    return {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
 
 
 def _positive_int(text: str) -> int:
@@ -125,9 +139,10 @@ def _data_args(sp: argparse.ArgumentParser, repeatable_preset: bool = False) -> 
 
 def _load_inputs(args) -> tuple:
     """The input files joined column-wise, and each file's width. Only the
-    joined table stays referenced."""
+    joined table stays referenced. Files of different row counts are
+    refused by name."""
     tables = [load_table(p, format=args.format) for p in args.inputs]
-    return hjoin(tables), [t.cols for t in tables]
+    return _hjoin(list(zip(args.inputs, tables))), [t.cols for t in tables]
 
 
 def _resolve_spec(args, widths, preset_name: str | None) -> PartitionSpec:
@@ -195,7 +210,18 @@ def _cmd_run(args) -> int:
     if args.dump_matrix is not None:
         with _written(args.dump_matrix, "wb") as f:
             np.save(f, cov.matrix.values, allow_pickle=False)
-    _emit(run_report(args.mode, spec.sites, cov, decomp, eigen_ms, metrics, schedule), args.out)
+    _emit({
+        "report_version": _REPORT_VERSION,
+        "blas_threads_env": _blas_threads_env(),
+        "mode": args.mode,
+        "partitions": spec.sites,
+        "dim": cov.dim,
+        "matrix_checksum": matrix_checksum(cov.matrix),
+        "top_eigenvalues": list(decomp.eigenvalues[:10]),
+        "eigen_ms": eigen_ms,
+        "metrics": metrics.to_dict(),
+        "schedule": None if schedule is None else schedule.to_dict(),
+    }, args.out)
     return 0
 
 
@@ -203,8 +229,35 @@ def _cmd_compare(args) -> int:
     table, widths = _load_inputs(args)
     presets = args.preset if args.preset else [None]
     specs = [_resolve_spec(args, widths, name) for name in presets]
-    rows = _compare_partitions(table, specs, transport=args.transport)
-    doc = {"report_version": REPORT_VERSION, "blas_threads_env": _blas_threads_env(),
+    cen_cov, cen_metrics = _timed_oracle(table)
+    checksum = matrix_checksum(cen_cov.matrix)
+    # Thread CPU on both sides; the distributed aggregate assumes one processor
+    # per site, so both are one-processor times only at one BLAS thread.
+    centralized_ms = cen_metrics.site_cov_cpu_ms[0]
+    rows = []
+    for spec in specs:
+        blocks = partition_vertical(table, spec)
+        schedule = build_schedule(spec.sites)
+        dist_cov, dist_metrics = _timed_exchange(blocks, schedule, args.transport)
+        if dist_cov != cen_cov:  # bit for bit
+            raise MismatchError(
+                f"distributed and centralized matrices differ (t={spec.sites}, "
+                f"distributed {matrix_checksum(dist_cov.matrix)[:16]}…, "
+                f"centralized {checksum[:16]}…)"
+            )
+        distributed_ms = critical_path_ms(dist_metrics)
+        rows.append({
+            "partitions": spec.sites,
+            "equal": True,
+            "matrix_checksum": checksum,
+            "centralized_ms": centralized_ms,
+            "distributed_ms": distributed_ms,
+            "measured_speedup": (centralized_ms / distributed_ms) if distributed_ms > 0 else None,
+            "cost_model": distributed_cost([b.data.cols for b in blocks], schedule).to_dict(),
+            "distributed_metrics": dist_metrics.to_dict(),
+            "centralized_metrics": cen_metrics.to_dict(),
+        })
+    doc = {"report_version": _REPORT_VERSION, "blas_threads_env": _blas_threads_env(),
            "comparisons": rows}
     _emit(doc, args.out)
     if args.plot_data is not None:
@@ -220,7 +273,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_cost_model(args) -> int:
     report = distributed_cost(args.widths, build_schedule(len(args.widths)))
-    doc = {"report_version": REPORT_VERSION, "widths": args.widths, **report.to_dict()}
+    doc = {"report_version": _REPORT_VERSION, "widths": args.widths, **report.to_dict()}
     _emit(doc, args.out)
     return 0
 

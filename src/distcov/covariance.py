@@ -323,14 +323,13 @@ def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     return blocks
 
 
-def _row_count(blocks: Sequence[ColumnBlock]) -> int:
-    """The row count every block shares, that of blocks[0]."""
-    rows = blocks[0].data.rows
-    for b in blocks:
-        if b.data.rows != rows:
-            raise DistCovError(
-                f"site {b.site} has {b.data.rows} rows, site {blocks[0].site} has {rows}"
-            )
+def _row_count(named: Sequence[tuple[object, DenseMatrix]]) -> int:
+    """The row count that every matrix of the (name, matrix) pairs shares,
+    that of the first; a matrix of another count is refused by both names."""
+    first, rows = named[0][0], named[0][1].rows
+    for name, m in named:
+        if m.rows != rows:
+            raise DistCovError(f"{name} has {m.rows} rows, {first} has {rows}")
     return rows
 
 
@@ -342,7 +341,7 @@ def _site_blocks(own: ColumnBlock, xs: Sequence[ColumnBlock]) -> list[CovBlock]:
     """
     if sum(x.site == own.site for x in xs) > any(x is own for x in xs):
         raise DistCovError(f"cross covariance needs two distinct sites, both are {own.site}")
-    _row_count([own, *xs])
+    _row_count([(f"site {b.site}", b.data) for b in (own, *xs)])
     try:
         values = _cov_blocks(own.data.values, [x.data.values for x in xs])
     except DistCovError as exc:

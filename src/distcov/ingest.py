@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariance import ColumnBlock, _column_count
+from .covariance import ColumnBlock, _column_count, _row_count
 from .errors import DistCovError
 from .matrix import DenseMatrix
 
@@ -148,7 +148,8 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
     Raises:
         DistCovError: the file cannot be read or decoded, rows disagree on
             field count, a field is not a number, the file has no data
-            rows, or a field parses but is NaN or infinite.
+            rows, or a field parses but is NaN or infinite. Each names
+            the file, and a field's fault its row and field.
     """
     if format not in ("whitespace", "csv"):
         raise DistCovError(f"unknown format {format!r}, expected 'whitespace' or 'csv'")
@@ -159,13 +160,13 @@ def load_table(path: str | Path, format: str = "whitespace") -> DenseMatrix:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty file is reported below
                 data = np.loadtxt(p, dtype=np.float64, comments=None, ndmin=2, **csv_args)
-        except ValueError as exc:
+            if not data.size or header not in (0, data.shape[1]):
+                raise DistCovError("no data rows")  # or a header of another width
+            return DenseMatrix._checked(data)
+        except (ValueError, DistCovError) as exc:
             raise _fault(p, format, header > 0, exc) from None
-        if not data.size or header not in (0, data.shape[1]):
-            raise _fault(p, format, header > 0, "no data rows")  # or a header of another width
     except (OSError, UnicodeDecodeError) as exc:
         raise DistCovError(f"cannot read {p}: {exc}") from None
-    return DenseMatrix._checked(data)
 
 
 def _csv_header(p: Path) -> tuple[int, dict]:
@@ -175,54 +176,60 @@ def _csv_header(p: Path) -> tuple[int, dict]:
     with open(p, newline="") as f:
         rows = csv.reader(f)
         row = next((r for r in rows if r), [])
-        header = 0 if _not_a_number(row) is None else len(row)
+        header = len(row) if row and _refusal(row) == "is not a number" else 0
         return header, {"delimiter": ",", "quotechar": '"', "skiprows": header and rows.line_num}
 
 
 def _fault(p: Path, format: str, header: bool, reason: object) -> DistCovError:
     """Why `p` was refused, found by a pass over its non-blank rows,
     numbered from 1 with the header: the first row whose field count
-    differs from the first data row's, or the first field that Python's
-    float() cannot read. Failing both, `reason`: numpy's message."""
-    text = p.read_text()
-    if format == "csv":
-        rows = [r for r in csv.reader(text.splitlines()) if r]
-    else:
-        rows = [line.split() for line in text.splitlines() if line.strip()]
+    differs from the first data row's, or the first field that is not a
+    finite number. Failing both, `reason`: numpy's or the refusal's own."""
+    with open(p, newline="") as f:  # lines end where numpy's do: at \n, \r or \r\n
+        if format == "csv":
+            rows = [r for r in csv.reader(f) if r]
+        else:
+            rows = [line.split() for line in f if line.strip()]
     width = len(rows[header]) if len(rows) > header else None  # None: no data rows
     for i, fields in enumerate(rows if width else []):
         if len(fields) != width:
             return DistCovError(f"{p}: row {i + 1} has {len(fields)} fields, expected {width}")
-        j = _not_a_number(fields) if i >= header else None
-        if j is not None:
-            return DistCovError(f"{p}: row {i + 1} field {j + 1}: {fields[j]!r} is not a number")
+        if i >= header and _refusal(fields):
+            j, why = next((j, why) for j, f in enumerate(fields) if (why := _refusal([f])))
+            return DistCovError(f"{p}: row {i + 1} field {j + 1}: {fields[j]!r} {why}")
     return DistCovError(f"{p}: {reason}")
 
 
-def _not_a_number(fields: Sequence[str]) -> int | None:
-    """The index of the first field that float() cannot read, if any."""
-    for j, f in enumerate(fields):
-        try:
-            float(f)
-        except ValueError:
-            return j
+def _refusal(fields: Sequence[str]) -> str | None:
+    """Why `fields`, read as one row by the loader's number grammar, are
+    not a finite row: "is not a number" or "is not finite"; None if they
+    are. Each field is quoted, so numpy reads exactly its text."""
+    line = ",".join('"' + f.replace('"', '""') + '"' for f in fields)
+    try:
+        DenseMatrix._checked(np.loadtxt([line], delimiter=",", quotechar='"', comments=None,
+                                        ndmin=2))
+    except ValueError:
+        return "is not a number"
+    except DistCovError:
+        return "is not finite"
     return None
 
 
 def hjoin(tables: Sequence[DenseMatrix]) -> DenseMatrix:
     """Concatenate tables column-wise; they must share the row count. A
     single table comes back as it is."""
-    if not tables:
+    return _hjoin([(f"table {i}", t) for i, t in enumerate(tables)])
+
+
+def _hjoin(named: Sequence[tuple[object, DenseMatrix]]) -> DenseMatrix:
+    """`hjoin` of (name, table) pairs; a table of another row count than the
+    first is refused by both names."""
+    if not named:
         raise DistCovError("hjoin needs at least one table")
-    rows = tables[0].rows
-    for i, tbl in enumerate(tables):
-        if tbl.rows != rows:
-            raise DistCovError(
-                f"table {i} has {tbl.rows} rows, expected {rows}"
-            )
-    if len(tables) == 1:
-        return tables[0]
-    return DenseMatrix._wrap(np.ascontiguousarray(np.hstack([t.values for t in tables])))
+    _row_count(named)
+    if len(named) == 1:
+        return named[0][1]
+    return DenseMatrix._wrap(np.ascontiguousarray(np.hstack([t.values for _, t in named])))
 
 
 def partition_vertical(m: DenseMatrix, spec: PartitionSpec) -> list[ColumnBlock]:
@@ -299,5 +306,5 @@ def load_mfeat(root: str | Path) -> DenseMatrix:
             raise DistCovError(
                 f"{fname}: expected {width} columns ({name}), found {t.cols}"
             )
-        tables.append(t)
-    return hjoin(tables)
+        tables.append((fname, t))
+    return _hjoin(tables)

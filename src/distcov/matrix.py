@@ -3,11 +3,13 @@ other module passes around."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from .errors import DistCovError
 
-__all__ = ["DenseMatrix"]
+__all__ = ["DenseMatrix", "matrix_checksum"]
 
 
 class DenseMatrix:
@@ -68,3 +70,8 @@ class DenseMatrix:
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
+
+def matrix_checksum(m: DenseMatrix) -> str:
+    """SHA-256 over the row-major binary64 little-endian matrix bytes,
+    hashed from the matrix's own buffer (a copy only on a big-endian host)."""
+    return hashlib.sha256(memoryview(m.values.astype("<f8", copy=False))).hexdigest()

@@ -20,8 +20,8 @@ The exchange ends with the merged matrix, and `RunMetrics` time the exchange
 alone. The public `run_distributed` then eigen-decomposes the matrix,
 untimed, on the caller's thread, as `run_centralized` does the oracle.
 `distcov run` times the decomposition itself and reports it beside the
-metrics; `report.compare_partitions` runs the exchange alone, since its rows
-only prove the merged bytes equal to the oracle's and time the exchange.
+metrics; `distcov compare` runs the exchange alone, since its rows only
+prove the merged bytes equal to the oracle's and time the exchange.
 
 Both transports move the same frame bytes, so byte counts are real and
 the merged matrix is bit-identical either way. Each endpoint has one FIFO
@@ -346,7 +346,7 @@ def _check_blocks(blocks) -> int:
     sites = [b.site for b in blocks]
     if sites != list(range(len(blocks))):
         raise DistCovError(f"block sites must be 0..{len(blocks) - 1}, got {sites}")
-    return _row_count(blocks)
+    return _row_count([(f"site {b.site}", b.data) for b in blocks])
 
 
 def run_distributed(

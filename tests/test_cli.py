@@ -14,7 +14,7 @@ import pytest
 import distcov
 import distcov.cli as cli
 import distcov.errors as errors
-import distcov.report as report
+import distcov.matrix as matrix
 import distcov.runtime as runtime
 import distcov.wire as wire
 from distcov import (
@@ -206,6 +206,15 @@ def test_run_multifile_defaults_to_per_file_sites(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["run", "--mode", "centralized"], ["compare"]])
+def test_inputs_of_different_row_counts_are_named(tmp_path, capsys, command):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("1 2\n3 4\n5 6\n")
+    b.write_text("1\n2\n")
+    assert main([*command, "--inputs", str(a), str(b)]) == 3
+    assert capsys.readouterr().err == f"error: {b} has 2 rows, {a} has 3\n"
+
+
+@pytest.mark.parametrize("command", [["run", "--mode", "centralized"], ["compare"]])
 def test_multifile_run_holds_its_data_once(tmp_path, capsys, monkeypatch, command):
     """Once the input files are joined, only the joined table stays alive:
     no per-file values are left when the oracle starts."""
@@ -225,8 +234,7 @@ def test_multifile_run_holds_its_data_once(tmp_path, capsys, monkeypatch, comman
         return _real(table)
 
     monkeypatch.setattr(cli, "load_table", tracked_load)
-    for module in (cli, report):
-        monkeypatch.setattr(module, "_timed_oracle", checked_oracle)
+    monkeypatch.setattr(cli, "_timed_oracle", checked_oracle)
     _run_json(capsys, [*command, "--inputs", *map(str, paths)])
     assert len(loaded) == 2 and alive == [0]
 
@@ -294,7 +302,7 @@ def test_matrix_checksum_hashes_the_canonical_bytes_without_copying(monkeypatch)
         hashed.append(data)
         return hashlib.sha256(data)
 
-    monkeypatch.setattr(report, "hashlib", types.SimpleNamespace(sha256=sha256))
+    monkeypatch.setattr(matrix, "hashlib", types.SimpleNamespace(sha256=sha256))
     assert [matrix_checksum(m) for m in matrices] == expected
     # What was hashed is each matrix's own buffer, not a copy of it.
     assert [np.shares_memory(np.asarray(h), m.values) for h, m in zip(hashed, matrices)] == [
@@ -333,13 +341,15 @@ def test_spec_width_is_checked_before_any_partition_or_oracle(dataset, tmp_path,
     """A centralized run partitions nothing, and a spec of the wrong width is
     refused before `compare` computes its oracle."""
     oracles, partitions = {"_timed_oracle": 0}, {"partition_vertical": 0}
-    _count_calls(monkeypatch, oracles, report)
+    _count_calls(monkeypatch, oracles, cli)
     _count_calls(monkeypatch, partitions, cli)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(
         {"total_cols": 8, "groups": [{"site": 0, "cols": list(range(8))}]}
     ))
     _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "centralized"])
+    assert oracles == {"_timed_oracle": 1}  # the counter counts the valid run's oracle
+    oracles["_timed_oracle"] = 0
     for argv in (["run", "--mode", "centralized", "--spec", str(spec_path)],
                  ["compare", "--spec", str(spec_path)],
                  ["compare", "--preset", "mfeat-6"]):
@@ -473,7 +483,7 @@ def test_compare_corruption_hook_yields_mismatch_exit(tmp_path, capsys, monkeypa
     a = tmp_path / "a.txt"
     main(["gen", "--rows", "20", "--cols", "4", "--seed", "5", "--out", str(a)])
     capsys.readouterr()
-    real = report._timed_oracle
+    real = cli._timed_oracle
     # Off by one, then off by one ulp, which a tolerance-based comparison would pass.
     for corrupt in (lambda v: v + 1.0, lambda v: np.nextafter(v, np.inf)):
 
@@ -483,7 +493,7 @@ def test_compare_corruption_hook_yields_mismatch_exit(tmp_path, capsys, monkeypa
             values[0, 0] = corrupt(values[0, 0])
             return GlobalCovariance(values), metrics
 
-        monkeypatch.setattr(report, "_timed_oracle", corrupted_entry)
+        monkeypatch.setattr(cli, "_timed_oracle", corrupted_entry)
         code = main(["compare", "--inputs", str(a)])
         assert code == 5
         assert capsys.readouterr().err.startswith("mismatch: distributed and centralized")

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distcov import (
@@ -58,15 +58,26 @@ def test_load_csv_first_row_with_a_non_finite_value_is_data(tmp_path, text):
     # Every field parses as a number, so the row is data, not a header to skip.
     p = tmp_path / "d.csv"
     p.write_text(text)
-    with raises_exactly(DistCovError, match='must be finite'):
+    with raises_exactly(DistCovError, match=r": row 1 field [12]: '(nan|inf)' is not finite$"):
         load_table(p, format="csv")
 
 
 def test_load_non_finite(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("1 2\n3 nan\n")
-    with raises_exactly(DistCovError, match='must be finite'):
+    with raises_exactly(DistCovError, match="row 2 field 2: 'nan' is not finite$"):
         load_table(p)
+
+
+@pytest.mark.parametrize("format, text, fault", [
+    ("whitespace", "1 2\n\n3 4\n5 -inf\n", "row 3 field 2: '-inf'"),  # blank lines uncounted
+    ("csv", 'a,b\n1,2\n"1e999",4\n', "row 3 field 1: '1e999'"),  # the header counts
+], ids=["whitespace", "csv"])
+def test_a_non_finite_value_is_named_by_file_row_and_field(tmp_path, format, text, fault):
+    p = tmp_path / "d.txt"
+    p.write_text(text)
+    with raises_exactly(DistCovError, match=f"^{re.escape(str(p))}: {fault} is not finite$"):
+        load_table(p, format=format)
 
 
 def test_load_whitespace_matches_per_field_parse_on_gen_file(tmp_path, capsys):
@@ -78,15 +89,46 @@ def test_load_whitespace_matches_per_field_parse_on_gen_file(tmp_path, capsys):
     assert loaded == synthetic_table(40, 9, seed=5)
 
 
-@pytest.mark.parametrize("format, text", [("whitespace", "1_0 2\n3 4\n"),
-                                          ("csv", "1,2\n3,\u0664\n")], ids=["whitespace", "csv"])
-def test_load_refuses_what_numpy_cannot_parse(tmp_path, format, text):
+@pytest.mark.parametrize("format, text, fault", [
+    ("whitespace", "1_0 2\n3 4\n", "row 1 field 1: '1_0'"),
+    ("csv", "1,2\n3,\u0664\n", "row 2 field 2: '\u0664'"),
+], ids=["whitespace", "csv"])
+def test_load_refuses_what_numpy_cannot_parse(tmp_path, format, text, fault):
     # Python's float() reads 1_0 and the Arabic-Indic digit 4; numpy does
-    # not, so the row pass finds no fault and numpy's message names the file.
+    # not, and the row pass judges fields by numpy's grammar too.
     p = tmp_path / "d.txt"
     p.write_text(text, encoding="utf-8")
-    with raises_exactly(DistCovError, match=f"^{re.escape(str(p))}: could not convert string"):
+    with raises_exactly(DistCovError, match=f"^{re.escape(str(p))}: {fault} is not a number$"):
         load_table(p, format=format)
+
+
+_FIELDS = st.one_of(
+    st.text(alphabet="0123456789.eE+-_xnaifINF\u0664", min_size=1, max_size=6),
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=4),
+).filter(lambda field: not any(c.isspace() for c in field))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=_FIELDS)
+def test_a_field_loads_exactly_when_numpy_reads_a_finite_number(tmp_path_factory, field):
+    p = tmp_path_factory.mktemp("grammar") / "d.txt"
+    p.write_text(field + "\n", encoding="utf-8")
+    try:
+        value = np.loadtxt([field], comments=None).reshape(1, 1)
+    except ValueError:
+        value = None
+    if value is not None and np.isfinite(value).all():
+        assert load_table(p) == DenseMatrix(value)
+    else:
+        with raises_exactly(DistCovError, match=f"^{re.escape(str(p))}: row 1 field 1: "):
+            load_table(p)
+
+
+def test_a_csv_header_is_judged_by_the_loaders_grammar(tmp_path):
+    # 1_0 is not a number to numpy, so the first row is a header.
+    p = tmp_path / "d.csv"
+    p.write_text("1_0,2\n3,4\n5,6\n")
+    assert load_table(p, format="csv").values.tolist() == [[3, 4], [5, 6]]
 
 
 def test_load_undecodable_file(tmp_path):
@@ -110,6 +152,9 @@ def test_load_errors_name_row_and_field(tmp_path):
         load_table(p, format="csv")
     p.write_text("a,b\n1,2\n3,oops\n")
     with raises_exactly(DistCovError, match="row 3 field 2: 'oops' is not a number"):
+        load_table(p, format="csv")
+    p.write_text("1,2\n3\f4,5\n")  # a form feed ends no line, for numpy or the pass
+    with raises_exactly(DistCovError, match=r"row 2 field 1: '3\\x0c4' is not a number$"):
         load_table(p, format="csv")
 
 
@@ -144,7 +189,7 @@ def test_hjoin_concatenates(tmp_path):
 
 
 def test_hjoin_row_mismatch():
-    with raises_exactly(DistCovError, match="table 1 has 3 rows, expected 2"):
+    with raises_exactly(DistCovError, match="^table 1 has 3 rows, table 0 has 2$"):
         hjoin([synthetic_table(2, 1), synthetic_table(3, 1)])
 
 
@@ -321,6 +366,9 @@ def test_load_mfeat_joins_the_six_files_in_canonical_order(tmp_path):
     assert (loaded.rows, loaded.cols) == (3, 649)
     assert loaded == hjoin([load_table(p, format="whitespace") for p in paths])
     assert loaded == table
+    np.savetxt(paths[-1], table.values[:2, edges[-2]:], fmt="%.17g")  # a row short
+    with raises_exactly(DistCovError, match="^mfeat-zer has 2 rows, mfeat-fac has 3$"):
+        load_mfeat(tmp_path)
 
 
 def test_load_mfeat_missing_file(tmp_path):
