@@ -8,7 +8,6 @@ bit-identical to computing it on the unpartitioned data — then extracts its
 eigen-components.
 """
 
-from .costmodel import CostReport, distributed_cost
 from .covariance import (
     ColumnBlock,
     CovBlock,
@@ -23,7 +22,6 @@ from .eigen import EigenDecomposition, symmetric_eigen
 from .errors import DistCovError
 from .ingest import (
     PartitionSpec,
-    hjoin,
     load_mfeat,
     load_table,
     mfeat_preset,
@@ -38,7 +36,7 @@ from .runtime import (
     run_centralized,
     run_distributed,
 )
-from .schedule import Schedule, build_schedule
+from .schedule import CostReport, Schedule, build_schedule, distributed_cost
 from .wire import MessageKind, ProtocolMessage, decode_message, encode_message
 
 __version__ = "0.1.0"
@@ -59,7 +57,6 @@ __all__ = [
     "build_schedule",
     "PartitionSpec",
     "load_table",
-    "hjoin",
     "partition_vertical",
     "mfeat_preset",
     "synthetic_table",

@@ -28,11 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .costmodel import distributed_cost
 from .eigen import symmetric_eigen
 from .errors import DistCovError, MismatchError, ProtocolError
 from .ingest import (
     PartitionSpec,
+    _csv_header,
     _hjoin,
     load_table,
     mfeat_preset,
@@ -41,7 +41,7 @@ from .ingest import (
 )
 from .matrix import matrix_checksum
 from .runtime import _timed_exchange, _timed_oracle, critical_path_ms
-from .schedule import build_schedule
+from .schedule import build_schedule, distributed_cost
 
 __all__ = ["main"]
 
@@ -140,9 +140,16 @@ def _data_args(sp: argparse.ArgumentParser, repeatable_preset: bool = False) -> 
 def _load_inputs(args) -> tuple:
     """The input files joined column-wise, and each file's width. Only the
     joined table stays referenced. Files of different row counts are
-    refused by name."""
+    refused by name, and so is one data row, with the CSV header that
+    took the file's first row."""
     tables = [load_table(p, format=args.format) for p in args.inputs]
-    return _hjoin(list(zip(args.inputs, tables))), [t.cols for t in tables]
+    table = _hjoin(list(zip(args.inputs, tables)))
+    if table.rows < 2:
+        p = args.inputs[0]
+        header = args.format == "csv" and _csv_header(p)[0] > 0
+        raise DistCovError(f"{p}: 1 data row{' after row 1, read as a header' if header else ''}"
+                           "; sample covariance needs at least 2 rows")
+    return table, [t.cols for t in tables]
 
 
 def _resolve_spec(args, widths, preset_name: str | None) -> PartitionSpec:
@@ -189,9 +196,8 @@ def _cmd_schedule(args) -> int:
         _emit(s.to_dict(), None)
         return 0
     print(f"t={s.t}")
-    for k, preds in enumerate(s.predecessors):
-        shown = ", ".join(str(p) for p in preds) if preds else "(none)"
-        print(f"site {k} <- {shown}")
+    for k in range(s.t):
+        print(f"site {k} <- {', '.join(map(str, s.senders_to(k))) or '(none)'}")
     return 0
 
 

@@ -124,7 +124,8 @@ class GlobalCovariance:
     __slots__ = ("_matrix",)
 
     def __init__(self, values):
-        arr = DenseMatrix(values).values.copy()  # 2-D and finite; writable
+        arr = DenseMatrix(values).values  # 2-D and finite: a fresh copy,
+        arr.setflags(write=True)  # which owns its memory and is ours alone
         if arr.shape[0] != arr.shape[1]:
             raise DistCovError(f"covariance matrix must be square, got {arr.shape}")
         if arr.shape[0] < 1:
@@ -459,29 +460,21 @@ def merge_blocks(
 ) -> GlobalCovariance:
     """Assemble the global covariance matrix from local and cross blocks.
 
-    The local blocks' columns must partition 0 .. total_cols-1, each cross
-    block must span exactly the columns of its two sites, and every pair of
-    sites must be covered exactly once. A partial merge would silently
-    produce a wrong matrix, so gaps and overlaps are hard errors.
+    Every block of both lists goes to one `_Assembler`, the coordinator's
+    own, so the two lists only group the blocks: site k's columns are those
+    of its (k, k) block, in whichever list it sits. A partial merge would
+    silently produce a wrong matrix, so gaps and overlaps are hard errors.
 
     Raises:
         ProtocolError: some pair of sites has no block or two blocks, or a
-            cross block names a site with no local block.
+            block names a site with no local block.
         DistCovError (no subclass): the local blocks' columns do not partition
-            0 .. total_cols-1, a cross block's columns are not its sites'
-            columns, or a block is filed as the other kind.
+            0 .. total_cols-1, or a cross block's columns are not its sites'
+            columns.
     """
-    for blk in cross_blocks:
-        if blk.site_a == blk.site_b:
-            raise DistCovError(f"local block of site {blk.site_a} passed as a cross block")
-    for blk in local_blocks:
-        if blk.site_a != blk.site_b:
-            raise DistCovError(
-                f"cross block ({blk.site_a},{blk.site_b}) passed as a local block"
-            )
     blocks = (*local_blocks, *cross_blocks)
     assembler = _Assembler(
-        {b.site_a: b.rows_global_cols for b in local_blocks},
+        {b.site_a: b.rows_global_cols for b in blocks if b.site_a == b.site_b},
         [(b.site_a, b.site_b) for b in blocks],
     )
     if assembler.dim != total_cols:

@@ -26,7 +26,6 @@ from .matrix import DenseMatrix
 __all__ = [
     "PartitionSpec",
     "load_table",
-    "hjoin",
     "partition_vertical",
     "mfeat_preset",
     "even_preset",
@@ -215,17 +214,10 @@ def _refusal(fields: Sequence[str]) -> str | None:
     return None
 
 
-def hjoin(tables: Sequence[DenseMatrix]) -> DenseMatrix:
-    """Concatenate tables column-wise; they must share the row count. A
-    single table comes back as it is."""
-    return _hjoin([(f"table {i}", t) for i, t in enumerate(tables)])
-
-
 def _hjoin(named: Sequence[tuple[object, DenseMatrix]]) -> DenseMatrix:
-    """`hjoin` of (name, table) pairs; a table of another row count than the
-    first is refused by both names."""
-    if not named:
-        raise DistCovError("hjoin needs at least one table")
+    """The tables of the (name, table) pairs, at least one, joined
+    column-wise in order; a single table comes back as it is. A table of
+    another row count than the first is refused by both names."""
     _row_count(named)
     if len(named) == 1:
         return named[0][1]

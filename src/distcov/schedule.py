@@ -9,6 +9,13 @@ this with `pair_coverage` before any socket exists.
 from a run of its immediate ring predecessors. With t = 2r sites the first
 r sites take r-1 predecessors and the rest take r (counting identity
 r(r-1) + r*r = t(t-1)/2); with t = 2r+1 every site takes r.
+
+`distributed_cost` prices a schedule in column-pair covariance evaluations,
+not wall time. Centralized work is all m(m-1)/2 pairs on one machine.
+Distributed work is the slowest site's local block plus the slowest site's
+cross-block phase, where receiving site k pays m_k*m_i compute and m_i
+shipping per sender i. The modeled speed-up of an equal-width split across t
+sites on the ring is at least floor(t/2).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Iterable
 
 from .errors import DistCovError
 
-__all__ = ["Schedule", "build_schedule"]
+__all__ = ["Schedule", "build_schedule", "CostReport", "distributed_cost"]
 
 
 @dataclass(frozen=True)
@@ -76,3 +83,53 @@ def pair_coverage(sites: Iterable[int], pairs: Iterable[tuple[int, int]]):
     order = sorted(inside)
     gaps = [(a, b) for i, a in enumerate(order) for b in order[i:] if (a, b) not in seen]
     return tuple(surplus), tuple(gaps)
+
+
+@dataclass(frozen=True)
+class CostReport:
+    """Operation counts for one partitioning, with the per-site breakdown."""
+
+    t_c: int
+    local_ops: tuple[int, ...]
+    t_l: int
+    cross_comm_ops: tuple[int, ...]
+    t_cr_cm: int
+    t_d: int
+    speedup: float
+
+    def to_dict(self) -> dict:
+        return {
+            "centralized_ops": self.t_c,
+            "local_ops_per_site": list(self.local_ops),
+            "local_ops_max": self.t_l,
+            "cross_comm_ops_per_site": list(self.cross_comm_ops),
+            "cross_comm_ops_max": self.t_cr_cm,
+            "distributed_ops": self.t_d,
+            "speedup": self.speedup,
+        }
+
+
+def distributed_cost(widths, schedule: Schedule) -> CostReport:
+    """Cost of the distributed computation for the given per-site widths.
+
+    t_d = max_j local(j) + max_k sum over senders i of (m_k*m_i + m_i).
+    The two maxima are independent: every site computes its local block in
+    parallel, then every site works through its received blocks in parallel.
+    One site with one column has no pairs at all; that run is the
+    centralized run, so its speed-up is 1.0.
+    """
+    w = [int(x) for x in widths]
+    if len(w) != schedule.t:
+        raise DistCovError(f"{len(w)} widths for a {schedule.t}-site schedule")
+    if any(x < 1 for x in w):
+        raise DistCovError("every site must hold at least one column")
+
+    local = tuple(m * (m - 1) // 2 for m in w)
+    cross = tuple(
+        sum(w[k] * w[i] + w[i] for i in schedule.senders_to(k)) for k in range(schedule.t)
+    )
+    t_l, t_cr_cm = max(local), max(cross)
+    m = sum(w)
+    t_c, t_d = m * (m - 1) // 2, t_l + t_cr_cm
+    return CostReport(t_c=t_c, local_ops=local, t_l=t_l, cross_comm_ops=cross,
+                      t_cr_cm=t_cr_cm, t_d=t_d, speedup=t_c / t_d if t_d else 1.0)

@@ -214,6 +214,20 @@ def test_inputs_of_different_row_counts_are_named(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {b} has 2 rows, {a} has 3\n"
 
 
+@pytest.mark.parametrize("command", [["run", "--mode", "centralized"],
+                                     ["run", "--mode", "distributed"], ["compare"]])
+@pytest.mark.parametrize("format, text, why", [
+    ("csv", "1_0,2\n3,4\n", "1 data row after row 1, read as a header"),  # 1_0 is no number
+    ("whitespace", "1 2\n", "1 data row"),
+], ids=["csv-header", "whitespace"])
+def test_one_data_row_is_named_by_its_file(tmp_path, capsys, command, format, text, why):
+    p = tmp_path / "h.txt"
+    p.write_text(text)
+    assert main([*command, "--inputs", str(p), "--format", format]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {p}: {why}; sample covariance needs at least 2 rows\n")
+
+
 @pytest.mark.parametrize("command", [["run", "--mode", "centralized"], ["compare"]])
 def test_multifile_run_holds_its_data_once(tmp_path, capsys, monkeypatch, command):
     """Once the input files are joined, only the joined table stays alive:

@@ -107,6 +107,16 @@ def test_global_covariance_copies_and_clears_signed_zeros():
     assert values[0, 1].tobytes() == np.float64(-0.0).tobytes()
 
 
+def test_global_covariance_copies_its_input_once():
+    # One copy becomes the matrix's storage; the checks' boolean masks are
+    # an eighth of it each, so a second copy cannot fit in the slack.
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal((649, 649))
+    values = f @ f.T
+    peak = _traced_peak(lambda: GlobalCovariance(values))
+    assert peak <= values.nbytes + values.nbytes // 4
+
+
 def test_global_covariance_must_be_finite():
     with raises_exactly(DistCovError, match=r"matrix values must be finite \(no NaN/Inf\)"):
         GlobalCovariance([[1.0, np.nan], [np.nan, 1.0]])
@@ -297,13 +307,15 @@ def test_merge_rejects_out_of_range_indices(three_site_blocks):
         merge_blocks([negative, *locals_[1:]], crosses, 5)
 
 
-def test_merge_rejects_misfiled_blocks(three_site_blocks):
+def test_merge_files_blocks_by_their_sites_not_their_list(three_site_blocks,
+                                                         three_site_matrix):
+    # The two lists only group the blocks: a block in the other list merges
+    # as it would in its own, under the coordinator's rules.
     sched = build_schedule(3)
     locals_, crosses = schedule_blocks(three_site_blocks, sched)
-    with raises_exactly(DistCovError, match="passed as a local block"):
-        merge_blocks(locals_ + [crosses[0]], crosses[1:], 5)
-    with raises_exactly(DistCovError, match="local block of site 0 passed as a cross block"):
-        merge_blocks(locals_[1:], crosses + [locals_[0]], 5)
+    oracle = centralized_covariance(three_site_matrix)
+    assert merge_blocks(locals_ + [crosses[0]], crosses[1:], 5).matrix == oracle.matrix
+    assert merge_blocks(locals_[1:], crosses + [locals_[0]], 5).matrix == oracle.matrix
 
 
 # --- invariants ------------------------------------------------------------

@@ -11,7 +11,6 @@ from distcov import (
     DenseMatrix,
     build_schedule,
     centralized_covariance,
-    hjoin,
     load_table,
     mfeat_preset,
     partition_vertical,
@@ -20,7 +19,7 @@ from distcov import (
 )
 from distcov.cli import main as cli_main
 from distcov.errors import DistCovError
-from distcov.ingest import MFEAT_FILES, MFEAT_WIDTHS, PartitionSpec, even_preset
+from distcov.ingest import MFEAT_FILES, MFEAT_WIDTHS, PartitionSpec, _hjoin, even_preset
 
 from conftest import raises_exactly
 
@@ -178,24 +177,24 @@ def test_load_unknown_format(tmp_path):
         load_table(tmp_path / "d.txt", format="parquet")
 
 
-# --- hjoin ------------------------------------------------------------------
+# --- _hjoin: the join of the CLI's --inputs and of load_mfeat ----------------
 
 def test_hjoin_concatenates(tmp_path):
     a = synthetic_table(3, 2, seed=1)
     b = synthetic_table(3, 1, seed=2)
-    joined = hjoin([a, b])
+    joined = _hjoin([("a", a), ("b", b)])
     assert joined.rows == 3 and joined.cols == 3
     assert joined.values[:, :2].tobytes() == a.values.tobytes()
 
 
 def test_hjoin_row_mismatch():
     with raises_exactly(DistCovError, match="^table 1 has 3 rows, table 0 has 2$"):
-        hjoin([synthetic_table(2, 1), synthetic_table(3, 1)])
+        _hjoin([("table 0", synthetic_table(2, 1)), ("table 1", synthetic_table(3, 1))])
 
 
 def test_hjoin_single_table_is_bit_identical():
     a = synthetic_table(4, 3, seed=9)
-    assert hjoin([a]) == a
+    assert _hjoin([("a", a)]) is a
 
 
 # --- PartitionSpec ----------------------------------------------------------
@@ -293,7 +292,7 @@ def test_partition_round_trip():
     m = synthetic_table(7, 10, seed=4)
     spec = even_preset(10, 3)
     blocks = partition_vertical(m, spec)
-    rejoined = hjoin([b.data for b in blocks])
+    rejoined = _hjoin([(b.site, b.data) for b in blocks])
     assert rejoined == m
 
 
@@ -364,7 +363,7 @@ def test_load_mfeat_joins_the_six_files_in_canonical_order(tmp_path):
         np.savetxt(path, table.values[:, lo:hi], fmt="%.17g")
     loaded = load_mfeat(tmp_path)
     assert (loaded.rows, loaded.cols) == (3, 649)
-    assert loaded == hjoin([load_table(p, format="whitespace") for p in paths])
+    assert loaded == _hjoin([(p, load_table(p, format="whitespace")) for p in paths])
     assert loaded == table
     np.savetxt(paths[-1], table.values[:2, edges[-2]:], fmt="%.17g")  # a row short
     with raises_exactly(DistCovError, match="^mfeat-zer has 2 rows, mfeat-fac has 3$"):
