@@ -24,7 +24,7 @@ mu^_j), which is not small for a column whose mean is large against its
 spread. `test_kernel_matches_exact_rational_reference` checks every entry
 to within 2**-52 * sqrt(var_i * var_j) of the exact covariance on a
 120 x 6 table whose mean-to-spread ratios are at most about 2e3; no bound
-is claimed beyond such tables (ROADMAP item 7).
+is claimed beyond such tables (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -118,21 +118,11 @@ class CovBlock:
 class GlobalCovariance:
     """The full m x m covariance matrix, exactly symmetric: entry (i, j)
     bit-equals entry (j, i), and no entry is -0.0. Diagonal entries are
-    variances and must be non-negative.
+    variances and must be non-negative. Only the kernel and the merge make
+    one, through `_assembled`.
     """
 
     __slots__ = ("_matrix",)
-
-    def __init__(self, values):
-        arr = DenseMatrix(values).values  # 2-D and finite: a fresh copy,
-        arr.setflags(write=True)  # which owns its memory and is ours alone
-        if arr.shape[0] != arr.shape[1]:
-            raise DistCovError(f"covariance matrix must be square, got {arr.shape}")
-        if arr.shape[0] < 1:
-            raise DistCovError("covariance matrix must have dimension >= 1")
-        if not np.array_equal(arr, arr.T):
-            raise DistCovError("covariance matrix must be exactly symmetric")
-        self._matrix = self._assembled(arr)._matrix
 
     @classmethod
     def _assembled(cls, arr: np.ndarray) -> "GlobalCovariance":
@@ -229,8 +219,9 @@ class _Operand:
             raise DistCovError("a column's centered values overflow float64")
         _, self.exps = np.frexp(peak)  # peak < 2**exps
 
-    def split(self, r0: int, out: np.ndarray, b: int) -> None:
-        """Write the s integer slices of rows r0 .. r0 + len(out[0]) into out.
+    def split(self, r0: int, out: np.ndarray, b: int) -> np.ndarray:
+        """Write the s integer slices of rows r0 .. r0 + len(out[0]) into out,
+        and return out.
 
         Row p of column u equals 2**(exps[u] - b) * sum_k out[k, p, u] *
         2**(-k b), down to 2**-54 of the column peak. Slice 0 rounds a value
@@ -246,27 +237,71 @@ class _Operand:
             work -= out[k]  # exact: the rounding residue, at most 1/2
             work *= lift
         np.rint(work, out=work)  # the last slice, in place
+        return out
+
+
+class _Block:
+    """One (x, y) block: `add` sums one chunk of rows into each slice pair
+    (i <= j, i + j < s), X_i^T Y_j + X_j^T Y_i, an exact integer in any
+    chunk order (`_slicing`); for x is y only X_i^T Y_j, whose pair is T +
+    T^T. `combine` sums the pairs level by level (i + j = s-1 down to 0,
+    dropping levels >= s, below 2**-53 of the peaks), each scaled exactly
+    by 2**-b. The pair sum commutes, so the block for (y, x) is the exact
+    transpose of the block for (x, y).
+    """
+
+    def __init__(self, xo: _Operand, yo: _Operand, scratch: np.ndarray):
+        self.xo, self.yo, self.same = xo, yo, xo is yo
+        wx, wy, s = len(xo.mean), len(yo.mean), _slicing(len(yo.values))[1]
+        self.totals = {(i, j): np.empty((wx, wy)) for i in range(s) for j in range(i, s - i)}
+        self.term = scratch[: wx * wy].reshape(wx, wy)
+        self.fresh = True  # the first chunk writes each sum; later products add to it
+
+    def add(self, x_slices: np.ndarray, y_slices: np.ndarray) -> None:
+        """Sum in one chunk's (s, rows, w) slices of x and of y."""
+        for (i, j), total in self.totals.items():
+            for p, q in ((i, j),) if self.same or i == j else ((i, j), (j, i)):
+                prod = total if self.fresh and p == i else self.term
+                np.matmul(x_slices[p].T, y_slices[q], out=prod)
+                if prod is self.term:
+                    total += self.term
+        self.fresh = False
+
+    def combine(self) -> np.ndarray:
+        """The block, written over one of the sums; DistCovError if it overflows."""
+        n, xo, yo, totals = len(self.yo.values), self.xo, self.yo, self.totals
+        b, s = _slicing(n)
+        out = totals[0, s - 1]
+        for level in range(s - 1, -1, -1):
+            if level < s - 1:
+                out *= 2.0**-b
+            for i in range(level // 2 + 1):
+                total = totals[i, level - i]
+                if self.same and 2 * i != level:
+                    total = np.add(total, total.T, out=self.term)
+                # The first term is added to 0.0, so a zero sum is +0.0.
+                np.add(total, 0.0 if (level, i) == (s - 1, 0) else out, out=out)
+        out /= n - 1  # before the scaling: only a covariance past float64's range overflows
+        for r0 in range(0, len(out), _CHUNK_ROWS):  # a panel of rows at a time
+            rows = slice(r0, r0 + _CHUNK_ROWS)
+            np.ldexp(out[rows], np.add.outer(xo.exps[rows] - b, yo.exps - b), out=out[rows])
+        # An infinity is the minimum or the maximum: no (wx, wy) mask.
+        if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+            raise DistCovError("a covariance overflows float64")
+        return out
 
 
 # A column sum may overflow, to inf or, with +inf and -inf, to nan; such a
-# column is summed again (`_Operand`). Any other overflow is refused below.
+# column is summed again (`_Operand`). Any other overflow is refused by `combine`.
 @np.errstate(over="ignore", invalid="ignore")
 def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Covariance blocks of several (n, w) arrays against one (n, wy) array:
     entry (u, v) of block k is the covariance of xs[k]'s column u with y's
     column v. An entry of xs that is y itself gives y's own covariance.
 
-    Columns are centered and split into s integer slices (`_Operand`), a
-    chunk of rows at a time: y once per chunk for every block, each other
-    array in turn into one shared buffer. A slice product X_i^T Y_j and a
-    pair sum X_i^T Y_j + X_j^T Y_i are exact integers in any summation order
-    (`_slicing`), so each pair (i < j) sums into one accumulator over the
-    chunks, through one product buffer. The slices are then released and
-    each block is combined in place, level by level (i + j = s-1 down to 0,
-    dropping levels >= s, which lie below 2**-53 of the peaks), each level
-    scaled exactly by 2**-b. The pair sum commutes, so the block for (y, x)
-    is the exact transpose of the block for (x, y). For x is y only
-    X_i^T Y_j is computed; the pair is T + T^T.
+    Four stages: prepare each array (`_Operand`); a chunk of rows at a
+    time, split y once and each other array in turn into one shared buffer
+    (`_Operand.split`) and `add` them to each `_Block`; `combine` each block.
 
     Raises DistCovError, without a numpy warning, for fewer than 2 rows or
     when a column's centered values or a covariance overflow float64.
@@ -277,51 +312,19 @@ def _cov_blocks(y: np.ndarray, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     b, s = _slicing(n)
     chunk = min(n, _CHUNK_ROWS)
     yo = _Operand(y, b)
-    parts = [(x is y, yo if x is y else _Operand(x, b),
-              {(i, j): np.empty((x.shape[1], wy)) for i in range(s) for j in range(i, s - i)})
-             for x in xs]
-    y_slices = np.empty((s, chunk, wy))
-    x_buf = np.empty(s * chunk * max((x.shape[1] for x in xs if x is not y), default=0))
     term_buf = np.empty(max(x.shape[1] for x in xs) * wy)
+    blocks = [_Block(yo if x is y else _Operand(x, b), yo, term_buf) for x in xs]
+    y_slices = np.empty((s, chunk, wy))
+    x_buf = np.empty(s * chunk * max((len(k.xo.mean) for k in blocks if not k.same), default=0))
+    x_slices = [None if k.same else x_buf[: s * chunk * len(k.xo.mean)].reshape(s, chunk, -1)
+                for k in blocks]
     for r0 in range(0, n, chunk):
         rows = min(chunk, n - r0)
-        yo.split(r0, y_slices[:, :rows], b)
-        for same, xo, totals in parts:
-            wx = len(xo.mean)
-            x_slices = y_slices if same else x_buf[: s * chunk * wx].reshape(s, chunk, wx)
-            if not same:
-                xo.split(r0, x_slices[:, :rows], b)
-            term = term_buf[: wx * wy].reshape(wx, wy)
-            for (i, j), total in totals.items():
-                for p, q in ((i, j),) if same or i == j else ((i, j), (j, i)):
-                    prod = total if r0 == 0 and p == i else term
-                    np.matmul(x_slices[p, :rows].T, y_slices[q, :rows], out=prod)
-                    if prod is term:
-                        total += term
-    del y_slices, x_slices, x_buf
-
-    blocks = []
-    for same, xo, totals in parts:
-        wx = len(xo.mean)
-        term, out = term_buf[: wx * wy].reshape(wx, wy), totals[0, s - 1]
-        for level in range(s - 1, -1, -1):
-            if level < s - 1:
-                out *= 2.0**-b
-            for i in range(level // 2 + 1):
-                total = totals[i, level - i]
-                if same and 2 * i != level:
-                    total = np.add(total, total.T, out=term)
-                # The first term is added to 0.0, so a zero sum is +0.0.
-                np.add(total, 0.0 if (level, i) == (s - 1, 0) else out, out=out)
-        out /= n - 1  # before the scaling: only a covariance past float64's range overflows
-        for r0 in range(0, wx, _CHUNK_ROWS):  # a panel of rows at a time
-            rows = slice(r0, r0 + _CHUNK_ROWS)
-            np.ldexp(out[rows], np.add.outer(xo.exps[rows] - b, yo.exps - b), out=out[rows])
-        # An infinity is the minimum or the maximum: no (wx, wy) mask.
-        if not (np.isfinite(out.min()) and np.isfinite(out.max())):
-            raise DistCovError("a covariance overflows float64")
-        blocks.append(out)
-    return blocks
+        ys = yo.split(r0, y_slices[:, :rows], b)
+        for k, xk in zip(blocks, x_slices):
+            k.add(ys if k.same else k.xo.split(r0, xk[:, :rows], b), ys)
+    del y_slices, ys, x_slices, xk, x_buf
+    return [k.combine() for k in blocks]
 
 
 def _row_count(named: Sequence[tuple[object, DenseMatrix]]) -> int:
@@ -439,7 +442,7 @@ class _Assembler:
             blk.rows_global_cols != self._owners[a]
             or blk.cols_global_cols != self._owners[b]
         ):
-            raise DistCovError(
+            raise ProtocolError(
                 f"block ({a},{b}) indices are not the columns of sites {a} and {b}"
             )
         rg, cg = list(blk.rows_global_cols), list(blk.cols_global_cols)
@@ -466,11 +469,11 @@ def merge_blocks(
     silently produce a wrong matrix, so gaps and overlaps are hard errors.
 
     Raises:
-        ProtocolError: some pair of sites has no block or two blocks, or a
-            block names a site with no local block.
+        ProtocolError: some pair of sites has no block or two blocks, a
+            block names a site with no local block, or a cross block's
+            columns are not its sites' columns.
         DistCovError (no subclass): the local blocks' columns do not partition
-            0 .. total_cols-1, or a cross block's columns are not its sites'
-            columns.
+            0 .. total_cols-1.
     """
     blocks = (*local_blocks, *cross_blocks)
     assembler = _Assembler(

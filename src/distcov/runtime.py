@@ -405,7 +405,11 @@ def _timed_exchange(
                     done.append(msg.sender)
                 elif msg.kind is MessageKind.COV_BLOCK:
                     assert isinstance(msg.payload, CovBlock)
-                    assembler.add(msg.payload)
+                    try:
+                        assembler.add(msg.payload)
+                    except ProtocolError as exc:  # named by its edge, as decoding names it
+                        raise ProtocolError(
+                            f"COV_BLOCK {msg.sender}->{coordinator}: {exc}") from None
                 else:
                     raise ProtocolError(
                         f"coordinator received unexpected {msg.kind.name} from {msg.sender}"

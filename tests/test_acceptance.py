@@ -191,7 +191,7 @@ def test_criterion_6_eigen_quality(capsys):
         for dim in (5, 40, 120, 200):
             rng = np.random.default_rng(500 + dim)
             f = rng.standard_normal((dim + 10, dim))
-            cases.append(GlobalCovariance(f.T @ f))
+            cases.append(GlobalCovariance._assembled(f.T @ f))
         cases.append(_mfeat_runs()["oracle"])
 
         for cov in cases:

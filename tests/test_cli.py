@@ -505,7 +505,7 @@ def test_compare_corruption_hook_yields_mismatch_exit(tmp_path, capsys, monkeypa
             cov, metrics = real(table)
             values = np.array(cov.matrix.values)
             values[0, 0] = corrupt(values[0, 0])
-            return GlobalCovariance(values), metrics
+            return GlobalCovariance._assembled(values), metrics
 
         monkeypatch.setattr(cli, "_timed_oracle", corrupted_entry)
         code = main(["compare", "--inputs", str(a)])
@@ -667,6 +667,28 @@ def test_run_with_a_negative_variance_on_the_wire_is_a_protocol_error(mfeat_data
     assert err == (
         "protocol error: COV_BLOCK 0->3: "
         "a local covariance block's variances must be non-negative\n"
+    )
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_run_with_a_relabelled_block_on_the_wire_is_a_protocol_error(mfeat_data, capsys,
+                                                                     monkeypatch, transport):
+    # Site 0's local block arrives with its last row index set to 300, a
+    # column of another site. The frame decodes, but the coordinator's
+    # assembler refuses the block, and the refusal names the frame's edge.
+    def relabel_last_row(head, values):
+        rows = int.from_bytes(head[wire.HEADER.size + 8 : wire.HEADER.size + 12], "little")
+        at = wire.HEADER.size + 4 * (4 + rows - 1)  # after the four fields, the last row index
+        head[at : at + 4] = (300).to_bytes(4, "little")
+        return head, values
+
+    _damage_frames(monkeypatch, (MessageKind.COV_BLOCK, 0, 3), relabel_last_row)
+    code, err = _failed_fast(capsys, ["run", "--inputs", str(mfeat_data), "--preset", "mfeat-3",
+                                      "--mode", "distributed", "--transport", transport])
+    assert code == 4
+    assert err == (
+        "protocol error: COV_BLOCK 0->3: "
+        "block (0,0) indices are not the columns of sites 0 and 0\n"
     )
 
 

@@ -24,7 +24,7 @@ from distcov import (
     site_covariance,
     synthetic_table,
 )
-from distcov.covariance import _CHUNK_ROWS, _Operand, _slicing
+from distcov.covariance import _CHUNK_ROWS, _Block, _Operand, _cov_blocks, _slicing
 from distcov.errors import DistCovError, ProtocolError
 from distcov.runtime import _timed_exchange
 from conftest import blocks_for, raises_exactly, random_widths, schedule_blocks
@@ -94,49 +94,16 @@ def test_local_cov_block_refuses_a_negative_variance():
     CovBlock(site_a=0, site_b=1, block=block, rows_global_cols=(0, 1), cols_global_cols=(2, 3))
 
 
-def test_global_covariance_refuses_an_asymmetric_matrix():
-    with raises_exactly(DistCovError, match="covariance matrix must be exactly symmetric"):
-        GlobalCovariance([[1.0, 5.0], [999.0, 2.0]])
-
-
-def test_global_covariance_copies_and_clears_signed_zeros():
-    values = np.array([[2.0, -0.0], [0.0, -0.0]])
-    g = GlobalCovariance(values)
-    assert not np.shares_memory(g.matrix.values, values)
-    assert g.matrix == DenseMatrix([[2.0, 0.0], [0.0, 0.0]])
-    assert values[0, 1].tobytes() == np.float64(-0.0).tobytes()
-
-
-def test_global_covariance_copies_its_input_once():
-    # One copy becomes the matrix's storage; the checks' boolean masks are
-    # an eighth of it each, so a second copy cannot fit in the slack.
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal((649, 649))
-    values = f @ f.T
-    peak = _traced_peak(lambda: GlobalCovariance(values))
-    assert peak <= values.nbytes + values.nbytes // 4
-
-
-def test_global_covariance_must_be_finite():
-    with raises_exactly(DistCovError, match=r"matrix values must be finite \(no NaN/Inf\)"):
-        GlobalCovariance([[1.0, np.nan], [np.nan, 1.0]])
-
-
 def test_global_covariance_rejects_negative_variance():
     with raises_exactly(DistCovError, match=r"diagonal entries \(variances\) must be non-negative"):
-        GlobalCovariance([[-1.0, 0.0], [0.0, 1.0]])
-
-
-def test_global_covariance_must_be_square():
-    with raises_exactly(DistCovError, match="covariance matrix must be square"):
-        GlobalCovariance([[1.0, 2.0]])
+        GlobalCovariance._assembled(np.array([[-1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_assembled_matrix_keeps_the_array_it_was_given():
     arr = np.array([[2.0, -0.0], [-0.0, 3.0]])
     cov = GlobalCovariance._assembled(arr)
     assert np.shares_memory(cov.matrix.values, arr)
-    assert cov.matrix == GlobalCovariance([[2.0, 0.0], [0.0, 3.0]]).matrix
+    assert cov.matrix == DenseMatrix([[2.0, 0.0], [0.0, 3.0]])
 
 
 def test_overflowing_covariance_is_not_finite():
@@ -585,6 +552,29 @@ def test_pair_sums_are_exact_at_the_slice_bound(n):
         assert swapped.tobytes() == _products_one_at_a_time(x, y).tobytes()
 
 
+def test_accumulation_does_not_depend_on_chunk_order():
+    # Every slice-pair sum is an exact integer, so a block may take its
+    # chunks of rows in any order: fed last chunk first, one cross block and
+    # one local block bit-equal the kernel's, which feeds them in row order.
+    rng = np.random.default_rng(7)
+    n = 2 * _CHUNK_ROWS + 100  # three chunks, the last one short
+    y, x = rng.standard_normal((n, 5)) * 3.0 + 1.0, rng.standard_normal((n, 3)) - 2.0
+    b, s = _slicing(n)
+    yo, xo = _Operand(y, b), _Operand(x, b)
+    scratch = np.empty(5 * 5)
+    cross, local = _Block(xo, yo, scratch), _Block(yo, yo, scratch)
+    for r0 in reversed(range(0, n, _CHUNK_ROWS)):
+        rows = min(_CHUNK_ROWS, n - r0)
+        ys, xs = np.empty((s, rows, 5)), np.empty((s, rows, 3))
+        yo.split(r0, ys, b)
+        xo.split(r0, xs, b)
+        cross.add(xs, ys)
+        local.add(ys, ys)
+    want_cross, want_local = _cov_blocks(y, [x, y])
+    assert cross.combine().tobytes() == want_cross.tobytes()
+    assert local.combine().tobytes() == want_local.tobytes()
+
+
 def _kernel_scratch_bytes(n: int, wy: int, wxs: list[int]) -> int:
     # The kernel's buffers: y's slices and one sender's slices, a chunk of
     # rows each; an accumulator per slice pair (i <= j, i + j < s) per
@@ -670,11 +660,11 @@ def test_site_covariance_checks_its_senders():
 
 def test_merge_matches_the_constructor_on_signed_zeros():
     # A local block may hold -0.0 above its diagonal and +0.0 below it (equal
-    # values); the merged matrix must still be the one GlobalCovariance
-    # makes of the same values, bit for bit.
+    # values); the merged matrix must still be the one `_assembled` makes
+    # of the same values, bit for bit.
     local_a = CovBlock(0, 0, DenseMatrix([[2.0, -0.0], [0.0, 3.0]]), (0, 1), (0, 1))
     local_b = CovBlock(1, 1, DenseMatrix([[-0.0]]), (2,), (2,))
     cross = CovBlock(1, 0, DenseMatrix([[-0.0, 1.5]]), (2,), (0, 1))
     merged = merge_blocks([local_a, local_b], [cross], 3)
     dense = np.array([[2.0, -0.0, -0.0], [0.0, 3.0, 1.5], [-0.0, 1.5, -0.0]])
-    assert merged.matrix == GlobalCovariance(dense).matrix
+    assert merged.matrix == GlobalCovariance._assembled(dense).matrix

@@ -9,26 +9,30 @@ from distcov.errors import DistCovError
 from conftest import raises_exactly
 
 
+def _cov(values) -> GlobalCovariance:
+    return GlobalCovariance._assembled(np.array(values, dtype=np.float64))
+
+
 def _random_psd(rng: np.random.Generator, dim: int) -> GlobalCovariance:
     # Gram matrix of a random tall factor: PSD by construction.
     f = rng.standard_normal((dim + 5, dim))
-    return GlobalCovariance(f.T @ f)
+    return _cov(f.T @ f)
 
 
 def test_multiple_of_identity():
-    e = symmetric_eigen(GlobalCovariance([[2.0, 0.0], [0.0, 2.0]]))
+    e = symmetric_eigen(_cov([[2.0, 0.0], [0.0, 2.0]]))
     assert e.eigenvalues == (2.0, 2.0)
 
 
 def test_already_diagonal():
-    e = symmetric_eigen(GlobalCovariance([[2.0, 0.0], [0.0, 1.0]]))
+    e = symmetric_eigen(_cov([[2.0, 0.0], [0.0, 1.0]]))
     assert e.eigenvalues == (2.0, 1.0)
     v = e.eigenvectors.values
     assert np.allclose(np.abs(v), np.eye(2), atol=1e-15)
 
 
 def test_two_by_two_hand_solution():
-    e = symmetric_eigen(GlobalCovariance([[2.0, 1.0], [1.0, 2.0]]))
+    e = symmetric_eigen(_cov([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(e.eigenvalues, [3.0, 1.0], atol=1e-12)
     v = e.eigenvectors.values
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
@@ -82,7 +86,7 @@ def test_nonconvergence_is_mapped(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", explode)
     with raises_exactly(DistCovError, match="eigen-decomposition did not converge"):
-        symmetric_eigen(GlobalCovariance([[1.0]]))
+        symmetric_eigen(_cov([[1.0]]))
 
 
 # A 3x6 table whose columns lie near 2**-998, 2**413, 2**195, 2**-929,
@@ -114,4 +118,4 @@ def test_an_eigenvalue_past_float64s_range_is_refused():
     # Both eigenvalues of [[v, v], [v, v]] are 2v and 0; 2v overflows.
     v = 1.5e308
     with raises_exactly(DistCovError, match="^an eigenvalue overflows float64$"):
-        symmetric_eigen(GlobalCovariance([[v, v], [v, v]]))
+        symmetric_eigen(_cov([[v, v], [v, v]]))

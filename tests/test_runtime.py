@@ -420,7 +420,8 @@ def test_coordinator_refuses_a_relabelled_block(monkeypatch):
             for c in crosses
         ]
 
-    with raises_exactly(DistCovError, match="not the columns of sites 2 and 0"):
+    message = r"^COV_BLOCK 0->3: block \(2,0\) indices are not the columns of sites 2 and 0$"
+    with raises_exactly(ProtocolError, match=message):
         _run_with_site_0_blocks(monkeypatch, relabel)
 
 
@@ -768,19 +769,33 @@ def test_tcp_runs_leave_no_file_descriptor_open(monkeypatch):
     assert open_fds() == before
 
 
+def _assert_pinned(table: DenseMatrix, pinned: str) -> None:
+    """The oracle's digest, and every run's at t = 1..6 on both transports."""
+    assert matrix_checksum(centralized_covariance(table).matrix) == pinned
+    for t in range(1, 7):
+        blocks = partition_vertical(table, even_preset(table.cols, t))
+        for transport in ("in-process", "tcp"):
+            cov, _, _ = run_distributed(blocks, build_schedule(t), transport=transport)
+            assert matrix_checksum(cov.matrix) == pinned, (t, transport)
+
+
 def test_checksum_is_pinned_across_hosts():
     # Entries k/8 - 1 for k in 0..16 are exact in binary64 and no RNG is
     # involved, so every host reads the same input: another digest means
     # the arithmetic differs there.
     i, j = np.indices((64, 30))
     table = DenseMatrix(((7 * i + 13 * j) % 17) / 8 - 1)
-    pinned = "d578ef67a47114596a8a77b74f8aeec777a6dd6cb862c06133edad83a40835c4"
-    assert matrix_checksum(centralized_covariance(table).matrix) == pinned
-    for t in range(1, 7):
-        blocks = partition_vertical(table, even_preset(30, t))
-        for transport in ("in-process", "tcp"):
-            cov, _, _ = run_distributed(blocks, build_schedule(t), transport=transport)
-            assert matrix_checksum(cov.matrix) == pinned, (t, transport)
+    _assert_pinned(table, "d578ef67a47114596a8a77b74f8aeec777a6dd6cb862c06133edad83a40835c4")
+
+
+def test_checksum_of_inexact_sums_is_pinned_across_hosts():
+    # Entries k/17 - 1/2 are not exact in binary64, so a column's sum
+    # rounds, and 1500 rows span three chunks. Unlike the eighths above,
+    # whose sums are exact in any order, a change in the order the kernel
+    # sums a mean or combines its levels can change this digest.
+    i, j = np.indices((1500, 40))
+    table = DenseMatrix(((7 * i + 13 * j) % 17) / 17 - 0.5)
+    _assert_pinned(table, "f5aa41d3ea08cbc1cf921b20a8c2c2c25bcf2b1abe1686395541482d0c7ec041")
 
 
 def test_distributed_matches_centralized_runner():
