@@ -430,7 +430,7 @@ class _Assembler:
             raise ProtocolError(f"site pair {gaps[0]} not covered by any block")
         if surplus:
             raise ProtocolError(f"site pair {surplus[0]} covered twice or by an unknown site")
-        self.expected, self.missing = len(pairs), set(pairs)
+        self.missing = set(pairs)
         self._owners = owners
         self._out = np.empty((self.dim, self.dim), dtype=np.float64)
 

@@ -4,17 +4,18 @@ The sites take turns on the caller's thread, in site order, and each turn
 is self-contained: every sender of the site ships its raw columns and
 the site takes them from its inbox at once, makes one kernel call
 (`site_covariance`) for its local block and all its cross blocks, and sends
-every block and DONE to the coordinator (reserved endpoint id = t). The
-coordinator then takes frames until that site's DONE is in, writing each
-block into the m x m matrix, before the next site's turn starts. So a run
-holds one site's shipped columns at a time, a failing kernel ends the run
-before any later site ships, and a frame that never arrives fails the turn
-that wanted it, naming the blocks and DONE markers the coordinator lacks.
-Before any socket exists, the coordinator's `_Assembler` proves that the
-sites' columns partition the table and that the schedule's blocks cover
-every pair of sites exactly once. After the last turn every inbox
-must be empty: a frame nobody read, such as a DATA_BLOCK that reached a
-site after its turn, fails the run.
+every block and DONE to the coordinator (reserved endpoint id = t), whose
+share ends the turn: it takes the site's blocks into the m x m matrix up
+to the first other frame, which must be that site's DONE, with every
+block of the turn in. Each frame is read in the turn that sent it, so
+every inbox must be empty before the next turn: a frame nobody read, such
+as a DATA_BLOCK that reached a site after its turn, fails the run. So a
+run holds one site's shipped columns at a time, a failing kernel ends the
+run before any later site ships, and a frame that never arrives fails the
+turn that wanted it, naming that turn and its blocks not yet in. Before
+any socket exists, the coordinator's `_Assembler` proves that the sites'
+columns partition the table and that the schedule's blocks cover every
+pair of sites exactly once.
 
 The exchange ends with the merged matrix, and `RunMetrics` time the exchange
 alone. The public `run_distributed` then eigen-decomposes the matrix,
@@ -36,7 +37,7 @@ at once: nothing could fill it while `recv` waited, so the protocol has
 no timer.
 
 A run starts no thread: TCP bytes move only inside `send`, on the caller's
-thread. So any failure, in a site's turn, the coordinator's loop or the
+thread. So any failure, in a site's turn, the coordinator's intake or the
 transport, raises on that thread; the transport is closed on the way out,
 which closes its sockets.
 """
@@ -52,8 +53,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import (
-    ColumnBlock,
-    CovBlock,
     GlobalCovariance,
     _Assembler,
     _column_count,
@@ -107,9 +106,9 @@ class RunMetrics:
     site's kernel. `transfers` is keyed by directed edge (sender, receiver)
     and covers raw column shipments only; a send's time is framing plus
     delivery into the receiver's inbox (see `TransferStat`), over TCP the
-    reads of the connection's receiving end included. `merge_ms` is what
-    assembly leaves after the last message: the matrix's final checks. No
-    reading covers an eigen-decomposition.
+    reads of the connection's receiving end included. `merge_ms` is the
+    coordinator's wall time over each turn's block intake and the matrix's
+    final checks. No reading covers an eigen-decomposition.
     """
 
     site_cov_cpu_ms: tuple[float, ...]
@@ -191,7 +190,7 @@ class InProcessTransport:
                 msg = decode_message(inbox[0])
                 raise ProtocolError(
                     f"endpoint {endpoint}: unread {msg.kind.name} from {msg.sender} "
-                    f"to {msg.receiver} after the last turn"
+                    f"to {msg.receiver} at the end of a turn"
                 )
 
     def close(self) -> None:
@@ -306,12 +305,13 @@ class TcpTransport(InProcessTransport):
 
 
 def _site_turn(
-    net, schedule: Schedule, blocks, site: int, transfers: dict
-) -> float:
+    net, schedule: Schedule, blocks, site: int, transfers: dict, assembler: _Assembler
+) -> tuple[float, float]:
     """Site `site`'s turn: its senders ship their raw columns, which it
     takes from its inbox at once; it makes its one kernel call and sends
-    every block and DONE to the coordinator. Records each shipment in
-    `transfers`; returns the kernel call's thread CPU time in ms."""
+    every block and DONE to the coordinator, which takes the blocks into
+    `assembler` up to that DONE. Records each shipment in `transfers`;
+    returns the kernel's thread CPU time and the intake's wall time in ms."""
     coordinator, senders = schedule.t, []
     for j in schedule.senders_to(site):
         shipment = ProtocolMessage(MessageKind.DATA_BLOCK, j, site, blocks[j])
@@ -336,7 +336,22 @@ def _site_turn(
     for blk in (local, *crosses):
         net.send(ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, blk))
     net.send(ProtocolMessage(MessageKind.DONE, site, coordinator))
-    return cpu_ms
+
+    t0 = time.perf_counter()
+    msg = net.recv(coordinator)
+    while msg.kind is MessageKind.COV_BLOCK:
+        try:
+            assembler.add(msg.payload)
+        except ProtocolError as exc:  # named by its edge, as decoding names it
+            raise ProtocolError(f"COV_BLOCK {msg.sender}->{coordinator}: {exc}") from None
+        msg = net.recv(coordinator)
+    if (msg.kind, msg.sender) != (MessageKind.DONE, site):
+        raise ProtocolError(
+            f"coordinator received unexpected {msg.kind.name} from {msg.sender}"
+        )
+    if any(p[1] == site for p in assembler.missing):  # every block (j, site) precedes DONE
+        raise MissingFrame(f"coordinator: DONE from {site} came before its blocks")
+    return cpu_ms, (time.perf_counter() - t0) * 1e3
 
 
 def _check_blocks(blocks) -> int:
@@ -362,8 +377,8 @@ def run_distributed(
 
     Raises:
         MissingFrame: a frame the run needs is not in its inbox.
-        ProtocolError: a frame is malformed, unexpected or left unread after
-            the last turn, the blocks do not cover every pair of sites once,
+        ProtocolError: a frame is malformed, unexpected or left unread at
+            the end of a turn, the blocks do not cover every pair of sites once,
             the transport fails, or a kernel error is not a DistCovError.
         DistCovError (no subclass): the blocks or the schedule do not
             describe one table, or a site's kernel refuses its data.
@@ -382,8 +397,7 @@ def _timed_exchange(
     if schedule.t != t:
         raise DistCovError(f"schedule is for {schedule.t} sites, got {t} blocks")
     assembler = _Assembler({b.site: b.global_cols for b in blocks}, schedule.blocks())
-    coordinator = t  # reserved endpoint id
-    endpoints = list(range(t)) + [coordinator]
+    endpoints = range(t + 1)  # the sites, then the coordinator
 
     if transport == "in-process":
         net = InProcessTransport(endpoints, log=message_log)
@@ -393,57 +407,29 @@ def _timed_exchange(
         raise ProtocolError(f"unknown transport {transport!r}")
 
     start = time.perf_counter()
-    done: list[int] = []
     transfers: dict[tuple[int, int], TransferStat] = {}
-    site_cpu_ms: list[float] = []
+    timings: list[tuple[float, float]] = []
     try:
         for site in range(t):
-            site_cpu_ms.append(_site_turn(net, schedule, blocks, site, transfers))
-            while site not in done:
-                msg = net.recv(coordinator)
-                if msg.kind is MessageKind.DONE:
-                    done.append(msg.sender)
-                elif msg.kind is MessageKind.COV_BLOCK:
-                    assert isinstance(msg.payload, CovBlock)
-                    try:
-                        assembler.add(msg.payload)
-                    except ProtocolError as exc:  # named by its edge, as decoding names it
-                        raise ProtocolError(
-                            f"COV_BLOCK {msg.sender}->{coordinator}: {exc}") from None
-                else:
-                    raise ProtocolError(
-                        f"coordinator received unexpected {msg.kind.name} from {msg.sender}"
-                    )
-        net.require_drained()
-        if assembler.missing:  # a site's blocks precede its DONE: these were never sent
-            raise _missing_frames(assembler, done, t)
+            timings.append(_site_turn(net, schedule, blocks, site, transfers, assembler))
+            net.require_drained()  # every frame is read in the turn that sent it
+        cpu_ms, intake_ms = zip(*timings)
 
         t0 = time.perf_counter()
         merged = assembler.result()
         t1 = time.perf_counter()
         metrics = RunMetrics(
-            site_cov_cpu_ms=tuple(site_cpu_ms),
+            site_cov_cpu_ms=cpu_ms,
             transfers=transfers,
-            merge_ms=(t1 - t0) * 1e3,
+            merge_ms=sum(intake_ms) + (t1 - t0) * 1e3,
             protocol_ms=(t1 - start) * 1e3,
         )
         return merged, metrics
-    except MissingFrame:  # a site's receive or the coordinator's
-        raise _missing_frames(assembler, done, t) from None
+    except MissingFrame as exc:  # a site's receive or the coordinator's
+        owed = ", ".join(str(p) for p in sorted(assembler.missing) if p[1] == site)
+        raise MissingFrame(f"site {site}'s turn: {exc}; blocks not in: {owed or 'none'}") from None
     finally:
         net.close()
-
-
-def _missing_frames(assembler: _Assembler, done: list[int], t: int) -> MissingFrame:
-    """Name the (site_a, site_b) blocks and the DONE markers that never came."""
-    missing = sorted(assembler.missing)
-    silent = sorted(set(range(t)) - set(done))
-    return MissingFrame(
-        f"coordinator: {assembler.expected - len(missing)}/{assembler.expected} blocks "
-        f"and {len(done)}/{t} completions; missing blocks (site_a, site_b): "
-        f"{', '.join(map(str, missing)) or 'none'}; no DONE from sites: "
-        f"{', '.join(map(str, silent)) or 'none'}"
-    )
 
 
 def _timed_oracle(table: DenseMatrix) -> tuple[GlobalCovariance, RunMetrics]:

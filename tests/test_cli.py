@@ -21,14 +21,18 @@ from distcov import (
     DenseMatrix,
     GlobalCovariance,
     MessageKind,
+    build_schedule,
     centralized_covariance,
     load_table,
     matrix_checksum,
+    mfeat_preset,
+    partition_vertical,
+    run_distributed,
     synthetic_table,
 )
 from distcov.cli import main
 from distcov.runtime import InProcessTransport, TcpTransport
-from conftest import open_fds
+from conftest import open_fds, raises_exactly
 
 
 @pytest.fixture
@@ -551,8 +555,8 @@ def test_run_with_a_dropped_frame_names_what_never_came(mfeat_data, capsys, monk
                                       "--mode", "distributed", "--transport", transport])
     assert code == 4
     assert err == (
-        "protocol error: coordinator: 2/6 blocks and 1/3 completions; missing blocks "
-        "(site_a, site_b): (0, 1), (1, 1), (1, 2), (2, 2); no DONE from sites: 1, 2\n"
+        "protocol error: site 1's turn: endpoint 1: no message in its inbox; "
+        "blocks not in: (0, 1), (1, 1)\n"
     )
 
 
@@ -690,6 +694,21 @@ def test_run_with_a_relabelled_block_on_the_wire_is_a_protocol_error(mfeat_data,
         "protocol error: COV_BLOCK 0->3: "
         "block (0,0) indices are not the columns of sites 0 and 0\n"
     )
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_a_done_with_a_damaged_sender_fails_its_turn(mfeat_data, monkeypatch, transport):
+    # Site 0's DONE arrives naming site 2 as its sender: the coordinator,
+    # which takes site 0's DONE inside site 0's turn, refuses it there.
+    def sender_2(head, values):
+        head[5:9] = (2).to_bytes(4, "little")  # after the magic and kind fields
+        return head, values
+
+    _damage_frames(monkeypatch, (MessageKind.DONE, 0, 3), sender_2)
+    blocks = partition_vertical(load_table(mfeat_data), mfeat_preset(3))
+    message = "^coordinator received unexpected DONE from 2$"
+    with raises_exactly(errors.ProtocolError, match=message):
+        run_distributed(blocks, build_schedule(3), transport=transport)
 
 
 # --- cost-model -------------------------------------------------------------------

@@ -354,14 +354,18 @@ def test_sites_start_no_threads(monkeypatch, transport):
 
 
 def test_site_refuses_raw_columns_from_a_non_predecessor(monkeypatch):
-    # At t=3 site 0 ships only to site 1; a copy of that frame also reaches
-    # site 2's inbox, ahead of the columns site 2 expects from site 1.
+    # At t=3 site 0 ships only to site 1; in site 2's own turn a copy of
+    # that frame reaches site 2's inbox, ahead of the columns site 2 expects
+    # from site 1.
     deliver = InProcessTransport._deliver
+    shipped_by_0 = []
 
     def also_to_site_2(self, msg):
+        if msg.kind is MessageKind.DATA_BLOCK and msg.receiver == 2:
+            self._inbox[2].extend(shipped_by_0)
         size = deliver(self, msg)
         if msg.kind is MessageKind.DATA_BLOCK and msg.sender == 0:
-            self._inbox[2].append(self._inbox[msg.receiver][-1])
+            shipped_by_0.append(self._inbox[msg.receiver][-1])
         return size
 
     monkeypatch.setattr(InProcessTransport, "_deliver", also_to_site_2)
@@ -426,18 +430,17 @@ def test_coordinator_refuses_a_relabelled_block(monkeypatch):
 
 
 def test_coordinator_names_a_missing_block(monkeypatch):
-    with raises_exactly(MissingFrame, match="^coordinator: ") as exc:
+    message = (r"^site 0's turn: coordinator: DONE from 0 came before its blocks; "
+               r"blocks not in: \(2, 0\)$")
+    with raises_exactly(MissingFrame, match=message):
         _run_with_site_0_blocks(monkeypatch, lambda crosses: [])
-    text = str(exc.value)
-    assert text.split("missing blocks (site_a, site_b): ")[1].split(";")[0] == "(2, 0)"
-    assert text.split("no DONE from sites: ")[1] == "none"
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
 def test_dropped_block_fails_before_the_deadline(monkeypatch, transport):
-    # Every DONE is in, so the block was never sent: the run fails at once.
+    # Site 0's DONE is in, so the block was never sent: its turn fails at once.
     started = time.perf_counter()
-    with raises_exactly(MissingFrame, match=r"missing blocks \(site_a, site_b\): \(2, 0\);"):
+    with raises_exactly(MissingFrame, match=r"^site 0's turn: .*; blocks not in: \(2, 0\)$"):
         _run_with_site_0_blocks(monkeypatch, lambda crosses: [], transport=transport)
     assert time.perf_counter() - started < 1.0
 
@@ -448,7 +451,7 @@ def test_dropped_block_fails_before_the_deadline(monkeypatch, transport):
 def test_dropped_data_block_fails_before_the_deadline(monkeypatch, transport, cls):
     # At t=3 site 1 takes site 0's columns; they never reach its inbox.
     # Every frame sent is delivered inside its send, so the empty inbox
-    # fails site 1's turn at once, before sites 1 and 2 send their DONE.
+    # fails site 1's turn at once, before site 1 sends any block.
     deliver = cls._deliver
 
     def drop_0_to_1(self, msg):
@@ -460,7 +463,9 @@ def test_dropped_data_block_fails_before_the_deadline(monkeypatch, transport, cl
     rng = np.random.default_rng(53)
     blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
     started = time.perf_counter()
-    with raises_exactly(MissingFrame, match=r"no DONE from sites: 1, 2$"):
+    message = (r"^site 1's turn: endpoint 1: no message in its inbox; "
+               r"blocks not in: \(0, 1\), \(1, 1\)$")
+    with raises_exactly(MissingFrame, match=message):
         run_distributed(blocks, build_schedule(3), transport=transport)
     assert time.perf_counter() - started < 1.0
 
@@ -471,8 +476,8 @@ def test_late_stray_frame_is_refused(monkeypatch, transport):
     # it after its turn, so no turn ever reads them.
     turn = runtime._site_turn
 
-    def also_ship_to_site_1(net, schedule, blocks, site, transfers):
-        timing = turn(net, schedule, blocks, site, transfers)
+    def also_ship_to_site_1(net, schedule, blocks, site, *rest):
+        timing = turn(net, schedule, blocks, site, *rest)
         if site == 2:
             net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 2, 1, blocks[2]))
         return timing
@@ -485,15 +490,43 @@ def test_late_stray_frame_is_refused(monkeypatch, transport):
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_stray_frame_is_refused_after_the_turn_that_left_it(monkeypatch, transport):
+    # Site 1 ships its columns back to site 0 at the end of its turn, when
+    # site 0's turn is over: the run fails before site 2's kernel runs.
+    turn, kernel = runtime._site_turn, runtime.site_covariance
+    kernels = []
+
+    def also_ship_to_site_0(net, schedule, blocks, site, *rest):
+        timing = turn(net, schedule, blocks, site, *rest)
+        if site == 1:
+            net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, 0, blocks[1]))
+        return timing
+
+    def counted(own, senders):
+        kernels.append(own.site)
+        return kernel(own, senders)
+
+    monkeypatch.setattr(runtime, "_site_turn", also_ship_to_site_0)
+    monkeypatch.setattr(runtime, "site_covariance", counted)
+    rng = np.random.default_rng(56)
+    blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
+    with raises_exactly(
+        ProtocolError, match="^endpoint 0: unread DATA_BLOCK from 1 to 0 at the end of a turn$"
+    ):
+        run_distributed(blocks, build_schedule(3), transport=transport)
+    assert kernels == [0, 1]
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
 def test_coordinator_refuses_raw_columns(monkeypatch, transport):
     # Site 1 ships its own columns to the coordinator before its turn: the
     # coordinator takes only blocks and DONE markers.
     turn = runtime._site_turn
 
-    def also_ship_to_the_coordinator(net, schedule, blocks, site, transfers):
+    def also_ship_to_the_coordinator(net, schedule, blocks, site, *rest):
         if site == 1:
             net.send(ProtocolMessage(MessageKind.DATA_BLOCK, 1, schedule.t, blocks[1]))
-        return turn(net, schedule, blocks, site, transfers)
+        return turn(net, schedule, blocks, site, *rest)
 
     monkeypatch.setattr(runtime, "_site_turn", also_ship_to_the_coordinator)
     rng = np.random.default_rng(55)
