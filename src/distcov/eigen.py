@@ -22,6 +22,33 @@ class EigenDecomposition:
     eigenvectors: DenseMatrix
 
 
+def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """`np.linalg.eigh` of sym, and the power of two e that its eigenvalues
+    are scaled by: the eigenvalues of sym are those returned times 2**e.
+
+    eigh's LAPACK routine, dsyevd, rescales a matrix whose largest magnitude
+    lies outside [rmin, 1/rmin], rmin = sqrt(safmin/eps), by a factor that
+    is not a power of two, and may then fail to converge on entries spread
+    over float64's range. With safmin = 2**-1022 and eps = dlamch('P') =
+    2**-52, rmin = 2**-485; with eps read as the unit roundoff 2**-53, it
+    is 2**-484.5. frexp's e puts the largest magnitude in [2**(e-1), 2**e),
+    which lies inside [2**-484.5, 2**484.5] exactly when -483 <= e <= 484.
+    There dsyevd does not rescale under either reading, and eigh gets sym
+    itself: no copy beside the working copy eigh makes for LAPACK. Outside
+    that range, or where eigh fails on sym itself (entries spread over
+    float64's range can defeat it even in range), it gets a copy scaled
+    exactly so that its largest entry is in [0.5, 1). A power-of-two
+    scaling is exact, so where no step underflows both give the same bits.
+    """
+    _, e = np.frexp(max(sym.max(), -sym.min()))
+    if -483 <= e <= 484:
+        try:
+            return (*np.linalg.eigh(sym), 0)
+        except np.linalg.LinAlgError:
+            pass
+    return (*np.linalg.eigh(np.ldexp(sym, -e)), int(e))
+
+
 @np.errstate(over="ignore")  # an eigenvalue past float64's range is refused below
 def symmetric_eigen(a: GlobalCovariance) -> EigenDecomposition:
     """Full eigen-decomposition of a symmetric covariance matrix.
@@ -34,12 +61,8 @@ def symmetric_eigen(a: GlobalCovariance) -> EigenDecomposition:
         DistCovError: the underlying iteration failed to converge, or an
             eigenvalue overflows float64.
     """
-    sym = a.matrix.values
-    # Scaled exactly so that its largest entry is in [0.5, 1): unscaled, eigh
-    # may not converge on entries spread over float64's range.
-    _, e = np.frexp(max(sym.max(), -sym.min()))
     try:
-        vals, vecs = np.linalg.eigh(np.ldexp(sym, -e))
+        vals, vecs, e = _eigh(a.matrix.values)
     except np.linalg.LinAlgError as exc:
         raise DistCovError(f"eigen-decomposition did not converge: {exc}") from None
     # eigh sorts ascending; flip to descending and re-pair the columns.

@@ -177,11 +177,18 @@ class InProcessTransport:
 
     def recv(self, endpoint: int, _unused: float | None = None) -> ProtocolMessage:
         """Decode the endpoint's next frame; MissingFrame if its inbox is
-        empty. The second argument has no effect."""
+        empty, ProtocolError if its header names another receiver. The
+        second argument has no effect."""
         inbox = self._inbox[endpoint]
         if not inbox:
             raise MissingFrame(f"endpoint {endpoint}: no message in its inbox")
-        return decode_message(inbox.popleft())
+        msg = decode_message(inbox.popleft())
+        if msg.receiver != endpoint:
+            raise ProtocolError(
+                f"{msg.kind.name} {msg.sender}->{msg.receiver}: addressed to {msg.receiver}, "
+                f"read from endpoint {endpoint}'s inbox"
+            )
+        return msg
 
     def require_drained(self) -> None:
         """ProtocolError naming a frame that waits unread in any inbox."""

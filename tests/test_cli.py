@@ -711,6 +711,24 @@ def test_a_done_with_a_damaged_sender_fails_its_turn(mfeat_data, monkeypatch, tr
         run_distributed(blocks, build_schedule(3), transport=transport)
 
 
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_a_frame_addressed_to_another_site_is_refused(mfeat_data, capsys, monkeypatch,
+                                                       transport):
+    # Site 1's columns reach site 2's inbox with a header naming site 0 as
+    # their receiver; they decode cleanly, but site 2 refuses to take them.
+    def receiver_0(head, values):
+        head[9:13] = (0).to_bytes(4, "little")  # after the magic, kind and sender fields
+        return head, values
+
+    _damage_frames(monkeypatch, (MessageKind.DATA_BLOCK, 1, 2), receiver_0)
+    code, err = _failed_fast(capsys, ["run", "--inputs", str(mfeat_data), "--preset", "mfeat-3",
+                                      "--mode", "distributed", "--transport", transport])
+    assert code == 4
+    assert err == (
+        "protocol error: DATA_BLOCK 1->0: addressed to 0, read from endpoint 2's inbox\n"
+    )
+
+
 # --- cost-model -------------------------------------------------------------------
 
 def test_cost_model_widths(capsys):

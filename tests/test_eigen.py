@@ -3,7 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from distcov import DenseMatrix, GlobalCovariance, centralized_covariance, symmetric_eigen
+from distcov import (
+    DenseMatrix,
+    GlobalCovariance,
+    centralized_covariance,
+    symmetric_eigen,
+    synthetic_table,
+)
 from distcov.errors import DistCovError
 
 from conftest import raises_exactly
@@ -119,3 +125,132 @@ def test_an_eigenvalue_past_float64s_range_is_refused():
     v = 1.5e308
     with raises_exactly(DistCovError, match="^an eigenvalue overflows float64$"):
         symmetric_eigen(_cov([[v, v], [v, v]]))
+
+
+# --- the prescale only outside LAPACK's unscaled range ----------------------
+
+def _spy_eigh(monkeypatch) -> list:
+    """The arrays np.linalg.eigh is called with, in order; each call still
+    returns the real eigh's result."""
+    calls, eigh = [], np.linalg.eigh
+
+    def spy(x):
+        calls.append(x)
+        return eigh(x)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+def _spread_cov(e: int) -> GlobalCovariance:
+    """The spread table's covariance, shifted so that frexp's exponent of
+    its largest magnitude is e."""
+    table = DenseMatrix([[float.fromhex(v) for v in row] for row in _SPREAD_TABLE])
+    a = centralized_covariance(table).matrix.values
+    return _cov(np.ldexp(a, e - int(np.frexp(a.max())[1])))
+
+
+def _assert_spread_decomposed(d, a: np.ndarray) -> None:
+    """The bounds `test_entries_spread_over_float64s_range_decompose` holds
+    a spread matrix's decomposition to."""
+    vals = np.array(d.eigenvalues)
+    assert abs(vals.sum() - np.trace(a)) <= 1e-12 * np.trace(a)
+    assert vals[0] == pytest.approx(a.max(), rel=1e-12)
+    assert np.abs(np.linalg.norm(d.eigenvectors.values, axis=0) - 1.0).max() <= 1e-12
+
+
+def _scaled_reference(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and canonical eigenvectors of `a` from eigh on the copy
+    of `a` scaled exactly so that its largest entry is in [0.5, 1)."""
+    _, e = np.frexp(np.abs(a).max())
+    w, v = np.linalg.eigh(np.ldexp(a, -e))
+    vals, vecs = np.ldexp(w[::-1], e), v[:, ::-1]
+    lead = np.argmax(np.abs(vecs), axis=0)
+    return vals, vecs * np.where(vecs[lead, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
+
+
+def test_an_in_range_matrix_reaches_eigh_without_a_copy(monkeypatch):
+    cov = _random_psd(np.random.default_rng(13), 40)
+    calls = _spy_eigh(monkeypatch)
+    symmetric_eigen(cov)
+    [arg] = calls
+    assert arg is cov.matrix.values
+
+
+@pytest.mark.parametrize("e", [484, -483])
+def test_spread_table_at_the_range_edges_decomposes_unscaled(monkeypatch, e):
+    cov = _spread_cov(e)
+    a = cov.matrix.values
+    assert np.frexp(a.max())[1] == e
+    calls = _spy_eigh(monkeypatch)
+    d = symmetric_eigen(cov)
+    [arg] = calls
+    assert arg is a
+    _assert_spread_decomposed(d, a)
+
+
+@pytest.mark.parametrize("e", [485, 829, -484])
+def test_past_the_range_edges_eigh_gets_a_scaled_copy(monkeypatch, e):
+    cov = _spread_cov(e)
+    a = cov.matrix.values
+    vals, vecs = _scaled_reference(a)
+    calls = _spy_eigh(monkeypatch)
+    d = symmetric_eigen(cov)
+    [arg] = calls
+    assert arg is not a
+    assert np.array_equal(arg, np.ldexp(a, -e))
+    assert np.array_equal(d.eigenvalues, vals)
+    assert np.array_equal(d.eigenvectors.values, vecs)
+
+
+def test_seed_table_decomposition_bit_equals_the_scaled_one():
+    # The 1000x649 table of `distcov gen --seed 1`: unscaled, eigh gives
+    # the bits it gives on the copy scaled by a power of two.
+    a = centralized_covariance(synthetic_table(1000, 649, seed=1))
+    vals, vecs = _scaled_reference(a.matrix.values)
+    d = symmetric_eigen(a)
+    assert np.array_equal(d.eigenvalues, vals)
+    assert np.array_equal(d.eigenvectors.values, vecs)
+
+
+def test_a_matrix_eigh_refuses_unscaled_is_retried_scaled(monkeypatch):
+    cov = _random_psd(np.random.default_rng(14), 30)
+    a = cov.matrix.values
+    vals, vecs = _scaled_reference(a)
+    calls, eigh = [], np.linalg.eigh
+
+    def refuse_unscaled(x):
+        calls.append(x)
+        if x is a:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(x)
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse_unscaled)
+    d = symmetric_eigen(cov)
+    first, second = calls
+    assert first is a
+    assert np.array_equal(second, np.ldexp(a, -int(np.frexp(a.max())[1])))
+    assert np.array_equal(d.eigenvalues, vals)
+    assert np.array_equal(d.eigenvectors.values, vecs)
+
+
+# A 3x5 table whose covariance's largest entry, ~4.5e52, lies in eigh's
+# unscaled range, while its other entries run down to subnormal. With
+# OpenBLAS 0.3.31's LAPACK, eigh fails to converge on it unscaled and
+# converges on the copy scaled into [0.5, 1).
+_SPREAD_IN_RANGE_TABLE = [
+    ["0x1.cbp-772", "-0x1.96ap-152", "0x1.6c2p-966", "-0x1.4ep+88", "-0x1.3c2p-517"],
+    ["-0x1.ffap-770", "-0x1.31p-151", "0x1.f94p-967", "-0x1.1ccp+79", "-0x1.bbep-528"],
+    ["-0x1.8c8p-772", "0x1.47ep-154", "-0x1.13cp-973", "-0x1.1eep+86", "0x1.d16p-519"],
+]
+
+
+def test_an_in_range_matrix_with_spread_entries_decomposes(monkeypatch):
+    table = DenseMatrix([[float.fromhex(v) for v in row] for row in _SPREAD_IN_RANGE_TABLE])
+    cov = centralized_covariance(table)
+    a = cov.matrix.values
+    assert -483 <= np.frexp(a.max())[1] <= 484
+    calls = _spy_eigh(monkeypatch)
+    d = symmetric_eigen(cov)
+    assert calls[0] is a
+    _assert_spread_decomposed(d, a)

@@ -354,23 +354,19 @@ def test_sites_start_no_threads(monkeypatch, transport):
 
 
 def test_site_refuses_raw_columns_from_a_non_predecessor(monkeypatch):
-    # At t=3 site 0 ships only to site 1; in site 2's own turn a copy of
-    # that frame reaches site 2's inbox, ahead of the columns site 2 expects
-    # from site 1.
+    # At t=3 site 0 ships only to site 1; in site 2's own turn site 0's
+    # columns, addressed to site 2, reach its inbox ahead of the columns
+    # site 2 expects from site 1.
     deliver = InProcessTransport._deliver
-    shipped_by_0 = []
-
-    def also_to_site_2(self, msg):
-        if msg.kind is MessageKind.DATA_BLOCK and msg.receiver == 2:
-            self._inbox[2].extend(shipped_by_0)
-        size = deliver(self, msg)
-        if msg.kind is MessageKind.DATA_BLOCK and msg.sender == 0:
-            shipped_by_0.append(self._inbox[msg.receiver][-1])
-        return size
-
-    monkeypatch.setattr(InProcessTransport, "_deliver", also_to_site_2)
     rng = np.random.default_rng(47)
     blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
+
+    def also_from_0(self, msg):
+        if msg.kind is MessageKind.DATA_BLOCK and msg.receiver == 2:
+            deliver(self, ProtocolMessage(MessageKind.DATA_BLOCK, 0, 2, blocks[0]))
+        return deliver(self, msg)
+
+    monkeypatch.setattr(InProcessTransport, "_deliver", also_from_0)
     before = threading.active_count()
     started = time.perf_counter()
     with raises_exactly(
