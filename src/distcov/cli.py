@@ -153,7 +153,8 @@ def _load_inputs(args) -> tuple:
 
 
 def _resolve_spec(args, widths, preset_name: str | None) -> PartitionSpec:
-    """The run's partition spec, checked against the inputs' width."""
+    """The run's partition spec, checked against the inputs' width. Every
+    refusal of a `--spec` file starts with its path."""
     if preset_name is not None:
         spec = mfeat_preset(int(preset_name.split("-")[1]))
     elif args.spec is not None:
@@ -161,11 +162,14 @@ def _resolve_spec(args, widths, preset_name: str | None) -> PartitionSpec:
             spec = PartitionSpec.from_json(args.spec.read_text())
         except (OSError, UnicodeDecodeError, RecursionError) as exc:
             raise DistCovError(f"cannot read {args.spec}: {exc}") from None
+        except DistCovError as exc:
+            raise DistCovError(f"{args.spec}: {exc}") from None
     else:
         return PartitionSpec.from_widths(widths)  # one site per input file
     cols = sum(widths)
     if spec.total_cols != cols:
-        raise DistCovError(f"spec covers {spec.total_cols} columns, the inputs have {cols}")
+        where = "" if preset_name is not None else f"{args.spec}: "
+        raise DistCovError(f"{where}spec covers {spec.total_cols} columns, the inputs have {cols}")
     return spec
 
 

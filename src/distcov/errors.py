@@ -9,13 +9,9 @@ class DistCovError(Exception):
 
 
 class ProtocolError(DistCovError):
-    """The exchange failed: a frame that is malformed, unexpected or never
-    read, blocks that do not cover every pair of sites exactly once, or a
-    transport or kernel failure (CLI exit 4)."""
-
-
-class MissingFrame(ProtocolError):
-    """A frame the run needed never reached its inbox."""
+    """The exchange failed: a frame that is malformed, unexpected, never
+    read or never arrived, blocks that do not cover every pair of sites
+    exactly once, or a transport or kernel failure (CLI exit 4)."""
 
 
 class MismatchError(DistCovError):

@@ -84,6 +84,9 @@ class PartitionSpec:
                 c = g[0] if g[0] < 0 else g[-1]
                 raise DistCovError(f"group {i} references column {c}, "
                                    f"valid range is [0, {self.total_cols})")
+            twice = [a for a, b in zip(g, g[1:]) if a == b]  # g is sorted
+            if twice:
+                raise DistCovError(f"group {i} lists column {twice[0]} twice")
         held = _column_count(self.groups)  # every column is in range: held <= total_cols
         if held < self.total_cols:
             raise DistCovError(f"column {held} held by no site")

@@ -11,8 +11,8 @@ block of the turn in. Each frame is read in the turn that sent it, so
 every inbox must be empty before the next turn: a frame nobody read, such
 as a DATA_BLOCK that reached a site after its turn, fails the run. So a
 run holds one site's shipped columns at a time, a failing kernel ends the
-run before any later site ships, and a frame that never arrives fails the
-turn that wanted it, naming that turn and its blocks not yet in. Before
+run before any later site ships, and any protocol failure fails its turn,
+naming that turn and its blocks not yet in. Before
 any socket exists, the coordinator's `_Assembler` proves that the sites'
 columns partition the table and that the schedule's blocks cover every
 pair of sites exactly once.
@@ -32,9 +32,9 @@ bytes reach the inbox: in-process encodes each frame straight into it,
 TCP moves every frame over one loopback connection, both of whose ends it
 opens, and copies no block in user space. On either transport `send`
 returns only once its frame is in the receiver's inbox. So a send's time
-is framing plus delivery, and `recv` on an empty inbox raises MissingFrame
-at once: nothing could fill it while `recv` waited, so the protocol has
-no timer.
+is framing plus delivery, and `recv` on an empty inbox raises
+ProtocolError at once: nothing could fill it while `recv` waited, so the
+protocol has no timer.
 
 A run starts no thread: TCP bytes move only inside `send`, on the caller's
 thread. So any failure, in a site's turn, the coordinator's intake or the
@@ -61,7 +61,7 @@ from .covariance import (
     site_covariance,
 )
 from .eigen import EigenDecomposition, symmetric_eigen
-from .errors import DistCovError, MissingFrame, ProtocolError
+from .errors import DistCovError, ProtocolError
 from .matrix import DenseMatrix
 from .schedule import Schedule
 from .wire import (
@@ -148,9 +148,6 @@ class InProcessTransport:
     """One FIFO inbox of frames per endpoint; `send` appends `msg`'s
     encoded frame, the same bytes TCP sends, straight to the receiver's
     inbox, and the receiver decodes its values as a view of that frame.
-
-    Only `send` fills an inbox, so `recv` on an empty one raises
-    MissingFrame at once: nothing could fill it while `recv` waited.
     `TcpTransport` replaces only `_deliver`, how the bytes reach the inbox.
     """
 
@@ -176,12 +173,12 @@ class InProcessTransport:
         return TransferStat(bytes=size, ms=ms)
 
     def recv(self, endpoint: int, _unused: float | None = None) -> ProtocolMessage:
-        """Decode the endpoint's next frame; MissingFrame if its inbox is
-        empty, ProtocolError if its header names another receiver. The
-        second argument has no effect."""
+        """Decode the endpoint's next frame; ProtocolError if its inbox is
+        empty or its header names another receiver. The second argument has
+        no effect."""
         inbox = self._inbox[endpoint]
         if not inbox:
-            raise MissingFrame(f"endpoint {endpoint}: no message in its inbox")
+            raise ProtocolError(f"endpoint {endpoint}: no message in its inbox")
         msg = decode_message(inbox.popleft())
         if msg.receiver != endpoint:
             raise ProtocolError(
@@ -196,8 +193,7 @@ class InProcessTransport:
             if inbox:
                 msg = decode_message(inbox[0])
                 raise ProtocolError(
-                    f"endpoint {endpoint}: unread {msg.kind.name} from {msg.sender} "
-                    f"to {msg.receiver} at the end of a turn"
+                    f"endpoint {endpoint}: unread {msg.kind.name} from {msg.sender} to {msg.receiver}"
                 )
 
     def close(self) -> None:
@@ -328,7 +324,7 @@ def _site_turn(
         origin = msg.payload.site if msg.kind is MessageKind.DATA_BLOCK else msg.sender
         if (msg.kind, origin) != (MessageKind.DATA_BLOCK, j):
             raise ProtocolError(
-                f"site {site} expected DATA_BLOCK from {j}, received {msg.kind.name} from {origin}"
+                f"expected DATA_BLOCK from {j}, received {msg.kind.name} from {origin}"
             )
         senders.append(msg.payload)
 
@@ -338,7 +334,7 @@ def _site_turn(
     except DistCovError:
         raise
     except Exception as exc:
-        raise ProtocolError(f"site {site} kernel failed: {exc!r}") from exc
+        raise ProtocolError(f"kernel failed: {exc!r}") from exc
     cpu_ms = (time.thread_time() - c0) * 1e3
     for blk in (local, *crosses):
         net.send(ProtocolMessage(MessageKind.COV_BLOCK, site, coordinator, blk))
@@ -347,17 +343,14 @@ def _site_turn(
     t0 = time.perf_counter()
     msg = net.recv(coordinator)
     while msg.kind is MessageKind.COV_BLOCK:
-        try:
-            assembler.add(msg.payload)
-        except ProtocolError as exc:  # named by its edge, as decoding names it
-            raise ProtocolError(f"COV_BLOCK {msg.sender}->{coordinator}: {exc}") from None
+        assembler.add(msg.payload)
         msg = net.recv(coordinator)
     if (msg.kind, msg.sender) != (MessageKind.DONE, site):
         raise ProtocolError(
             f"coordinator received unexpected {msg.kind.name} from {msg.sender}"
         )
     if any(p[1] == site for p in assembler.missing):  # every block (j, site) precedes DONE
-        raise MissingFrame(f"coordinator: DONE from {site} came before its blocks")
+        raise ProtocolError("coordinator: DONE came before its blocks")
     return cpu_ms, (time.perf_counter() - t0) * 1e3
 
 
@@ -383,9 +376,8 @@ def run_distributed(
     `transport` is "in-process" or "tcp".
 
     Raises:
-        MissingFrame: a frame the run needs is not in its inbox.
-        ProtocolError: a frame is malformed, unexpected or left unread at
-            the end of a turn, the blocks do not cover every pair of sites once,
+        ProtocolError: the blocks do not cover every pair of sites once, or, in
+            a turn it names, a frame is malformed, unexpected, unread or missing,
             the transport fails, or a kernel error is not a DistCovError.
         DistCovError (no subclass): the blocks or the schedule do not
             describe one table, or a site's kernel refuses its data.
@@ -418,8 +410,14 @@ def _timed_exchange(
     timings: list[tuple[float, float]] = []
     try:
         for site in range(t):
-            timings.append(_site_turn(net, schedule, blocks, site, transfers, assembler))
-            net.require_drained()  # every frame is read in the turn that sent it
+            try:
+                timings.append(_site_turn(net, schedule, blocks, site, transfers, assembler))
+                net.require_drained()  # every frame is read in the turn that sent it
+            except ProtocolError as exc:
+                owed = ", ".join(str(p) for p in sorted(assembler.missing) if p[1] == site)
+                raise ProtocolError(
+                    f"site {site}'s turn: {exc}; blocks not in: {owed or 'none'}"
+                ) from None
         cpu_ms, intake_ms = zip(*timings)
 
         t0 = time.perf_counter()
@@ -432,9 +430,6 @@ def _timed_exchange(
             protocol_ms=(t1 - start) * 1e3,
         )
         return merged, metrics
-    except MissingFrame as exc:  # a site's receive or the coordinator's
-        owed = ", ".join(str(p) for p in sorted(assembler.missing) if p[1] == site)
-        raise MissingFrame(f"site {site}'s turn: {exc}; blocks not in: {owed or 'none'}") from None
     finally:
         net.close()
 

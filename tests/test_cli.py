@@ -75,6 +75,21 @@ def _count_calls(monkeypatch, calls: dict, *modules) -> None:
 
 # --- errors and exit codes ---------------------------------------------------
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["gen", "--rows", "x", "--cols", "2", "--out", "t.txt"],
+     "distcov gen: error: argument --rows: 'x' is not an integer"),
+    (["cost-model", "--widths", "a,b"],
+     "distcov cost-model: error: argument --widths: 'a,b' is not a comma-separated int list"),
+    (["cost-model", "--widths", ","],
+     "distcov cost-model: error: argument --widths: width list is empty"),
+], ids=["rows-not-an-integer", "widths-not-integers", "widths-empty"])
+def test_a_number_argument_that_does_not_parse_is_a_usage_error(capsys, argv, refusal):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == refusal
+
+
 def test_one_exception_class_per_exit_code(monkeypatch, capsys):
     """`distcov.errors` holds one class per failure outcome, no other module
     defines one, and `main` turns each into its exit code and prefix."""
@@ -84,8 +99,7 @@ def test_one_exception_class_per_exit_code(monkeypatch, capsys):
                 if isinstance(obj, type) and issubclass(obj, BaseException)
                 and obj.__module__ == module.__name__}
 
-    assert exception_classes(errors) == {
-        "DistCovError", "ProtocolError", "MissingFrame", "MismatchError"}
+    assert exception_classes(errors) == {"DistCovError", "ProtocolError", "MismatchError"}
     for info in pkgutil.iter_modules(distcov.__path__):
         if info.name != "errors":
             module = importlib.import_module(f"distcov.{info.name}")
@@ -93,7 +107,6 @@ def test_one_exception_class_per_exit_code(monkeypatch, capsys):
     for cls, code, prefix in [
         (errors.DistCovError, 3, "error: "),
         (errors.ProtocolError, 4, "protocol error: "),
-        (errors.MissingFrame, 4, "protocol error: "),
         (errors.MismatchError, 5, "mismatch: "),
     ]:
         def fail(args, _cls=cls):
@@ -368,11 +381,14 @@ def test_spec_width_is_checked_before_any_partition_or_oracle(dataset, tmp_path,
     _run_json(capsys, ["run", "--inputs", str(dataset), "--mode", "centralized"])
     assert oracles == {"_timed_oracle": 1}  # the counter counts the valid run's oracle
     oracles["_timed_oracle"] = 0
-    for argv in (["run", "--mode", "centralized", "--spec", str(spec_path)],
-                 ["compare", "--spec", str(spec_path)],
-                 ["compare", "--preset", "mfeat-6"]):
+    # A --spec file's refusal starts with its path; a preset's names no file.
+    for argv, refusal in (
+        (["run", "--mode", "centralized", "--spec", str(spec_path)], f"{spec_path}: spec covers 8"),
+        (["compare", "--spec", str(spec_path)], f"{spec_path}: spec covers 8"),
+        (["compare", "--preset", "mfeat-6"], "spec covers 649"),
+    ):
         assert main([*argv, "--inputs", str(dataset)]) == 3
-        assert capsys.readouterr().err.startswith("error: spec covers ")
+        assert capsys.readouterr().err == f"error: {refusal} columns, the inputs have 9\n"
     assert oracles == {"_timed_oracle": 0} and partitions == {"partition_vertical": 0}
 
 
@@ -397,7 +413,7 @@ def test_run_malformed_spec_is_parse_error(dataset, capsys, group):
     code = main(["run", "--inputs", str(dataset), "--spec", str(spec_path),
                  "--mode", "centralized"])
     assert code == 3
-    assert capsys.readouterr().err.startswith("error: malformed partition spec: ")
+    assert capsys.readouterr().err.startswith(f"error: {spec_path}: malformed partition spec: ")
 
 
 @pytest.mark.parametrize(
@@ -423,7 +439,28 @@ def test_run_spec_numbers_must_be_json_integers(dataset, capsys, spec, named):
     code = main(["run", "--inputs", str(dataset), "--spec", str(spec_path),
                  "--mode", "centralized"])
     assert code == 3
-    assert capsys.readouterr().err == f"error: malformed partition spec: {named}\n"
+    assert capsys.readouterr().err == f"error: {spec_path}: malformed partition spec: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "spec, refusal",
+    [
+        ({"total_cols": 3, "groups": [[0, 1]]}, 'malformed partition spec: group 0 has no "site"'),
+        ({"total_cols": 3, "groups": []}, "a partition needs at least one group"),
+        ({"total_cols": 4, "groups": [{"site": 0, "cols": [0, 1, 2, 3]}]},
+         "spec covers 4 columns, the inputs have 3"),
+        ({"total_cols": 3, "groups": [{"site": 0, "cols": [0, 1, 1]}, {"site": 1, "cols": [2]}]},
+         "group 0 lists column 1 twice"),
+    ],
+    ids=["group-not-an-object", "no-groups", "too-wide", "column-twice-in-a-group"],
+)
+def test_a_spec_refusal_starts_with_its_path(tmp_path, capsys, spec, refusal):
+    data, spec_path = tmp_path / "data.txt", tmp_path / "spec.json"
+    data.write_text("1 2 3\n4 5 7\n1 0 2\n")
+    spec_path.write_text(json.dumps(spec))
+    code = main(["run", "--inputs", str(data), "--spec", str(spec_path), "--mode", "centralized"])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {spec_path}: {refusal}\n"
 
 
 @pytest.mark.parametrize(
@@ -574,7 +611,10 @@ def test_run_with_a_raising_site_is_a_protocol_error(mfeat_data, capsys, monkeyp
     code, err = _failed_fast(capsys, ["run", "--inputs", str(mfeat_data), "--preset", "mfeat-3",
                                       "--mode", "distributed", "--transport", transport])
     assert code == 4
-    assert err == "protocol error: site 1 kernel failed: RuntimeError('disk gone')\n"
+    assert err == (
+        "protocol error: site 1's turn: kernel failed: RuntimeError('disk gone'); "
+        "blocks not in: (0, 1), (1, 1)\n"
+    )
 
 
 def _damage_frames(monkeypatch, edge, damage):
@@ -627,7 +667,8 @@ def test_compare_with_a_frame_its_block_refuses_is_a_protocol_error(mfeat_data, 
                                       "--preset", "mfeat-3", "--transport", transport])
     assert code == 4
     assert err == (
-        "protocol error: DATA_BLOCK 0->1: global column indices must be strictly increasing\n"
+        "protocol error: site 1's turn: DATA_BLOCK 0->1: global column indices must be "
+        "strictly increasing; blocks not in: (0, 1), (1, 1)\n"
     )
 
 
@@ -650,8 +691,8 @@ def test_compare_with_a_damaged_header_names_its_edge(mfeat_data, capsys, monkey
     assert code == 4
     [length] = declared
     assert err == (
-        f"protocol error: DATA_BLOCK 0->1: header declares {length + 8} payload bytes, "
-        f"frame carries {length}\n"
+        f"protocol error: site 1's turn: DATA_BLOCK 0->1: header declares {length + 8} "
+        f"payload bytes, frame carries {length}; blocks not in: (0, 1), (1, 1)\n"
     )
 
 
@@ -669,8 +710,9 @@ def test_run_with_a_negative_variance_on_the_wire_is_a_protocol_error(mfeat_data
                                       "--mode", "distributed", "--transport", transport])
     assert code == 4
     assert err == (
-        "protocol error: COV_BLOCK 0->3: "
-        "a local covariance block's variances must be non-negative\n"
+        "protocol error: site 0's turn: COV_BLOCK 0->3: "
+        "a local covariance block's variances must be non-negative; "
+        "blocks not in: (0, 0), (2, 0)\n"
     )
 
 
@@ -679,7 +721,7 @@ def test_run_with_a_relabelled_block_on_the_wire_is_a_protocol_error(mfeat_data,
                                                                      monkeypatch, transport):
     # Site 0's local block arrives with its last row index set to 300, a
     # column of another site. The frame decodes, but the coordinator's
-    # assembler refuses the block, and the refusal names the frame's edge.
+    # assembler refuses the block in site 0's turn, naming the block's pair.
     def relabel_last_row(head, values):
         rows = int.from_bytes(head[wire.HEADER.size + 8 : wire.HEADER.size + 12], "little")
         at = wire.HEADER.size + 4 * (4 + rows - 1)  # after the four fields, the last row index
@@ -691,8 +733,9 @@ def test_run_with_a_relabelled_block_on_the_wire_is_a_protocol_error(mfeat_data,
                                       "--mode", "distributed", "--transport", transport])
     assert code == 4
     assert err == (
-        "protocol error: COV_BLOCK 0->3: "
-        "block (0,0) indices are not the columns of sites 0 and 0\n"
+        "protocol error: site 0's turn: "
+        "block (0,0) indices are not the columns of sites 0 and 0; "
+        "blocks not in: (0, 0), (2, 0)\n"
     )
 
 
@@ -706,7 +749,7 @@ def test_a_done_with_a_damaged_sender_fails_its_turn(mfeat_data, monkeypatch, tr
 
     _damage_frames(monkeypatch, (MessageKind.DONE, 0, 3), sender_2)
     blocks = partition_vertical(load_table(mfeat_data), mfeat_preset(3))
-    message = "^coordinator received unexpected DONE from 2$"
+    message = r"^site 0's turn: coordinator received unexpected DONE from 2; blocks not in: none$"
     with raises_exactly(errors.ProtocolError, match=message):
         run_distributed(blocks, build_schedule(3), transport=transport)
 
@@ -725,7 +768,8 @@ def test_a_frame_addressed_to_another_site_is_refused(mfeat_data, capsys, monkey
                                       "--mode", "distributed", "--transport", transport])
     assert code == 4
     assert err == (
-        "protocol error: DATA_BLOCK 1->0: addressed to 0, read from endpoint 2's inbox\n"
+        "protocol error: site 2's turn: DATA_BLOCK 1->0: addressed to 0, "
+        "read from endpoint 2's inbox; blocks not in: (1, 2), (2, 2)\n"
     )
 
 

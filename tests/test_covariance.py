@@ -76,6 +76,21 @@ def test_column_block_validation():
         ColumnBlock(site=0, data=data, global_cols=(3, 1))  # not increasing
     with raises_exactly(DistCovError, match="site id must be non-negative, got -1"):
         ColumnBlock(site=-1, data=data, global_cols=(0, 1))
+    with raises_exactly(DistCovError, match="^global column indices must be non-negative$"):
+        ColumnBlock(site=0, data=data, global_cols=(-1, 0))
+    with raises_exactly(DistCovError, match="^a column block must hold at least one column$"):
+        ColumnBlock(site=0, data=DenseMatrix(np.empty((3, 0))), global_cols=())
+
+
+def test_cov_block_refuses_index_counts_and_a_non_square_local_block():
+    square = DenseMatrix(np.eye(2))
+    with raises_exactly(DistCovError, match="^block has 2 rows but 1 row indices$"):
+        CovBlock(site_a=0, site_b=1, block=square, rows_global_cols=(0,), cols_global_cols=(2, 3))
+    with raises_exactly(DistCovError, match="^block has 2 cols but 1 col indices$"):
+        CovBlock(site_a=0, site_b=1, block=square, rows_global_cols=(0, 1), cols_global_cols=(2,))
+    with raises_exactly(DistCovError, match="^a local covariance block must be square$"):
+        CovBlock(site_a=0, site_b=0, block=DenseMatrix(np.zeros((2, 3))),
+                 rows_global_cols=(0, 1), cols_global_cols=(0, 1, 2))
 
 
 def test_local_cov_block_must_be_symmetric():
@@ -218,6 +233,11 @@ def test_centralized_identical_columns():
 def test_centralized_too_few_rows():
     with raises_exactly(DistCovError, match='sample covariance needs at least 2 rows'):
         centralized_covariance(DenseMatrix(np.reshape([1, 2], (1, 2))))
+
+
+def test_centralized_needs_a_column():
+    with raises_exactly(DistCovError, match="^covariance needs at least one column$"):
+        centralized_covariance(DenseMatrix(np.empty((3, 0))))
 
 
 # --- the three-site fixture, hand-derived entries --------------------------

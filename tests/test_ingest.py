@@ -209,6 +209,14 @@ def test_spec_validation():
         PartitionSpec(total_cols=2, groups=((0, 1), ()))  # empty group
     with raises_exactly(DistCovError, match=r"group 0 references column 2, valid range is \[0, 2\)"):
         PartitionSpec(total_cols=2, groups=((0, 2), (1,)))  # out of range
+    with raises_exactly(DistCovError, match="^a partition needs at least one group$"):
+        PartitionSpec(total_cols=2, groups=())
+
+
+def test_a_column_listed_twice_in_one_group_is_named_by_its_group():
+    # Not "held by two sites": one site lists it twice.
+    with raises_exactly(DistCovError, match="^group 1 lists column 2 twice$"):
+        PartitionSpec(total_cols=4, groups=((0, 1), (2, 3, 2)))
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])

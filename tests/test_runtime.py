@@ -40,7 +40,7 @@ from distcov import (
     symmetric_eigen,
     synthetic_table,
 )
-from distcov.errors import DistCovError, MissingFrame, ProtocolError
+from distcov.errors import DistCovError, ProtocolError
 import distcov.covariance as covariance
 import distcov.runtime as runtime
 from distcov.runtime import (
@@ -124,7 +124,9 @@ def test_frames_follow_the_turns(monkeypatch, transport):
 
     monkeypatch.setattr(runtime, "site_covariance", fails)
     log.clear()
-    with raises_exactly(ProtocolError, match="^site 0 kernel failed"):
+    message = (r"^site 0's turn: kernel failed: RuntimeError\('disk gone'\); "
+               r"blocks not in: \(0, 0\), \(4, 0\), \(5, 0\)$")
+    with raises_exactly(ProtocolError, match=message):
         run_distributed(blocks, sched, transport=transport, message_log=log)
     assert [entry[:3] for entry in log] == [
         (MessageKind.DATA_BLOCK, j, 0) for j in sched.senders_to(0)
@@ -369,9 +371,9 @@ def test_site_refuses_raw_columns_from_a_non_predecessor(monkeypatch):
     monkeypatch.setattr(InProcessTransport, "_deliver", also_from_0)
     before = threading.active_count()
     started = time.perf_counter()
-    with raises_exactly(
-        ProtocolError, match="^site 2 expected DATA_BLOCK from 1, received DATA_BLOCK from 0$"
-    ):
+    message = (r"^site 2's turn: expected DATA_BLOCK from 1, received DATA_BLOCK from 0; "
+               r"blocks not in: \(1, 2\), \(2, 2\)$")
+    with raises_exactly(ProtocolError, match=message):
         run_distributed(blocks, build_schedule(3))
     assert time.perf_counter() - started < 1.0
     assert threading.active_count() == before
@@ -420,23 +422,26 @@ def test_coordinator_refuses_a_relabelled_block(monkeypatch):
             for c in crosses
         ]
 
-    message = r"^COV_BLOCK 0->3: block \(2,0\) indices are not the columns of sites 2 and 0$"
+    message = (r"^site 0's turn: block \(2,0\) indices are not the columns of sites 2 and 0; "
+               r"blocks not in: \(2, 0\)$")
     with raises_exactly(ProtocolError, match=message):
         _run_with_site_0_blocks(monkeypatch, relabel)
 
 
 def test_coordinator_names_a_missing_block(monkeypatch):
-    message = (r"^site 0's turn: coordinator: DONE from 0 came before its blocks; "
+    message = (r"^site 0's turn: coordinator: DONE came before its blocks; "
                r"blocks not in: \(2, 0\)$")
-    with raises_exactly(MissingFrame, match=message):
+    with raises_exactly(ProtocolError, match=message):
         _run_with_site_0_blocks(monkeypatch, lambda crosses: [])
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
-def test_dropped_block_fails_before_the_deadline(monkeypatch, transport):
+def test_dropped_block_fails_its_turn_at_once(monkeypatch, transport):
     # Site 0's DONE is in, so the block was never sent: its turn fails at once.
     started = time.perf_counter()
-    with raises_exactly(MissingFrame, match=r"^site 0's turn: .*; blocks not in: \(2, 0\)$"):
+    message = (r"^site 0's turn: coordinator: DONE came before its blocks; "
+               r"blocks not in: \(2, 0\)$")
+    with raises_exactly(ProtocolError, match=message):
         _run_with_site_0_blocks(monkeypatch, lambda crosses: [], transport=transport)
     assert time.perf_counter() - started < 1.0
 
@@ -444,7 +449,7 @@ def test_dropped_block_fails_before_the_deadline(monkeypatch, transport):
 @pytest.mark.parametrize(
     "transport, cls", [("in-process", InProcessTransport), ("tcp", TcpTransport)]
 )
-def test_dropped_data_block_fails_before_the_deadline(monkeypatch, transport, cls):
+def test_dropped_data_block_fails_its_turn_at_once(monkeypatch, transport, cls):
     # At t=3 site 1 takes site 0's columns; they never reach its inbox.
     # Every frame sent is delivered inside its send, so the empty inbox
     # fails site 1's turn at once, before site 1 sends any block.
@@ -461,7 +466,7 @@ def test_dropped_data_block_fails_before_the_deadline(monkeypatch, transport, cl
     started = time.perf_counter()
     message = (r"^site 1's turn: endpoint 1: no message in its inbox; "
                r"blocks not in: \(0, 1\), \(1, 1\)$")
-    with raises_exactly(MissingFrame, match=message):
+    with raises_exactly(ProtocolError, match=message):
         run_distributed(blocks, build_schedule(3), transport=transport)
     assert time.perf_counter() - started < 1.0
 
@@ -481,7 +486,8 @@ def test_late_stray_frame_is_refused(monkeypatch, transport):
     monkeypatch.setattr(runtime, "_site_turn", also_ship_to_site_1)
     rng = np.random.default_rng(51)
     blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
-    with raises_exactly(ProtocolError, match=r"^endpoint 1: unread DATA_BLOCK from 2 to 1 "):
+    message = r"^site 2's turn: endpoint 1: unread DATA_BLOCK from 2 to 1; blocks not in: none$"
+    with raises_exactly(ProtocolError, match=message):
         run_distributed(blocks, build_schedule(3), transport=transport)
 
 
@@ -506,9 +512,8 @@ def test_stray_frame_is_refused_after_the_turn_that_left_it(monkeypatch, transpo
     monkeypatch.setattr(runtime, "site_covariance", counted)
     rng = np.random.default_rng(56)
     blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
-    with raises_exactly(
-        ProtocolError, match="^endpoint 0: unread DATA_BLOCK from 1 to 0 at the end of a turn$"
-    ):
+    message = r"^site 1's turn: endpoint 0: unread DATA_BLOCK from 1 to 0; blocks not in: none$"
+    with raises_exactly(ProtocolError, match=message):
         run_distributed(blocks, build_schedule(3), transport=transport)
     assert kernels == [0, 1]
 
@@ -527,7 +532,9 @@ def test_coordinator_refuses_raw_columns(monkeypatch, transport):
     monkeypatch.setattr(runtime, "_site_turn", also_ship_to_the_coordinator)
     rng = np.random.default_rng(55)
     blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
-    with raises_exactly(ProtocolError, match="^coordinator received unexpected DATA_BLOCK from 1$"):
+    message = (r"^site 1's turn: coordinator received unexpected DATA_BLOCK from 1; "
+               r"blocks not in: \(0, 1\), \(1, 1\)$")
+    with raises_exactly(ProtocolError, match=message):
         run_distributed(blocks, build_schedule(3), transport=transport)
 
 
@@ -686,6 +693,33 @@ def test_tcp_send_fails_fast_when_an_end_fails(monkeypatch, patch, message):
     assert open_fds() == before
 
 
+def test_a_receiving_end_that_closes_fails_its_turn(monkeypatch):
+    # At t=3 site 1 takes site 0's columns; while they travel, the
+    # connection's receiving end reads end of file.
+    deliver, recv_into = TcpTransport._deliver, socket.socket.recv_into
+    closed = []
+
+    def closes_on_0_to_1(self, msg):
+        if (msg.kind, msg.sender, msg.receiver) == (MessageKind.DATA_BLOCK, 0, 1):
+            closed.append(msg)
+        return deliver(self, msg)
+
+    def reads(self, *args):
+        return 0 if closed else recv_into(self, *args)
+
+    monkeypatch.setattr(TcpTransport, "_deliver", closes_on_0_to_1)
+    monkeypatch.setattr(socket.socket, "recv_into", reads)
+    rng = np.random.default_rng(57)
+    blocks = blocks_for(rng.standard_normal((10, 6)), [2, 2, 2])
+    before = open_fds()
+    message = (r"^site 1's turn: edge 0->1: receiving end closed; "
+               r"blocks not in: \(0, 1\), \(1, 1\)$")
+    with raises_exactly(ProtocolError, match=message):
+        run_distributed(blocks, build_schedule(3), transport="tcp")
+    assert len(closed) == 1
+    assert open_fds() == before
+
+
 def test_tcp_raises_small_socket_buffers_to_the_floor(monkeypatch):
     # Both ends start with an 8 KiB send and a 4 KiB receive buffer, which
     # stall a send on the kernel's delayed-ACK and zero-window timers; each
@@ -793,7 +827,9 @@ def test_tcp_runs_leave_no_file_descriptor_open(monkeypatch):
         return kernel(own, senders)
 
     monkeypatch.setattr(runtime, "site_covariance", site_3_fails)
-    with raises_exactly(ProtocolError, match="^site 3 kernel failed"):
+    message = (r"^site 3's turn: kernel failed: RuntimeError\('disk gone'\); "
+               r"blocks not in: \(0, 3\), \(1, 3\), \(2, 3\), \(3, 3\)$")
+    with raises_exactly(ProtocolError, match=message):
         run_distributed(blocks, sched, transport="tcp")
     assert open_fds() == before
 
@@ -879,6 +915,30 @@ def test_unknown_transport():
         run_distributed([b], build_schedule(1), transport="carrier-pigeon")
 
 
+def test_a_run_needs_a_block():
+    with raises_exactly(DistCovError, match="^need at least one column block$"):
+        run_distributed([], build_schedule(1))
+
+
+def test_send_to_an_endpoint_the_transport_lacks_is_refused():
+    log: list = []
+    net = InProcessTransport([0, 1], log=log)
+    with raises_exactly(ProtocolError, match="^no endpoint 5$"):
+        net.send(ProtocolMessage(MessageKind.DONE, 0, 5))
+    assert log == []
+
+
+def test_a_loopback_connection_that_fails_is_refused_leaving_no_descriptor(monkeypatch):
+    def fails(*args, **kwargs):
+        raise ConnectionRefusedError("refused")
+
+    before = open_fds()
+    monkeypatch.setattr(socket, "create_connection", fails)
+    with raises_exactly(ProtocolError, match="^loopback connection failed: refused$"):
+        TcpTransport([0, 1])
+    assert open_fds() == before
+
+
 def test_transfer_bytes_are_encoded_frame_sizes():
     rng = np.random.default_rng(33)
     blocks = blocks_for(rng.standard_normal((20, 5)), [3, 2])
@@ -954,7 +1014,11 @@ def test_failing_site_ends_the_run_at_once(monkeypatch, transport):
     with raises_exactly(ProtocolError, match="kernel failed: RuntimeError") as exc:
         run_distributed(blocks, build_schedule(t), transport=transport)
     assert time.perf_counter() - started < 1.0
-    assert str(exc.value).startswith(f"site {failed[0]} kernel failed")
+    assert failed == [t - 1]  # the sites take turns in order
+    assert str(exc.value) == (
+        "site 5's turn: kernel failed: RuntimeError('disk gone'); "
+        "blocks not in: (2, 5), (3, 5), (4, 5), (5, 5)"
+    )
     assert threading.active_count() == before
 
 
@@ -986,8 +1050,11 @@ def test_first_failure_stops_the_other_kernels(monkeypatch, transport):
     with raises_exactly(ProtocolError, match="kernel failed: RuntimeError") as exc:
         run_distributed(blocks, build_schedule(6), transport=transport)
     assert time.perf_counter() - started < 1.0
-    assert len(calls) == 1
-    assert str(exc.value).startswith(f"site {calls[0]} kernel failed")
+    assert calls == [0]
+    assert str(exc.value) == (
+        "site 0's turn: kernel failed: RuntimeError('disk gone'); "
+        "blocks not in: (0, 0), (4, 0), (5, 0)"
+    )
     assert threading.active_count() == before
 
 
@@ -1030,7 +1097,7 @@ def _three_site_lists():
         yield tuple(lists)
 
 
-def test_schedule_proof_agrees_with_validate_schedule(monkeypatch):
+def test_schedule_proof_agrees_with_a_pair_count(monkeypatch):
     """The run refuses, before any kernel, exactly the t=3 schedules that a
     pair count made here finds wrong, and every one it accepts gives the
     oracle's bytes on both transports."""
@@ -1095,9 +1162,11 @@ def test_bad_schedule_fails_before_any_thread(monkeypatch, transport, t, lists, 
         error, message = DistCovError, f"schedule is for {schedule.t} sites, got {t} blocks"
     before = threading.active_count()
     started = time.perf_counter()
+    log: list = []
     with raises_exactly(error, match=re.escape(message)):
-        run_distributed(blocks, schedule, transport=transport)
+        run_distributed(blocks, schedule, transport=transport, message_log=log)
     assert time.perf_counter() - started < 1.0
+    assert log == []
     assert threading.active_count() == before
 
 

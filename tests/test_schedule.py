@@ -46,6 +46,12 @@ def test_schedule_rejects_bad_count():
         build_schedule(0)
 
 
+@pytest.mark.parametrize("k", [3, -1])
+def test_senders_to_refuses_a_site_outside_the_schedule(k):
+    with raises_exactly(DistCovError, match=f"^site {k} out of range for t=3$"):
+        build_schedule(3).senders_to(k)
+
+
 def test_validate_six_sites():
     s = build_schedule(6)
     assert pair_coverage(range(6), s.blocks()) == ((), ())

@@ -143,6 +143,18 @@ def test_a_block_its_payload_type_refuses_is_a_malformed_frame():
         decode_message(bytes(frame))
 
 
+def test_a_cross_block_relabelled_as_local_is_refused_as_not_square():
+    # Cross block (2, 0) holds site 2's one column against site 0's two; its
+    # site_b field set to 2 makes it a local block of 1 x 2.
+    blk = CovBlock(2, 0, DenseMatrix([[0.5, -1.5]]), (4,), (0, 1))
+    frame = bytearray(encode_message(ProtocolMessage(MessageKind.COV_BLOCK, 0, 3, blk)))
+    at = HEADER.size + 4  # after the site_a field
+    frame[at : at + 4] = (2).to_bytes(4, "little")
+    message = "^COV_BLOCK 0->3: a local covariance block must be square$"
+    with raises_exactly(ProtocolError, match=message):
+        decode_message(bytes(frame))
+
+
 def test_frame_parts_give_the_values_as_the_block_itself():
     msg = _data_msg()
     assert np.shares_memory(frame_parts(msg)[1], msg.payload.data.values)

@@ -18,6 +18,11 @@ where its argument says. It records:
   `distributed_ms` and `measured_speedup`, the modelled speed-up, and the
   one checksum of every row; `misses` lists each preset whose measured
   speed-up is more than 25% off the model.
+- `even_sweep` (not gated): on the same table, for t = 6, 8, 12, 18, 24 and
+  32 sites, one `distcov compare --spec` with `even_preset(649, t)`'s
+  groups, run 5 times in the same one-BLAS-thread child: per t the medians
+  of `centralized_ms`, `distributed_ms` and `measured_speedup`, the
+  modelled speed-up, the measured/model ratio and the one checksum.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ SEEDS = (31, 32, 33)
 SECONDS = 15
 SWEEP_RUNS = 5
 PRESETS = tuple(f"mfeat-{t}" for t in range(2, 7))
+EVEN_SITES = (6, 8, 12, 18, 24, 32)
 ONE_BLAS_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 MISS_BOUND = 0.25
 
@@ -69,37 +75,59 @@ def _gated(workload: str) -> dict:
     }
 
 
-def _sweep() -> dict:
-    """The mfeat-2..6 sweep, SWEEP_RUNS times at one BLAS thread."""
+def _compared(argv: list, env: dict) -> tuple[list, str]:
+    """SWEEP_RUNS `distcov compare` reports of argv, and the one checksum of
+    all their rows; more than one raises."""
+    docs = [json.loads(_run(argv, env)) for _ in range(SWEEP_RUNS)]
+    checksums = {r["matrix_checksum"] for d in docs for r in d["comparisons"]}
+    if len(checksums) != 1:
+        raise RuntimeError(f"{argv} gave {len(checksums)} checksums: {sorted(checksums)}")
+    return docs, checksums.pop()
+
+
+def _medians(docs: list, i: int) -> dict:
+    """Row i of the reports: its timings' medians and the modelled speed-up."""
+    rows = [d["comparisons"][i] for d in docs]
+    row = {k: statistics.median(r[k] for r in rows)
+           for k in ("centralized_ms", "distributed_ms", "measured_speedup")}
+    row["cost_model_speedup"] = rows[0]["cost_model"]["speedup"]
+    return row
+
+
+def _sweeps() -> tuple[dict, dict]:
+    """The mfeat-2..6 sweep and the even-width sweep, each report run
+    SWEEP_RUNS times at one BLAS thread."""
     src = str(ROOT / "src")
     env = {**os.environ, **ONE_BLAS_THREAD,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cli = [sys.executable, "-m", "distcov.cli"]
+    from distcov.ingest import even_preset  # this checkout's, through sys.path
+
     with tempfile.TemporaryDirectory() as tmp:
         table = Path(tmp) / "t2000.txt"
         _run([*cli, "gen", "--rows", "2000", "--cols", "649", "--seed", "1", "--out", table], env)
         argv = [*cli, "compare", "--inputs", table, *(a for p in PRESETS for a in ("--preset", p))]
-        docs = [json.loads(_run(argv, env)) for _ in range(SWEEP_RUNS)]
-    checksums = {r["matrix_checksum"] for d in docs for r in d["comparisons"]}
-    if len(checksums) != 1:
-        raise RuntimeError(f"the sweep gave {len(checksums)} checksums: {sorted(checksums)}")
+        docs, checksum = _compared(argv, env)
+        even = {}
+        for t in EVEN_SITES:
+            spec = Path(tmp) / f"even-{t}.json"
+            groups = even_preset(649, t).groups
+            spec.write_text(json.dumps({"total_cols": 649, "groups": [
+                {"site": i, "cols": list(g)} for i, g in enumerate(groups)]}))
+            t_docs, t_checksum = _compared([*cli, "compare", "--inputs", table, "--spec", spec], env)
+            row = _medians(t_docs, 0)
+            row["ratio"] = row["measured_speedup"] / row["cost_model_speedup"]
+            even[t] = {**row, "matrix_checksum": t_checksum}
     presets = {}
     for i, name in enumerate(PRESETS):
-        rows = [d["comparisons"][i] for d in docs]
-        row = {k: statistics.median(r[k] for r in rows)
-               for k in ("centralized_ms", "distributed_ms", "measured_speedup")}
-        row["cost_model_speedup"] = rows[0]["cost_model"]["speedup"]
+        row = _medians(docs, i)
         row["miss"] = row["measured_speedup"] / row["cost_model_speedup"] - 1.0
         presets[name] = row
-    return {
-        "table": "distcov gen --rows 2000 --cols 649 --seed 1",
-        "transport": "in-process",
-        "runs": SWEEP_RUNS,
-        "blas_threads_env": docs[0]["blas_threads_env"],
-        "matrix_checksum": checksums.pop(),
-        "presets": presets,
-        "misses": [name for name, row in presets.items() if abs(row["miss"]) > MISS_BOUND],
-    }
+    common = {"table": "distcov gen --rows 2000 --cols 649 --seed 1", "transport": "in-process",
+              "runs": SWEEP_RUNS, "blas_threads_env": docs[0]["blas_threads_env"]}
+    sweep = {**common, "matrix_checksum": checksum, "presets": presets,
+             "misses": [name for name, row in presets.items() if abs(row["miss"]) > MISS_BOUND]}
+    return sweep, {**common, "sites": even}
 
 
 def main(argv=None) -> int:
@@ -119,13 +147,15 @@ def main(argv=None) -> int:
                 "uncommitted": None if host["git_sha"] is None
                 else bool(_run(["git", "status", "--porcelain", "--", "src"]))},
         "gated": {w: _gated(w) for w in bench.WORKLOADS},
-        "sweep": _sweep(),
     }
+    doc["sweep"], doc["even_sweep"] = _sweeps()
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name in doc["sweep"]["misses"]:
         row = doc["sweep"]["presets"][name]
         print(f"{name}: measured speed-up {row['measured_speedup']:.2f} misses the model's "
               f"{row['cost_model_speedup']:.2f} by {row['miss']:+.0%}")
+    for t, row in doc["even_sweep"]["sites"].items():
+        print(f"t={t}: measured/model {row['ratio']:.2f}")
     return 0
 
 
