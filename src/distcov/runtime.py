@@ -173,10 +173,12 @@ class InProcessTransport:
         return TransferStat(bytes=size, ms=ms)
 
     def recv(self, endpoint: int, _unused: float | None = None) -> ProtocolMessage:
-        """Decode the endpoint's next frame; ProtocolError if its inbox is
-        empty or its header names another receiver. The second argument has
-        no effect."""
-        inbox = self._inbox[endpoint]
+        """Decode the endpoint's next frame; ProtocolError if the transport
+        has no such endpoint, its inbox is empty or its header names another
+        receiver. The second argument has no effect."""
+        inbox = self._inbox.get(endpoint)
+        if inbox is None:
+            raise ProtocolError(f"no endpoint {endpoint}")
         if not inbox:
             raise ProtocolError(f"endpoint {endpoint}: no message in its inbox")
         msg = decode_message(inbox.popleft())

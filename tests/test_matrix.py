@@ -48,7 +48,7 @@ def test_checksum_hashes_little_endian_row_major_bytes():
     assert matrix_checksum(m) == expected
 
 
-def test_equality_covers_values_and_labels():
+def test_equality_covers_values_and_shape():
     a = DenseMatrix(np.reshape([1, 2], (1, 2)))
     b = DenseMatrix(np.reshape([1, 2], (1, 2)))
     assert a == b

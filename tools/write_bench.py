@@ -11,18 +11,16 @@ where its argument says. It records:
 - `gated`: each workload of `perfbench/run.py` with `--trace 0`, 15 s at
   seeds 31-33 and the BLAS thread setting found, as the benchmark runs it:
   each run's end-to-end metrics and their medians
-- `sweep`: `distcov compare --preset mfeat-2 ... --preset mfeat-6` over the
-  in-process transport on a 2000x649 table from `distcov gen --seed 1`, run
-  5 times in a child with one BLAS thread, where a thread-CPU reading is a
-  one-processor time: per preset the medians of `centralized_ms`,
-  `distributed_ms` and `measured_speedup`, the modelled speed-up, and the
-  one checksum of every row; `misses` lists each preset whose measured
-  speed-up is more than 25% off the model.
-- `even_sweep` (not gated): on the same table, for t = 6, 8, 12, 18, 24 and
-  32 sites, one `distcov compare --spec` with `even_preset(649, t)`'s
-  groups, run 5 times in the same one-BLAS-thread child: per t the medians
-  of `centralized_ms`, `distributed_ms` and `measured_speedup`, the
-  modelled speed-up, the measured/model ratio and the one checksum.
+- `sweeps` (not gated): one entry per table from `distcov gen --seed 1`,
+  2000x649 at `SWEEP_RUNS` runs and 20,000x649 at `TALL_RUNS`. Every
+  partition, `mfeat-2` to `mfeat-6` and `even_preset(649, t)` for t = 6, 8,
+  12, 18, 24 and 32, is written as a `--spec` file and measured by that
+  many calls of `distcov compare --spec` over the in-process transport, in
+  a child with one BLAS thread, where a thread-CPU reading is a
+  one-processor time. Per partition: the medians of `centralized_ms`,
+  `distributed_ms` and `measured_speedup`, the modelled speed-up and the
+  measured/model `ratio`. Per table: the one checksum of every run, and
+  `misses`, each mfeat preset whose ratio is more than 25% off 1.
 """
 
 from __future__ import annotations
@@ -41,10 +39,16 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (31, 32, 33)
 SECONDS = 15
 SWEEP_RUNS = 5
-PRESETS = tuple(f"mfeat-{t}" for t in range(2, 7))
+TALL_RUNS = 3
+COLS = 649
+TABLES = ((2000, SWEEP_RUNS), (20000, TALL_RUNS))  # (rows, runs)
 EVEN_SITES = (6, 8, 12, 18, 24, 32)
-ONE_BLAS_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 MISS_BOUND = 0.25
+CLI = [sys.executable, "-m", "distcov.cli"]
+ONE_BLAS_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# The sweep's child: this checkout's package, at one BLAS thread.
+CHILD_ENV = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def _run(argv: list, env: dict | None = None) -> str:
@@ -75,59 +79,32 @@ def _gated(workload: str) -> dict:
     }
 
 
-def _compared(argv: list, env: dict) -> tuple[list, str]:
-    """SWEEP_RUNS `distcov compare` reports of argv, and the one checksum of
-    all their rows; more than one raises."""
-    docs = [json.loads(_run(argv, env)) for _ in range(SWEEP_RUNS)]
-    checksums = {r["matrix_checksum"] for d in docs for r in d["comparisons"]}
-    if len(checksums) != 1:
-        raise RuntimeError(f"{argv} gave {len(checksums)} checksums: {sorted(checksums)}")
-    return docs, checksums.pop()
-
-
-def _medians(docs: list, i: int) -> dict:
-    """Row i of the reports: its timings' medians and the modelled speed-up."""
-    rows = [d["comparisons"][i] for d in docs]
-    row = {k: statistics.median(r[k] for r in rows)
-           for k in ("centralized_ms", "distributed_ms", "measured_speedup")}
-    row["cost_model_speedup"] = rows[0]["cost_model"]["speedup"]
-    return row
-
-
-def _sweeps() -> tuple[dict, dict]:
-    """The mfeat-2..6 sweep and the even-width sweep, each report run
-    SWEEP_RUNS times at one BLAS thread."""
-    src = str(ROOT / "src")
-    env = {**os.environ, **ONE_BLAS_THREAD,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    cli = [sys.executable, "-m", "distcov.cli"]
-    from distcov.ingest import even_preset  # this checkout's, through sys.path
-
+def _sweep(table: Path, partitions: dict, runs: int) -> dict:
+    """Each named `PartitionSpec` of `partitions`, written as a `--spec`
+    file and measured by `runs` calls of `distcov compare --spec` on
+    `table` in the one-BLAS-thread child: per partition its timings'
+    medians, the modelled speed-up and the measured/model `ratio`; and the
+    one checksum of every run, more than one raising."""
+    rows, checksums = {}, set()
     with tempfile.TemporaryDirectory() as tmp:
-        table = Path(tmp) / "t2000.txt"
-        _run([*cli, "gen", "--rows", "2000", "--cols", "649", "--seed", "1", "--out", table], env)
-        argv = [*cli, "compare", "--inputs", table, *(a for p in PRESETS for a in ("--preset", p))]
-        docs, checksum = _compared(argv, env)
-        even = {}
-        for t in EVEN_SITES:
-            spec = Path(tmp) / f"even-{t}.json"
-            groups = even_preset(649, t).groups
-            spec.write_text(json.dumps({"total_cols": 649, "groups": [
-                {"site": i, "cols": list(g)} for i, g in enumerate(groups)]}))
-            t_docs, t_checksum = _compared([*cli, "compare", "--inputs", table, "--spec", spec], env)
-            row = _medians(t_docs, 0)
+        for name, spec in partitions.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps({"total_cols": spec.total_cols, "groups": [
+                {"site": i, "cols": list(g)} for i, g in enumerate(spec.groups)]}))
+            argv = [*CLI, "compare", "--inputs", table, "--spec", path]
+            docs = [json.loads(_run(argv, CHILD_ENV)) for _ in range(runs)]
+            reports = [d["comparisons"][0] for d in docs]
+            checksums |= {r["matrix_checksum"] for r in reports}
+            row = {k: statistics.median(r[k] for r in reports)
+                   for k in ("centralized_ms", "distributed_ms", "measured_speedup")}
+            row["cost_model_speedup"] = reports[0]["cost_model"]["speedup"]
             row["ratio"] = row["measured_speedup"] / row["cost_model_speedup"]
-            even[t] = {**row, "matrix_checksum": t_checksum}
-    presets = {}
-    for i, name in enumerate(PRESETS):
-        row = _medians(docs, i)
-        row["miss"] = row["measured_speedup"] / row["cost_model_speedup"] - 1.0
-        presets[name] = row
-    common = {"table": "distcov gen --rows 2000 --cols 649 --seed 1", "transport": "in-process",
-              "runs": SWEEP_RUNS, "blas_threads_env": docs[0]["blas_threads_env"]}
-    sweep = {**common, "matrix_checksum": checksum, "presets": presets,
-             "misses": [name for name, row in presets.items() if abs(row["miss"]) > MISS_BOUND]}
-    return sweep, {**common, "sites": even}
+            rows[name] = row
+    if len(checksums) != 1:
+        raise RuntimeError(f"{table} gave {len(checksums)} checksums: {sorted(checksums)}")
+    return {"transport": "in-process", "runs": runs,
+            "blas_threads_env": docs[0]["blas_threads_env"],
+            "matrix_checksum": checksums.pop(), "partitions": rows}
 
 
 def main(argv=None) -> int:
@@ -136,6 +113,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import bench  # perfbench's, through the two paths above
+    from distcov.ingest import even_preset, mfeat_preset
 
     host = bench.host_facts(ROOT)
     modules = sorted((ROOT / "src" / "distcov").glob("*.py"))
@@ -147,15 +125,25 @@ def main(argv=None) -> int:
                 "uncommitted": None if host["git_sha"] is None
                 else bool(_run(["git", "status", "--porcelain", "--", "src"]))},
         "gated": {w: _gated(w) for w in bench.WORKLOADS},
+        "sweeps": [],
     }
-    doc["sweep"], doc["even_sweep"] = _sweeps()
+    presets = {f"mfeat-{t}": mfeat_preset(t) for t in range(2, 7)}
+    partitions = {**presets, **{f"even-{t}": even_preset(COLS, t) for t in EVEN_SITES}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for rows, runs in TABLES:
+            gen = ["gen", "--rows", str(rows), "--cols", str(COLS), "--seed", "1"]
+            table = Path(tmp) / f"t{rows}.txt"
+            _run([*CLI, *gen, "--out", table], CHILD_ENV)
+            sweep = _sweep(table, partitions, runs)
+            table.unlink()
+            sweep["misses"] = [n for n in presets
+                               if abs(sweep["partitions"][n]["ratio"] - 1) > MISS_BOUND]
+            doc["sweeps"].append({"table": "distcov " + " ".join(gen), **sweep})
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for name in doc["sweep"]["misses"]:
-        row = doc["sweep"]["presets"][name]
-        print(f"{name}: measured speed-up {row['measured_speedup']:.2f} misses the model's "
-              f"{row['cost_model_speedup']:.2f} by {row['miss']:+.0%}")
-    for t, row in doc["even_sweep"]["sites"].items():
-        print(f"t={t}: measured/model {row['ratio']:.2f}")
+    for sweep in doc["sweeps"]:
+        for name, row in sweep["partitions"].items():
+            miss = " (a miss)" if name in sweep["misses"] else ""
+            print(f"{sweep['table']}, {name}: measured/model {row['ratio']:.2f}{miss}")
     return 0
 
 
